@@ -64,8 +64,14 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _parse_group(spec: str) -> FinAbGroup:
-    return FinAbGroup.of([int(x) for x in spec.split(",") if x.strip()])
+def _group_orders(spec: str) -> list[int]:
+    """argparse type of --group: a malformed list is a usage error."""
+    try:
+        return [int(x) for x in spec.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated cyclic orders, got {spec!r}"
+        ) from None
 
 
 def _parse_lattice(spec: str) -> EvenLattice:
@@ -145,7 +151,7 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    group = _parse_group(args.group)
+    group = FinAbGroup.of(args.group)
     reps = classify_metric_groups(group)
     _emit(
         {
@@ -159,7 +165,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_md(args) -> int:
-    group = _parse_group(args.group)
+    group = FinAbGroup.of(args.group)
     sign = 1 if args.sign == "+" else -1
     if args.kind == "pointed":
         q = _parse_qform(args.qform, group)
@@ -181,7 +187,7 @@ def _cmd_fusion(args) -> int:
     if args.from_md:
         ring = verlinde_fusion(_load_md(args.from_md))
     else:
-        group = _parse_group(args.group)
+        group = FinAbGroup.of(args.group)
         builder = {
             "ty": ty_fusion_ring,
             "genty": gen_ty_fusion_ring,
@@ -253,7 +259,7 @@ def _cmd_condense(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    group = _parse_group(args.group)
+    group = FinAbGroup.of(args.group)
     builder = principal_graph if args.which == "lr-principal" else dual_principal_graph
     graph = builder(group)
     if args.dot:
@@ -264,7 +270,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_hypergroup(args) -> int:
-    group = _parse_group(args.group)
+    group = FinAbGroup.of(args.group)
     payload = {"hypergroup": ty_hypergroup(group).to_json()}
     if args.table:
         dual, table = ty_dual_hypergroup_and_table(group)
@@ -298,12 +304,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_glue)
 
     p = sub.add_parser("classify", help="metric-group classes on a finite abelian group")
-    p.add_argument("--group", required=True, help="cyclic orders, e.g. '15' or '3,3'")
+    p.add_argument(
+        "--group", required=True, type=_group_orders,
+        help="cyclic orders, e.g. '15' or '3,3'",
+    )
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("md", help="construct modular data")
     p.add_argument("kind", choices=["pointed", "ty-center", "mp"])
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", required=True, type=_group_orders)
     p.add_argument("--qform", default="default", help="'default' or value exponents r(g)")
     p.add_argument("--bichar", default=None, help="'default' or generator exponent rows")
     p.add_argument("--sign", choices=["+", "-"], default="+")
@@ -312,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fusion", help="fusion ring from rules or from modular data")
     p.add_argument("--from-md", dest="from_md", default=None, help="modular data JSON path")
     p.add_argument("--rules", choices=["ty", "genty", "genmp"], default=None)
-    p.add_argument("--group", default=None)
+    p.add_argument("--group", default=None, type=_group_orders)
     p.set_defaults(func=_cmd_fusion)
 
     p = sub.add_parser("fs", help="Frobenius-Schur indicator of a label")
@@ -333,12 +342,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="principal graphs of the double subfactor")
     p.add_argument("which", choices=["lr-principal", "lr-dual"])
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", required=True, type=_group_orders)
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("hypergroup", help="Tambara-Yamagami hypergroup data")
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", required=True, type=_group_orders)
     p.add_argument("--table", action="store_true", help="include the dual and character table")
     p.set_defaults(func=_cmd_hypergroup)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import CycNum
-from .errors import InvalidArgumentError, UnsupportedError
+from .errors import InvalidArgumentError, ModularityError, UnsupportedError
 from .groups import FinAbGroup, character_group, positive_set
 from .labels import MPAlpha, MPRho, MPSigma, MPUnit, label_to_json
 
@@ -92,6 +92,13 @@ def _ring_from_products(labels, prod) -> FusionRing:
             for k, c in prod(i, j).items():
                 tensor[i][j][k] = c
     return FusionRing(tuple(labels), _freeze(tensor))
+
+
+def _checked(ring: FusionRing) -> FusionRing:
+    report = check_fusion_ring(ring)
+    if not report.ok:
+        raise ModularityError(f"rule table fails its checks: {report.violations[:5]}")
+    return ring
 
 
 @dataclass
@@ -181,10 +188,7 @@ def ty_fusion_ring(group: FinAbGroup) -> FusionRing:
             return {k: 1 for k in range(n)}
         return {n: 1}
 
-    ring = _ring_from_products(labels, prod)
-    report = check_fusion_ring(ring)
-    assert report.ok, report.violations
-    return ring
+    return _checked(_ring_from_products(labels, prod))
 
 
 def gen_ty_fusion_ring(A: FinAbGroup) -> FusionRing:
@@ -223,10 +227,7 @@ def gen_ty_fusion_ring(A: FinAbGroup) -> FusionRing:
             return {idx[(a, 0)]: 1 for a in els}
         return {idx[(a, 1)]: 1 for a in els}
 
-    ring = _ring_from_products(labels, prod)
-    report = check_fusion_ring(ring)
-    assert report.ok, report.violations
-    return ring
+    return _checked(_ring_from_products(labels, prod))
 
 
 def gen_mp_fusion_ring(G: FinAbGroup) -> FusionRing:
@@ -270,10 +271,7 @@ def gen_mp_fusion_ring(G: FinAbGroup) -> FusionRing:
             out[sidx[target]] = out.get(sidx[target], 0) + 1
         return out
 
-    ring = _ring_from_products(labels, prod)
-    report = check_fusion_ring(ring)
-    assert report.ok, report.violations
-    return ring
+    return _checked(_ring_from_products(labels, prod))
 
 
 # -- hypergroups ---------------------------------------------------------------
@@ -362,13 +360,9 @@ def ty_hypergroup(group: FinAbGroup) -> Hypergroup:
     for k in range(n):
         table[n][n][k] = Fraction(1, n)
     star = tuple(idx[-g] for g in els) + (n,)
-    hg = Hypergroup(tuple(labels), _freeze_frac(table), star)
+    hg = Hypergroup(tuple(labels), _freeze(table), star)
     hg.validate()
     return hg
-
-
-def _freeze_frac(t) -> tuple:
-    return tuple(tuple(tuple(row) for row in plane) for plane in t)
 
 
 def hypergroup_from_fusion_ring(ring: FusionRing, dims) -> Hypergroup:
@@ -390,7 +384,7 @@ def hypergroup_from_fusion_ring(ring: FusionRing, dims) -> Hypergroup:
                         )
                     table[i][j][k] = val.rational_value()
     star = tuple(ring.dual(i) for i in range(r))
-    hg = Hypergroup(tuple(ring.labels), _freeze_frac(table), star, ring.unit)
+    hg = Hypergroup(tuple(ring.labels), _freeze(table), star, ring.unit)
     hg.validate()
     return hg
 
@@ -462,7 +456,7 @@ def ty_dual_hypergroup_and_table(group: FinAbGroup):
             else:
                 set_prod(i, j, {cidx[chi + tchi]: Fraction(1)})
     star = (0, 1) + tuple(cidx[-chi] for chi in chis)
-    hg = Hypergroup(tuple(labels), _freeze_frac(table), star)
+    hg = Hypergroup(tuple(labels), _freeze(table), star)
     hg.validate()
 
     # character table over columns G u {tau}

@@ -4,7 +4,9 @@ The same label values index modular data and fusion rings, so fusion rules
 produced from rule tables and those produced by the Verlinde formula can be
 compared literally.  Sigma-type labels always carry their canonical
 representative (ordered pair, or the positive fold |h|), so label sets are
-duplicate-free by construction.
+duplicate-free by construction.  Rule-table rings use bare labels: group
+elements, names such as ``"rho"``, and dihedral pairs ``(a, eps)``; these
+serialize as well.
 """
 
 from __future__ import annotations
@@ -140,6 +142,16 @@ def label_to_json(label) -> dict:
             "a": label_to_json(label.a),
             "b": label_to_json(label.b),
         }
+    if isinstance(label, GroupElement):
+        return {"kind": "element", "g": _el_json(label)}
+    if isinstance(label, str):
+        return {"kind": "name", "name": label}
+    if (
+        isinstance(label, tuple)
+        and len(label) == 2
+        and isinstance(label[0], GroupElement)
+    ):
+        return {"kind": "dihedral", "g": _el_json(label[0]), "eps": label[1]}
     raise InvalidArgumentError(f"unknown label type {type(label).__name__}")
 
 
@@ -164,4 +176,10 @@ def label_from_json(obj: dict):
         return TYSigma.of(_el_from_json(a), _el_from_json(b))
     if kind == "mp_sigma":
         return MPSigma(_el_from_json(obj["h"]))
+    if kind == "element":
+        return _el_from_json(obj["g"])
+    if kind == "name":
+        return str(obj["name"])
+    if kind == "dihedral":
+        return (_el_from_json(obj["g"]), int(obj["eps"]))
     raise InvalidArgumentError(f"unknown label kind {kind!r}")

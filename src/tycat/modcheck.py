@@ -10,8 +10,14 @@ bound on R's coefficients, the identity holds over Z -- this is a
 deterministic proof, not a probabilistic check.
 
 All modular arithmetic runs in float64 BLAS ops whose intermediate values
-are kept below 2^53, where float64 integer arithmetic is exact; the bounds
-that guarantee this are asserted at runtime.
+are kept below 2^53, where float64 integer arithmetic is exact; inputs
+that would break these margins raise ``CapacityError``, so the guarantee
+also holds under ``python -O``.
+
+Identities that only permute entries (symmetry, conjugation by a
+permutation) are decided on the packed coefficient arrays themselves:
+entries share one denominator and the coefficient vectors are canonical,
+so array equality is value equality.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ import math
 
 import numpy as np
 
-from .cyclo import CycNum, _phi_deg, _reduction_table
-from .errors import ModularityError
+from .cyclo import _phi_deg, _reduction_table
+from .errors import CapacityError, ModularityError
 
 _PRIME_CAP = 1 << 22  # keeps every float64 intermediate below 2^53
 _MAX_RANK_FLOAT = 1 << 8  # r * p^2 < 2^53 needs rank below 2^9
@@ -104,6 +110,7 @@ class MatProver:
                 den = den * x.den // math.gcd(den, x.den)
         coeffs = np.zeros((nr, nc, self.phi), dtype=np.int64)
         l1_max = 0
+        cap = (2**53 - 1) // (_PRIME_CAP * self.phi)
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
                 if x.n != self.n:
@@ -112,11 +119,15 @@ class MatProver:
                 tot = 0
                 for e, c in x.num.items():
                     v = c * scale
+                    av = abs(v)
+                    if av > cap:
+                        raise CapacityError(
+                            f"coefficients too large: {av} exceeds {cap}, "
+                            "the bound for exact float64 evaluation"
+                        )
                     coeffs[i, j, e] = v
-                    tot += abs(v)
+                    tot += av
                 l1_max = max(l1_max, tot)
-        cmax = int(np.abs(coeffs).max()) if coeffs.size else 0
-        assert cmax * _PRIME_CAP * self.phi < 2**53, "coefficients too large"
         return {"coeffs": coeffs, "den": den, "l1": l1_max, "rank": nr, "evals": {}}
 
     # -- primes and evaluation ----------------------------------------------
@@ -167,10 +178,33 @@ class MatProver:
 
     # -- the identities -------------------------------------------------------
 
-    def product_bound(self, a: dict, b: dict) -> int:
-        # group-algebra L1 of a product row, times one final reduction
-        inner_dim = a["coeffs"].shape[1]
-        return inner_dim * a["l1"] * b["l1"] * self.red_growth
+    def verify_symmetric(self, a: dict) -> None:
+        """S == S^T, decided on the canonical coefficients."""
+        c = a["coeffs"]
+        bad = np.argwhere(np.tril((c != c.transpose(1, 0, 2)).any(axis=2), -1))
+        if len(bad):
+            i, j = (int(x) for x in bad[0])
+            raise ModularityError(f"S is not symmetric at ({i}, {j})")
+
+    def verify_permuted(self, a: dict, rows, cols, what: str) -> None:
+        """A[rows[i], cols[j]] == A[i, j], decided on the canonical
+        coefficients (CSC = S for a permutation C is rows = cols = C)."""
+        c = a["coeffs"]
+        if not np.array_equal(c[np.ix_(rows, cols)], c):
+            raise ModularityError(f"{what} fails")
+
+    def verify_conj(self, a: dict, perm) -> None:
+        """conj(S) == C S for the row permutation C = perm.
+
+        Conjugation maps the point zeta^j to zeta^-j, so conj(S) evaluates
+        to ev[neg_perm]; the reduced difference has L1 norm at most
+        l1 (red_growth + 1).
+        """
+        bound = a["l1"] * (self.red_growth + 1)
+        for p in self._primes(2 * bound):
+            ev = self._eval(a, p)
+            if not np.array_equal(ev[self.neg_perm], ev[:, perm, :]):
+                raise ModularityError("S is not unitary (conj(S) != CS)")
 
     def verify_product(
         self,
@@ -225,31 +259,18 @@ class MatProver:
             if not np.array_equal(lhs, rhs):
                 raise ModularityError(f"{what} identity fails")
 
-    def verify_st_cubed(self, s: dict, t_diag: dict, c_perm: np.ndarray) -> None:
-        """(S T)^3 == den_S^3 * C for a permutation matrix C."""
-        den = s["den"]
-        r = s["rank"]
-        g = self.red_growth
-        w_l1 = s["l1"] * t_diag["l1"]  # group-algebra L1 of entries of W = S T
-        bound = r * r * w_l1**3 * g + den**3
-        for p in self._primes(2 * bound):
-            es = self._eval(s, p)
-            et = self._eval(t_diag, p)[:, 0, :]
-            w = es * et[:, None, :] % p
-            w3m = np.matmul(np.matmul(w, w) % p, w) % p
-            rhs = np.tile(c_perm * (den**3 % p) % p, (len(self.points), 1, 1))
-            if not np.array_equal(w3m, rhs):
-                raise ModularityError("(ST)^3 = S^2 identity fails")
-
     def verify_verlinde(self, s: dict, tensor: np.ndarray) -> None:
         """sum_k N_ij^k S[k,l] S[0,l] == S[i,l] S[j,l] for all i, j, l.
 
-        The tensor must be symmetric in (i, j) (asserted), so only pairs
+        The tensor must be symmetric in (i, j) (checked), so only pairs
         with i <= j are pushed through the provers.
         """
         r = s["coeffs"].shape[0]
         nmax = int(tensor.max()) if tensor.size else 0
-        assert r * max(nmax, 1) * _PRIME_CAP < 2**53, "fusion coefficients too large"
+        if r * max(nmax, 1) * _PRIME_CAP >= 2**53:
+            raise CapacityError(
+                f"fusion coefficients too large: {nmax} at rank {r}"
+            )
         if not np.array_equal(tensor, tensor.transpose(1, 0, 2)):
             raise ModularityError("fusion coefficients are not symmetric")
         g = self.red_growth

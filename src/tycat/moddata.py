@@ -5,8 +5,13 @@ e^{-pi i c/12} prefactor, and the topological central charge mod 8.  Every
 builder validates the full axiom suite exactly: S symmetric and unitary,
 S^2 = C a permutation, TSTST = S, CSC = S, CTC = T, (ST)^3 = C, positive
 real dimensions, Gauss-sum consistency of c, and integrality of all
-Verlinde coefficients.  Heavy identities run through the deterministic
-modular-evaluation prover in :mod:`tycat.modcheck`.
+Verlinde coefficients.  Each matrix identity is proven once, by the
+deterministic prover in :mod:`tycat.modcheck`: the permutation identities
+on the packed coefficients, the others by modular evaluation.  The proven
+Verlinde tensor is kept, and ``fusion_ring`` reuses it.  Structural
+invariants of the builders (rank, total dimension) and the pairwise
+inequivalence of a classification raise ``ModularityError``, not
+``assert``.
 
 Builders cover pointed data of a metric group, the double of a
 Tambara-Yamagami category for odd groups, the generalized metaplectic
@@ -111,8 +116,7 @@ class ModularData:
         self._charge_conj: tuple[int, ...] | None = None
         self._dims: tuple[CycNum, ...] | None = None
         self._fusion: FusionRing | None = None
-        self._skey: list | None = None
-        self._validated = False
+        self._tensor: np.ndarray | None = None  # set once validate() succeeds
 
     @property
     def rank(self) -> int:
@@ -157,30 +161,19 @@ class ModularData:
                 return l
         raise InvalidArgumentError(f"no label named {name!r}")
 
-    def entry_keys(self):
-        """Hashable canonical keys of the S entries (for fast comparison)."""
-        if self._skey is None:
-            self._skey = [
-                [
-                    (tuple(sorted(x.num.items())), x.den)
-                    for x in row
-                ]
-                for row in self.S
-            ]
-        return self._skey
-
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> None:
-        if self._validated:  # immutable data: a second run cannot differ
+        """Prove the axiom suite exactly, each identity once, and keep the
+        proven Verlinde tensor."""
+        if self._tensor is not None:  # immutable data: a second run cannot differ
             return
         r = self.rank
         if not self.thetas[0].is_one():
             raise ModularityError("the unit label must have trivial twist")
-        for i in range(r):
-            for j in range(i):
-                if self.S[i][j] != self.S[j][i]:
-                    raise ModularityError(f"S is not symmetric at ({i}, {j})")
+        prover = MatProver(self.conductor)
+        s = prover.pack(self.S)
+        prover.verify_symmetric(s)
 
         cperm = self.charge_conjugation()
         if sorted(cperm) != list(range(r)) or cperm[0] != 0:
@@ -189,39 +182,23 @@ class ModularData:
             if cperm[cperm[i]] != i:
                 raise ModularityError("charge conjugation is not an involution")
 
-        prover = MatProver(self.conductor)
-        s = prover.pack(self.S)
         t = prover.pack([self.T])
-        den = s["den"]
+        prover.verify_permuted(s, cperm, cperm, "CSC = S")
+        prover.verify_permuted(t, [0], cperm, "CTC = T")
+        # conj(S) = C S; with S^2 = C, C^2 = I, and CS = SC this proves
+        # unitarity S conj(S) = S C S = C S^2 = I exactly, and
+        # (ST)^3 = S (TSTST) = S^2 = C follows from TSTST = S; the explicit
+        # product forms of both are exercised on small data in the tests
+        prover.verify_conj(s, cperm)
         one = CycNum.one().promoted(self.conductor)
         nil = CycNum.zero().promoted(self.conductor)
         cmat = prover.pack(
             [[one if cperm[i] == j else nil for j in range(r)] for i in range(r)]
         )
-        ident = prover.pack(
-            [[one if i == j else nil for j in range(r)] for i in range(r)]
-        )
         prover.verify_product(
-            s, s, cmat, scale_rhs=den * den, what="S^2 = C"
+            s, s, cmat, scale_rhs=s["den"] ** 2, what="S^2 = C"
         )
         prover.verify_tstst(s, t)
-
-        # CSC = S and CTC = T are permutation conjugations: check by indexing
-        for i in range(r):
-            if self.T[cperm[i]] != self.T[i]:
-                raise ModularityError("CTC = T fails")
-            for j in range(r):
-                if self.S[cperm[i]][cperm[j]] != self.S[i][j]:
-                    raise ModularityError("CSC = S fails")
-        # conj(S) = C S entrywise; with S^2 = C, C^2 = I, and CS = SC this
-        # proves unitarity S conj(S) = S C S = C S^2 = I exactly, and
-        # (ST)^3 = S (TSTST) = S^2 = C follows from TSTST = S; the explicit
-        # product forms of both are exercised on small data in the tests
-        for i in range(r):
-            ci = cperm[i]
-            for j in range(r):
-                if self.S[i][j].conj() != self.S[ci][j]:
-                    raise ModularityError("S is not unitary (conj(S) != CS)")
 
         dims = self.dims()
         if dims[0] != 1:
@@ -240,12 +217,11 @@ class ModularData:
         if w.conj() != w or complex(w).real <= 0:
             raise ModularityError("Gauss sum does not match the stated central charge")
 
-        self._verlinde_tensor(prover=prover, packed_s=s)
-        self._validated = True
+        self._tensor = self._verlinde_tensor(prover, s)
 
     # -- fusion ---------------------------------------------------------------
 
-    def _verlinde_tensor(self, prover=None, packed_s=None) -> np.ndarray:
+    def _verlinde_tensor(self, prover: MatProver, packed_s: dict) -> np.ndarray:
         sf = self.s_float()
         ratios = sf.conj() / sf[0][None, :]
         nf = np.einsum("jl,il,kl->ijk", sf, sf, ratios)
@@ -268,10 +244,6 @@ class ModularData:
                     "too many non-integer Verlinde coefficients"
                 )
         tensor = nr.astype(np.int64)
-        if prover is None:
-            prover = MatProver(self.conductor)
-        if packed_s is None:
-            packed_s = prover.pack(self.S)
         prover.verify_verlinde(packed_s, tensor)
         return tensor
 
@@ -288,13 +260,10 @@ class ModularData:
 
     def fusion_ring(self) -> FusionRing:
         if self._fusion is None:
-            tensor = self._verlinde_tensor()
+            self.validate()
             self._fusion = FusionRing(
                 self.labels,
-                tuple(
-                    tuple(tuple(int(x) for x in row) for row in plane)
-                    for plane in tensor
-                ),
+                tuple(tuple(map(tuple, plane)) for plane in self._tensor.tolist()),
             )
         return self._fusion
 
@@ -407,8 +376,8 @@ def ty_center_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
         for j in range(i + 1, len(els))
     ]
     labels = pt + rho + sigma
-    rank = len(labels)
-    assert rank == 4 * n + n * (n - 1) // 2
+    if len(labels) != 4 * n + n * (n - 1) // 2:
+        raise ModularityError(f"TY double of {group} has rank {len(labels)}")
 
     # Gauss-type sums sum_k b(k - s, k), one per value of s = g + h
     gsum = {}
@@ -468,11 +437,16 @@ def ty_center_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     grading = [1 if isinstance(x, TYRho) else 0 for x in labels]
     md = ModularData(labels, rows, thetas, 0, conductor, grading)
     md.validate()
-    total_dim = CycNum.zero().promoted(conductor)
-    for d in md.dims():
-        total_dim = total_dim + d * d
-    assert total_dim == 4 * n * n
+    _check_total_dim(md, 4 * n * n)
     return md
+
+
+def _check_total_dim(md: ModularData, expected: int) -> None:
+    total = CycNum.zero().promoted(md.conductor)
+    for d in md.dims():
+        total = total + d * d
+    if total != expected:
+        raise ModularityError(f"total dimension is {total}, expected {expected}")
 
 
 @lru_cache(maxsize=None)
@@ -490,7 +464,8 @@ def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     labels = [MPUnit(), MPAlpha(), MPRho(0), MPRho(1)] + [
         MPSigma(h) for h in pos.members
     ]
-    assert len(labels) == (n + 7) // 2
+    if len(labels) != (n + 7) // 2:
+        raise ModularityError(f"metaplectic data of {group} has rank {len(labels)}")
 
     trace_b = CycNum.zero().promoted(conductor)
     for k in els:
@@ -542,10 +517,7 @@ def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     grading = [1 if isinstance(x, MPRho) else 0 for x in labels]
     md = ModularData(labels, rows, thetas, c, conductor, grading)
     md.validate()
-    total_dim = CycNum.zero().promoted(conductor)
-    for d in md.dims():
-        total_dim = total_dim + d * d
-    assert total_dim == 4 * n
+    _check_total_dim(md, 4 * n)
     return md
 
 
@@ -653,26 +625,10 @@ def md_equivalent(
 
     conductor = math.lcm(a.conductor, b.conductor)
 
-    def keys(md):
-        if md.conductor == conductor:
-            return md.entry_keys()
-        return [
-            [
-                (lambda v: (tuple(sorted(v.num.items())), v.den))(
-                    x.promoted(conductor)
-                )
-                for x in row
-            ]
-            for row in md.S
-        ]
-
-    ka, kb = keys(a), keys(b)
-
-    def class_key(md, k, i):
-        return (k[i][0], md.thetas[i].exponent)  # (dimension key, twist)
-
-    ca = [class_key(a, ka, i) for i in range(a.rank)]
-    cb = [class_key(b, kb, i) for i in range(b.rank)]
+    ka, kb = ([[x.key_at(conductor) for x in row] for row in md.S] for md in (a, b))
+    # classes of (dimension key, twist)
+    ca = [(ka[i][0], a.thetas[i].exponent) for i in range(a.rank)]
+    cb = [(kb[i][0], b.thetas[i].exponent) for i in range(b.rank)]
     from collections import Counter
 
     if Counter(ca) != Counter(cb):
@@ -839,19 +795,10 @@ def verify_condensation(
         total = CycNum.zero().promoted(conductor)
         for p in orbit:
             total = total + pdim[p]
-        return (
-            tuple(sorted(total.num.items())),
-            total.den,
-            parent.thetas[orbit[0]].exponent,
-        )
+        return (total.key_at(conductor), parent.thetas[orbit[0]].exponent)
 
     def child_key(c):
-        total = cdim[c] * nk
-        return (
-            tuple(sorted(total.num.items())),
-            total.den,
-            child.thetas[c].exponent,
-        )
+        return ((cdim[c] * nk).key_at(conductor), child.thetas[c].exponent)
 
     from collections import defaultdict
 
@@ -940,7 +887,7 @@ def verify_condensation(
 
 def classify_mp(group: FinAbGroup) -> list[ModularData]:
     """One generalized metaplectic datum per (bicharacter class, sign);
-    asserts pairwise inequivalence of the list."""
+    raises ModularityError unless the list is pairwise inequivalent."""
     reps = classify_metric_groups(group)
     out = []
     for m in reps:
@@ -949,7 +896,7 @@ def classify_mp(group: FinAbGroup) -> list[ModularData]:
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             if md_equivalent(out[i], out[j]) is not None:
-                raise AssertionError(
+                raise ModularityError(
                     f"distinct classes {i} and {j} produced equivalent data"
                 )
     return out
@@ -975,7 +922,8 @@ def md_to_json(md: ModularData) -> dict:
     }
 
 
-def md_from_json(obj: dict, validate: bool = True) -> ModularData:
+def md_from_json(obj: dict) -> ModularData:
+    """Read modular data written by ``md_to_json`` and validate it."""
     conductor = int(obj["conductor"])
     labels = [label_from_json(l) for l in obj["labels"]]
     s_rows = [
@@ -995,6 +943,5 @@ def md_from_json(obj: dict, validate: bool = True) -> ModularData:
     for given, built in zip(t_entries, md.T):
         if given != built:
             raise InvalidArgumentError("T entries inconsistent with c_top")
-    if validate:
-        md.validate()
+    md.validate()
     return md

@@ -106,11 +106,13 @@ def test_md_json_reparses_identically(tmp_path, capsys):
 
 
 def test_fusion_rules(capsys):
-    code, out, _ = run_cli(capsys, "fusion", "--rules", "genmp", "--group", "5")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["check"]["ok"] is True
-    assert len(payload["ring"]["labels"]) == 6
+    # rank of each rule table on Z5: G + rho, Dih(G) + rho+-, (|G|+7)/2
+    for rules, rank in (("genmp", 6), ("ty", 6), ("genty", 12)):
+        code, out, _ = run_cli(capsys, "fusion", "--rules", rules, "--group", "5")
+        assert code == 0, out
+        payload = json.loads(out)
+        assert payload["check"]["ok"] is True
+        assert len(payload["ring"]["labels"]) == rank
 
 
 def test_fusion_from_md(tmp_path, capsys):
@@ -163,6 +165,13 @@ def test_hypergroup_cli(capsys):
     payload = json.loads(out)
     assert payload["hypergroup"]["elements"][-1] == "tau"
     assert len(payload["character_table"]["rows"]) == 4
+
+
+def test_malformed_group_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--group", "3,x"])
+    assert exc.value.code == 2
+    assert "--group" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from tycat.fusionrings import (
     ty_hypergroup,
 )
 from tycat.groups import FinAbGroup, positive_set
-from tycat.labels import MPAlpha, MPRho, MPSigma
+from tycat.labels import MPAlpha, MPRho, MPSigma, label_from_json, label_to_json
 
 Z3 = FinAbGroup.of(3)
 Z5 = FinAbGroup.of(5)
@@ -87,6 +88,17 @@ def test_gen_mp_rank_z15():
     ring = gen_mp_fusion_ring(FinAbGroup.of(15))
     assert ring.rank == 11
     assert check_fusion_ring(ring).ok
+
+
+def test_rule_table_labels_roundtrip_through_json():
+    g = FinAbGroup.of(3, 5)
+    for ring, kinds in (
+        (ty_fusion_ring(g), {"element", "name"}),
+        (gen_ty_fusion_ring(g), {"dihedral", "name"}),
+    ):
+        blobs = json.loads(json.dumps([label_to_json(l) for l in ring.labels]))
+        assert {b["kind"] for b in blobs} == kinds
+        assert [label_from_json(b) for b in blobs] == list(ring.labels)
 
 
 def test_builders_pass_checks():

@@ -1,16 +1,20 @@
 """Cross-checks of the modular-evaluation prover against direct exact
 arithmetic, plus negative controls."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import tycat
 from tycat.cyclo import CycNum, RootOfUnity, zeta
-from tycat.errors import ModularityError
+from tycat.errors import CapacityError, ModularityError
 from tycat.groups import FinAbGroup
 from tycat.modcheck import MatProver
-from tycat.moddata import mp_md, pointed_md
+from tycat.moddata import ModularData, mp_md, pointed_md
 from tycat.quadforms import (
     QuadForm,
     bichar_from_qform,
@@ -69,17 +73,14 @@ def test_prover_agrees_with_direct_products():
 
 
 def test_prover_explicit_st_cubed_small():
-    md = pointed_md(metric_group(Q_A2))
-    prover = MatProver(md.conductor)
-    s = prover.pack(md.S)
-    t = prover.pack([md.T])
-    import numpy as np
-
-    cperm = md.charge_conjugation()
-    c_mat = np.zeros((md.rank, md.rank))
-    for i, j in enumerate(cperm):
-        c_mat[i, j] = 1
-    prover.verify_st_cubed(s, t, c_mat)  # must not raise
+    # exact oracle for the identity validate() derives: (S T)^3 = C
+    for md in (pointed_md(metric_group(Q_A2)), mp_md(Z3, bichar_from_qform(Q_A2), 1)):
+        w = [[x * md.T[j] for j, x in enumerate(row)] for row in md.S]
+        w3 = mat_mult_direct(mat_mult_direct(w, w), w)
+        cperm = md.charge_conjugation()
+        for i in range(md.rank):
+            for j in range(md.rank):
+                assert w3[i][j] == (1 if cperm[i] == j else 0)
 
 
 def test_prover_rejects_corruption():
@@ -148,3 +149,60 @@ def test_verlinde_rejects_wrong_tensor():
     s = prover.pack(md.S)
     with pytest.raises(ModularityError):
         prover.verify_verlinde(s, tensor)
+
+
+def _corrupted(md, i, j, delta):
+    rows = [list(row) for row in md.S]
+    rows[i][j] = rows[i][j] + delta
+    return rows
+
+
+def test_validate_rejects_each_permutation_identity():
+    md = pointed_md(metric_group(Q_A2))
+
+    def rebuilt(rows=md.S, thetas=md.thetas):
+        return ModularData(md.labels, rows, thetas, md.c_top, md.conductor)
+
+    with pytest.raises(ModularityError, match=r"not symmetric at \(2, 1\)"):
+        rebuilt(_corrupted(md, 1, 2, Fraction(1, 3))).validate()
+    # a diagonal change at 1 only breaks CSC = S (C swaps 1 and 2)
+    with pytest.raises(ModularityError, match="CSC = S fails"):
+        rebuilt(_corrupted(md, 1, 1, Fraction(1, 10**7))).validate()
+    thetas = list(md.thetas)
+    thetas[2] = thetas[2] * RootOfUnity(Fraction(1, 3))
+    with pytest.raises(ModularityError, match="CTC = T fails"):
+        rebuilt(thetas=thetas).validate()
+    # the same tiny real change at 1 and 2 keeps S symmetric and C-invariant
+    # (and S^2 a permutation in floating point) but breaks unitarity
+    rows = _corrupted(md, 1, 1, Fraction(1, 10**7))
+    rows[2][2] = rows[2][2] + Fraction(1, 10**7)
+    with pytest.raises(ModularityError, match=r"not unitary \(conj\(S\) != CS\)"):
+        rebuilt(rows).validate()
+
+
+def test_pack_rejects_oversized_coefficient():
+    prover = MatProver(3)
+    big = CycNum(3, {0: 2**40})
+    with pytest.raises(CapacityError, match="coefficients too large"):
+        prover.pack([[big]])
+
+
+def test_capacity_guard_survives_python_O():
+    # asserts are stripped under -O; the guard must not be one
+    code = (
+        "from tycat.cyclo import CycNum\n"
+        "from tycat.errors import CapacityError\n"
+        "from tycat.modcheck import MatProver\n"
+        "try:\n"
+        "    MatProver(3).pack([[CycNum(3, {0: 2**40})]])\n"
+        "except CapacityError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tycat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
