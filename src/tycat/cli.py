@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .cyclo import RootOfUnity
 from .errors import TycatError
@@ -55,13 +56,21 @@ from .quadforms import (
 )
 
 
+_EMIT_BATCH = 1 << 16  # encoder chunks per write
+
+
 def _rat(x: Fraction):
     x = Fraction(x)
     return int(x) if x.denominator == 1 else str(x)
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    """Write ``json.dumps(obj, indent=2)`` and a newline, in joined batches
+    of encoder chunks rather than one string of the whole document."""
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := "".join(islice(chunks, _EMIT_BATCH)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _group_orders(spec: str) -> list[int]:
@@ -194,7 +203,7 @@ def _cmd_fusion(args) -> int:
             "genmp": gen_mp_fusion_ring,
         }[args.rules]
         ring = builder(group)
-    report = check_fusion_ring(ring)
+    report = ring.report if ring.report is not None else check_fusion_ring(ring)
     _emit(
         {
             "ring": ring.to_json(),

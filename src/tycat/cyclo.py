@@ -389,8 +389,8 @@ class CycNum:
         coeffs = []
         for e in range(deg):
             c = self.num.get(e, 0)
-            f = Fraction(c, self.den)
-            coeffs.append([f.numerator, f.denominator])
+            g = math.gcd(c, self.den)  # den > 0, so c/den in lowest terms
+            coeffs.append([c // g, self.den // g])
         z = complex(self)
         return {"conductor": self.n, "coeffs": coeffs, "approx": [z.real, z.imag]}
 

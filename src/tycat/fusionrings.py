@@ -10,13 +10,18 @@ character table and Haar weights that make the rows exactly orthogonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .cyclo import CycNum
-from .errors import InvalidArgumentError, ModularityError, UnsupportedError
+from .errors import (
+    CapacityError,
+    InvalidArgumentError,
+    ModularityError,
+    UnsupportedError,
+)
 from .groups import FinAbGroup, character_group, positive_set
 from .labels import MPAlpha, MPRho, MPSigma, MPUnit, label_to_json
 
@@ -40,6 +45,10 @@ class FusionRing:
     labels: tuple
     tensor: tuple  # tensor[i][j][k] = N_{ij}^k, nonnegative ints
     unit: int = 0
+    # the check a rule-table builder already ran, so callers need not rerun it
+    report: "FusionCheckReport | None" = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def rank(self) -> int:
@@ -98,7 +107,34 @@ def _checked(ring: FusionRing) -> FusionRing:
     report = check_fusion_ring(ring)
     if not report.ok:
         raise ModularityError(f"rule table fails its checks: {report.violations[:5]}")
-    return ring
+    return replace(ring, report=report)
+
+
+def _nonassociative(arr: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """The (i, j, k, l), in C order, where sum_m N_ij^m N_mk^l differs from
+    sum_m N_jk^m N_im^l, for a nonnegative integer tensor.
+
+    One row i at a time, lhs_i = N_i @ N.reshape(r, r*r) and
+    rhs_i = N.reshape(r*r, r) @ N_i as float64 BLAS products: O(r^3)
+    memory where the dense contraction needs r^4, and exact because every
+    partial sum stays below r nmax^2 < 2^53 (else ``CapacityError``).
+    """
+    r = arr.shape[0]
+    nmax = int(arr.max()) if arr.size else 0
+    if r * nmax * nmax >= 2**53:
+        raise CapacityError(
+            f"structure constants too large for exact associativity: {nmax} at rank {r}"
+        )
+    f = arr.astype(np.float64)
+    right = f.reshape(r, r * r)
+    left = f.reshape(r * r, r)
+    out = []
+    for i in range(r):
+        lhs = f[i] @ right
+        rhs = (left @ f[i]).reshape(r, r * r)
+        for j, kl in zip(*np.nonzero(lhs != rhs)):
+            out.append((i, int(j), int(kl) // r, int(kl) % r))
+    return out
 
 
 @dataclass
@@ -133,13 +169,9 @@ def check_fusion_ring(ring: FusionRing, fp_tol: float = 1e-9) -> FusionCheckRepo
         report.violations.append(("dual", ()))
         dual = None
 
-    # associativity sum_m N_ij^m N_mk^l == sum_m N_jk^m N_im^l, as exact
-    # int64 contractions (coefficients are tiny at desk scale)
     arr = np.array(t, dtype=np.int64)
-    lhs = np.einsum("ijm,mkl->ijkl", arr, arr)
-    rhs = np.einsum("jkm,iml->ijkl", arr, arr)
-    for idx in zip(*np.nonzero(lhs != rhs)):
-        report.violations.append(("associativity", tuple(int(x) for x in idx)))
+    for idx in _nonassociative(arr):
+        report.violations.append(("associativity", idx))
 
     if dual is not None:
         dual_arr = np.array(dual)
@@ -322,12 +354,9 @@ class Hypergroup:
             [[[int(c * den) for c in row] for row in plane] for plane in t],
             dtype=np.int64,
         )
-        lhs = np.einsum("ijm,mkl->ijkl", arr, arr)
-        rhs = np.einsum("jkm,iml->ijkl", arr, arr)
-        bad = np.nonzero(lhs != rhs)
-        if bad[0].size:
-            where = tuple(int(x[0]) for x in bad)
-            raise InvalidArgumentError(f"hypergroup is not associative at {where}")
+        bad = _nonassociative(arr)
+        if bad:
+            raise InvalidArgumentError(f"hypergroup is not associative at {bad[0]}")
 
     def to_json(self) -> dict:
         return {

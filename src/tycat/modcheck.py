@@ -12,7 +12,14 @@ deterministic proof, not a probabilistic check.
 All modular arithmetic runs in float64 BLAS ops whose intermediate values
 are kept below 2^53, where float64 integer arithmetic is exact; inputs
 that would break these margins raise ``CapacityError``, so the guarantee
-also holds under ``python -O``.
+also holds under ``python -O``.  Matrix products of residues mod p reduce
+after every block of floor(2^53 / (p-1)^2) inner terms (the delayed
+reduction of FFLAS, Dumas-Giorgi-Pernet, ACM TOMS 2008), so they are exact
+at any inner dimension.  The Verlinde relation, the one identity whose
+size grows with the number of label pairs, is streamed over chunks of
+pairs under a fixed budget of a few MB of gathered rows and decided with
+one exact zero test per entry (see ``MatProver.verify_verlinde``); its
+memory does not grow with the rank beyond the O(r^2 * points) evaluations.
 
 Identities that only permute entries (symmetry, conjugation by a
 permutation) are decided on the packed coefficient arrays themselves:
@@ -30,7 +37,8 @@ from .cyclo import _phi_deg, _reduction_table
 from .errors import CapacityError, ModularityError
 
 _PRIME_CAP = 1 << 22  # keeps every float64 intermediate below 2^53
-_MAX_RANK_FLOAT = 1 << 8  # r * p^2 < 2^53 needs rank below 2^9
+# gathered evaluation rows per Verlinde chunk: a few MB stays in cache
+_CHUNK_ROWS_BYTES = 2 << 20
 
 
 def _is_prime(n: int) -> bool:
@@ -77,6 +85,20 @@ def _order_n_root(p: int, n: int) -> int:
         if all(pow(w, n // q, p) != 1 for q in fac):
             return w
     raise ModularityError(f"no order-{n} element mod {p}")
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for float64 residues in [0, p), exact at any inner
+    dimension k: a block of floor(2^53 / (p-1)^2) products sums to at most
+    2^53, so the inner dimension is split into such blocks with a reduction
+    mod p after each (FFLAS delayed reduction)."""
+    k = a.shape[-1]
+    step = 2**53 // (p - 1) ** 2  # at least 512, as p < 2^22
+    out = np.matmul(a[..., :step], b[..., :step, :]) % p
+    for lo in range(step, k, step):
+        out += np.matmul(a[..., lo : lo + step], b[..., lo : lo + step, :]) % p
+        out %= p
+    return out
 
 
 class MatProver:
@@ -231,7 +253,7 @@ class MatProver:
                 ea = ea[self.neg_perm]
             if conj_b:
                 eb = eb[self.neg_perm]
-            lhs = np.matmul(ea, eb) % p
+            lhs = _matmul_mod(ea, eb, p)
             lhs = lhs * (scale_lhs % p) % p
             er = self._eval(rhs, p) * (scale_rhs % p) % p
             if not np.array_equal(lhs, er):
@@ -254,7 +276,7 @@ class MatProver:
             et = self._eval(t_diag, p)[:, 0, :]  # (npts, r)
             st = es * et[:, None, :] % p  # S T   (columns scaled)
             tst = st * et[:, :, None] % p  # T S T (then rows)
-            lhs = np.matmul(tst, st) % p
+            lhs = _matmul_mod(tst, st, p)
             rhs = es * (den % p) % p
             if not np.array_equal(lhs, rhs):
                 raise ModularityError(f"{what} identity fails")
@@ -263,7 +285,25 @@ class MatProver:
         """sum_k N_ij^k S[k,l] S[0,l] == S[i,l] S[j,l] for all i, j, l.
 
         The tensor must be symmetric in (i, j) (checked), so only pairs
-        with i <= j are pushed through the provers.
+        with i <= j are proven.  The nonzero channels of those pairs are
+        kept as CSR rows (``indptr``, ``k``, ``N_ij^k``); per prime, the
+        pairs are streamed in chunks of at most ``_CHUNK_ROWS_BYTES`` of
+        gathered evaluation rows (at least one pair), so beyond the
+        evaluations of S the working memory is a fixed budget.  Each chunk
+        forms, at every primitive point and column l,
+
+            diff = S[i,l] S[j,l] - sum_k N_ij^k (S[k,l] S[0,l] mod p)
+
+        from residues in [0, p): the sum gathers the rows of the chunk's
+        channels and adds them with one small matmul by the (pairs x
+        channels) matrix of their N_ij^k, which leaves a pair with no
+        channel at zero.  The first term is below p^2 < 2^44 and the sum,
+        of nonnegative terms, below r nmax p < 2^53 (the ``CapacityError``
+        guard), so |diff| < 2^53 and every step is exact in float64.  Then
+        diff = 0 (mod p) iff rint(diff / p) * p == diff: a multiple q p
+        divides exactly to q, and conversely the product of the integers
+        rint(diff / p) and p is exact below 2^53, so equality means p
+        divides diff.
         """
         r = s["coeffs"].shape[0]
         nmax = int(tensor.max()) if tensor.size else 0
@@ -276,33 +316,41 @@ class MatProver:
         g = self.red_growth
         bound = r * nmax * s["l1"] ** 2 * g + s["l1"] ** 2 * g
         iu, ju = np.triu_indices(r)
-        nmat = tensor[iu, ju, :].astype(np.float64)  # (npairs, r)
         npairs = len(iu)
-        npts = len(self.points)
-        nz_cols = [np.nonzero(nmat[:, k])[0] for k in range(r)]
-        nnz = sum(len(c) for c in nz_cols)
-        sparse = nnz * 8 < npairs * r
+        pair_rows = tensor[iu, ju]  # (npairs, r)
+        pair_of, chan_k = np.nonzero(pair_rows)
+        chan_n = pair_rows[pair_of, chan_k].astype(np.float64)
+        indptr = np.zeros(npairs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pair_of, minlength=npairs), out=indptr[1:])
+        # rows gathered for the pairs before t: their channels, their i and j
+        gathered = indptr + 2 * np.arange(npairs + 1)
+        width = len(self.points) * r
+        chunk_rows = max(1, _CHUNK_ROWS_BYTES // (8 * width))
         for p in self._primes(2 * bound):
-            es = self._eval(s, p)  # (npts, r, r)
-            pmat = es * es[:, 0:1, :] % p
-            pm = np.ascontiguousarray(pmat.transpose(1, 0, 2)).reshape(
-                r, npts * r
-            )
-            if sparse:  # typical: a handful of channels per fusion product
-                lhs = np.zeros((npairs, npts * r))
-                for k in range(r):
-                    rows = nz_cols[k]
-                    if len(rows):
-                        lhs[rows] += nmat[rows, k][:, None] * pm[k]
-                lhs %= p
-            else:
-                lhs = (nmat @ pm) % p
-            rhs = np.ascontiguousarray(
-                (es[:, iu, :] * es[:, ju, :] % p).transpose(1, 0, 2)
-            ).reshape(npairs, npts * r)
-            if not np.array_equal(lhs, rhs):
-                bad = np.argwhere(lhs != rhs)[0]
-                raise ModularityError(
-                    "Verlinde eigen-relation fails near "
-                    f"(i={int(iu[bad[0]])}, j={int(ju[bad[0]])})"
-                )
+            # rows[i] = S[i, l] at every point, flattened to (npts * r)
+            rows = np.ascontiguousarray(
+                self._eval(s, p).transpose(1, 0, 2)
+            ).reshape(r, width)
+            pm = rows * rows[0] % p  # S[k,l] S[0,l] mod p
+            a = 0
+            while a < npairs:
+                b = int(np.searchsorted(
+                    gathered, gathered[a] + chunk_rows, side="right"
+                )) - 1
+                b = max(b, a + 1)
+                diff = rows[iu[a:b]] * rows[ju[a:b]]
+                lo, hi = indptr[a], indptr[b]
+                # weights[t, c] = N_ij^k of channel c if it belongs to pair a + t
+                weights = np.zeros((b - a, hi - lo))
+                weights[pair_of[lo:hi] - a, np.arange(hi - lo)] = chan_n[lo:hi]
+                diff -= weights @ pm[chan_k[lo:hi]]
+                q = np.rint(diff / p)
+                q *= p
+                bad = (q != diff).any(axis=1)
+                if bad.any():
+                    t = a + int(np.argmax(bad))
+                    raise ModularityError(
+                        "Verlinde eigen-relation fails near "
+                        f"(i={int(iu[t])}, j={int(ju[t])})"
+                    )
+                a = b

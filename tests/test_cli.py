@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tycat import cli, fusionrings
 from tycat.cli import main
 
 
@@ -113,6 +114,34 @@ def test_fusion_rules(capsys):
         payload = json.loads(out)
         assert payload["check"]["ok"] is True
         assert len(payload["ring"]["labels"]) == rank
+
+
+def test_fusion_rules_check_the_ring_once(capsys, monkeypatch):
+    calls = []
+    real = fusionrings.check_fusion_ring
+
+    def counted(ring, *args, **kwargs):
+        calls.append(ring.rank)
+        return real(ring, *args, **kwargs)
+
+    monkeypatch.setattr(fusionrings, "check_fusion_ring", counted)
+    monkeypatch.setattr(cli, "check_fusion_ring", counted)
+    code, out, _ = run_cli(capsys, "fusion", "--rules", "genmp", "--group", "15")
+    assert code == 0, out
+    assert json.loads(out)["check"]["ok"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("batch", [3, cli._EMIT_BATCH])
+def test_emit_matches_json_dumps(capsys, monkeypatch, batch):
+    obj = {
+        "a": [1, 2.5, None, True, "x\u00e9\"y"],
+        "b": {"c": [[], {}, [{"d": -0.0, "e": 1e300}]], "f": "1/3"},
+        "g": [[i, str(i), [i / 7]] for i in range(50)],
+    }
+    monkeypatch.setattr(cli, "_EMIT_BATCH", batch)
+    cli._emit(obj)
+    assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
 
 
 def test_fusion_from_md(tmp_path, capsys):

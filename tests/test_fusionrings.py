@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tycat.cyclo import CycNum, sqrt_int
@@ -122,6 +123,22 @@ def test_corrupted_tensor_reports_triple():
     assert not report.ok
     kinds = {v[0] for v in report.violations}
     assert "associativity" in kinds or "frobenius" in kinds or "unit" in kinds
+
+
+def test_streamed_associativity_matches_dense_oracle():
+    ring = gen_mp_fusion_ring(FinAbGroup.of(7))
+    arr = np.array(ring.tensor, dtype=np.int64)
+    arr[4, 5, 6] += 1
+    arr[5, 4, 6] += 1
+    arr[2, 3, 0] += 2
+    lhs = np.einsum("ijm,mkl->ijkl", arr, arr)
+    rhs = np.einsum("jkm,iml->ijkl", arr, arr)
+    dense = [tuple(int(x) for x in idx) for idx in zip(*np.nonzero(lhs != rhs))]
+    report = check_fusion_ring(FusionRing(ring.labels, tuple(
+        tuple(tuple(r) for r in plane) for plane in arr.tolist()
+    )))
+    streamed = [idx for kind, idx in report.violations if kind == "associativity"]
+    assert dense and streamed == dense
 
 
 def test_group_ring_check():

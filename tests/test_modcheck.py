@@ -5,19 +5,23 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import tycat
+from tycat import modcheck
 from tycat.cyclo import CycNum, RootOfUnity, zeta
 from tycat.errors import CapacityError, ModularityError
 from tycat.groups import FinAbGroup
 from tycat.modcheck import MatProver
-from tycat.moddata import ModularData, mp_md, pointed_md
+from tycat.moddata import ModularData, mp_md, pointed_md, ty_center_md
 from tycat.quadforms import (
     QuadForm,
     bichar_from_qform,
+    classify_metric_groups,
     metric_group,
 )
 
@@ -136,8 +140,6 @@ def test_prover_random_product_identities():
 
 
 def test_verlinde_rejects_wrong_tensor():
-    import numpy as np
-
     md = mp_md(Z3, bichar_from_qform(Q_A2), 1)
     ring = md.fusion_ring()
     tensor = np.array(ring.tensor, dtype=np.int64)
@@ -206,3 +208,79 @@ def test_capacity_guard_survives_python_O():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+# -- the streamed Verlinde proof and the blocked products ----------------------
+
+Z5 = FinAbGroup.of(5)
+
+
+def _ty5():
+    return ty_center_md(Z5, bichar_from_qform(classify_metric_groups(Z5)[0].quad), 1)
+
+
+def _verlinde(md, tensor):
+    prover = MatProver(md.conductor)
+    prover.verify_verlinde(prover.pack(md.S), tensor)
+
+
+def _bad_tensors(md):
+    """(tensor, named pair) for a symmetric change of one coefficient and
+    for pairs with no fusion channel at all, including the last pair."""
+    base = np.array(md.fusion_ring().tensor, dtype=np.int64)
+    r = md.rank
+    for i, j, k in [(3, 7, 2), (1, 1, 0)]:
+        t = base.copy()
+        t[i, j, k] += 1
+        t[j, i, k] = t[i, j, k]
+        yield t, (i, j)
+    for i, j in [(4, 8), (0, 0), (r - 1, r - 1)]:
+        t = base.copy()
+        t[i, j, :] = 0
+        t[j, i, :] = 0
+        yield t, (i, j)
+
+
+def _check_streamed_verdicts(md):
+    _verlinde(md, np.array(md.fusion_ring().tensor, dtype=np.int64))
+    for tensor, (i, j) in _bad_tensors(md):
+        with pytest.raises(ModularityError, match=rf"near \(i={i}, j={j}\)$"):
+            _verlinde(md, tensor)
+
+
+def test_streamed_verlinde_names_the_broken_pair():
+    _check_streamed_verdicts(_ty5())
+
+
+def test_streamed_verlinde_is_chunk_independent(monkeypatch):
+    md = _ty5()
+    monkeypatch.setattr(modcheck, "_CHUNK_ROWS_BYTES", 1)  # one pair a chunk
+    _check_streamed_verdicts(md)
+    ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor).validate()
+
+
+def test_validate_memory_is_bounded():
+    z9 = FinAbGroup.of(9)
+    md = ty_center_md(z9, bichar_from_qform(classify_metric_groups(z9)[0].quad), 1)
+    fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
+    tracemalloc.start()
+    try:
+        fresh.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, f"validate() peaked at {peak / 2**20:.0f} MB"
+
+
+def test_blocked_matmul_mod_is_exact_past_the_block_size():
+    p = 4194301  # the largest prime below 2^22: blocks of 512 inner terms
+    assert modcheck._is_prime(p)
+    step = 2**53 // (p - 1) ** 2
+    k = 2 * step + 37
+    rng = np.random.default_rng(5)
+    a = rng.integers(p - 1000, p, size=(2, 3, k))
+    b = rng.integers(p - 1000, p, size=(2, k, 4))
+    got = modcheck._matmul_mod(a.astype(np.float64), b.astype(np.float64), p)
+    want = np.matmul(a.astype(object), b.astype(object)) % p
+    assert k * (p - 1) ** 2 > 2**53  # a single float64 matmul would round
+    assert (got.astype(np.int64) == want.astype(np.int64)).all()
