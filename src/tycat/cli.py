@@ -3,7 +3,10 @@
 Every subcommand validates its inputs before computing, writes UTF-8 JSON
 to stdout (DOT text for graph commands with --dot), and reserves stderr
 for diagnostics.  Exit codes: 0 success, 1 domain error, 2 usage error.
-Exact values serialize as rational strings next to an advisory float block.
+Exact rationals serialize as strings like "1/3".  An exact cyclotomic
+value serializes as ``{"conductor": n, "den": d, "terms": [[e, c], ...]}``,
+meaning sum(c * zeta_n^e) / d; modular data carry one advisory float block
+(``float_view``) beside their exact entries.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ModularityError
 
 __all__ = [
     "CycNum",
@@ -311,7 +311,8 @@ class CycNum:
             a, b = b, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         # now a = gcd (a nonzero constant), s0 * self = a  (mod Phi_n)
-        assert len(_poly_trim(a)) == 1
+        if len(_poly_trim(a)) != 1:
+            raise ModularityError(f"Phi_{self.n} and {self!r} share a factor")
         inv_c = 1 / a[0]
         coeffs = [c * inv_c for c in s0]
         num: dict[int, int] = {}
@@ -322,7 +323,8 @@ class CycNum:
             if c:
                 num[e] = int(c * den)
         out = CycNum(self.n, num, den)
-        assert (out * self) == 1
+        if out * self != 1:
+            raise ModularityError(f"inverse of {self!r} fails x * x^-1 = 1")
         return out
 
     def __truediv__(self, other):
@@ -385,29 +387,78 @@ class CycNum:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        deg = _phi_deg(self.n)
-        coeffs = []
-        for e in range(deg):
-            c = self.num.get(e, 0)
-            g = math.gcd(c, self.den)  # den > 0, so c/den in lowest terms
-            coeffs.append([c // g, self.den // g])
-        z = complex(self)
-        return {"conductor": self.n, "coeffs": coeffs, "approx": [z.real, z.imag]}
+        """``{"conductor": n, "den": d, "terms": [[e, c], ...]}``: the
+        nonzero numerator coefficients by ascending exponent over the
+        canonical denominator, so the value is sum(c * zeta_n^e) / d."""
+        num = self.num
+        return {
+            "conductor": self.n,
+            "den": self.den,
+            "terms": [[e, num[e]] for e in sorted(num)],
+        }
 
     @staticmethod
-    def from_json(obj: dict) -> "CycNum":
-        n = int(obj["conductor"])
+    def from_json(obj) -> "CycNum":
+        """Read the sparse form ``to_json`` writes, or the older dense form
+        ``{"conductor": n, "coeffs": [[p, q], ...]}`` with the coefficient
+        p/q of zeta_n^e at position e < phi(n).  Malformed input raises
+        ``InvalidArgumentError`` before any arithmetic."""
+        if not isinstance(obj, dict):
+            raise InvalidArgumentError(
+                f"cyclotomic entry must be an object, got {type(obj).__name__}"
+            )
+        n = _json_int(obj.get("conductor"), "conductor")
         if n < 1:
-            raise InvalidArgumentError("conductor must be >= 1")
-        coeffs = obj["coeffs"]
-        if len(coeffs) != _phi_deg(n):
+            raise InvalidArgumentError(f"conductor must be >= 1, got {n}")
+        deg = euler_phi(n)
+        num: dict[int, int] = {}
+        if "terms" in obj:
+            den = _json_int(obj.get("den"), "den")
+            if den < 1:
+                raise InvalidArgumentError(f"den must be >= 1, got {den}")
+            terms = obj["terms"]
+            if not isinstance(terms, list):
+                raise InvalidArgumentError("terms must be a list of [exponent, coefficient]")
+            for term in terms:
+                if not (isinstance(term, list) and len(term) == 2):
+                    raise InvalidArgumentError(
+                        f"term must be [exponent, coefficient], got {term!r}"
+                    )
+                e = _json_int(term[0], "term exponent")
+                if not 0 <= e < deg:
+                    raise InvalidArgumentError(
+                        f"term exponent {e} outside [0, {deg}) at conductor {n}"
+                    )
+                if e in num:
+                    raise InvalidArgumentError(f"term exponent {e} repeated")
+                num[e] = _json_int(term[1], "term coefficient")
+            return CycNum(n, num, den)
+        coeffs = obj.get("coeffs")
+        if coeffs is None:
+            raise InvalidArgumentError("cyclotomic entry needs 'terms' or 'coeffs'")
+        if not isinstance(coeffs, list) or len(coeffs) != deg:
             raise InvalidArgumentError("coefficient vector has wrong length")
-        den = 1
-        fracs = [Fraction(int(p), int(q)) for p, q in coeffs]
-        for f in fracs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        num = {e: int(f * den) for e, f in enumerate(fracs) if f}
+        pairs = []
+        for pair in coeffs:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise InvalidArgumentError(f"coefficient must be [num, den], got {pair!r}")
+            p = _json_int(pair[0], "coefficient numerator")
+            q = _json_int(pair[1], "coefficient denominator")
+            if q == 0:
+                raise InvalidArgumentError("coefficient denominator is 0")
+            pairs.append((p, q))
+        den = math.lcm(*(q for p, q in pairs if p))
+        for e, (p, q) in enumerate(pairs):
+            if p:
+                num[e] = p * (den // q)
         return CycNum(n, num, den)
+
+
+def _json_int(x, what: str) -> int:
+    # bool is an int subclass, but true/false is no JSON integer
+    if type(x) is not int:
+        raise InvalidArgumentError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def _poly_trim(p):
@@ -491,7 +542,8 @@ def _sqrt_int_min(n: int) -> CycNum:
         if e % 2:
             root = root * _sqrt_prime(p)
     root = (root * square_part).promoted(sqrt_int_conductor(n))
-    assert root * root == n
+    if root * root != n:
+        raise ModularityError(f"Gauss-sum square root of {n} does not square to {n}")
     return root
 
 

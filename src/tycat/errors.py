@@ -23,5 +23,6 @@ class DegeneracyError(TycatError):
 
 
 class ModularityError(TycatError):
-    """An exact modular-data identity failed (non-unitary S, non-integer
-    fusion coefficient, indicator outside {-1, 0, 1},  ...)."""
+    """An exact identity or certificate failed (non-unitary S, non-integer
+    fusion coefficient, indicator outside {-1, 0, 1}, a Smith normal form
+    or cyclotomic inverse that does not verify, ...)."""

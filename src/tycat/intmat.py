@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ModularityError
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -152,11 +152,14 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             u[i] = [-x for x in u[i]]
 
     d_m, u_m, v_m = as_matrix(m), as_matrix(u), as_matrix(v)
-    assert matmul(matmul(u_m, a), v_m) == d_m
-    assert abs(det(u_m)) == 1 and abs(det(v_m)) == 1
+    if matmul(matmul(u_m, a), v_m) != d_m:
+        raise ModularityError("Smith normal form certificate fails U A V = D")
+    if abs(det(u_m)) != 1 or abs(det(v_m)) != 1:
+        raise ModularityError("Smith normal form transform is not unimodular")
     diag = [d_m[i][i] for i in range(min(rows, cols))]
     for x, y in zip(diag, diag[1:]):
-        assert y % x == 0 if x else y == 0
+        if (y % x if x else y) != 0:
+            raise ModularityError(f"Smith normal form diagonal {diag} fails the divisibility chain")
     return d_m, u_m, v_m
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import RootOfUnity
-from .errors import CapacityError, InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError, ModularityError
 from .groups import FinAbGroup, GroupAut, GroupElement, automorphisms
 from .intmat import (
     Matrix,
@@ -173,7 +173,8 @@ def discriminant_form(lattice: EvenLattice) -> DiscriminantForm:
     lifts = []
     for i in keep:
         col = [u_inv[r][i] for r in range(n)]
-        assert all(x.denominator == 1 for x in col)
+        if any(x.denominator != 1 for x in col):
+            raise ModularityError(f"discriminant generator lift {i} is not integral")
         lifts.append(tuple(int(x) for x in col))
     lifts = tuple(lifts)
 
@@ -190,7 +191,8 @@ def discriminant_form(lattice: EvenLattice) -> DiscriminantForm:
         base = norm(lift)
         for row in gram:
             shifted = norm([a + b for a, b in zip(lift, row)])
-            assert (shifted - base) % 2 == 0
+            if (shifted - base) % 2:
+                raise ModularityError("shifting a lift by a lattice vector changes q")
 
     def qval(g: GroupElement) -> RootOfUnity:
         v = [0] * n
@@ -224,7 +226,10 @@ def discriminant_form(lattice: EvenLattice) -> DiscriminantForm:
         qform = best
 
     disc = DiscriminantForm(lattice, group, qform, lifts)
-    assert lattice.determinant == group.order
+    if lattice.determinant != group.order:
+        raise ModularityError(
+            f"discriminant group of order {group.order}, determinant {lattice.determinant}"
+        )
     return disc
 
 
@@ -269,7 +274,8 @@ def glue(lattice: EvenLattice, isotropic) -> EvenLattice:
         if not h.is_zero():
             rows.append(list(disc.lift(h)))
     basis = hermite_row_basis(rows)
-    assert len(basis) == n
+    if len(basis) != n:
+        raise ModularityError(f"glued lattice has rank {len(basis)}, expected {n}")
     inv = _gram_inverse(lattice)
     gram_new = []
     for r1 in basis:
@@ -285,7 +291,8 @@ def glue(lattice: EvenLattice, isotropic) -> EvenLattice:
             row_out.append(int(val))
         gram_new.append(row_out)
     out = EvenLattice(as_matrix(gram_new))
-    assert out.determinant * len(span) ** 2 == lattice.determinant
+    if out.determinant * len(span) ** 2 != lattice.determinant:
+        raise ModularityError("glued lattice determinant is not det(L) / |H|^2")
     return out
 
 
@@ -299,7 +306,8 @@ def mirror_check(lattice: EvenLattice, candidate: EvenLattice) -> GroupAut | Non
     if phi is None:
         return None
     for g in d1.group.elements():
-        assert (d1.qform(g) * d2.qform(phi(g))).is_one()
+        if not (d1.qform(g) * d2.qform(phi(g))).is_one():
+            raise ModularityError(f"mirror diagonal is not isotropic at {g}")
     return phi
 
 

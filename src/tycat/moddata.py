@@ -922,15 +922,77 @@ def md_to_json(md: ModularData) -> dict:
     }
 
 
-def md_from_json(obj: dict) -> ModularData:
-    """Read modular data written by ``md_to_json`` and validate it."""
-    conductor = int(obj["conductor"])
-    labels = [label_from_json(l) for l in obj["labels"]]
-    s_rows = [
-        [CycNum.from_json(x).promoted(conductor) for x in row] for row in obj["S"]
+def _md_entry(x, conductor: int, where: str) -> CycNum:
+    """One exact entry of a modular-data JSON, checked before arithmetic."""
+    if not isinstance(x, dict):
+        raise InvalidArgumentError(f"{where} must be an object, got {type(x).__name__}")
+    n = x.get("conductor")
+    if type(n) is not int or n < 1 or conductor % n:
+        raise InvalidArgumentError(
+            f"{where} has conductor {n!r}, which does not divide {conductor}"
+        )
+    try:
+        return CycNum.from_json(x)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{where}: {exc}") from None
+
+
+def _md_shape(obj) -> None:
+    """Check the shape of a modular-data JSON: keys, lengths, types."""
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError("modular data must be a JSON object")
+    missing = [
+        k for k in ("conductor", "c_top", "labels", "label_names", "S", "T")
+        if k not in obj
     ]
-    t_entries = [CycNum.from_json(x).promoted(conductor) for x in obj["T"]]
-    c_top = int(Fraction(obj["c_top"])) % 8
+    if missing:
+        raise InvalidArgumentError(f"modular data lacks {', '.join(missing)}")
+    conductor = obj["conductor"]
+    if type(conductor) is not int or conductor < 1:
+        raise InvalidArgumentError(f"conductor must be an integer >= 1, got {conductor!r}")
+    if not isinstance(obj["labels"], list):
+        raise InvalidArgumentError("labels must be a list")
+    r = len(obj["labels"])
+    sized = ["label_names", "S", "T"] + (["grading"] if obj.get("grading") is not None else [])
+    for key in sized:
+        v = obj[key]
+        if not isinstance(v, list) or len(v) != r:
+            size = len(v) if isinstance(v, list) else type(v).__name__
+            raise InvalidArgumentError(f"{key} has {size} entries, labels has {r}")
+    for i, row in enumerate(obj["S"]):
+        if not isinstance(row, list) or len(row) != r:
+            size = len(row) if isinstance(row, list) else type(row).__name__
+            raise InvalidArgumentError(f"S row {i} has {size} entries, expected {r}")
+    if obj.get("grading") is not None and any(type(g) is not int for g in obj["grading"]):
+        raise InvalidArgumentError("grading entries must be integers")
+
+
+def md_from_json(obj: dict) -> ModularData:
+    """Read modular data written by ``md_to_json`` and validate it.
+
+    Entries may be in the sparse ``terms`` form or the older dense
+    ``coeffs`` form.  The document's shape, every entry's conductor and
+    encoding are checked before any arithmetic; a malformed document
+    raises ``InvalidArgumentError``."""
+    _md_shape(obj)
+    conductor = obj["conductor"]
+    labels = []
+    for i, l in enumerate(obj["labels"]):
+        try:
+            labels.append(label_from_json(l))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"labels[{i}] is malformed: {exc!r}") from None
+    c_top = obj["c_top"]
+    if not (type(c_top) is int or isinstance(c_top, str) and c_top.lstrip("-").isdigit()):
+        raise InvalidArgumentError(f"c_top must be an integer, got {c_top!r}")
+    s_entries = [
+        [_md_entry(x, conductor, f"S[{i}][{j}]") for j, x in enumerate(row)]
+        for i, row in enumerate(obj["S"])
+    ]
+    t_entries = [_md_entry(x, conductor, f"T[{i}]") for i, x in enumerate(obj["T"])]
+    s_rows = [[x.promoted(conductor) for x in row] for row in s_entries]
+    t_entries = [x.promoted(conductor) for x in t_entries]
+    c_top = int(c_top) % 8
     pref_inv = RootOfUnity(Fraction(c_top, 24)).to_cyc(conductor)
     thetas = []
     for t in t_entries:

@@ -21,6 +21,7 @@ from .cyclo import CycNum, RootOfUnity, factorize, sqrt_int, zeta
 from .errors import (
     DegeneracyError,
     InvalidArgumentError,
+    ModularityError,
     UnsupportedError,
 )
 from .groups import FinAbGroup, GroupAut, GroupElement, automorphisms, product_group, subgroups
@@ -352,7 +353,8 @@ def classify_metric_groups(G: FinAbGroup, max_candidates: int = 100_000):
     pieces.sort()
     types = sorted(set(pieces))
     group, _, back = product_group(pieces)
-    assert group == G
+    if group != G:
+        raise ModularityError(f"primary decomposition of {G} rebuilt {group}")
 
     reps: list[MetricGroup] = []
     for mask in range(1 << len(types)):
@@ -382,7 +384,10 @@ def classify_metric_groups(G: FinAbGroup, max_candidates: int = 100_000):
             metric_equiv(m, other, max_candidates) is None for other in deduped
         ):
             deduped.append(m)
-    assert len(deduped) == 2 ** len(types)
+    if len(deduped) != 2 ** len(types):
+        raise ModularityError(
+            f"{len(deduped)} metric classes on {G}, expected {2 ** len(types)}"
+        )
     return deduped
 
 
@@ -414,7 +419,7 @@ def metric_double(A: FinAbGroup, q: QuadForm):
     summed = direct_sum(metric_group(q), metric_group(q.conj()))
     witness = metric_equiv(canonical, summed, max_candidates=200_000)
     if witness is None:
-        raise AssertionError(
+        raise ModularityError(
             "no equivalence between the canonical pairing double and q + conj(q)"
         )
     return canonical, summed, witness

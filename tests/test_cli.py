@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_format import dense_md
 from tycat import cli, fusionrings
 from tycat.cli import main
 
@@ -151,6 +152,49 @@ def test_fusion_from_md(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "fusion", "--from-md", str(p))
     assert code == 0
     assert json.loads(out)["check"]["ok"] is True
+
+
+@pytest.mark.parametrize("kind", ["ty-center", "mp"])
+def test_md_writes_sparse_exact_entries(capsys, kind):
+    from tycat.moddata import md_from_json, md_to_json
+
+    code, out, _ = run_cli(capsys, "md", kind, "--group", "3")
+    assert code == 0
+    assert '"coeffs"' not in out and '"approx"' not in out
+    blob = json.loads(out)
+    assert set(blob["S"][0][0]) == {"conductor", "den", "terms"}
+    assert md_to_json(md_from_json(blob)) == blob
+
+
+def test_fusion_from_dense_md_matches_sparse(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "md", "mp", "--group", "3")
+    sparse = tmp_path / "sparse.json"
+    dense = tmp_path / "dense.json"
+    sparse.write_text(out)
+    dense.write_text(json.dumps(dense_md(json.loads(out)), indent=2))
+    assert '"coeffs"' in dense.read_text()
+    rings = []
+    for path in (sparse, dense):
+        code, out, _ = run_cli(capsys, "fusion", "--from-md", str(path))
+        assert code == 0, out
+        rings.append(json.loads(out))
+    assert rings[0]["check"]["ok"] is True
+    assert rings[0] == rings[1]
+
+
+@pytest.mark.parametrize("key, index, message", [
+    ("S", 1, "S has 4 entries, labels has 5"),
+    ("labels", 2, "label_names has 5 entries, labels has 4"),
+])
+def test_fusion_from_malformed_md_is_domain_error(tmp_path, capsys, key, index, message):
+    _, out, _ = run_cli(capsys, "md", "mp", "--group", "3")
+    blob = json.loads(out)
+    del blob[key][index]
+    p = tmp_path / "md.json"
+    p.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "fusion", "--from-md", str(p))
+    assert code == 1
+    assert message in json.loads(out)["error"]
 
 
 def test_fusion_usage_error(capsys):

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tycat.cyclo import CycNum, RootOfUnity, cyc, sqrt_int, zeta
+from dense_format import dense_entry
+from tycat.cyclo import CycNum, RootOfUnity, cyc, euler_phi, sqrt_int, zeta
 from tycat.errors import InvalidArgumentError
 
 
@@ -122,3 +125,94 @@ def test_json_roundtrip():
         w = CycNum.from_json(blob)
         assert w.n == v.n and w.num == v.num and w.den == v.den
         assert w.to_json() == blob
+
+
+def test_json_is_sparse_over_the_canonical_denominator():
+    v = (4 * zeta(12, 3) + 2 * zeta(12, 1)) / 6
+    assert v.to_json() == {"conductor": 12, "den": 3, "terms": [[1, 1], [3, 2]]}
+    assert CycNum.zero().to_json() == {"conductor": 1, "den": 1, "terms": []}
+
+
+@st.composite
+def cycnums(draw):
+    n = draw(st.integers(1, 240))
+    exps = st.integers(0, euler_phi(n) - 1)
+    num = draw(st.dictionaries(exps, st.integers(-(10**30), 10**30), max_size=12))
+    den = draw(st.integers(1, 10**12))
+    return CycNum(n, num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycnums())
+def test_json_roundtrip_property(v):
+    blob = v.to_json()
+    w = CycNum.from_json(blob)
+    assert (w.n, w.num, w.den) == (v.n, v.num, v.den)
+    assert w.to_json() == blob
+    assert [e for e, _ in blob["terms"]] == sorted(v.num)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cycnums())
+def test_dense_json_reads_as_sparse(v):
+    dense = CycNum.from_json(dense_entry(v))
+    assert (dense.n, dense.num, dense.den) == (v.n, v.num, v.den)
+
+
+def _malformed(blob: dict, draw) -> dict:
+    deg = euler_phi(blob["conductor"])
+    terms = [list(t) for t in blob["terms"]]
+    kind = draw(st.sampled_from(
+        ["low", "high", "repeat", "den0", "den_neg", "float", "str", "bool",
+         "short", "not_list", "no_den", "no_conductor"]
+    ))
+    bad = dict(blob, terms=terms)
+    if kind == "low":
+        terms.append([draw(st.integers(max_value=-1)), 1])
+    elif kind == "high":
+        terms.append([draw(st.integers(deg, deg + 10**6)), 1])
+    elif kind == "repeat":
+        e = draw(st.integers(0, deg - 1))
+        terms.extend([[e, 1], [e, 2]])
+    elif kind == "den0":
+        bad["den"] = 0
+    elif kind == "den_neg":
+        bad["den"] = draw(st.integers(max_value=-1))
+    elif kind == "float":
+        terms.append([draw(st.integers(0, deg - 1)), 0.5])
+    elif kind == "str":
+        terms.append(["0", 1])
+    elif kind == "bool":
+        terms.append([0, True])
+    elif kind == "short":
+        terms.append([0])
+    elif kind == "not_list":
+        bad["terms"] = {"0": 1}
+    elif kind == "no_den":
+        del bad["den"]
+    else:
+        del bad["conductor"]
+    return bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycnums(), st.data())
+def test_malformed_sparse_json_is_invalid_argument(v, data):
+    bad = _malformed(v.to_json(), data.draw)
+    try:
+        CycNum.from_json(bad)
+    except InvalidArgumentError:
+        return
+    pytest.fail(f"accepted malformed entry {bad!r}")
+
+
+@pytest.mark.parametrize("bad", [
+    None, [], "1/2", {"conductor": 0, "den": 1, "terms": []},
+    {"conductor": 3, "coeffs": [[1, 0], [0, 1]]},
+    {"conductor": 3, "coeffs": [[1, 1]]},
+    {"conductor": 3, "coeffs": [[1, 1], "x"]},
+    {"conductor": 3},
+])
+def test_malformed_json_is_invalid_argument(bad):
+    with pytest.raises(InvalidArgumentError):
+        CycNum.from_json(bad)

@@ -190,15 +190,23 @@ def test_pack_rejects_oversized_coefficient():
 
 
 def test_capacity_guard_survives_python_O():
-    # asserts are stripped under -O; the guard must not be one
+    # asserts are stripped under -O; the guards must not be ones: the
+    # prover's coefficient bound, and the Smith normal form certificate
+    # (checked here against a determinant that lies)
     code = (
+        "from tycat import intmat\n"
         "from tycat.cyclo import CycNum\n"
-        "from tycat.errors import CapacityError\n"
+        "from tycat.errors import CapacityError, ModularityError\n"
         "from tycat.modcheck import MatProver\n"
         "try:\n"
         "    MatProver(3).pack([[CycNum(3, {0: 2**40})]])\n"
         "except CapacityError:\n"
         "    print('raised')\n"
+        "intmat.det = lambda a: 2\n"
+        "try:\n"
+        "    intmat.smith_normal_form(((2, 1), (1, 2)))\n"
+        "except ModularityError as exc:\n"
+        "    print('raised', exc)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(tycat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -207,7 +215,9 @@ def test_capacity_guard_survives_python_O():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.splitlines() == [
+        "raised", "raised Smith normal form transform is not unimodular",
+    ]
 
 
 # -- the streamed Verlinde proof and the blocked products ----------------------

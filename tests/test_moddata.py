@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_format import dense_md
 from tycat.cyclo import CycNum, RootOfUnity, sqrt_int, zeta
 from tycat.errors import (
     CapacityError,
@@ -343,6 +344,90 @@ def test_from_json_rejects_corrupt():
     blob["S"][2][3] = CycNum.one().promoted(int(blob["conductor"])).to_json()
     with pytest.raises((ModularityError, InvalidArgumentError)):
         md_from_json(blob)
+
+
+def _corruptions():
+    """(name, edit of an mp Z3 blob, message fragment) for malformed shapes."""
+    def drop_s_row(b):
+        del b["S"][1]
+
+    def drop_label(b):
+        del b["labels"][2]
+
+    def drop_name(b):
+        del b["label_names"][0]
+
+    def drop_t(b):
+        del b["T"][4]
+
+    def short_s_col(b):
+        del b["S"][3][0]
+
+    def entry_not_object(b):
+        b["S"][0][1] = "1/2"
+
+    def foreign_conductor(b):
+        b["T"][0]["conductor"] = 7
+
+    def repeated_exponent(b):
+        b["S"][1][1]["terms"] += b["S"][1][1]["terms"][:1]
+
+    def exponent_out_of_range(b):
+        b["S"][1][1]["terms"].append([b["conductor"], 1])
+
+    def zero_den(b):
+        b["T"][2]["den"] = 0
+
+    def dense_wrong_length(b):
+        b["T"][2] = {"conductor": b["conductor"], "coeffs": [[1, 1]]}
+
+    def missing_key(b):
+        del b["c_top"]
+
+    def bad_c_top(b):
+        b["c_top"] = "1/2"
+
+    def bad_grading(b):
+        b["grading"] = [0]
+
+    def bad_label(b):
+        b["labels"][0] = {"kind": "mp_sigma"}
+
+    return [
+        (drop_s_row, "S has 4 entries, labels has 5"),
+        (drop_label, "label_names has 5 entries, labels has 4"),
+        (drop_name, "label_names has 4 entries, labels has 5"),
+        (drop_t, "T has 4 entries, labels has 5"),
+        (short_s_col, "S row 3 has 4 entries, expected 5"),
+        (entry_not_object, "S[0][1] must be an object"),
+        (foreign_conductor, "T[0] has conductor 7, which does not divide 48"),
+        (repeated_exponent, "S[1][1]: term exponent"),
+        (exponent_out_of_range, "S[1][1]: term exponent 48 outside [0, 16)"),
+        (zero_den, "T[2]: den must be >= 1"),
+        (dense_wrong_length, "T[2]: coefficient vector has wrong length"),
+        (missing_key, "modular data lacks c_top"),
+        (bad_c_top, "c_top must be an integer"),
+        (bad_grading, "grading has 1 entries, labels has 5"),
+        (bad_label, "labels[0] is malformed"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "edit, message", _corruptions(), ids=[e.__name__ for e, _ in _corruptions()]
+)
+def test_from_json_rejects_malformed_shape(edit, message):
+    blob = md_to_json(mp_md(Z3, B3, 1))
+    edit(blob)
+    with pytest.raises(InvalidArgumentError) as exc:
+        md_from_json(blob)
+    assert message in str(exc.value)
+
+
+def test_from_json_reads_the_dense_format():
+    md = mp_md(Z3, B3, 1)
+    back = md_from_json(dense_md(md_to_json(md)))
+    assert back.S == md.S and back.T == md.T and back.labels == md.labels
+    assert md_to_json(back) == md_to_json(md)
 
 
 def test_classification_rejects_cross_class_equivalences():
