@@ -20,7 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidArgumentError, ModularityError
+from .errors import CapacityError, InvalidArgumentError, ModularityError
+
+# largest conductor read from outside input: bounds factorize and the
+# O(N phi(N)) reduction table before either runs (TY(Z_n) needs 48n)
+MAX_CONDUCTOR = 2520
 
 __all__ = [
     "CycNum",
@@ -30,6 +34,7 @@ __all__ = [
     "sqrt_int",
     "euler_phi",
     "factorize",
+    "MAX_CONDUCTOR",
 ]
 
 
@@ -402,7 +407,8 @@ class CycNum:
         """Read the sparse form ``to_json`` writes, or the older dense form
         ``{"conductor": n, "coeffs": [[p, q], ...]}`` with the coefficient
         p/q of zeta_n^e at position e < phi(n).  Malformed input raises
-        ``InvalidArgumentError`` before any arithmetic."""
+        ``InvalidArgumentError`` and a conductor above ``MAX_CONDUCTOR``
+        ``CapacityError``, both before any arithmetic."""
         if not isinstance(obj, dict):
             raise InvalidArgumentError(
                 f"cyclotomic entry must be an object, got {type(obj).__name__}"
@@ -410,6 +416,7 @@ class CycNum:
         n = _json_int(obj.get("conductor"), "conductor")
         if n < 1:
             raise InvalidArgumentError(f"conductor must be >= 1, got {n}")
+        check_conductor(n)
         deg = euler_phi(n)
         num: dict[int, int] = {}
         if "terms" in obj:
@@ -452,6 +459,14 @@ class CycNum:
             if p:
                 num[e] = p * (den // q)
         return CycNum(n, num, den)
+
+
+def check_conductor(n: int) -> None:
+    """Refuse a conductor read from outside input above ``MAX_CONDUCTOR``."""
+    if n > MAX_CONDUCTOR:
+        raise CapacityError(
+            f"conductor {n} exceeds {MAX_CONDUCTOR}, the limit for input data"
+        )
 
 
 def _json_int(x, what: str) -> int:

@@ -24,7 +24,8 @@ memory does not grow with the rank beyond the O(r^2 * points) evaluations.
 Identities that only permute entries (symmetry, conjugation by a
 permutation) are decided on the packed coefficient arrays themselves:
 entries share one denominator and the coefficient vectors are canonical,
-so array equality is value equality.
+so array equality is value equality.  S^2 = C is proven against the
+permutation C directly, whose evaluation needs no pack.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from .cyclo import _phi_deg, _reduction_table
+from .cyclo import _phi_deg, _reduction_table, factorize
 from .errors import CapacityError, ModularityError
 
 _PRIME_CAP = 1 << 22  # keeps every float64 intermediate below 2^53
@@ -67,17 +68,7 @@ def _is_prime(n: int) -> bool:
 def _order_n_root(p: int, n: int) -> int:
     """An element of exact multiplicative order n mod p (requires n | p-1)."""
     cof = (p - 1) // n
-    fac = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.add(m)
+    fac = factorize(n)
     for g in range(2, p):
         w = pow(g, cof, p)
         if w == 1:
@@ -94,7 +85,8 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     mod p after each (FFLAS delayed reduction)."""
     k = a.shape[-1]
     step = 2**53 // (p - 1) ** 2  # at least 512, as p < 2^22
-    out = np.matmul(a[..., :step], b[..., :step, :]) % p
+    out = np.matmul(a[..., :step], b[..., :step, :])
+    out %= p
     for lo in range(step, k, step):
         out += np.matmul(a[..., lo : lo + step], b[..., lo : lo + step, :]) % p
         out %= p
@@ -228,58 +220,51 @@ class MatProver:
             if not np.array_equal(ev[self.neg_perm], ev[:, perm, :]):
                 raise ModularityError("S is not unitary (conj(S) != CS)")
 
-    def verify_product(
-        self,
-        a: dict,
-        b: dict,
-        rhs: dict,
-        *,
-        conj_a=False,
-        conj_b=False,
-        scale_lhs: int = 1,
-        scale_rhs: int = 1,
-        what: str = "matrix product",
-    ) -> None:
-        """Check scale_lhs * (A B) == scale_rhs * RHS exactly."""
-        g = self.red_growth
-        l1a = a["l1"] * (g if conj_a else 1)
-        l1b = b["l1"] * (g if conj_b else 1)
-        inner_dim = a["coeffs"].shape[1]
-        bound = scale_lhs * inner_dim * l1a * l1b * g + scale_rhs * rhs["l1"]
-        for p in self._primes(2 * bound):
-            ea = self._eval(a, p)
-            eb = self._eval(b, p)
-            if conj_a:
-                ea = ea[self.neg_perm]
-            if conj_b:
-                eb = eb[self.neg_perm]
-            lhs = _matmul_mod(ea, eb, p)
-            lhs = lhs * (scale_lhs % p) % p
-            er = self._eval(rhs, p) * (scale_rhs % p) % p
-            if not np.array_equal(lhs, er):
-                raise ModularityError(f"{what} identity fails")
+    def verify_product(self, s: dict, perm) -> None:
+        """(den S)^2 == den^2 C for the permutation matrix C = perm.
 
-    def verify_tstst(self, s: dict, t_diag: dict, what="TSTST = S") -> None:
-        """T S T S T == den_S * S with diagonal T of algebraic integers.
+        C is never packed: at every point its scaled evaluation is den^2
+        at (i, perm[i]) and 0 elsewhere, one r x r array per prime.  The
+        reduced difference has L1 norm at most r l1^2 g + den^2.
+        """
+        den = s["den"]
+        r = s["rank"]
+        bound = r * s["l1"] ** 2 * self.red_growth + den**2
+        for p in self._primes(2 * bound):
+            es = self._eval(s, p)
+            rhs = np.zeros((r, r))
+            rhs[np.arange(r), perm] = den * den % p
+            if not (_matmul_mod(es, es, p) == rhs).all():
+                raise ModularityError("S^2 = C identity fails")
+
+    def verify_tstst(self, s: dict, t_diag: dict) -> None:
+        """TSTST = S, proven as T (den S) T (den S) T == den (den S) for the
+        packed S and the packed row of the diagonal T, whose entries are
+        algebraic integers.
 
         Computed as (T S T) @ (S T): X = S * t[col], then t[row] * X, then
-        one matrix product.
+        one matrix product.  The left side has L1 norm below r l1^2 t^3 in
+        the group algebra, reduced once at the end, so the reduced
+        difference has L1 norm at most r l1^2 t^3 g + den l1.
         """
         den = s["den"]
         r = s["rank"]
         t_l1 = t_diag["l1"]
         g = self.red_growth
-        # L1 in the group algebra stays below r l1^2 t^3; one reduction at the end
         bound = r * s["l1"] ** 2 * t_l1**3 * g + den * s["l1"]
         for p in self._primes(2 * bound):
             es = self._eval(s, p)
             et = self._eval(t_diag, p)[:, 0, :]  # (npts, r)
-            st = es * et[:, None, :] % p  # S T   (columns scaled)
-            tst = st * et[:, :, None] % p  # T S T (then rows)
+            st = es * et[:, None, :]  # S T   (columns scaled)
+            st %= p
+            tst = st * et[:, :, None]  # T S T (then rows)
+            tst %= p
             lhs = _matmul_mod(tst, st, p)
-            rhs = es * (den % p) % p
+            del st, tst
+            rhs = es * (den % p)
+            rhs %= p
             if not np.array_equal(lhs, rhs):
-                raise ModularityError(f"{what} identity fails")
+                raise ModularityError("TSTST = S identity fails")
 
     def verify_verlinde(self, s: dict, tensor: np.ndarray) -> None:
         """sum_k N_ij^k S[k,l] S[0,l] == S[i,l] S[j,l] for all i, j, l.

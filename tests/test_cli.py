@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,19 @@ def test_fusion_from_malformed_md_is_domain_error(tmp_path, capsys, key, index, 
     code, out, err = run_cli(capsys, "fusion", "--from-md", str(p))
     assert code == 1
     assert message in json.loads(out)["error"]
+
+
+def test_fusion_from_md_refuses_a_huge_conductor(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "md", "mp", "--group", "3")
+    blob = json.loads(out)
+    blob["conductor"] = 10**16 + 61
+    p = tmp_path / "md.json"
+    p.write_text(json.dumps(blob))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "fusion", "--from-md", str(p))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert "exceeds" in json.loads(out)["error"]
 
 
 def test_fusion_usage_error(capsys):

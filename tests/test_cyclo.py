@@ -1,5 +1,6 @@
 import cmath
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_format import dense_entry
+from tycat import cyclo
 from tycat.cyclo import CycNum, RootOfUnity, cyc, euler_phi, sqrt_int, zeta
-from tycat.errors import InvalidArgumentError
+from tycat.errors import CapacityError, InvalidArgumentError
 
 
 def test_zeta_basics():
@@ -216,3 +218,13 @@ def test_malformed_sparse_json_is_invalid_argument(v, data):
 def test_malformed_json_is_invalid_argument(bad):
     with pytest.raises(InvalidArgumentError):
         CycNum.from_json(bad)
+
+
+def test_conductor_limit_is_checked_before_factoring():
+    # factoring this prime by trial division takes more than 10 s
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"exceeds {cyclo.MAX_CONDUCTOR},"):
+        CycNum.from_json({"conductor": 10**16 + 61, "den": 1, "terms": []})
+    assert time.perf_counter() - start < 1
+    top = {"conductor": cyclo.MAX_CONDUCTOR, "den": 1, "terms": [[0, 1]]}
+    assert CycNum.from_json(top) == CycNum.one()

@@ -92,51 +92,31 @@ def test_prover_rejects_corruption():
     prover = MatProver(md.conductor)
     rows = [list(row) for row in md.S]
     rows[2][3] = rows[2][3] + 1
-    s_bad = prover.pack(rows)
-    one = CycNum.one().promoted(md.conductor)
-    nil = CycNum.zero().promoted(md.conductor)
-    r = md.rank
+    with pytest.raises(ModularityError, match=r"S\^2 = C identity fails"):
+        prover.verify_product(prover.pack(rows), md.charge_conjugation())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pointed_md(metric_group(Q_A2)),
+    lambda: mp_md(Z3, bichar_from_qform(Q_A2), 1),
+    lambda: _ty5(),
+], ids=["pointed-Z3", "mp-Z3", "ty-Z5"])
+def test_prover_product_random_negative_control(build):
+    md = build()
     cperm = md.charge_conjugation()
-    cmat = prover.pack(
-        [[one if cperm[i] == j else nil for j in range(r)] for i in range(r)]
-    )
-    with pytest.raises(ModularityError):
-        prover.verify_product(
-            s_bad, s_bad, cmat, scale_rhs=s_bad["den"] ** 2, what="S^2 = C"
+    prover = MatProver(md.conductor)
+    prover.verify_product(prover.pack(md.S), cperm)
+    rng = random.Random(23)
+    for _ in range(3):
+        i, j = rng.sample(range(md.rank), 2)
+        delta = zeta(md.conductor, rng.randrange(md.conductor)) * Fraction(
+            rng.choice([-1, 1]), rng.randrange(2, 1000)
         )
-
-
-def test_prover_random_product_identities():
-    rng = random.Random(19)
-    conductor = 36
-    prover = MatProver(conductor)
-    r = 4
-    def rand_mat():
-        return [
-            [
-                zeta(36, rng.randrange(36)) * rng.randrange(-3, 4)
-                + zeta(36, rng.randrange(36))
-                for _ in range(r)
-            ]
-            for _ in range(r)
-        ]
-
-    for _ in range(5):
-        a = rand_mat()
-        b = rand_mat()
-        ab = mat_mult_direct(a, b)
-        pa, pb, pab = prover.pack(a), prover.pack(b), prover.pack(ab)
-        scale = pa["den"] * pb["den"]
-        prover.verify_product(
-            pa, pb, pab, scale_lhs=pab["den"], scale_rhs=scale
-        )
-        wrong = [list(row) for row in ab]
-        wrong[1][2] = wrong[1][2] + Fraction(1, 7)
-        pw = prover.pack(wrong)
-        with pytest.raises(ModularityError):
-            prover.verify_product(
-                pa, pb, pw, scale_lhs=pw["den"], scale_rhs=pa["den"] * pb["den"]
-            )
+        rows = [list(row) for row in md.S]
+        rows[i][j] = rows[i][j] + delta
+        rows[j][i] = rows[j][i] + delta
+        with pytest.raises(ModularityError, match=r"S\^2 = C identity fails"):
+            prover.verify_product(prover.pack(rows), cperm)
 
 
 def test_verlinde_rejects_wrong_tensor():
@@ -151,6 +131,18 @@ def test_verlinde_rejects_wrong_tensor():
     s = prover.pack(md.S)
     with pytest.raises(ModularityError):
         prover.verify_verlinde(s, tensor)
+
+
+def test_verlinde_guess_rejects_negative_coefficients(monkeypatch):
+    # the proof fixes N_ij^k but not its sign; negating row 0 of the float S
+    # negates N_ij^k for i, j, k != 0, and 1 + 1 = 2 in Z3
+    md = pointed_md(metric_group(Q_A2))
+    prover = MatProver(md.conductor)
+    sf = md.s_float()
+    sf[0] *= -1
+    monkeypatch.setattr(md, "s_float", lambda: sf)
+    with pytest.raises(ModularityError, match=r"at \(1, 1, 2\) is not a nonnegative"):
+        md._verlinde_tensor(prover, prover.pack(md.S))
 
 
 def _corrupted(md, i, j, delta):
@@ -180,6 +172,28 @@ def test_validate_rejects_each_permutation_identity():
     rows[2][2] = rows[2][2] + Fraction(1, 10**7)
     with pytest.raises(ModularityError, match=r"not unitary \(conj\(S\) != CS\)"):
         rebuilt(rows).validate()
+
+
+def test_validate_rejects_each_product_identity(monkeypatch):
+    md = pointed_md(metric_group(Q_A2))
+    scaled = [[x * Fraction(10**8 + 1, 10**8) for x in row] for row in md.S]
+    packs = []
+    pack = MatProver.pack
+
+    def counted(self, rows):
+        packs.append(len(rows))
+        return pack(self, rows)
+
+    monkeypatch.setattr(MatProver, "pack", counted)
+    # a real scale keeps S symmetric, C-invariant and conj(S) = CS
+    with pytest.raises(ModularityError, match=r"S\^2 = C identity fails"):
+        ModularData(md.labels, scaled, md.thetas, md.c_top, md.conductor).validate()
+    # a shifted central charge scales T by a constant, so CTC = T still holds
+    with pytest.raises(ModularityError, match="TSTST = S identity fails"):
+        ModularData(md.labels, md.S, md.thetas, md.c_top + 2, md.conductor).validate()
+    packs.clear()
+    ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor).validate()
+    assert packs == [md.rank, 1]  # S and the row of T; C is never packed
 
 
 def test_pack_rejects_oversized_coefficient():

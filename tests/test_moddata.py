@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dense_format import dense_md
-from tycat.cyclo import CycNum, RootOfUnity, sqrt_int, zeta
+from tycat.cyclo import MAX_CONDUCTOR, CycNum, RootOfUnity, sqrt_int, zeta
 from tycat.errors import (
     CapacityError,
     InvalidArgumentError,
@@ -343,6 +343,16 @@ def test_from_json_rejects_corrupt():
     blob = md_to_json(mp_md(Z3, B3, 1))
     blob["S"][2][3] = CycNum.one().promoted(int(blob["conductor"])).to_json()
     with pytest.raises((ModularityError, InvalidArgumentError)):
+        md_from_json(blob)
+
+
+def test_from_json_limits_the_conductor():
+    # the trivial datum's entries live at conductor 12, which divides both
+    blob = md_to_json(pointed_md(classify_metric_groups(TRIV)[0]))
+    blob["conductor"] = MAX_CONDUCTOR
+    assert md_from_json(blob).conductor == MAX_CONDUCTOR
+    blob["conductor"] = MAX_CONDUCTOR + 12
+    with pytest.raises(CapacityError, match=f"conductor {MAX_CONDUCTOR + 12} exceeds"):
         md_from_json(blob)
 
 
