@@ -56,6 +56,7 @@ from .quadforms import (
     classify_metric_groups,
     gauss_central_charge,
     metric_group,
+    standard_qform,
 )
 
 
@@ -99,19 +100,16 @@ def _parse_lattice(spec: str) -> EvenLattice:
 
 def _parse_qform(spec: str, group: FinAbGroup) -> QuadForm:
     if spec == "default":
-        return classify_metric_groups(group)[0].quad
+        return standard_qform(group)
     exps = [Fraction(x) for x in spec.split(",")]
     return QuadForm.from_exponents(group, exps)
 
 
 def _parse_bichar(spec: str, group: FinAbGroup) -> Bichar:
     if spec == "default":
-        return classify_metric_groups(group)[0].bichar
-    rows = [
-        tuple(RootOfUnity(Fraction(x)) for x in row.split(","))
-        for row in spec.split(";")
-    ]
-    b = Bichar(group, tuple(rows))
+        return metric_group(standard_qform(group)).bichar
+    rows = [[RootOfUnity(Fraction(x)) for x in row.split(",")] for row in spec.split(";")]
+    b = Bichar(group, rows)
     b.validate()
     return b
 
@@ -374,6 +372,11 @@ def main(argv=None) -> int:
             parser.error("fusion needs --from-md or both --rules and --group")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader went away: point stdout at the null device, so the
+        # interpreter's exit flush cannot raise again, and fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except TycatError as exc:
         _emit({"error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,9 @@ integer coefficient dictionary over a single positive denominator.  Two
 values are equal iff their canonical forms agree after promotion to the
 least common conductor, so equality never involves floating point.
 
-``RootOfUnity`` is the lighter exact representation e^{2 pi i r} with r a
-rational mod 1; it is the natural container for quadratic-form and
-bicharacter values and converts losslessly to ``CycNum``.
+``RootOfUnity`` is the lighter exact representation e^{2 pi i k/n} as a
+reduced integer pair; it is the natural container for single quadratic-form
+and bicharacter values and converts losslessly to ``CycNum``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .errors import CapacityError, InvalidArgumentError, ModularityError
 
@@ -30,6 +30,7 @@ __all__ = [
     "CycNum",
     "RootOfUnity",
     "zeta",
+    "zeta_sum",
     "cyc",
     "sqrt_int",
     "euler_phi",
@@ -117,6 +118,20 @@ def _phi_deg(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
+def _reduce_terms(n: int, terms) -> dict[int, int]:
+    """sum c x^e mod Phi_n as a sparse dict, for pairs (e, c) with 0 <= e < n."""
+    deg = _phi_deg(n)
+    table = _reduction_table(n)
+    num: dict[int, int] = {}
+    for e, c in terms:
+        if e < deg:
+            num[e] = num.get(e, 0) + c
+        elif c:
+            for e2, c2 in table[e].items():
+                num[e2] = num.get(e2, 0) + c * c2
+    return num
+
+
 def _normalize(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     num = {e: c for e, c in num.items() if c}
     if not num:
@@ -174,17 +189,7 @@ class CycNum:
         if m % self.n:
             raise InvalidArgumentError(f"cannot promote conductor {self.n} to {m}")
         k = m // self.n
-        table = _reduction_table(m)
-        deg = _phi_deg(m)
-        num: dict[int, int] = {}
-        for e, c in self.num.items():
-            ee = e * k
-            if ee < deg:
-                num[ee] = num.get(ee, 0) + c
-            else:
-                for e2, c2 in table[ee].items():
-                    num[e2] = num.get(e2, 0) + c * c2
-        return CycNum(m, num, self.den)
+        return CycNum(m, _reduce_terms(m, ((e * k, c) for e, c in self.num.items())), self.den)
 
     def key_at(self, m: int) -> tuple:
         """Hashable canonical key for this value inside Q(zeta_m)."""
@@ -271,35 +276,15 @@ class CycNum:
                 if e >= n:
                     e -= n
                 acc[e] = acc.get(e, 0) + c1 * c2
-        deg = _phi_deg(n)
-        table = _reduction_table(n)
-        num: dict[int, int] = {}
-        for e, c in acc.items():
-            if not c:
-                continue
-            if e < deg:
-                num[e] = num.get(e, 0) + c
-            else:
-                for e2, c2 in table[e].items():
-                    num[e2] = num.get(e2, 0) + c * c2
-        return CycNum(n, num, a.den * b.den)
+        return CycNum(n, _reduce_terms(n, acc.items()), a.den * b.den)
 
     __rmul__ = __mul__
 
     def conj(self) -> "CycNum":
         """Complex conjugate (zeta -> zeta^{-1})."""
         n = self.n
-        deg = _phi_deg(n)
-        table = _reduction_table(n)
-        num: dict[int, int] = {}
-        for e, c in self.num.items():
-            ee = (n - e) % n
-            if ee < deg:
-                num[ee] = num.get(ee, 0) + c
-            else:
-                for e2, c2 in table[ee].items():
-                    num[e2] = num.get(e2, 0) + c * c2
-        return CycNum(n, num, self.den)
+        terms = (((n - e) % n, c) for e, c in self.num.items())
+        return CycNum(n, _reduce_terms(n, terms), self.den)
 
     def inverse(self) -> "CycNum":
         if self.is_zero():
@@ -383,10 +368,10 @@ class CycNum:
         z = complex(self)
         k = round(cmath.phase(z) * self.n / (2 * math.pi)) % self.n
         if self == zeta(self.n, k):
-            return RootOfUnity(Fraction(k, self.n))
+            return RootOfUnity(k, self.n)
         for k in range(self.n):  # exact fallback; the guess above rarely misses
             if self == zeta(self.n, k):
-                return RootOfUnity(Fraction(k, self.n))
+                return RootOfUnity(k, self.n)
         return None
 
     # -- serialization -----------------------------------------------------
@@ -519,11 +504,12 @@ def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k = e^{2 pi i k/n}, in canonical form."""
     if n < 1:
         raise InvalidArgumentError(f"conductor must be >= 1, got {n}")
-    k %= n
-    deg = _phi_deg(n)
-    if k < deg:
-        return CycNum(n, {k: 1})
-    return CycNum(n, dict(_reduction_table(n)[k]))
+    return zeta_sum(n, ((k, 1),))
+
+
+def zeta_sum(n: int, weights) -> CycNum:
+    """sum_e w_e zeta_n^e for integer pairs (e, w_e), exponents taken mod n."""
+    return CycNum(n, _reduce_terms(n, ((e % n, w) for e, w in weights)))
 
 
 def cyc(x) -> CycNum:
@@ -537,9 +523,7 @@ def _sqrt_prime(p: int) -> CycNum:
     conductor: p for p = 1 mod 4, else 4p (8 for p = 2)."""
     if p == 2:
         return (zeta(8, 1) + zeta(8, 7)).promoted(8)
-    g = CycNum.zero().promoted(p)
-    for x in range(p):
-        g = g + zeta(p, (x * x) % p)
+    g = zeta_sum(p, ((x * x, 1) for x in range(p)))
     if p % 4 == 1:
         return g
     return g.promoted(4 * p) * zeta(4, 3)  # the sum equals i*sqrt(p)
@@ -582,52 +566,73 @@ def sqrt_int(n: int) -> CycNum:
     return root.promoted(4 * n) if (4 * n) % root.n == 0 else root
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class RootOfUnity:
-    """The unit complex number e^{2 pi i r} with exact rational r mod 1."""
+    """The unit complex number e^{2 pi i k/n}, stored as the reduced integer
+    pair 0 <= k < n, gcd(k, n) = 1, so equality, hashing and order are those
+    of the exponent k/n in [0, 1) (``exponent``, a ``Fraction``).
+    ``RootOfUnity(r)`` with a rational r is e^{2 pi i r}."""
 
-    exponent: Fraction
+    k: int
+    n: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "exponent", Fraction(self.exponent) % 1)
+        k, n = self.k, self.n
+        if type(k) is not int or type(n) is not int or n < 1:
+            f = Fraction(k) / n
+            k, n = f.numerator, f.denominator
+        k %= n
+        g = math.gcd(k, n)
+        object.__setattr__(self, "k", k // g)
+        object.__setattr__(self, "n", n // g)
+
+    @property
+    def exponent(self) -> Fraction:
+        return Fraction(self.k, self.n)
 
     @staticmethod
     def of(num, den=1) -> "RootOfUnity":
-        return RootOfUnity(Fraction(num, den))
+        return RootOfUnity(num, den)
 
     @staticmethod
     def one() -> "RootOfUnity":
-        return RootOfUnity(Fraction(0))
+        return RootOfUnity(0)
 
     @property
     def order(self) -> int:
-        return self.exponent.denominator
+        return self.n
+
+    def __lt__(self, other: "RootOfUnity") -> bool:
+        if not isinstance(other, RootOfUnity):
+            return NotImplemented
+        return self.k * other.n < other.k * self.n
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.exponent + other.exponent)
+        n = math.lcm(self.n, other.n)
+        return RootOfUnity(self.k * (n // self.n) + other.k * (n // other.n), n)
 
     def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.exponent * k)
+        return RootOfUnity(self.k * k, self.n)
 
     def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.exponent)
+        return RootOfUnity(-self.k, self.n)
 
     conj = inverse  # unit modulus
 
     def sqrt(self) -> "RootOfUnity":
         """Principal square root: e^{2 pi i r} -> e^{pi i r} for r in [0, 1)."""
-        return RootOfUnity(self.exponent / 2)
+        return RootOfUnity(self.k, 2 * self.n)
 
     def is_one(self) -> bool:
-        return self.exponent == 0
+        return self.k == 0
 
     def to_cyc(self, conductor: int | None = None) -> CycNum:
-        den, num = self.exponent.denominator, self.exponent.numerator
-        z = zeta(den, num)
+        z = zeta(self.n, self.k)
         return z.promoted(conductor) if conductor else z
 
     def to_complex(self) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.exponent))
+        return cmath.exp(2j * cmath.pi * (self.k / self.n))
 
     def __repr__(self):
         return f"RootOfUnity({self.exponent})"

@@ -3,16 +3,16 @@ attached to a Tambara-Yamagami category over an odd group.
 
 The graphs are pure combinatorics on sector names: vertices carry string
 tags built from group elements, edges follow the explicit induction-
-restriction description, and the builders assert the expected vertex,
-degree, and edge counts.  Output formats are deterministic DOT and a JSON
-adjacency form.
+restriction description, and the builders check the expected vertex,
+degree, and edge counts (raising ``ModularityError``).  Output formats are
+deterministic DOT and a JSON adjacency form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedError
+from .errors import ModularityError, UnsupportedError
 from .groups import FinAbGroup, GroupElement, positive_set
 
 __all__ = [
@@ -21,6 +21,16 @@ __all__ = [
     "dual_principal_graph",
     "emit_dot",
 ]
+
+
+def _check_shape(graph: "BipartiteGraph", counts: tuple, degrees: dict) -> None:
+    """The (even, odd, edge) counts and the degrees the construction promises."""
+    got = (len(graph.even), len(graph.odd), len(graph.edges))
+    wrong = [v for v, d in degrees.items() if graph.degree(v) != d]
+    if got != counts or wrong:
+        raise ModularityError(
+            f"{graph.name} has counts {got} (expected {counts}), degrees off at {wrong}"
+        )
 
 
 def _tag(g: GroupElement) -> str:
@@ -37,11 +47,14 @@ class BipartiteGraph:
 
     def __post_init__(self):
         even, odd = set(self.even), set(self.odd)
-        assert len(even) == len(self.even) and len(odd) == len(self.odd)
-        assert self.star in even or self.star in odd
-        assert len(set(self.edges)) == len(self.edges), "unexpected multi-edge"
-        for e, o in self.edges:
-            assert e in even and o in odd
+        if len(even) != len(self.even) or len(odd) != len(self.odd):
+            raise ModularityError(f"{self.name} repeats a vertex")
+        if self.star not in even and self.star not in odd:
+            raise ModularityError(f"{self.name} lacks its distinguished vertex")
+        if len(set(self.edges)) != len(self.edges):
+            raise ModularityError(f"{self.name} has an unexpected multi-edge")
+        if any(e not in even or o not in odd for e, o in self.edges):
+            raise ModularityError(f"{self.name} has an edge outside its bipartition")
 
     def degree(self, v: str) -> int:
         return sum(1 for e, o in self.edges if v in (e, o))
@@ -102,11 +115,7 @@ def dual_principal_graph(A: FinAbGroup) -> BipartiteGraph:
         f"(id,{_tag(A.zero())})",
     )
     k = (n - 1) // 2
-    assert len(graph.even) == n * (2 + k)
-    assert len(graph.odd) == n
-    assert len(graph.edges) == n * (n + 1)
-    for v in graph.odd:
-        assert graph.degree(v) == n + 1
+    _check_shape(graph, (n * (2 + k), n, n * (n + 1)), {v: n + 1 for v in graph.odd})
     return graph
 
 
@@ -130,12 +139,9 @@ def principal_graph(A: FinAbGroup) -> BipartiteGraph:
         f"ty_principal_{n}", tuple(even), tuple(odd), tuple(edges),
         f"({_tag(A.zero())},{_tag(A.zero())})",
     )
-    assert len(graph.even) == n * n + 1
-    assert len(graph.odd) == n
-    assert len(graph.edges) == n * (n + 1)
-    for v in graph.odd:
-        assert graph.degree(v) == n + 1
-    assert graph.degree("(rho,rho)") == n
+    degrees = {v: n + 1 for v in graph.odd}
+    degrees["(rho,rho)"] = n
+    _check_shape(graph, (n * n + 1, n, n * (n + 1)), degrees)
     return graph
 
 

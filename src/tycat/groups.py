@@ -5,19 +5,21 @@ Groups are stored canonically as a divisibility chain d_1 | d_2 | ... | d_r
 tuples reduced mod the factors.  The module also provides the positive-set
 split for odd groups, character groups with their canonical pairing,
 brute-force automorphism enumeration, and subgroup enumeration -- all at the
-desk scale (|G| up to a few hundred) this package targets.
+desk scale (|G| up to a few hundred) this package targets -- and the cached
+integer tables (coordinates, index of g + h) the form code runs on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .cyclo import RootOfUnity, factorize
-from .errors import CapacityError, InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError, ModularityError
 
 __all__ = [
     "FinAbGroup",
@@ -27,9 +29,13 @@ __all__ = [
     "positive_set",
     "character_group",
     "automorphisms",
+    "automorphism_perms",
     "subgroups",
     "product_group",
 ]
+
+# largest group order with |G| x |G| integer tables (32 MB of int64 each)
+MAX_TABLE_ORDER = 2048
 
 
 def _canonical_invariant_factors(factors) -> tuple[int, ...]:
@@ -174,6 +180,44 @@ class GroupElement:
         return "(" + ",".join(map(str, self.coords)) + ")"
 
 
+# -- integer tables ------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def coords_array(group: FinAbGroup) -> np.ndarray:
+    """The (|G|, rank) int64 coordinates of the elements, in element order."""
+    c = np.array(list(product(*map(range, group.invariant_factors))), dtype=np.int64)
+    c = c.reshape(group.order, group.rank)
+    c.flags.writeable = False
+    return c
+
+
+def index_of_coords(group: FinAbGroup, coords) -> np.ndarray:
+    """Element indices of integer coordinate rows (last axis), reduced mod
+    the invariant factors."""
+    facs = group.invariant_factors
+    strides = [math.prod(facs[j + 1:]) for j in range(len(facs))]
+    return np.asarray(coords) % np.array(facs, dtype=np.int64) @ np.array(strides, dtype=np.int64)
+
+
+def check_table_order(group: FinAbGroup) -> None:
+    """Refuse a |G| x |G| table above ``MAX_TABLE_ORDER``, before allocating."""
+    if group.order > MAX_TABLE_ORDER:
+        raise CapacityError(
+            f"|G| = {group.order} exceeds {MAX_TABLE_ORDER}, the limit for |G| x |G| tables"
+        )
+
+
+@lru_cache(maxsize=None)
+def add_table(group: FinAbGroup) -> np.ndarray:
+    """The (|G|, |G|) table of the index of g + h."""
+    check_table_order(group)
+    c = coords_array(group)
+    table = np.array([index_of_coords(group, c + row) for row in c])
+    table.flags.writeable = False
+    return table
+
+
 # -- positive sets -----------------------------------------------------------
 
 
@@ -209,7 +253,8 @@ def positive_set(group: FinAbGroup) -> PositiveSet:
     if group.order % 2 == 0:
         raise InvalidArgumentError("positive sets need a group of odd order")
     members = tuple(g for g in group.elements() if PositiveSet._is_positive(g))
-    assert len(members) == (group.order - 1) // 2
+    if len(members) != (group.order - 1) // 2:
+        raise ModularityError(f"positive set of {group} has {len(members)} members")
     return PositiveSet(group, members)
 
 
@@ -219,12 +264,11 @@ def positive_set(group: FinAbGroup) -> PositiveSet:
 def character_group(group: FinAbGroup):
     """The dual group (isomorphic copy) together with the canonical pairing
     chi_h(g) = e^{2 pi i sum h_i g_i / d_i}."""
+    n = group.exponent
+    weights = tuple(n // d for d in group.invariant_factors)
 
     def pairing(h: GroupElement, g: GroupElement) -> RootOfUnity:
-        r = Fraction(0)
-        for hi, gi, d in zip(h.coords, g.coords, group.invariant_factors):
-            r += Fraction(hi * gi, d)
-        return RootOfUnity(r)
+        return RootOfUnity(sum(hi * gi * w for hi, gi, w in zip(h.coords, g.coords, weights)), n)
 
     return group, pairing
 
@@ -258,46 +302,54 @@ class GroupAut:
 
 @lru_cache(maxsize=None)
 def _automorphisms_cached(group: FinAbGroup, max_candidates: int):
+    """(automorphisms, their generator images as an (n, rank, rank) array)."""
     if group.is_trivial():
-        return (GroupAut(group, ()),)
+        return (GroupAut(group, ()),), np.zeros((1, 0, 0), dtype=np.int64)
     facs = group.invariant_factors
-    pools = []
-    n_candidates = 1
-    for d in facs:
-        pool = tuple(g for g in group.elements() if d % g.order() == 0)
-        pools.append(pool)
-        n_candidates *= len(pool)
+    c = coords_array(group)
+    pools = [np.flatnonzero(((c * d) % facs == 0).all(axis=1)) for d in facs]
+    sizes = [len(pool) for pool in pools]
+    n_candidates = math.prod(sizes)
     if n_candidates > max_candidates:
         raise CapacityError(
             f"{n_candidates} candidate generator images exceed the bound "
             f"{max_candidates}"
         )
-    order = group.order
-    auts = []
-    for images in product(*pools):
-        # images define a homomorphism; keep it iff the images generate G
-        span = {group.zero()}
-        for img in images:
-            if img.is_zero():
-                continue
-            new = set(span)
-            for base in span:
-                cur = base
-                for _ in range(img.order() - 1):
-                    cur = cur + img
-                    new.add(cur)
-            span = new
-            if len(span) == order:
-                break
-        if len(span) == order:
-            auts.append(GroupAut(group, images))
-    return tuple(auts)
+    # images define a homomorphism; keep it iff it is injective, i.e. only
+    # the zero element (index 0) maps to zero; candidates in product order
+    kept = []
+    chunk = max(1, (1 << 16) // (group.order * group.rank))
+    for start in range(0, n_candidates, chunk):
+        pos = np.unravel_index(np.arange(start, min(start + chunk, n_candidates)), sizes)
+        images = np.stack([c[pool[p]] for pool, p in zip(pools, pos)], axis=1)
+        mapped = index_of_coords(group, np.einsum("gi,nij->ngj", c, images))
+        kept.append(images[(mapped[:, 1:] != 0).all(axis=1)])
+    images = np.concatenate(kept)
+    images.flags.writeable = False
+    els = group.elements()  # shared, not one new element per image
+    auts = tuple(
+        GroupAut(group, tuple(els[i] for i in row))
+        for row in index_of_coords(group, images).tolist()
+    )
+    return auts, images
 
 
 def automorphisms(group: FinAbGroup, max_candidates: int = 10_000):
     """All automorphisms of the group, by brute force over generator images
     with order pruning.  Raises CapacityError past ``max_candidates``."""
-    return _automorphisms_cached(group, max_candidates)
+    return _automorphisms_cached(group, max_candidates)[0]
+
+
+def automorphism_perms(group: FinAbGroup, max_candidates: int = 10_000):
+    """Yield (start, perms) over ``automorphisms(group, max_candidates)``:
+    row i of ``perms`` holds the index of phi(g) for every g, phi the
+    automorphism numbered start + i; blocks of about 2^16 coordinates."""
+    images = _automorphisms_cached(group, max_candidates)[1]
+    c = coords_array(group)
+    chunk = max(1, (1 << 16) // (group.order * max(group.rank, 1)))
+    for start in range(0, len(images), chunk):
+        mapped = np.einsum("gi,nij->ngj", c, images[start:start + chunk])
+        yield start, index_of_coords(group, mapped)
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -339,7 +391,8 @@ def subgroups(group: FinAbGroup) -> list[frozenset[GroupElement]]:
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     g, x, _ = _xgcd(m1, m2)
-    assert g == 1
+    if g != 1:
+        raise ModularityError(f"CRT moduli {m1} and {m2} are not coprime")
     return (r1 + (r2 - r1) * x % m2 * m1) % (m1 * m2)
 
 
@@ -382,9 +435,11 @@ def product_group(orders):
             (k for k, (_, q, _) in enumerate(dst_pieces) if q == p),
             key=lambda k: -dst_pieces[k][2],
         )
-        assert len(src_idx) == len(dst_idx)
+        if len(src_idx) != len(dst_idx):
+            raise ModularityError(f"{p}-pieces of {orders} do not match those of {group}")
         for s, t in zip(src_idx, dst_idx):
-            assert src_pieces[s][2] == dst_pieces[t][2]
+            if src_pieces[s][2] != dst_pieces[t][2]:
+                raise ModularityError(f"{p}-pieces of {orders} do not match those of {group}")
             assignment[s] = t
 
     def to_canonical(coords) -> GroupElement:
@@ -396,7 +451,8 @@ def product_group(orders):
             j = dst_pieces[t][0]
             out[j] = _crt_pair(out[j], mod[j], coords[i] % q, q)
             mod[j] *= q
-        assert tuple(mod) == group.invariant_factors or group.is_trivial()
+        if tuple(mod) != group.invariant_factors and not group.is_trivial():
+            raise ModularityError(f"CRT moduli {mod} do not rebuild {group}")
         return group.element(out)
 
     def from_canonical(g: GroupElement):

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .cyclo import RootOfUnity
 from .errors import CapacityError, InvalidArgumentError, ModularityError
-from .groups import FinAbGroup, GroupAut, GroupElement, automorphisms
+from .groups import FinAbGroup, GroupAut, GroupElement, automorphism_perms, automorphisms
 from .intmat import (
     Matrix,
     as_matrix,
@@ -129,28 +129,17 @@ class DiscriminantForm:
         return metric_group(self.qform)
 
     def lift(self, g: GroupElement) -> tuple[int, ...]:
-        n = self.lattice.rank
-        out = [0] * n
-        for c, row in zip(g.coords, self.lifts):
-            for k in range(n):
-                out[k] += c * row[k]
-        return tuple(out)
-
-    def norm_exponent(self, g: GroupElement) -> Fraction:
-        """<x,x>/2 mod 1 for a lift x of g, i.e. q(g) = e^{2 pi i (this)}."""
-        v = self.lift(g)
-        inv = _gram_inverse(self.lattice)
-        r = sum(
-            Fraction(v[i]) * inv[i][j] * v[j]
-            for i in range(len(v))
-            for j in range(len(v))
-        )
-        return Fraction(r, 2) % 1
+        return _lift(g, self.lifts, self.lattice.rank)
 
 
 @lru_cache(maxsize=None)
 def _gram_inverse(lattice: EvenLattice):
     return rational_inverse(lattice.gram)
+
+
+def _lift(g: GroupElement, lifts, n: int) -> tuple[int, ...]:
+    """sum_i g_i lifts[i], a lift of g in dual-basis coordinates."""
+    return tuple(sum(c * row[k] for c, row in zip(g.coords, lifts)) for k in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +167,7 @@ def discriminant_form(lattice: EvenLattice) -> DiscriminantForm:
         lifts.append(tuple(int(x) for x in col))
     lifts = tuple(lifts)
 
-    inv = rational_inverse(gram)
+    inv = _gram_inverse(lattice)
 
     def norm(v) -> Fraction:
         return sum(
@@ -195,34 +184,25 @@ def discriminant_form(lattice: EvenLattice) -> DiscriminantForm:
                 raise ModularityError("shifting a lift by a lattice vector changes q")
 
     def qval(g: GroupElement) -> RootOfUnity:
-        v = [0] * n
-        for c, row in zip(g.coords, lifts):
-            for k in range(n):
-                v[k] += c * row[k]
-        return RootOfUnity(Fraction(norm(v), 2))
+        return RootOfUnity(Fraction(norm(_lift(g, lifts, n)), 2))
 
     qform = QuadForm.from_callable(group, qval)
     if not qform.is_nondegenerate():
         raise InvalidArgumentError("discriminant form is degenerate")
 
     # canonicalize the generator choice
+    # (the least value table q o phi; every table has q's modulus, so the
+    # integer exponents order the tables as their values do)
     best = qform
     best_aut: GroupAut | None = None
-    for phi in automorphisms(group, max_candidates=100_000):
-        cand = tuple(qform(phi(g)) for g in group.elements())
-        if cand < best.values:
-            best = QuadForm(group, cand)
-            best_aut = phi
+    auts = automorphisms(group, max_candidates=100_000)
+    for start, perms in automorphism_perms(group, max_candidates=100_000):
+        for i, cand in enumerate(map(tuple, qform.array[perms].tolist())):
+            if cand < best.exps:
+                best = QuadForm(group, modulus=qform.modulus, exps=cand)
+                best_aut = auts[start + i]
     if best_aut is not None:
-        new_lifts = []
-        for gen in group.generators():
-            img = best_aut(gen)
-            v = [0] * n
-            for c, row in zip(img.coords, lifts):
-                for k in range(n):
-                    v[k] += c * row[k]
-            new_lifts.append(tuple(v))
-        lifts = tuple(new_lifts)
+        lifts = tuple(_lift(best_aut(gen), lifts, n) for gen in group.generators())
         qform = best
 
     disc = DiscriminantForm(lattice, group, qform, lifts)

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import permutations, product
 
 import numpy as np
@@ -39,6 +40,8 @@ from .cyclo import (
     check_conductor,
     sqrt_int,
     sqrt_int_conductor,
+    zeta,
+    zeta_sum,
 )
 from .errors import (
     CapacityError,
@@ -47,7 +50,7 @@ from .errors import (
     UnsupportedError,
 )
 from .fusionrings import FusionRing
-from .groups import FinAbGroup, positive_set
+from .groups import FinAbGroup, add_table, positive_set
 from .labels import (
     MPAlpha,
     MPRho,
@@ -256,18 +259,6 @@ class ModularData:
 # -- builders ------------------------------------------------------------------
 
 
-def _ru_cache(conductor):
-    cache: dict[Fraction, CycNum] = {}
-
-    def conv(ru: RootOfUnity) -> CycNum:
-        v = cache.get(ru.exponent)
-        if v is None:
-            v = cache[ru.exponent] = ru.to_cyc(conductor)
-        return v
-
-    return conv
-
-
 @lru_cache(maxsize=None)
 def pointed_md(m: MetricGroup) -> ModularData:
     """Modular data of the pointed category of a metric group:
@@ -284,21 +275,21 @@ def pointed_md(m: MetricGroup) -> ModularData:
     c = gauss_central_charge(q)
     n = max(group.order, 1)
     conductor = _pointed_conductor(group)
-    conv = _ru_cache(conductor)
+    if conductor % q.modulus:
+        raise InvalidArgumentError(f"cannot promote conductor {q.modulus} to {conductor}")
     scale = _sqrt_int_min(n).promoted(conductor) * Fraction(1, n)
-    els = group.elements()
-    labels = [Pointed(g) for g in els]
-    rows = []
-    for g in els:
-        rows.append([conv(q.boundary(g, h)) * scale for h in els])
-    thetas = [q(g) for g in els]
-    md = ModularData(labels, rows, thetas, c, conductor)
+    entry = cache(lambda e: zeta(conductor, e) * scale)
+    dq = q.dq() * (conductor // q.modulus)
+    labels = [Pointed(g) for g in group.elements()]
+    rows = [[entry(e) for e in row] for row in dq.tolist()]
+    md = ModularData(labels, rows, q.values, c, conductor)
     md.validate()
     return md
 
 
 def _ty_prep(group: FinAbGroup, b: Bichar, sign: int):
-    """Shared setup: q, the Fourier companion a, its charge, and omega."""
+    """Shared setup: q, the Fourier companion a, its charge, and omega (one
+    root of unity per element index), all checked on integer tables."""
     if group.order % 2 == 0:
         raise UnsupportedError("these doubles are implemented for odd groups")
     if sign not in (1, -1):
@@ -306,36 +297,31 @@ def _ty_prep(group: FinAbGroup, b: Bichar, sign: int):
     b.validate()
     if not b.is_nondegenerate():
         raise InvalidArgumentError("bicharacter is degenerate")
-    els = group.elements()
-    m = (group.exponent + 1) // 2
-    q = QuadForm.from_callable(group, lambda g: b(g, g).inverse())
-    a = {g: q(g) ** m for g in els}
-    for g in els:
-        if a[g] != a[-g]:
-            raise ModularityError("a(g) != a(-g)")
-        for h in els:
-            if a[g] * a[h] != b(g, h) * a[g + h]:
-                raise ModularityError("a(g) a(h) != b(g,h) a(g+h)")
-    a_form = QuadForm(group, tuple(a[g] for g in els))
+    q = QuadForm(group, modulus=b.modulus, exps=-b.diag())
+    q.validate()
+    a_form = q ** ((group.exponent + 1) // 2)
+    mod = math.lcm(b.modulus, a_form.modulus)
+    bt = b.table() * (mod // b.modulus)
+    a = a_form.array * (mod // a_form.modulus)
+    add = add_table(group)
+    if (a != a[add.argmin(axis=1)]).any():  # argmin: the h with g + h = 0
+        raise ModularityError("a(g) != a(-g)")
+    if ((a[:, None] + a[None, :] - bt - a[add]) % mod).any():
+        raise ModularityError("a(g) a(h) != b(g,h) a(g+h)")
     c_a = gauss_central_charge(a_form)
     # hat(a)(g) = sum_h conj(b(g,h)) a(h) / sqrt(n) collapses to
     # e^{pi i c_a/4} / a(g); the closed form is cross-checked below
-    a_hat = {
-        g: RootOfUnity(Fraction(c_a, 8) - a[g].exponent) for g in els
-    }
+    a_hat = [RootOfUnity(Fraction(c_a, 8)) * v.inverse() for v in a_form.values]
     n = group.order
     conductor = _md_conductor(group)
     root_n = sqrt_int(n).promoted(conductor)
-    for g in els:
-        total = CycNum.zero().promoted(conductor)
-        for h in els:
-            total = total + (b(g, h).inverse() * a[h]).to_cyc(conductor)
+    step = conductor // mod
+    for g, row in enumerate(((a[None, :] - bt) % mod).tolist()):
+        total = zeta_sum(conductor, ((e * step, k) for e, k in Counter(row).items()))
         if total != root_n * a_hat[g].to_cyc(conductor):
             raise ModularityError("Fourier transform of a is off unit modulus")
-    omega = {}
-    for g in els:
-        val = a_hat[g] if sign == 1 else RootOfUnity(a_hat[g].exponent + Fraction(1, 2))
-        omega[g] = val.sqrt()
+    half = RootOfUnity(1, 2)
+    omega = tuple((v if sign == 1 else v * half).sqrt() for v in a_hat)
     return q, omega, conductor
 
 
@@ -347,71 +333,68 @@ def ty_center_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     q, omega, conductor = _ty_prep(group, b, sign)
     els = group.elements()
     n = group.order
-    conv = _ru_cache(conductor)
     root_n = sqrt_int(n).promoted(conductor)
 
     pt = [TYPt(g, i) for g in els for i in (0, 1)]
     rho = [TYRho(g, i) for g in els for i in (0, 1)]
-    sigma = [
-        TYSigma.of(els[i], els[j])
-        for i in range(len(els))
-        for j in range(i + 1, len(els))
-    ]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    sigma = [TYSigma.of(els[i], els[j]) for i, j in pairs]
     labels = pt + rho + sigma
     if len(labels) != 4 * n + n * (n - 1) // 2:
         raise ModularityError(f"TY double of {group} has rank {len(labels)}")
 
-    # Gauss-type sums sum_k b(k - s, k), one per value of s = g + h
-    gsum = {}
-    for s in els:
-        total = CycNum.zero().promoted(conductor)
-        for k in els:
-            total = total + conv(b(k - s, k))
-        gsum[s] = total
-
+    # b(g, h) as exponents over the conductor, the index of g + h and of -g
+    c = conductor
+    bt = (b.table() * (c // b.modulus)).tolist()
+    add = add_table(group).tolist()
+    neg = [row.index(0) for row in add]
+    w = [v.k * (c // v.n) for v in omega]
     scale = Fraction(1, 2 * n)
-    zero = CycNum.zero().promoted(conductor)
+    zero = CycNum.zero().promoted(c)
+    # Gauss-type sums sum_k b(k - s, k), one per value of s = g + h
+    gsum = [
+        zeta_sum(c, Counter(bt[add[k][neg[s]]][k] for k in range(n)).items()) * scale
+        for s in range(n)
+    ]
+    # one exact value per block and integer key; sign s is 0 or 1
+    pt_pt = cache(lambda e: zeta(c, e) * scale)
+    pt_rho = cache(lambda e, s: zeta(c, e) * root_n * scale * (-1) ** s)
+    pt_sigma = cache(lambda e: zeta(c, e) * (2 * scale))
+    rho_rho = cache(lambda e, t, s: zeta(c, e) * gsum[t] * (-1) ** s)
+    sigma_sigma = cache(lambda e1, e2: zeta_sum(c, ((e1, 1), (e2, 1))) * (2 * scale))
 
-    def entry(x, y) -> CycNum:
-        if isinstance(x, TYPt):
-            if isinstance(y, TYPt):
-                return conv(b(x.g, y.g) ** -2) * scale
-            if isinstance(y, TYRho):
-                val = conv(b(x.g, y.g).inverse()) * root_n * scale
-                return -val if x.i else val
-            h, k = y.pair
-            return conv(b(x.g, h + k).inverse()) * (2 * scale)
-        if isinstance(x, TYRho):
-            if isinstance(y, TYPt):
-                return entry(y, x)
-            if isinstance(y, TYRho):
-                val = (
-                    conv(omega[x.g] * omega[y.g])
-                    * gsum[x.g + y.g]
-                    * scale
-                )
-                return -val if (x.i + y.i) % 2 else val
-            return zero
-        if isinstance(y, (TYPt, TYRho)):
-            return entry(y, x)
+    def entry(x: int, y: int) -> CycNum:
+        # S is symmetric and the blocks come in the order pt, rho, sigma
+        x, y = min(x, y), max(x, y)
+        if y < 2 * n:
+            return pt_pt(-2 * bt[x // 2][y // 2] % c)
+        if x < 2 * n:
+            if y < 4 * n:
+                return pt_rho(-bt[x // 2][y // 2 - n] % c, x % 2)
+            h, k = pairs[y - 4 * n]
+            return pt_sigma(-bt[x // 2][add[h][k]] % c)
+        if x < 4 * n:
+            if y >= 4 * n:
+                return zero
+            g, h = x // 2 - n, y // 2 - n
+            return rho_rho((w[g] + w[h]) % c, add[g][h], (x + y) % 2)
         # the sigma-sigma block carries the opposite phase convention from
         # the invertible blocks: only the conjugate passes S-unitarity and
         # TSTST = S (checked for every nondegenerate bicharacter); for the
         # pairs (h, -h) both readings coincide
-        h1, k1 = x.pair
-        h, k = y.pair
-        val = (b(k, h1) * b(h, k1)).inverse()
-        val2 = (b(k, k1) * b(h, h1)).inverse()
-        return (conv(val) + conv(val2)) * (2 * scale)
+        h1, k1 = pairs[x - 4 * n]
+        h, k = pairs[y - 4 * n]
+        e1 = -(bt[k][h1] + bt[h][k1]) % c
+        e2 = -(bt[k][k1] + bt[h][h1]) % c
+        return sigma_sigma(min(e1, e2), max(e1, e2))
 
-    rows = [[entry(x, y) for y in labels] for x in labels]
+    rows = [[entry(x, y) for y in range(len(labels))] for x in range(len(labels))]
 
     def theta(x) -> RootOfUnity:
         if isinstance(x, TYPt):
             return b(x.g, x.g)
         if isinstance(x, TYRho):
-            t = omega[x.g]
-            return RootOfUnity(t.exponent + Fraction(x.i, 2))
+            return omega[group.index_of(x.g)] * RootOfUnity(x.i, 2)
         h, k = x.pair
         return b(h, k)
 
@@ -424,9 +407,7 @@ def ty_center_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
 
 
 def _check_total_dim(md: ModularData, expected: int) -> None:
-    total = CycNum.zero().promoted(md.conductor)
-    for d in md.dims():
-        total = total + d * d
+    total = sum((d * d for d in md.dims()), CycNum.zero().promoted(md.conductor))
     if total != expected:
         raise ModularityError(f"total dimension is {total}, expected {expected}")
 
@@ -436,10 +417,8 @@ def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     """Generalized metaplectic modular data on {1, alpha, rho_0, rho_1}
     u {sigma_h : h in G_+}, of rank (|G|+7)/2, for G of odd order."""
     q, omega, conductor = _ty_prep(group, b, sign)
-    els = group.elements()
     n = group.order
     pos = positive_set(group)
-    conv = _ru_cache(conductor)
     root_n = sqrt_int(n).promoted(conductor)
     c = gauss_central_charge(q)
 
@@ -449,50 +428,33 @@ def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     if len(labels) != (n + 7) // 2:
         raise ModularityError(f"metaplectic data of {group} has rank {len(labels)}")
 
-    trace_b = CycNum.zero().promoted(conductor)
-    for k in els:
-        trace_b = trace_b + conv(b(k, k))
-
-    omega0 = omega[group.zero()]
+    step = conductor // b.modulus
+    trace_b = zeta_sum(conductor, ((e * step, k) for e, k in Counter(b.diag().tolist()).items()))
+    omega0 = omega[0]
     scale = root_n * Fraction(1, 2 * n)  # 1/(2 sqrt(n))
-    one = CycNum.one().promoted(conductor)
+    unit, pt_rho, pt_sigma = scale, root_n * scale, 2 * scale
+    rho_rho = (omega0 * omega0).to_cyc(conductor) * trace_b * scale
     zero = CycNum.zero().promoted(conductor)
 
-    def pt_index(x) -> int | None:
-        if isinstance(x, MPUnit):
-            return 0
-        if isinstance(x, MPAlpha):
-            return 1
-        return None
-
-    def entry(x, y) -> CycNum:
-        xi, yi = pt_index(x), pt_index(y)
-        if xi is not None:
-            if yi is not None:
-                return one * scale
-            if isinstance(y, MPRho):
-                val = root_n * scale
-                return -val if xi else val
-            return 2 * scale * one
-        if isinstance(x, MPRho):
-            if yi is not None:
-                return entry(y, x)
-            if isinstance(y, MPRho):
-                val = conv(omega0 * omega0) * trace_b * scale
-                return -val if (x.i + y.i) % 2 else val
-            return zero
-        if yi is not None or isinstance(y, MPRho):
-            return entry(y, x)
-        bh = b(y.h, x.h)
-        return (conv(bh**-2) + conv(bh**2)) * (2 * scale)
-
-    rows = [[entry(x, y) for y in labels] for x in labels]
+    # sigma_h sigma_h': b(h', h)^-2 + b(h', h)^2, one value per exponent
+    idx = [group.index_of(h) for h in pos.members]
+    bt = (b.table()[np.ix_(idx, idx)] * step).tolist()
+    sigma_sigma = cache(lambda e: zeta_sum(conductor, ((-2 * e, 1), (2 * e, 1))) * (2 * scale))
+    m = len(idx)
+    rows = [
+        [unit, unit, pt_rho, pt_rho] + [pt_sigma] * m,
+        [unit, unit, -pt_rho, -pt_rho] + [pt_sigma] * m,
+        [pt_rho, -pt_rho, rho_rho, -rho_rho] + [zero] * m,
+        [pt_rho, -pt_rho, -rho_rho, rho_rho] + [zero] * m,
+    ]
+    for x in range(m):
+        rows.append([pt_sigma, pt_sigma, zero, zero] + [sigma_sigma(e) for e in bt[x]])
 
     def theta(x) -> RootOfUnity:
         if isinstance(x, (MPUnit, MPAlpha)):
             return RootOfUnity.one()
         if isinstance(x, MPRho):
-            return RootOfUnity(omega0.exponent + Fraction(x.i, 2))
+            return omega0 * RootOfUnity(x.i, 2)
         return b(x.h, x.h).inverse()
 
     thetas = [theta(x) for x in labels]
@@ -509,16 +471,9 @@ def tensor_md(a: ModularData, b: ModularData) -> ModularData:
     sa = [[x.promoted(conductor) for x in row] for row in a.S]
     sb = [[x.promoted(conductor) for x in row] for row in b.S]
     labels = [ProductLabel(x, y) for x in a.labels for y in b.labels]
-    rows = []
-    for i1 in range(a.rank):
-        for j1 in range(b.rank):
-            rows.append(
-                [
-                    sa[i1][i2] * sb[j1][j2]
-                    for i2 in range(a.rank)
-                    for j2 in range(b.rank)
-                ]
-            )
+    rows = [
+        [x * y for x in sa[i1] for y in sb[j1]] for i1 in range(a.rank) for j1 in range(b.rank)
+    ]
     thetas = [ta * tb for ta in a.thetas for tb in b.thetas]
     grading = None
     if a.grading is not None or b.grading is not None:
@@ -556,15 +511,16 @@ def bantay_fs(md: ModularData, label) -> int:
     idx = md.index_of(label) if not isinstance(label, int) else label
     ring = md.fusion_ring()
     total = CycNum.zero().promoted(md.conductor)
-    conv = _ru_cache(md.conductor)
+    rot = cache(lambda e: zeta(md.conductor, e))
+    t = [v.k * (md.conductor // v.n) for v in md.thetas]
     r = md.rank
     for x in range(r):
         for y in range(r):
             nxy = ring.tensor[x][y][idx]
             if not nxy:
                 continue
-            rot = (md.thetas[x] * md.thetas[y].inverse()) ** 2
-            total = total + md.S[x][0] * md.S[y][0] * conv(rot) * nxy
+            z = rot(2 * (t[x] - t[y]) % md.conductor)
+            total = total + md.S[x][0] * md.S[y][0] * z * nxy
     for value in (0, 1, -1):
         if total == value:
             return value
@@ -609,10 +565,8 @@ def md_equivalent(
 
     ka, kb = ([[x.key_at(conductor) for x in row] for row in md.S] for md in (a, b))
     # classes of (dimension key, twist)
-    ca = [(ka[i][0], a.thetas[i].exponent) for i in range(a.rank)]
-    cb = [(kb[i][0], b.thetas[i].exponent) for i in range(b.rank)]
-    from collections import Counter
-
+    ca = [(ka[i][0], a.thetas[i]) for i in range(a.rank)]
+    cb = [(kb[i][0], b.thetas[i]) for i in range(b.rank)]
     if Counter(ca) != Counter(cb):
         return None
     candidates = {
@@ -636,13 +590,7 @@ def md_equivalent(
                 continue
             if ka[i][i] != kb[j][j]:
                 continue
-            ok = True
-            for prev_pos in range(pos):
-                ip = order[prev_pos]
-                if ka[i][ip] != kb[j][mapping[ip]]:
-                    ok = False
-                    break
-            if not ok:
+            if any(ka[i][ip] != kb[j][mapping[ip]] for ip in order[:pos]):
                 continue
             mapping[i] = j
             used[j] = True
@@ -685,10 +633,7 @@ def hat_twist(md: ModularData) -> ModularData:
         [-x if eps[i] and eps[j] else x for j, x in enumerate(row)]
         for i, row in enumerate(md.S)
     ]
-    thetas = [
-        RootOfUnity(t.exponent + Fraction(eps[i], 4))
-        for i, t in enumerate(md.thetas)
-    ]
+    thetas = [t * RootOfUnity(eps[i], 4) for i, t in enumerate(md.thetas)]
     out = ModularData(md.labels, rows, thetas, md.c_top, md.conductor, eps)
     out.validate()
     return out
@@ -716,9 +661,7 @@ def verify_condensation(
     Returns the first verified certificate, or None.
     """
     ring = parent.fusion_ring()
-    bos = []
-    for x in bosons:
-        bos.append(x if isinstance(x, int) else parent.index_of(x))
+    bos = [x if isinstance(x, int) else parent.index_of(x) for x in bosons]
     if 0 not in bos:
         bos = [0] + bos
     dims = parent.dims()
@@ -743,28 +686,21 @@ def verify_condensation(
             if perms[k1][k2] not in bos:
                 raise InvalidArgumentError("bosons are not closed under fusion")
 
-    seen = set()
-    orbits = []
-    for p in range(parent.rank):
-        if p in seen:
-            continue
-        orbit = sorted({perms[k][p] for k in bos})
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
+    # the boson orbits partition the labels; ordered by least member
+    orbits = sorted({tuple(sorted({perms[k][p] for k in bos})) for p in range(parent.rank)})
     nk = len(bos)
 
     conductor = math.lcm(parent.conductor, child.conductor)
     pdim = [d.promoted(conductor) for d in parent.dims()]
     cdim = [d.promoted(conductor) for d in child.dims()]
 
-    slots = []  # (orbit, multiplicity)
-    for orbit in orbits:
-        th = {parent.thetas[p].exponent for p in orbit}
-        if len(th) != 1:
-            continue  # not local
-        mult = nk // len(orbit)
-        for _ in range(mult):
-            slots.append(orbit)
+    # each local orbit (one twist), once per child label it restricts to
+    slots = [
+        orbit
+        for orbit in orbits
+        if len({parent.thetas[p] for p in orbit}) == 1
+        for _ in range(nk // len(orbit))
+    ]
     if len(slots) != child.rank:
         return None
 
@@ -774,9 +710,7 @@ def verify_condensation(
 
     # match child labels to slots within exact (dim * |K|, twist) classes
     def slot_key(orbit):
-        total = CycNum.zero().promoted(conductor)
-        for p in orbit:
-            total = total + pdim[p]
+        total = sum((pdim[p] for p in orbit), CycNum.zero().promoted(conductor))
         return (total.key_at(conductor), parent.thetas[orbit[0]].exponent)
 
     def child_key(c):
@@ -798,28 +732,20 @@ def verify_condensation(
 
     def assignments():
         keys = sorted(slot_classes, key=str)
-        pools = []
-        for key in keys:
-            pools.append(
-                list(permutations(slot_classes[key]))
-            )
+        pools = [list(permutations(slot_classes[key])) for key in keys]
         cap = 200_000
-        n_comb = 1
-        for p in pools:
-            n_comb *= len(p)
+        n_comb = math.prod(len(p) for p in pools)
         if n_comb > cap:
             raise CapacityError(
                 f"{n_comb} candidate branchings exceed the bound {cap}"
             )
         for combo in product(*pools):
-            assign = {}
-            ok = True
-            for key, perm in zip(keys, combo):
-                for c, s_i in zip(child_classes[key], perm):
-                    assign[c] = s_i
-            if slots[assign.get(0, -1)] != unit_orbit:
-                ok = False
-            if ok:
+            assign = {
+                c: s_i
+                for key, perm in zip(keys, combo)
+                for c, s_i in zip(child_classes[key], perm)
+            }
+            if slots[assign.get(0, -1)] == unit_orbit:
                 yield assign
 
     sp = [[x.promoted(conductor) for x in row] for row in parent.S]
@@ -827,6 +753,8 @@ def verify_condensation(
     tp = [x.promoted(conductor) for x in parent.T]
     tc = [x.promoted(conductor) for x in child.T]
     zeta_cyc = zeta.to_cyc(conductor)
+    zero = CycNum.zero().promoted(conductor)
+    cells = [(p, c) for p in range(parent.rank) for c in range(child.rank)]
 
     for assign in assignments():
         bmat = [[0] * child.rank for _ in range(parent.rank)]
@@ -835,35 +763,15 @@ def verify_condensation(
                 bmat[p][c] = 1
         if bmat[0][0] != 1:
             continue
-        ok = True
-        for p in range(parent.rank):
-            for c in range(child.rank):
-                if bmat[p][c] and tp[p] != zeta_cyc * tc[c]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any(bmat[p][c] and tp[p] != zeta_cyc * tc[c] for p, c in cells):
             continue
-        for p in range(parent.rank):
-            if not ok:
-                break
-            for c in range(child.rank):
-                lhs = CycNum.zero().promoted(conductor)
-                for p2 in range(parent.rank):
-                    if bmat[p2][c]:
-                        lhs = lhs + sp[p][p2]
-                rhs = CycNum.zero().promoted(conductor)
-                for c2 in range(child.rank):
-                    if bmat[p][c2]:
-                        rhs = rhs + sc[c2][c]
-                if lhs != rhs:
-                    ok = False
-                    break
-        if ok:
-            return BranchingMatrix(
-                tuple(tuple(row) for row in bmat), zeta
-            )
+        # S_p B = B S_c, entry by entry
+        if all(
+            sum((sp[p][p2] for p2 in range(parent.rank) if bmat[p2][c]), zero)
+            == sum((sc[c2][c] for c2 in range(child.rank) if bmat[p][c2]), zero)
+            for p, c in cells
+        ):
+            return BranchingMatrix(tuple(tuple(row) for row in bmat), zeta)
     return None
 
 
@@ -871,10 +779,7 @@ def classify_mp(group: FinAbGroup) -> list[ModularData]:
     """One generalized metaplectic datum per (bicharacter class, sign);
     raises ModularityError unless the list is pairwise inequivalent."""
     reps = classify_metric_groups(group)
-    out = []
-    for m in reps:
-        for sign in (1, -1):
-            out.append(mp_md(group, m.bichar, sign))
+    out = [mp_md(group, m.bichar, sign) for m in reps for sign in (1, -1)]
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             if md_equivalent(out[i], out[j]) is not None:

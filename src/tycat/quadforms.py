@@ -6,25 +6,28 @@ symmetric bicharacter determine each other through
 
     b(g, h) = dq(g, h)^{(Exp(G)+1)/2},      q(g) = b(g, g)^{-1},
 
-where dq(g, h) = q(g) q(h) q(g+h)^{-1}.  Forms store a full value table
-(q is not multiplicative); bicharacters store generator data only.
+where dq(g, h) = q(g) q(h) q(g+h)^{-1}.  Both store exact phases as
+integer exponents over one modulus M, the value at an exponent e being
+e^{2 pi i e/M}: forms keep a full table over the element enumeration (q is
+not multiplicative), bicharacters an integer generator matrix.  Every
+check runs on integer arrays (the dq and b tables are built from the
+group's cached index-addition table).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .cyclo import CycNum, RootOfUnity, factorize, sqrt_int, zeta
-from .errors import (
-    DegeneracyError,
-    InvalidArgumentError,
-    ModularityError,
-    UnsupportedError,
-)
+import numpy as np
+
+from .cyclo import RootOfUnity, factorize, sqrt_int, zeta, zeta_sum
+from .errors import DegeneracyError, InvalidArgumentError, ModularityError, UnsupportedError
 from .groups import FinAbGroup, GroupAut, GroupElement, automorphisms, product_group, subgroups
+from .groups import add_table, automorphism_perms, check_table_order, coords_array, index_of_coords
 
 __all__ = [
     "QuadForm",
@@ -35,6 +38,7 @@ __all__ = [
     "gauss_central_charge",
     "metric_equiv",
     "classify_metric_groups",
+    "standard_qform",
     "direct_sum",
     "lagrangian_subgroups",
     "isotropic_subgroups",
@@ -43,150 +47,186 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _int_array(values, modulus: int) -> np.ndarray:
+    # residue products fit int64 below 2^31; larger moduli use Python ints
+    return np.array(values, dtype=np.int64 if modulus < 2**31 else object)
+
+
+def _set_reduced(obj, group: FinAbGroup, modulus: int, rows) -> tuple:
+    """Set ``group`` and the least ``modulus`` giving the same phases
+    (M / gcd(M, entries)); return the reduced integer rows."""
+    rows = [[int(e) % modulus for e in row] for row in rows]
+    g = math.gcd(modulus, *(e for row in rows for e in row))
+    object.__setattr__(obj, "group", group)
+    object.__setattr__(obj, "modulus", modulus // g)
+    return tuple(tuple(e // g for e in row) for row in rows)
+
+
+@dataclass(frozen=True, init=False)
 class QuadForm:
-    """A quadratic form as a full value table over the element enumeration."""
+    """A quadratic form as an integer table over the element enumeration:
+    q(g) = e^{2 pi i exps[g]/modulus}, with the modulus the lcm of the
+    value orders, so equal forms compare equal.  Built from ``RootOfUnity``
+    ``values`` or from integer ``exps`` over ``modulus``; not validated."""
 
     group: FinAbGroup
-    values: tuple[RootOfUnity, ...]
+    modulus: int
+    exps: tuple[int, ...]
+
+    def __init__(self, group: FinAbGroup, values=None, *, modulus: int = 1, exps=()):
+        if values is not None:
+            values = tuple(values)
+            modulus = math.lcm(1, *(v.n for v in values))
+            exps = [v.k * (modulus // v.n) for v in values]
+        (exps,) = _set_reduced(self, group, modulus, [exps])
+        object.__setattr__(self, "exps", exps)
 
     @staticmethod
     def from_callable(group: FinAbGroup, f) -> "QuadForm":
-        q = QuadForm(group, tuple(f(g) for g in group.elements()))
+        q = QuadForm(group, (f(g) for g in group.elements()))
         q.validate()
         return q
 
     @staticmethod
     def from_exponents(group: FinAbGroup, exps) -> "QuadForm":
-        return QuadForm.from_callable(
-            group, lambda g: RootOfUnity(Fraction(exps[group.index_of(g)]))
-        )
-
-    def __call__(self, g: GroupElement) -> RootOfUnity:
-        return self.values[self.group.index_of(g)]
-
-    def boundary(self, g: GroupElement, h: GroupElement) -> RootOfUnity:
-        """dq(g,h) = q(g) q(h) q(g+h)^{-1}, a symmetric bicharacter."""
-        return self(g) * self(h) * self(g + h).inverse()
-
-    def conj(self) -> "QuadForm":
-        return QuadForm(self.group, tuple(v.inverse() for v in self.values))
-
-    def __pow__(self, k: int) -> "QuadForm":
-        return QuadForm(self.group, tuple(v**k for v in self.values))
-
-    def validate(self) -> None:
-        g0 = self.group.zero()
-        if not self(g0).is_one():
-            raise InvalidArgumentError("q(0) != 1")
-        for g in self.group.elements():
-            qg = self(g)
-            for n in range(self.group.exponent):
-                if self(g * n) != qg ** (n * n):
-                    raise InvalidArgumentError(f"q({n}*{g}) != q({g})^{n * n}")
-        gens = self.group.generators()
-        for g in self.group.elements():
-            for h in gens:
-                for k in gens:
-                    lhs = self.boundary(g + h, k)
-                    rhs = self.boundary(g, k) * self.boundary(h, k)
-                    if lhs != rhs:
-                        raise InvalidArgumentError("dq is not bimultiplicative")
-
-    def is_nondegenerate(self) -> bool:
-        els = self.group.elements()
-        for g in els:
-            if g.is_zero():
-                continue
-            if all(self.boundary(g, h).is_one() for h in els):
-                return False
-        return True
-
-    def exponents(self) -> tuple[Fraction, ...]:
-        return tuple(v.exponent for v in self.values)
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.to_json(),
-            "values": [str(v.exponent) for v in self.values],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "QuadForm":
-        group = FinAbGroup.from_json(obj["group"])
-        vals = [RootOfUnity(Fraction(s)) for s in obj["values"]]
-        if len(vals) != group.order:
+        """The validated form e^{2 pi i r(g)} from rationals (or their
+        strings) r over the element enumeration."""
+        if len(exps) != group.order:
             raise InvalidArgumentError("value table has wrong length")
-        q = QuadForm(group, tuple(vals))
+        q = QuadForm(group, [RootOfUnity(Fraction(r)) for r in exps])
         q.validate()
         return q
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The exponents as an integer array (read-only)."""
+        a = _int_array(self.exps, self.modulus)
+        a.flags.writeable = False
+        return a
 
-@dataclass(frozen=True)
+    @property
+    def values(self) -> tuple[RootOfUnity, ...]:
+        return tuple(RootOfUnity(e, self.modulus) for e in self.exps)
+
+    def __call__(self, g: GroupElement) -> RootOfUnity:
+        return RootOfUnity(self.exps[self.group.index_of(g)], self.modulus)
+
+    def dq(self) -> np.ndarray:
+        """The (|G|, |G|) exponent table of dq(g, h) = q(g) q(h) q(g+h)^{-1}."""
+        a = self.array
+        return (a[:, None] + a[None, :] - a[add_table(self.group)]) % self.modulus
+
+    def conj(self) -> "QuadForm":
+        return self ** -1
+
+    def __pow__(self, k: int) -> "QuadForm":
+        return QuadForm(self.group, modulus=self.modulus, exps=[e * k for e in self.exps])
+
+    def validate(self) -> None:
+        group, m, a = self.group, self.modulus, self.array
+        if a[0] % m:  # the zero element has index 0
+            raise InvalidArgumentError("q(0) != 1")
+        c = coords_array(group)
+        first = np.full(group.order, group.exponent)  # least n with a failure
+        for n in range(group.exponent):
+            bad = (a[index_of_coords(group, c * n)] - a * (n * n % m)) % m != 0
+            first = np.where(bad & (first == group.exponent), n, first)
+        failing = np.flatnonzero(first < group.exponent)
+        if len(failing):
+            g, n = group.elements()[failing[0]], int(first[failing[0]])
+            raise InvalidArgumentError(f"q({n}*{g}) != q({g})^{n * n}")
+        # the index of g + e_j for every g, per generator e_j (at g = 0: e_j)
+        shifts = [index_of_coords(group, c + u) for u in np.eye(group.rank, dtype=np.int64)]
+        gens = [int(s[0]) for s in shifts]
+        for h, sh in zip(gens, shifts):
+            for k, sk in zip(gens, shifts):
+                # dq(g+h, k) = dq(g, k) dq(h, k) for every g, as exponents
+                lhs = a[sh] + a[k] - a[sk[sh]]
+                rhs = a + a[k] - a[sk] + a[h] + a[k] - a[sk[h]]
+                if ((lhs - rhs) % m).any():
+                    raise InvalidArgumentError("dq is not bimultiplicative")
+
+    def is_nondegenerate(self) -> bool:
+        return not (self.dq()[1:] == 0).all(axis=1).any()
+
+    def to_json(self) -> dict:
+        values = [str(v.exponent) for v in self.values]
+        return {"group": self.group.to_json(), "values": values}
+
+    @staticmethod
+    def from_json(obj: dict) -> "QuadForm":
+        return QuadForm.from_exponents(FinAbGroup.from_json(obj["group"]), obj["values"])
+
+
+@dataclass(frozen=True, init=False)
 class Bichar:
-    """A symmetric bicharacter, stored on generator pairs and extended
-    bimultiplicatively."""
+    """A symmetric bicharacter as an integer generator matrix,
+    b(e_i, e_j) = e^{2 pi i mat[i][j]/modulus}, extended bimultiplicatively.
+    Built from rows of ``RootOfUnity`` ``gen_values`` or from an integer
+    ``mat`` over ``modulus``; not validated."""
 
     group: FinAbGroup
-    gen_values: tuple[tuple[RootOfUnity, ...], ...]
+    modulus: int
+    mat: tuple[tuple[int, ...], ...]
+
+    def __init__(self, group: FinAbGroup, gen_values=None, *, modulus: int = 1, mat=()):
+        if gen_values is not None:
+            rows = [tuple(row) for row in gen_values]
+            modulus = math.lcm(1, *(v.n for row in rows for v in row))
+            mat = [[v.k * (modulus // v.n) for v in row] for row in rows]
+        object.__setattr__(self, "mat", _set_reduced(self, group, modulus, mat))
+
+    @property
+    def gen_values(self) -> tuple[tuple[RootOfUnity, ...], ...]:
+        return tuple(tuple(RootOfUnity(e, self.modulus) for e in row) for row in self.mat)
 
     def __call__(self, g: GroupElement, h: GroupElement) -> RootOfUnity:
-        r = Fraction(0)
-        for i, gi in enumerate(g.coords):
-            if not gi:
-                continue
-            row = self.gen_values[i]
-            for j, hj in enumerate(h.coords):
-                if hj:
-                    r += row[j].exponent * gi * hj
-        return RootOfUnity(r)
+        r = sum(gi * e * hj for gi, row in zip(g.coords, self.mat) for e, hj in zip(row, h.coords))
+        return RootOfUnity(r, self.modulus)
+
+    def _gen_table(self) -> np.ndarray:
+        """The (|G|, rank) exponents of b(g, e_j)."""
+        mat = _int_array(self.mat, self.modulus).reshape(self.group.rank, self.group.rank)
+        return coords_array(self.group) @ mat % self.modulus
+
+    def table(self) -> np.ndarray:
+        """The (|G|, |G|) exponent table of b(g, h)."""
+        check_table_order(self.group)
+        return self._gen_table() @ coords_array(self.group).T % self.modulus
+
+    def diag(self) -> np.ndarray:
+        """The exponents of b(g, g)."""
+        return (self._gen_table() * coords_array(self.group)).sum(axis=1) % self.modulus
 
     def validate(self) -> None:
         facs = self.group.invariant_factors
         r = self.group.rank
+        mat, m = self.mat, self.modulus
+        if [len(row) for row in mat] != [r] * r:
+            raise InvalidArgumentError(f"bicharacter needs a {r} x {r} generator matrix")
         for i in range(r):
             for j in range(r):
-                if self.gen_values[i][j] != self.gen_values[j][i]:
+                if mat[i][j] != mat[j][i]:
                     raise InvalidArgumentError("bicharacter is not symmetric")
-                if not (self.gen_values[i][j] ** facs[i]).is_one():
+                if mat[i][j] * facs[i] % m:
                     raise InvalidArgumentError(
                         "bicharacter violates the generator order constraint"
                     )
 
     def is_nondegenerate(self) -> bool:
-        els = self.group.elements()
-        gens = self.group.generators()
-        for g in els:
-            if g.is_zero():
-                continue
-            if all(self(g, h).is_one() for h in gens):
-                return False
-        return True
+        return not (self._gen_table()[1:] == 0).all(axis=1).any()
 
     def conj(self) -> "Bichar":
-        return Bichar(
-            self.group,
-            tuple(tuple(v.inverse() for v in row) for row in self.gen_values),
-        )
+        return Bichar(self.group, modulus=self.modulus, mat=[[-e for e in row] for row in self.mat])
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group.to_json(),
-            "generator_exponents": [
-                [str(v.exponent) for v in row] for row in self.gen_values
-            ],
-        }
+        rows = [[str(v.exponent) for v in row] for row in self.gen_values]
+        return {"group": self.group.to_json(), "generator_exponents": rows}
 
     @staticmethod
     def from_json(obj: dict) -> "Bichar":
-        group = FinAbGroup.from_json(obj["group"])
-        rows = obj["generator_exponents"]
-        b = Bichar(
-            group,
-            tuple(
-                tuple(RootOfUnity(Fraction(s)) for s in row) for row in rows
-            ),
-        )
+        rows = [[RootOfUnity(Fraction(s)) for s in row] for row in obj["generator_exponents"]]
+        b = Bichar(FinAbGroup.from_json(obj["group"]), rows)
         b.validate()
         return b
 
@@ -199,16 +239,14 @@ class MetricGroup:
 
     def __post_init__(self):
         if self.bichar is not None:
-            for g in self.group.elements():
-                if self.quad(g) * self.bichar(g, g) != RootOfUnity.one():
-                    raise InvalidArgumentError("q(g) * b(g,g) != 1")
+            m = math.lcm(self.quad.modulus, self.bichar.modulus)
+            q = self.quad.array * (m // self.quad.modulus)
+            if ((q + self.bichar.diag() * (m // self.bichar.modulus)) % m).any():
+                raise InvalidArgumentError("q(g) * b(g,g) != 1")
 
     def conj(self) -> "MetricGroup":
-        return MetricGroup(
-            self.group,
-            self.quad.conj(),
-            self.bichar.conj() if self.bichar else None,
-        )
+        bichar = self.bichar.conj() if self.bichar else None
+        return MetricGroup(self.group, self.quad.conj(), bichar)
 
 
 def metric_group(q: QuadForm) -> MetricGroup:
@@ -226,19 +264,19 @@ def bichar_from_qform(q: QuadForm) -> Bichar:
         raise UnsupportedError("bicharacter extraction needs odd group order")
     if not q.is_nondegenerate():
         raise InvalidArgumentError("quadratic form is degenerate")
-    m = (group.exponent + 1) // 2
-    gens = group.generators()
-    rows = tuple(
-        tuple(q.boundary(gi, gj) ** m for gj in gens) for gi in gens
-    )
-    b = Bichar(group, rows)
+    m, mod = (group.exponent + 1) // 2, q.modulus
+    dq = q.dq()
+    gens = index_of_coords(group, np.eye(group.rank, dtype=np.int64))
+    b = Bichar(group, modulus=mod, mat=dq[np.ix_(gens, gens)] * m)
     b.validate()
-    for g in group.elements():
-        if b(g, g).inverse() != q(g):
+    bt = b.table() * (mod // b.modulus)  # b's modulus divides q's
+    diag_bad = (np.diagonal(bt) + q.array) % mod != 0
+    square_bad = ((2 * bt - dq) % mod != 0).any(axis=1)
+    failing = np.flatnonzero(diag_bad | square_bad)
+    if len(failing):
+        if diag_bad[failing[0]]:
             raise InvalidArgumentError("b(g,g)^-1 != q(g); form is inconsistent")
-        for h in group.elements():
-            if b(g, h) ** 2 != q.boundary(g, h):
-                raise InvalidArgumentError("b^2 != dq; form is inconsistent")
+        raise InvalidArgumentError("b^2 != dq; form is inconsistent")
     return b
 
 
@@ -250,7 +288,8 @@ def qform_from_bichar(b: Bichar) -> QuadForm:
     b.validate()
     if not b.is_nondegenerate():
         raise InvalidArgumentError("bicharacter is degenerate")
-    q = QuadForm.from_callable(group, lambda g: b(g, g).inverse())
+    q = QuadForm(group, modulus=b.modulus, exps=-b.diag())
+    q.validate()
     return q
 
 
@@ -260,12 +299,10 @@ def gauss_central_charge(q: QuadForm) -> int:
     Raises DegeneracyError when the normalized sum is not of unit modulus
     (which happens exactly when q is degenerate).
     """
-    group = q.group
-    n = group.order
-    conductor = math.lcm(8, *(v.exponent.denominator for v in q.values))
-    total = CycNum.zero().promoted(conductor)
-    for v in q.values:
-        total = total + v.to_cyc(conductor)
+    n = q.group.order
+    conductor = math.lcm(8, q.modulus)
+    step = conductor // q.modulus
+    total = zeta_sum(conductor, ((e * step, c) for e, c in Counter(q.exps).items()))
     if total * total.conj() != n:
         raise DegeneracyError("Gauss sum is not of unit modulus; q is degenerate")
     root = sqrt_int(n)
@@ -286,10 +323,15 @@ def metric_equiv(
     """
     if m1.group != m2.group:
         return None
+    group = m1.group
+    auts = automorphisms(group, max_candidates)
     q1, q2 = m1.quad, m2.quad
-    for phi in automorphisms(m1.group, max_candidates):
-        if all(q1(g) == q2(phi(g)) for g in m1.group.elements()):
-            return phi
+    if q1.modulus != q2.modulus:  # the lcm of the value orders is invariant
+        return None
+    for start, perms in automorphism_perms(group, max_candidates):
+        hits = np.flatnonzero((q2.array[perms] == q1.array).all(axis=1))
+        if len(hits):
+            return auts[start + int(hits[0])]
     return None
 
 
@@ -311,11 +353,7 @@ def direct_sum(m1: MetricGroup, m2: MetricGroup) -> MetricGroup:
 
 def isotropic_subgroups(m: MetricGroup) -> list[frozenset[GroupElement]]:
     """All subgroups with q restricted to them identically 1."""
-    return [
-        h
-        for h in subgroups(m.group)
-        if all(m.quad(x).is_one() for x in h)
-    ]
+    return [h for h in subgroups(m.group) if all(m.quad(x).is_one() for x in h)]
 
 
 def lagrangian_subgroups(m: MetricGroup) -> list[frozenset[GroupElement]]:
@@ -332,6 +370,32 @@ def _least_nonresidue(p: int) -> int:
     raise InvalidArgumentError(f"{p} has no quadratic nonresidue")
 
 
+def standard_qform(G: FinAbGroup, minus=()) -> QuadForm:
+    """The diagonal form q(x) = e^{2 pi i sum_i a_i x_i^2 / p_i^{k_i}} over
+    the primary cyclic pieces of G (|G| odd): a_i = 1, except on the first
+    piece of each prime-power type in ``minus``, where a_i is the least
+    quadratic nonresidue mod p.  ``standard_qform(G)`` is the first
+    representative of ``classify_metric_groups(G)``."""
+    if G.order % 2 == 0:
+        raise UnsupportedError("classification implemented for odd order only")
+    pieces = sorted(p**e for d in G.invariant_factors for p, e in factorize(d).items())
+    group, _, back = product_group(pieces)
+    if group != G:
+        raise ModularityError(f"primary decomposition of {G} rebuilt {group}")
+    coeffs = [
+        _least_nonresidue(min(factorize(t))) if t in minus and t not in pieces[:i] else 1
+        for i, t in enumerate(pieces)
+    ]
+    m = G.exponent  # the lcm of the pieces
+    exps = [
+        sum(a * x * x * (m // t) for x, a, t in zip(back(g), coeffs, pieces))
+        for g in G.elements()
+    ]
+    q = QuadForm(G, modulus=m, exps=exps)
+    q.validate()
+    return q
+
+
 def classify_metric_groups(G: FinAbGroup, max_candidates: int = 100_000):
     """One representative metric group per equivalence class of nondegenerate
     quadratic forms on G (|G| odd).
@@ -339,45 +403,16 @@ def classify_metric_groups(G: FinAbGroup, max_candidates: int = 100_000):
     Per prime-power type p^k appearing in G there are two classes, built from
     q(x) = e^{2 pi i a x^2 / p^k} with a = 1 (Jacobi symbol +1) or a = the
     least quadratic nonresidue mod p (Jacobi symbol -1); with k distinct
-    types this yields 2^k classes, de-duplicated by metric_equiv.
+    types this yields 2^k classes (``standard_qform``), de-duplicated by
+    metric_equiv.
     """
     if G.order % 2 == 0:
         raise UnsupportedError("classification implemented for odd order only")
-    if G.is_trivial():
-        return [metric_group(QuadForm(G, (RootOfUnity.one(),)))]
-    # primary cyclic pieces of G, grouped by prime power
-    pieces: list[int] = []
-    for d in G.invariant_factors:
-        for p, e in factorize(d).items():
-            pieces.append(p**e)
-    pieces.sort()
-    types = sorted(set(pieces))
-    group, _, back = product_group(pieces)
-    if group != G:
-        raise ModularityError(f"primary decomposition of {G} rebuilt {group}")
-
-    reps: list[MetricGroup] = []
-    for mask in range(1 << len(types)):
-        minus = {t for i, t in enumerate(types) if mask >> i & 1}
-        coeffs = []
-        seen_of_type: set[int] = set()
-        for q_piece in pieces:
-            if q_piece in minus and q_piece not in seen_of_type:
-                p = min(factorize(q_piece))
-                coeffs.append(_least_nonresidue(p))
-            else:
-                coeffs.append(1)
-            seen_of_type.add(q_piece)
-
-        def qval(g: GroupElement, coeffs=coeffs) -> RootOfUnity:
-            coords = back(g)
-            r = Fraction(0)
-            for x, a, q_piece in zip(coords, coeffs, pieces):
-                r += Fraction(a * x * x, q_piece)
-            return RootOfUnity(r)
-
-        reps.append(metric_group(QuadForm.from_callable(group, qval)))
-
+    types = sorted({p**e for d in G.invariant_factors for p, e in factorize(d).items()})
+    reps = [
+        metric_group(standard_qform(G, {t for i, t in enumerate(types) if mask >> i & 1}))
+        for mask in range(1 << len(types))
+    ]
     deduped: list[MetricGroup] = []
     for m in reps:
         if all(

@@ -1,9 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import tycat
 from dense_format import dense_md
 from tycat import cli, fusionrings
 from tycat.cli import main
@@ -293,3 +298,44 @@ def test_max_rank_env(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "equiv", "--a", str(p), "--b", str(p))
     assert code == 0
     assert json.loads(out)["witness"]["mapping"][0] == 0
+
+
+# SHA-256 of stdout before roots of unity, forms and bicharacters moved to
+# integer exponents (Python 3.11, numpy 2.4: the float_view digits of the md
+# commands come from the platform's libm)
+GOLDEN_STDOUT = {
+    ("classify", "--group", "3,15"):
+        "2df84c5c75980dd3c45d02d4b2b4c4f20e680e8ec1bdd513ae279dcf17c577ff",
+    ("classify", "--group", "45"):
+        "b5111d25cb81fce322fd55b019d14bb6ce25de36143b2e02555f4ac334ae57b1",
+    ("md", "pointed", "--group", "15"):
+        "9e1bcee829fee88ead0a4c7d0d9e0928255af3ac28dd5a41bd04693dfe72432e",
+    ("md", "mp", "--group", "9", "--sign", "-"):
+        "c6bf3a9944f0bf36bd08482901845a0e56ea40b962af55a7748d5a8cda33304b",
+    ("md", "ty-center", "--group", "5"):
+        "1473f0675c631de696955e24c0ccdbb13208ecfd7836ab1da86959be11d292c3",
+    ("disc", "--lattice", "A4+A4"):
+        "796ec28c0067124856777fdd96fc75fd1a49142b0ecd1803fc2a52dc55923b0e",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_stdout_is_byte_identical(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # the reader goes away after 10 bytes of a 269 kB document
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tycat.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tycat", "md", "ty-center", "--group", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.read(10).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

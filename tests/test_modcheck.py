@@ -205,8 +205,9 @@ def test_pack_rejects_oversized_coefficient():
 
 def test_capacity_guard_survives_python_O():
     # asserts are stripped under -O; the guards must not be ones: the
-    # prover's coefficient bound, and the Smith normal form certificate
-    # (checked here against a determinant that lies)
+    # prover's coefficient bound, the Smith normal form certificate
+    # (checked here against a determinant that lies), a principal graph's
+    # shape certificate and the CRT step of product_group
     code = (
         "from tycat import intmat\n"
         "from tycat.cyclo import CycNum\n"
@@ -221,6 +222,16 @@ def test_capacity_guard_survives_python_O():
         "    intmat.smith_normal_form(((2, 1), (1, 2)))\n"
         "except ModularityError as exc:\n"
         "    print('raised', exc)\n"
+        "from tycat.graphs import BipartiteGraph\n"
+        "try:\n"
+        "    BipartiteGraph('g', ('a',), ('b',), (('a', 'b'), ('a', 'b')), 'a')\n"
+        "except ModularityError as exc:\n"
+        "    print('raised', exc)\n"
+        "from tycat.groups import _crt_pair\n"
+        "try:\n"
+        "    _crt_pair(0, 3, 1, 3)\n"
+        "except ModularityError as exc:\n"
+        "    print('raised', exc)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(tycat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -231,6 +242,8 @@ def test_capacity_guard_survives_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "raised", "raised Smith normal form transform is not unimodular",
+        "raised g has an unexpected multi-edge",
+        "raised CRT moduli 3 and 3 are not coprime",
     ]
 
 
