@@ -274,6 +274,21 @@ def test_classification_counts_its_classes(monkeypatch):
     monkeypatch.setattr(quadforms, "metric_equiv", lambda *args: object())
     with pytest.raises(ModularityError, match="^1 metric classes on .*, expected 4$"):
         classify_metric_groups(FinAbGroup.of(15))
+    monkeypatch.setattr(quadforms, "product_group", lambda orders: (Z5, None, None))
+    with pytest.raises(ModularityError, match="primary decomposition of .* rebuilt"):
+        standard_qform(FinAbGroup.of(15))
+
+
+def test_gauss_sum_must_be_an_eighth_root_times_sqrt_n():
+    # |1 + 1 + w|^2 = 3 for w = e^{2 pi i/3}, but 2 + w is no 8th root times sqrt(3)
+    with pytest.raises(DegeneracyError, match="not an 8th root of unity"):
+        quadforms.gauss_central_charge(QuadForm(Z3, modulus=3, exps=[0, 0, 1]))
+
+
+def test_pointed_entries_need_the_form_modulus_to_divide_the_conductor(monkeypatch):
+    monkeypatch.setattr(moddata, "_pointed_conductor", lambda group: 4)
+    with pytest.raises(InvalidArgumentError, match="^cannot promote conductor 3 to 4$"):
+        pointed_md.__wrapped__(metric_group(standard_qform(Z3)))
 
 
 def test_positive_set_counts_its_members(monkeypatch):
