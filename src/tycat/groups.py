@@ -36,6 +36,8 @@ __all__ = [
 
 # largest group order with |G| x |G| integer tables (32 MB of int64 each)
 MAX_TABLE_ORDER = 2048
+# most candidate generator images the automorphism enumeration tries
+MAX_AUT_CANDIDATES = 200_000
 
 
 def _canonical_invariant_factors(factors) -> tuple[int, ...]:
@@ -301,7 +303,7 @@ class GroupAut:
 
 
 @lru_cache(maxsize=None)
-def _automorphisms_cached(group: FinAbGroup, max_candidates: int):
+def _automorphisms_cached(group: FinAbGroup):
     """(automorphisms, their generator images as an (n, rank, rank) array)."""
     if group.is_trivial():
         return (GroupAut(group, ()),), np.zeros((1, 0, 0), dtype=np.int64)
@@ -310,10 +312,9 @@ def _automorphisms_cached(group: FinAbGroup, max_candidates: int):
     pools = [np.flatnonzero(((c * d) % facs == 0).all(axis=1)) for d in facs]
     sizes = [len(pool) for pool in pools]
     n_candidates = math.prod(sizes)
-    if n_candidates > max_candidates:
+    if n_candidates > MAX_AUT_CANDIDATES:
         raise CapacityError(
-            f"{n_candidates} candidate generator images exceed the bound "
-            f"{max_candidates}"
+            f"{n_candidates} candidate generator images exceed the bound {MAX_AUT_CANDIDATES}"
         )
     # images define a homomorphism; keep it iff it is injective, i.e. only
     # the zero element (index 0) maps to zero; candidates in product order
@@ -334,17 +335,17 @@ def _automorphisms_cached(group: FinAbGroup, max_candidates: int):
     return auts, images
 
 
-def automorphisms(group: FinAbGroup, max_candidates: int = 10_000):
+def automorphisms(group: FinAbGroup):
     """All automorphisms of the group, by brute force over generator images
-    with order pruning.  Raises CapacityError past ``max_candidates``."""
-    return _automorphisms_cached(group, max_candidates)[0]
+    with order pruning.  Raises CapacityError past ``MAX_AUT_CANDIDATES``."""
+    return _automorphisms_cached(group)[0]
 
 
-def automorphism_perms(group: FinAbGroup, max_candidates: int = 10_000):
-    """Yield (start, perms) over ``automorphisms(group, max_candidates)``:
-    row i of ``perms`` holds the index of phi(g) for every g, phi the
-    automorphism numbered start + i; blocks of about 2^16 coordinates."""
-    images = _automorphisms_cached(group, max_candidates)[1]
+def automorphism_perms(group: FinAbGroup):
+    """Yield (start, perms) over ``automorphisms(group)``: row i of
+    ``perms`` holds the index of phi(g) for every g, phi the automorphism
+    numbered start + i; blocks of about 2^16 coordinates."""
+    images = _automorphisms_cached(group)[1]
     c = coords_array(group)
     chunk = max(1, (1 << 16) // (group.order * max(group.rank, 1)))
     for start in range(0, len(images), chunk):

@@ -195,8 +195,8 @@ def discriminant_form(lattice: EvenLattice) -> DiscriminantForm:
     # integer exponents order the tables as their values do)
     best = qform
     best_aut: GroupAut | None = None
-    auts = automorphisms(group, max_candidates=100_000)
-    for start, perms in automorphism_perms(group, max_candidates=100_000):
+    auts = automorphisms(group)
+    for start, perms in automorphism_perms(group):
         for i, cand in enumerate(map(tuple, qform.array[perms].tolist())):
             if cand < best.exps:
                 best = QuadForm(group, modulus=qform.modulus, exps=cand)

@@ -65,17 +65,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _order_n_root(p: int, n: int) -> int:
-    """An element of exact multiplicative order n mod p (requires n | p-1)."""
+def _root_powers(p: int, n: int) -> np.ndarray:
+    """w^k mod p for 0 <= k < n, as float64, for the first w of exact
+    multiplicative order n mod p (requires n | p-1)."""
     cof = (p - 1) // n
     fac = factorize(n)
     for g in range(2, p):
         w = pow(g, cof, p)
-        if w == 1:
-            continue
-        if all(pow(w, n // q, p) != 1 for q in fac):
-            return w
-    raise ModularityError(f"no order-{n} element mod {p}")
+        if w != 1 and all(pow(w, n // q, p) != 1 for q in fac):
+            break
+    else:
+        raise ModularityError(f"no order-{n} element mod {p}")
+    wpow = [1] * n
+    for k in range(1, n):
+        wpow[k] = wpow[k - 1] * w % p
+    return np.array(wpow, dtype=np.float64)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -174,13 +178,8 @@ class MatProver:
         """Evaluations mod p at every primitive point: shape (npts, nr, nc)."""
         if p in mat["evals"]:
             return mat["evals"][p]
-        w = _order_n_root(p, self.n)
-        wpow = [1] * self.n
-        for k in range(1, self.n):
-            wpow[k] = wpow[k - 1] * w % p
-        warr = np.array(wpow, dtype=np.float64)
         idx = np.outer(np.arange(self.phi), np.array(self.points)) % self.n
-        v = warr[idx]
+        v = _root_powers(p, self.n)[idx]
         nr, nc, _ = mat["coeffs"].shape
         flat = mat["coeffs"].reshape(nr * nc, self.phi).astype(np.float64)
         ev = (flat @ v) % p
@@ -237,24 +236,22 @@ class MatProver:
             if not (_matmul_mod(es, es, p) == rhs).all():
                 raise ModularityError("S^2 = C identity fails")
 
-    def verify_tstst(self, s: dict, t_diag: dict) -> None:
+    def verify_tstst(self, s: dict, t_exps) -> None:
         """TSTST = S, proven as T (den S) T (den S) T == den (den S) for the
-        packed S and the packed row of the diagonal T, whose entries are
-        algebraic integers.
-
-        Computed as (T S T) @ (S T): X = S * t[col], then t[row] * X, then
-        one matrix product.  The left side has L1 norm below r l1^2 t^3 in
-        the group algebra, reduced once at the end, so the reduced
-        difference has L1 norm at most r l1^2 t^3 g + den l1.
+        packed S and T_i = zeta_N^(t_exps[i]), which is not packed: at the
+        point w^j it evaluates to w^(j t_exps[i]).  As monomials the T entries
+        add no L1 norm, so the left side has L1 norm at most r l1^2 in
+        Z[x]/(x^N - 1), reduced once at the end, and the reduced difference
+        has L1 norm at most r l1^2 g + den l1.  Computed as (T S T) @ (S T):
+        X = S * t[col], then t[row] * X, then one matrix product.
         """
         den = s["den"]
         r = s["rank"]
-        t_l1 = t_diag["l1"]
-        g = self.red_growth
-        bound = r * s["l1"] ** 2 * t_l1**3 * g + den * s["l1"]
+        bound = r * s["l1"] ** 2 * self.red_growth + den * s["l1"]
+        idx = np.outer(self.points, t_exps) % self.n  # (npts, r)
         for p in self._primes(2 * bound):
             es = self._eval(s, p)
-            et = self._eval(t_diag, p)[:, 0, :]  # (npts, r)
+            et = _root_powers(p, self.n)[idx]
             st = es * et[:, None, :]  # S T   (columns scaled)
             st %= p
             tst = st * et[:, :, None]  # T S T (then rows)

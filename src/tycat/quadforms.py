@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cyclo import RootOfUnity, factorize, sqrt_int, zeta, zeta_sum
+from .cyclo import CycNum, RootOfUnity, factorize, sqrt_int, zeta, zeta_sum
 from .errors import DegeneracyError, InvalidArgumentError, ModularityError, UnsupportedError
 from .groups import FinAbGroup, GroupAut, GroupElement, automorphisms, product_group, subgroups
 from .groups import add_table, automorphism_perms, check_table_order, coords_array, index_of_coords
@@ -36,6 +36,7 @@ __all__ = [
     "bichar_from_qform",
     "qform_from_bichar",
     "gauss_central_charge",
+    "gauss_invariants",
     "metric_equiv",
     "classify_metric_groups",
     "standard_qform",
@@ -293,6 +294,11 @@ def qform_from_bichar(b: Bichar) -> QuadForm:
     return q
 
 
+def _gauss_sum(q: QuadForm, m: int = 1) -> CycNum:
+    """sum_g q(g)^m, exactly, at the form's modulus."""
+    return zeta_sum(q.modulus, Counter(e * m for e in q.exps).items())
+
+
 def gauss_central_charge(q: QuadForm) -> int:
     """The residue c mod 8 with sum_g q(g) = sqrt(|G|) e^{pi i c/4}.
 
@@ -300,9 +306,7 @@ def gauss_central_charge(q: QuadForm) -> int:
     (which happens exactly when q is degenerate).
     """
     n = q.group.order
-    conductor = math.lcm(8, q.modulus)
-    step = conductor // q.modulus
-    total = zeta_sum(conductor, ((e * step, c) for e, c in Counter(q.exps).items()))
+    total = _gauss_sum(q)
     if total * total.conj() != n:
         raise DegeneracyError("Gauss sum is not of unit modulus; q is degenerate")
     root = sqrt_int(n)
@@ -312,23 +316,38 @@ def gauss_central_charge(q: QuadForm) -> int:
     raise DegeneracyError("Gauss sum is not an 8th root of unity times sqrt(|G|)")
 
 
-def metric_equiv(
-    m1: MetricGroup, m2: MetricGroup, max_candidates: int = 10_000
-) -> GroupAut | None:
+def gauss_invariants(q: QuadForm) -> tuple:
+    """The Gauss sums sum_g q(g)^m, keyed at q's modulus, for m = p^t Exp(G)/p^a
+    over each prime power p^a exactly dividing Exp(G) and 0 <= t < a.
+
+    Soundness: an isometry permutes G and fixes q, so isometric forms have
+    equal sums; the classification proof uses only this.  Completeness for
+    |G| odd: q^(Exp/p^a) is 1 on the prime-to-p part and a unit multiple of
+    q on the p-part, where the layer of exponent p^k with Legendre sign
+    eps_k contributes at step t a number fixed by G times eps_k^(k-t).  So
+    the sum at t fixes R_t, the product of eps_k over k > t with k - t odd;
+    eps_{t+1} = R_t R_{t+2}, and the eps_k with G determine q (Wall, 1963).
+    """
+    e = q.group.exponent
+    steps = [p**t * e // p**a for p, a in sorted(factorize(e).items()) for t in range(a)]
+    return tuple(_gauss_sum(q, m).key_at(q.modulus) for m in steps)
+
+
+def metric_equiv(m1: MetricGroup, m2: MetricGroup) -> GroupAut | None:
     """An isomorphism phi with q1 = q2 o phi, or None.
 
-    Both groups are canonical, so isomorphy means equal invariant factors and
-    the search runs over the automorphism group (exhaustive: None is a proof
-    at this scale).
+    Both groups are canonical, so isomorphy means equal invariant factors.
+    Forms with different moduli or ``gauss_invariants`` are not isometric;
+    otherwise the search runs over the automorphism group (exhaustive: None
+    is a proof), so it runs in full only to build a witness.
     """
-    if m1.group != m2.group:
-        return None
-    group = m1.group
-    auts = automorphisms(group, max_candidates)
     q1, q2 = m1.quad, m2.quad
-    if q1.modulus != q2.modulus:  # the lcm of the value orders is invariant
+    if m1.group != m2.group or q1.modulus != q2.modulus:  # the modulus is invariant
         return None
-    for start, perms in automorphism_perms(group, max_candidates):
+    if gauss_invariants(q1) != gauss_invariants(q2):
+        return None
+    auts = automorphisms(m1.group)
+    for start, perms in automorphism_perms(m1.group):
         hits = np.flatnonzero((q2.array[perms] == q1.array).all(axis=1))
         if len(hits):
             return auts[start + int(hits[0])]
@@ -396,34 +415,25 @@ def standard_qform(G: FinAbGroup, minus=()) -> QuadForm:
     return q
 
 
-def classify_metric_groups(G: FinAbGroup, max_candidates: int = 100_000):
+def classify_metric_groups(G: FinAbGroup):
     """One representative metric group per equivalence class of nondegenerate
     quadratic forms on G (|G| odd).
 
     Per prime-power type p^k appearing in G there are two classes, built from
     q(x) = e^{2 pi i a x^2 / p^k} with a = 1 (Jacobi symbol +1) or a = the
     least quadratic nonresidue mod p (Jacobi symbol -1); with k distinct
-    types this yields 2^k classes (``standard_qform``), de-duplicated by
-    metric_equiv.
+    types this yields 2^k classes (``standard_qform``), proven pairwise
+    inequivalent by their distinct ``gauss_invariants``.
     """
-    if G.order % 2 == 0:
-        raise UnsupportedError("classification implemented for odd order only")
     types = sorted({p**e for d in G.invariant_factors for p, e in factorize(d).items()})
     reps = [
         metric_group(standard_qform(G, {t for i, t in enumerate(types) if mask >> i & 1}))
         for mask in range(1 << len(types))
     ]
-    deduped: list[MetricGroup] = []
-    for m in reps:
-        if all(
-            metric_equiv(m, other, max_candidates) is None for other in deduped
-        ):
-            deduped.append(m)
-    if len(deduped) != 2 ** len(types):
-        raise ModularityError(
-            f"{len(deduped)} metric classes on {G}, expected {2 ** len(types)}"
-        )
-    return deduped
+    classes = len({gauss_invariants(m.quad) for m in reps})
+    if classes != len(reps):
+        raise ModularityError(f"{classes} metric classes on {G}, expected {len(reps)}")
+    return reps
 
 
 def metric_double(A: FinAbGroup, q: QuadForm):
@@ -452,7 +462,7 @@ def metric_double(A: FinAbGroup, q: QuadForm):
 
     canonical = metric_group(QuadForm.from_callable(group, q_can))
     summed = direct_sum(metric_group(q), metric_group(q.conj()))
-    witness = metric_equiv(canonical, summed, max_candidates=200_000)
+    witness = metric_equiv(canonical, summed)
     if witness is None:
         raise ModularityError(
             "no equivalence between the canonical pairing double and q + conj(q)"

@@ -145,7 +145,7 @@ def test_criterion_02_factorization():
                 for sign in (1, -1):
                     z = ty_center_md(group, b, sign)
                     prod = tensor_md(mp_md(group, b, sign), pt)
-                    witness = md_equivalent(z, prod, max_rank=60)
+                    witness = md_equivalent(z, prod)
                     assert witness is not None, (order, sign)
 
 

@@ -12,6 +12,9 @@ import tycat
 from dense_format import dense_md
 from tycat import cli, fusionrings
 from tycat.cli import main
+from tycat.cyclo import factorize
+from tycat.groups import FinAbGroup
+from tycat.quadforms import standard_qform
 
 
 def run_cli(capsys, *argv):
@@ -286,18 +289,32 @@ def test_custom_gram_file(tmp_path, capsys):
     assert json.loads(out)["group"] == [3]
 
 
-def test_max_rank_env(tmp_path, capsys, monkeypatch):
-    _, out, _ = run_cli(capsys, "md", "ty-center", "--group", "3")
+def test_equiv_of_ty_z7(tmp_path, capsys):
+    # rank 49: the equivalence search is bounded by placements, not by rank
+    _, out, _ = run_cli(capsys, "md", "ty-center", "--group", "7")
     p = tmp_path / "z.json"
     p.write_text(out)
-    monkeypatch.setenv("TYCAT_MAX_RANK", "5")
-    code, out, _ = run_cli(capsys, "equiv", "--a", str(p), "--b", str(p))
-    assert code == 1
-    assert "rank" in json.loads(out)["error"]
-    monkeypatch.setenv("TYCAT_MAX_RANK", "20")
     code, out, _ = run_cli(capsys, "equiv", "--a", str(p), "--b", str(p))
     assert code == 0
-    assert json.loads(out)["witness"]["mapping"][0] == 0
+    assert len(json.loads(out)["witness"]["mapping"]) == 49
+
+
+@pytest.mark.parametrize(
+    "group, classes", [("3,3,3,3", 2), ("5,5,5", 2), ("3,9,9", 4)]
+)
+def test_classify_beyond_the_automorphism_search(capsys, group, classes):
+    code, out, _ = run_cli(capsys, "classify", "--group", group)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["metric_classes"] == classes
+    assert payload["mp_classes"] == 2 * classes
+    g = FinAbGroup.of([int(d) for d in group.split(",")])
+    types = sorted({p**e for d in g.invariant_factors for p, e in factorize(d).items()})
+    reps = [
+        standard_qform(g, {t for i, t in enumerate(types) if mask >> i & 1})
+        for mask in range(classes)
+    ]
+    assert payload["qforms"] == [[cli._rat(v.exponent) for v in q.values] for q in reps]
 
 
 # SHA-256 of stdout before roots of unity, forms and bicharacters moved to

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from tycat import groups
 from tycat.cyclo import RootOfUnity
 from tycat.errors import CapacityError, InvalidArgumentError
 from tycat.groups import (
@@ -121,14 +122,24 @@ def test_automorphism_counts():
     assert len(automorphisms(FinAbGroup.of(3))) == 2
     assert len(automorphisms(FinAbGroup.of(5))) == 4
     assert len(automorphisms(FinAbGroup.of(3, 3))) == 48
-    with pytest.raises(CapacityError):
-        automorphisms(FinAbGroup.of(3, 3, 3), max_candidates=10_000)
+    assert len(automorphisms(FinAbGroup.of(3, 3, 3))) == 11_232  # |GL(3, 3)|
+
+
+def test_automorphism_bound_is_checked_before_enumerating(monkeypatch):
+    def enumerate_images(*args):
+        raise AssertionError("candidates were enumerated")
+
+    # 125^3 = 1,953,125 candidate images; enumerating them needs index_of_coords
+    monkeypatch.setattr(groups, "index_of_coords", enumerate_images)
+    bound = "^1953125 candidate generator images exceed the bound 200000$"
+    with pytest.raises(CapacityError, match=bound):
+        automorphisms(FinAbGroup.of(5, 5, 5))
 
 
 def test_automorphism_group_structure():
     for facs in [(3,), (9,), (3, 3), (25,), (5, 5)]:
         g = FinAbGroup.of(facs)
-        auts = automorphisms(g, max_candidates=25_000)
+        auts = automorphisms(g)
         assert any(a.is_identity() for a in auts)
         keyed = {a.images for a in auts}
         rng = random.Random(3)

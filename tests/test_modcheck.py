@@ -138,7 +138,7 @@ def test_verlinde_guess_rejects_negative_coefficients(monkeypatch):
     # negates N_ij^k for i, j, k != 0, and 1 + 1 = 2 in Z3
     md = pointed_md(metric_group(Q_A2))
     prover = MatProver(md.conductor)
-    sf = md.s_float()
+    sf = md.s_float().copy()
     sf[0] *= -1
     monkeypatch.setattr(md, "s_float", lambda: sf)
     with pytest.raises(ModularityError, match=r"at \(1, 1, 2\) is not a nonnegative"):
@@ -193,7 +193,7 @@ def test_validate_rejects_each_product_identity(monkeypatch):
         ModularData(md.labels, md.S, md.thetas, md.c_top + 2, md.conductor).validate()
     packs.clear()
     ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor).validate()
-    assert packs == [md.rank, 1]  # S and the row of T; C is never packed
+    assert packs == [md.rank]  # only S: T enters as exponents, C is never packed
 
 
 def test_pack_rejects_oversized_coefficient():

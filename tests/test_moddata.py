@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dense_format import dense_md
+from tycat import moddata
 from tycat.cyclo import MAX_CONDUCTOR, CycNum, RootOfUnity, sqrt_int, zeta
 from tycat.errors import (
     CapacityError,
@@ -41,6 +42,7 @@ from tycat.quadforms import (
     classify_metric_groups,
     direct_sum,
     metric_group,
+    standard_qform,
 )
 
 Z3 = FinAbGroup.of(3)
@@ -239,10 +241,12 @@ def test_factorization_z3_both_signs():
         assert md_equivalent(z, prod) is not None
 
 
-def test_rank_bound():
+def test_placement_bound(monkeypatch):
     md = ty_center_md(Z3, B3, 1)
-    with pytest.raises(CapacityError):
-        md_equivalent(md, md, max_rank=10)
+    assert md_equivalent(md, md) is not None  # one placement per label
+    monkeypatch.setattr(moddata, "MAX_PLACEMENTS", md.rank - 1)
+    with pytest.raises(CapacityError, match=f"^equivalence search exceeds {md.rank - 1} label"):
+        md_equivalent(md, md)
 
 
 def test_classify_mp_counts():
@@ -326,6 +330,19 @@ def test_even_code_condensation_z3_z5():
     cert = verify_condensation(parent, child, [0, boson])
     assert cert is not None
     assert cert.matrix[0][0] == 1
+
+
+def test_one_md_build_evaluates_the_float_s_once(monkeypatch):
+    calls = []
+    to_complex = CycNum.__complex__
+    monkeypatch.setattr(CycNum, "__complex__", lambda x: calls.append(x) or to_complex(x))
+    md = pointed_md.__wrapped__(metric_group(standard_qform(FinAbGroup.of(15))))
+    blob = md_to_json(md)
+    # S alone takes r^2 evaluations, shared by charge conjugation, the
+    # Verlinde guess and the float view; dims, the Gauss check and T take O(r)
+    assert md.rank**2 <= len(calls) < 2 * md.rank**2
+    assert not md.s_float().flags.writeable
+    assert blob["float_view"]["S"][1][2] == [md.s_float()[1, 2].real, md.s_float()[1, 2].imag]
 
 
 def test_md_json_roundtrip():

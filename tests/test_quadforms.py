@@ -1,8 +1,15 @@
+import math
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tycat.cyclo import RootOfUnity
+from test_integer_core import ODD_GROUPS
+from tycat import quadforms
+from tycat.cyclo import RootOfUnity, factorize
 from tycat.errors import DegeneracyError, UnsupportedError
 from tycat.groups import FinAbGroup
 from tycat.quadforms import (
@@ -12,11 +19,13 @@ from tycat.quadforms import (
     classify_metric_groups,
     direct_sum,
     gauss_central_charge,
+    gauss_invariants,
     lagrangian_subgroups,
     metric_double,
     metric_equiv,
     metric_group,
     qform_from_bichar,
+    standard_qform,
 )
 
 Z3 = FinAbGroup.of(3)
@@ -221,3 +230,61 @@ def test_direct_sum_bichar_is_componentwise():
                         fwd(g1.coords + g2.coords), fwd(h1.coords + h2.coords)
                     )
                     assert lhs == m1.bichar(g1, h1) * m2.bichar(g2, h2)
+
+
+GROUPS_TO_45 = [FinAbGroup(c) for c in ODD_GROUPS if math.prod(c) <= 45]
+
+
+def brute_force_equiv(m1, m2):
+    """``metric_equiv`` with the invariant test switched off: the full
+    automorphism search."""
+    with mock.patch.object(quadforms, "gauss_invariants", lambda q: ()):
+        return metric_equiv(m1, m2)
+
+
+def test_standard_forms_have_distinct_invariants():
+    assert len(GROUPS_TO_45) == 28
+    for group in GROUPS_TO_45:
+        types = sorted({p**e for d in group.invariant_factors for p, e in factorize(d).items()})
+        reps = [
+            metric_group(standard_qform(group, set(minus)))
+            for k in range(len(types) + 1)
+            for minus in combinations(types, k)
+        ]
+        invariants = [gauss_invariants(m.quad) for m in reps]
+        assert len(set(invariants)) == len(reps) == 2 ** len(types), group
+        for m1, m2 in combinations(reps, 2):
+            assert brute_force_equiv(m1, m2) is None, group
+
+
+@st.composite
+def form_pairs(draw):
+    """Two random nondegenerate forms q = b(g,g)^-1 on one odd group of
+    order <= 45, from random symmetric bicharacters over Exp(G)."""
+    group = draw(st.sampled_from(GROUPS_TO_45))
+    facs, m, r = group.invariant_factors, group.exponent, group.rank
+
+    def form():
+        mat = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                d = math.gcd(facs[i], facs[j])
+                mat[i][j] = mat[j][i] = draw(st.integers(0, d - 1)) * (m // d)
+        b = Bichar(group, modulus=m, mat=mat)
+        assume(b.is_nondegenerate())
+        return metric_group(qform_from_bichar(b))
+
+    return form(), form()
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_pairs())
+def test_invariants_decide_isometry(pair):
+    m1, m2 = pair
+    same = gauss_invariants(m1.quad) == gauss_invariants(m2.quad)
+    found = brute_force_equiv(m1, m2)
+    assert (found is not None) == same
+    phi = metric_equiv(m1, m2)
+    assert (phi is not None) == same
+    if phi is not None:
+        assert all(m1.quad(g) == m2.quad(phi(g)) for g in m1.group.elements())
