@@ -362,17 +362,13 @@ class CycNum:
     # -- roots of unity ----------------------------------------------------
 
     def as_root_of_unity(self) -> "RootOfUnity | None":
-        """Identify this value as e^{2 pi i k/n} if it is one, else None."""
+        """Identify this value as e^{2 pi i k/n} if it is one, else None:
+        zeta_n^k has small canonical coefficients, so its float phase is off
+        by about 1e-12, far below 2 pi/n, and the rounded k is the only one."""
         if (self * self.conj()) != 1:
             return None
-        z = complex(self)
-        k = round(cmath.phase(z) * self.n / (2 * math.pi)) % self.n
-        if self == zeta(self.n, k):
-            return RootOfUnity(k, self.n)
-        for k in range(self.n):  # exact fallback; the guess above rarely misses
-            if self == zeta(self.n, k):
-                return RootOfUnity(k, self.n)
-        return None
+        k = round(cmath.phase(complex(self)) * self.n / (2 * math.pi)) % self.n
+        return RootOfUnity(k, self.n) if self == zeta(self.n, k) else None
 
     # -- serialization -----------------------------------------------------
 

@@ -30,6 +30,7 @@ __all__ = [
     "character_group",
     "automorphisms",
     "automorphism_perms",
+    "span",
     "subgroups",
     "product_group",
 ]
@@ -202,18 +203,18 @@ def index_of_coords(group: FinAbGroup, coords) -> np.ndarray:
     return np.asarray(coords) % np.array(facs, dtype=np.int64) @ np.array(strides, dtype=np.int64)
 
 
-def check_table_order(group: FinAbGroup) -> None:
+def check_table_order(order: int) -> None:
     """Refuse a |G| x |G| table above ``MAX_TABLE_ORDER``, before allocating."""
-    if group.order > MAX_TABLE_ORDER:
+    if order > MAX_TABLE_ORDER:
         raise CapacityError(
-            f"|G| = {group.order} exceeds {MAX_TABLE_ORDER}, the limit for |G| x |G| tables"
+            f"|G| = {order} exceeds {MAX_TABLE_ORDER}, the limit for |G| x |G| tables"
         )
 
 
 @lru_cache(maxsize=None)
 def add_table(group: FinAbGroup) -> np.ndarray:
     """The (|G|, |G|) table of the index of g + h."""
-    check_table_order(group)
+    check_table_order(group.order)
     c = coords_array(group)
     table = np.array([index_of_coords(group, c + row) for row in c])
     table.flags.writeable = False
@@ -357,18 +358,19 @@ def automorphism_perms(group: FinAbGroup):
 
 
 @lru_cache(maxsize=None)
-def _span(group: FinAbGroup, gens: frozenset[GroupElement]) -> frozenset[GroupElement]:
-    span = {group.zero()}
+def span(group: FinAbGroup, gens: frozenset[GroupElement]) -> frozenset[GroupElement]:
+    """The subgroup generated by ``gens``."""
+    found = {group.zero()}
     frontier = [group.zero()]
     gens = list(gens)
     while frontier:
         cur = frontier.pop()
         for g in gens:
             nxt = cur + g
-            if nxt not in span:
-                span.add(nxt)
+            if nxt not in found:
+                found.add(nxt)
                 frontier.append(nxt)
-    return frozenset(span)
+    return frozenset(found)
 
 
 def subgroups(group: FinAbGroup) -> list[frozenset[GroupElement]]:
@@ -380,7 +382,7 @@ def subgroups(group: FinAbGroup) -> list[frozenset[GroupElement]]:
         for g in group.elements():
             if g in h:
                 continue
-            bigger = _span(group, frozenset(h | {g}))
+            bigger = span(group, frozenset(h | {g}))
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)

@@ -1,11 +1,11 @@
 """Exact integer matrix utilities: Smith/Hermite normal forms, determinants,
-rational inverses.  Matrices are tuples of tuples of Python ints (arbitrary
+products.  Matrices are tuples of tuples of Python ints (arbitrary
 precision); every decomposition is verified by multiplication before return.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidArgumentError, ModularityError
 
@@ -25,9 +25,7 @@ def identity(n: int) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -56,24 +54,6 @@ def det(a: Matrix) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
-
-
-def rational_inverse(a: Matrix) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise InvalidArgumentError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:

@@ -4,9 +4,11 @@ A lattice here is its Gram matrix (symmetric, positive definite, even
 diagonal).  The discriminant construction produces the metric group
 (L*/L, e^{pi i <x,x>}); gluing by an isotropic subgroup of the discriminant
 returns the overlattice as a new even Gram matrix in a Hermite-reduced
-basis.  Root counting enumerates norm-2 vectors exactly with rational
-bounds, so the E8 identifications can be checked by (rank, det, evenness,
-root count) without any lattice-isomorphism machinery.
+basis.  Inner products are integer arithmetic through the adjugate
+adj(G) = det(G) G^-1, read off the Smith form.  Root counting enumerates
+norm-2 vectors exactly with rational bounds, so the E8 identifications can
+be checked by (rank, det, evenness, root count) without any
+lattice-isomorphism machinery.
 """
 
 from __future__ import annotations
@@ -15,17 +17,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .cyclo import RootOfUnity
 from .errors import CapacityError, InvalidArgumentError, ModularityError
 from .groups import FinAbGroup, GroupAut, GroupElement, automorphism_perms, automorphisms
+from .groups import check_table_order, span
 from .intmat import (
     Matrix,
     as_matrix,
     det,
     hermite_row_basis,
-    rational_inverse,
+    identity,
+    matmul,
     smith_normal_form,
+    transpose,
 )
 from .quadforms import MetricGroup, QuadForm, metric_equiv, metric_group
 
@@ -56,10 +61,16 @@ class EvenLattice:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise InvalidArgumentError("Gram matrix must be symmetric")
-        for k in range(1, n + 1):
-            minor = as_matrix([row[:k] for row in g[:k]])
-            if det(minor) <= 0:
+        # Sylvester: positive definite iff each leading principal minor is
+        # positive; they are the pivots of one pivot-free Bareiss elimination
+        m, prev = [list(row) for row in g], 1
+        for k, mk in enumerate(m):
+            if mk[k] <= 0:
                 raise InvalidArgumentError("Gram matrix is not positive definite")
+            for mi in m[k + 1:]:
+                tail = zip(mi[k + 1:], mk[k + 1:])
+                mi[k + 1:] = [(x * mk[k] - mi[k] * y) // prev for x, y in tail]
+            prev = mk[k]
 
     @property
     def rank(self) -> int:
@@ -133,8 +144,31 @@ class DiscriminantForm:
 
 
 @lru_cache(maxsize=None)
-def _gram_inverse(lattice: EvenLattice):
-    return rational_inverse(lattice.gram)
+def _smith_adjugate(lattice: EvenLattice):
+    """(d, columns of U^-1, adj(G), det G) from the Smith form U G V = D.
+
+    G is positive definite, so det U det V = 1, det G = prod d_i and
+    G^-1 = V D^-1 U: adj(G) = V diag(det/d_i) U is an integer matrix,
+    certified by G adj(G) = det(G) I.  Column i of U^-1 = G V D^-1, the
+    dual-basis lift of the i-th Smith generator, is (G V)[:, i] / d_i."""
+    gram, n = lattice.gram, lattice.rank
+    d, u, v = smith_normal_form(gram)
+    factors = [d[i][i] for i in range(n)]
+    delta = math.prod(factors)
+    adj = matmul(v, [[delta // f * x for x in row] for f, row in zip(factors, u)])
+    if matmul(gram, adj) != tuple(tuple(delta * x for x in row) for row in identity(n)):
+        raise ModularityError("adjugate certificate fails G adj(G) = det(G) I")
+    cols = []
+    for i, (f, col) in enumerate(zip(factors, transpose(matmul(gram, v)))):
+        if any(x % f for x in col):
+            raise ModularityError(f"discriminant generator lift {i} is not integral")
+        cols.append(tuple(x // f for x in col))
+    return factors, tuple(cols), adj, delta
+
+
+def _norms(rows, adj: Matrix) -> list[int]:
+    """x adj(G) x^T = det(G) <x, x> for each dual-basis row x."""
+    return [sum(map(mul, x, y)) for x, y in zip(rows, matmul(rows, adj))]
 
 
 def _lift(g: GroupElement, lifts, n: int) -> tuple[int, ...]:
@@ -152,41 +186,25 @@ def discriminant_form(lattice: EvenLattice) -> DiscriminantForm:
     among all automorphism images, making the output canonical per
     isomorphism class.
     """
-    gram = lattice.gram
-    n = lattice.rank
-    d, u, _v = smith_normal_form(gram)
-    u_inv = rational_inverse(u)
-    factors = [d[i][i] for i in range(n)]
+    gram, n = lattice.gram, lattice.rank
+    factors, u_inv, adj, delta = _smith_adjugate(lattice)
+    check_table_order(delta)  # before factoring |G|; nondegeneracy needs the tables
     keep = [i for i in range(n) if factors[i] > 1]
     group = FinAbGroup.of([factors[i] for i in keep])
-    lifts = []
-    for i in keep:
-        col = [u_inv[r][i] for r in range(n)]
-        if any(x.denominator != 1 for x in col):
-            raise ModularityError(f"discriminant generator lift {i} is not integral")
-        lifts.append(tuple(int(x) for x in col))
-    lifts = tuple(lifts)
+    lifts = tuple(u_inv[i] for i in keep)
 
-    inv = _gram_inverse(lattice)
-
-    def norm(v) -> Fraction:
-        return sum(
-            Fraction(v[i]) * inv[i][j] * v[j] for i in range(n) for j in range(n)
-        )
-
-    # q is well-defined on cosets: shifting a generator lift by any lattice
-    # basis vector must not change e^{pi i <x,x>}
+    # q(x) = e^{pi i <x,x>} = e^{2 pi i x adj x^T / (2 det)} is well defined
+    # on cosets: shifting a generator lift by any lattice basis vector must
+    # not change x adj x^T mod 2 det
     for lift in lifts:
-        base = norm(lift)
-        for row in gram:
-            shifted = norm([a + b for a, b in zip(lift, row)])
-            if (shifted - base) % 2:
-                raise ModularityError("shifting a lift by a lattice vector changes q")
+        shifted = [[a + b for a, b in zip(lift, row)] for row in gram]
+        base, *others = _norms([lift] + shifted, adj)
+        if any((x - base) % (2 * delta) for x in others):
+            raise ModularityError("shifting a lift by a lattice vector changes q")
 
-    def qval(g: GroupElement) -> RootOfUnity:
-        return RootOfUnity(Fraction(norm(_lift(g, lifts, n)), 2))
-
-    qform = QuadForm.from_callable(group, qval)
+    qform = QuadForm(group, modulus=2 * delta,
+                     exps=_norms([_lift(g, lifts, n) for g in group.elements()], adj))
+    qform.validate()
     if not qform.is_nondegenerate():
         raise InvalidArgumentError("discriminant form is degenerate")
 
@@ -232,46 +250,27 @@ def glue(lattice: EvenLattice, isotropic) -> EvenLattice:
     element where the form is not 1.
     """
     disc = discriminant_form(lattice)
-    gens = list(isotropic)
-    span = {disc.group.zero()}
-    frontier = [disc.group.zero()]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = cur + g
-            if nxt not in span:
-                span.add(nxt)
-                frontier.append(nxt)
-    for h in sorted(span, key=disc.group.index_of):
+    group = disc.group
+    members = sorted(span(group, frozenset(isotropic)), key=group.index_of)
+    for h in members:
         if not disc.qform(h).is_one():
             raise InvalidArgumentError(f"subgroup is not isotropic: q({h}) != 1")
-    if len(span) == 1:
+    if len(members) == 1:
         return lattice
 
     n = lattice.rank
-    rows = [list(r) for r in lattice.gram]  # L in dual-basis coordinates
-    for h in span:
-        if not h.is_zero():
-            rows.append(list(disc.lift(h)))
+    # L in dual-basis coordinates, then the lifts of the glue vectors
+    rows = [list(r) for r in lattice.gram] + [disc.lift(h) for h in members[1:]]
     basis = hermite_row_basis(rows)
     if len(basis) != n:
         raise ModularityError(f"glued lattice has rank {len(basis)}, expected {n}")
-    inv = _gram_inverse(lattice)
-    gram_new = []
-    for r1 in basis:
-        row_out = []
-        for r2 in basis:
-            val = sum(
-                Fraction(r1[i]) * inv[i][j] * r2[j]
-                for i in range(n)
-                for j in range(n)
-            )
-            if val.denominator != 1:
-                raise InvalidArgumentError("glued basis is not integral")
-            row_out.append(int(val))
-        gram_new.append(row_out)
-    out = EvenLattice(as_matrix(gram_new))
-    if out.determinant * len(span) ** 2 != lattice.determinant:
+    _, _, adj, delta = _smith_adjugate(lattice)
+    # <x, y> = x adj y^T / det for dual-basis rows x, y
+    gram_new = matmul(matmul(basis, adj), transpose(basis))
+    if any(x % delta for row in gram_new for x in row):
+        raise InvalidArgumentError("glued basis is not integral")
+    out = EvenLattice(as_matrix([[x // delta for x in row] for row in gram_new]))
+    if out.determinant * len(members) ** 2 != lattice.determinant:
         raise ModularityError("glued lattice determinant is not det(L) / |H|^2")
     return out
 

@@ -40,6 +40,16 @@ from .errors import CapacityError, ModularityError
 _PRIME_CAP = 1 << 22  # keeps every float64 intermediate below 2^53
 # gathered evaluation rows per Verlinde chunk: a few MB stays in cache
 _CHUNK_ROWS_BYTES = 2 << 20
+# most r x r x phi(N) coefficient cells of a matrix to prove: TY(Z17), with
+# 10.7M cells, peaks at 734 MB RSS, so 16.8M cells keep a build near 1.2 GB
+MAX_CELLS = 1 << 24
+
+
+def check_cells(rows: int, cols: int, phi: int) -> None:
+    """Refuse more than ``MAX_CELLS`` coefficient cells before they exist."""
+    if rows * cols * phi > MAX_CELLS:
+        raise CapacityError(f"{rows} x {cols} entries of {phi} coefficients exceed "
+                            f"{MAX_CELLS} cells, the size limit for modular data")
 
 
 def _is_prime(n: int) -> bool:
@@ -122,6 +132,7 @@ class MatProver:
         the denominator, L1 norms, and a per-prime evaluation cache."""
         nr = len(rows)
         nc = len(rows[0])
+        check_cells(nr, nc, self.phi)
         den = 1
         for row in rows:
             for x in row:

@@ -37,6 +37,7 @@ from .cyclo import (
     RootOfUnity,
     _sqrt_int_min,
     check_conductor,
+    euler_phi,
     sqrt_int,
     sqrt_int_conductor,
     zeta,
@@ -63,7 +64,7 @@ from .labels import (
     label_from_json,
     label_to_json,
 )
-from .modcheck import MatProver
+from .modcheck import MatProver, check_cells
 from .quadforms import (
     Bichar,
     MetricGroup,
@@ -207,10 +208,11 @@ class ModularData:
         prover.verify_product(s, cperm)
         prover.verify_tstst(s, self.t_exps)
 
-        dims = self.dims()
-        if dims[0] != 1:
-            raise ModularityError("the unit must have dimension 1")
-        for i, d in enumerate(dims):
+        # d_i |S_00|^2 = S_i0 conj(S_00) with |S_00|^2 > 0 once S_00 != 0,
+        # so the signs and phases below are those of the dimensions d_i
+        s00 = self.S[0][0].conj()
+        scaled = [row[0] * s00 for row in self.S]
+        for i, d in enumerate(scaled):
             if d.conj() != d:
                 raise ModularityError(f"dimension of label {i} is not real")
             if complex(d).real <= 0:
@@ -218,7 +220,7 @@ class ModularData:
 
         # Gauss-sum consistency: sum d^2 theta = |.| e^{pi i c/4}
         z = CycNum.zero().promoted(self.conductor)
-        for d, th in zip(dims, self.thetas):
+        for d, th in zip(scaled, self.thetas):
             z = z + d * d * th.to_cyc(self.conductor)
         w = z * RootOfUnity(Fraction(-self.c_top, 8)).to_cyc(self.conductor)
         if w.conj() != w or complex(w).real <= 0:
@@ -234,8 +236,10 @@ class ModularData:
         invertible and the proven relation sum_k N_ij^k S_kl S_0l = S_il S_jl
         (every l) fixes each N_ij^k: a wrong guess fails the proof."""
         sf = self.s_float()
-        ratios = sf.conj() / sf[0][None, :]
-        tensor = np.rint(np.einsum("jl,il,kl->ijk", sf, sf, ratios).real).astype(np.int64)
+        ratios_t = (sf.conj() / sf[0][None, :]).T
+        tensor = np.empty((self.rank,) * 3, dtype=np.int64)
+        for i in range(self.rank):  # one BLAS product per row i
+            tensor[i] = np.rint(((sf[i] * sf) @ ratios_t).real)
         neg = np.argwhere(tensor < 0)
         if len(neg):
             i, j, k = (int(x) for x in neg[0])
@@ -410,9 +414,10 @@ def ty_center_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
 
 
 def _check_total_dim(md: ModularData, expected: int) -> None:
-    total = sum((d * d for d in md.dims()), CycNum.zero().promoted(md.conductor))
-    if total != expected:
-        raise ModularityError(f"total dimension is {total}, expected {expected}")
+    # for validated data sum_i d_i^2 = (S^2)_00 / S_00^2 = 1 / S_00^2
+    s00_sq = md.S[0][0] * md.S[0][0]
+    if s00_sq * expected != 1:
+        raise ModularityError(f"total dimension is {s00_sq.inverse()}, expected {expected}")
 
 
 @lru_cache(maxsize=None)
@@ -832,6 +837,7 @@ def _md_shape(obj) -> None:
     if not isinstance(obj["labels"], list):
         raise InvalidArgumentError("labels must be a list")
     r = len(obj["labels"])
+    check_cells(r, r, euler_phi(conductor))
     sized = ["label_names", "S", "T"] + (["grading"] if obj.get("grading") is not None else [])
     for key in sized:
         v = obj[key]
@@ -853,7 +859,8 @@ def md_from_json(obj: dict) -> ModularData:
     ``coeffs`` form.  The document's shape, every entry's conductor and
     encoding are checked before any arithmetic; a malformed document
     raises ``InvalidArgumentError``, a conductor above
-    ``cyclo.MAX_CONDUCTOR`` ``CapacityError``."""
+    ``cyclo.MAX_CONDUCTOR`` or more than ``modcheck.MAX_CELLS`` cells
+    ``CapacityError``."""
     _md_shape(obj)
     conductor = obj["conductor"]
     labels = []

@@ -16,6 +16,7 @@ group's cached index-addition table).
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cyclo import CycNum, RootOfUnity, factorize, sqrt_int, zeta, zeta_sum
+from .cyclo import CycNum, RootOfUnity, factorize, sqrt_int, zeta_sum
 from .errors import DegeneracyError, InvalidArgumentError, ModularityError, UnsupportedError
 from .groups import FinAbGroup, GroupAut, GroupElement, automorphisms, product_group, subgroups
 from .groups import add_table, automorphism_perms, check_table_order, coords_array, index_of_coords
@@ -192,7 +193,7 @@ class Bichar:
 
     def table(self) -> np.ndarray:
         """The (|G|, |G|) exponent table of b(g, h)."""
-        check_table_order(self.group)
+        check_table_order(self.group.order)
         return self._gen_table() @ coords_array(self.group).T % self.modulus
 
     def diag(self) -> np.ndarray:
@@ -309,11 +310,11 @@ def gauss_central_charge(q: QuadForm) -> int:
     total = _gauss_sum(q)
     if total * total.conj() != n:
         raise DegeneracyError("Gauss sum is not of unit modulus; q is degenerate")
-    root = sqrt_int(n)
-    for c in range(8):
-        if total == root * zeta(8, c):
-            return c
-    raise DegeneracyError("Gauss sum is not an 8th root of unity times sqrt(|G|)")
+    # guess c from the phase, then prove it; an even c keeps zeta_8^c in Q(zeta_4)
+    c = round(cmath.phase(complex(total)) * 4 / math.pi) % 8
+    if total != sqrt_int(n) * RootOfUnity(c, 8).to_cyc():
+        raise DegeneracyError("Gauss sum is not an 8th root of unity times sqrt(|G|)")
+    return c
 
 
 def gauss_invariants(q: QuadForm) -> tuple:

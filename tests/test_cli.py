@@ -318,8 +318,9 @@ def test_classify_beyond_the_automorphism_search(capsys, group, classes):
 
 
 # SHA-256 of stdout before roots of unity, forms and bicharacters moved to
-# integer exponents (Python 3.11, numpy 2.4: the float_view digits of the md
-# commands come from the platform's libm)
+# integer exponents, and (the last three) before lattice inner products moved
+# from a Fraction inverse to the integer adjugate (Python 3.11, numpy 2.4: the
+# float_view digits of the md commands come from the platform's libm)
 GOLDEN_STDOUT = {
     ("classify", "--group", "3,15"):
         "2df84c5c75980dd3c45d02d4b2b4c4f20e680e8ec1bdd513ae279dcf17c577ff",
@@ -333,6 +334,12 @@ GOLDEN_STDOUT = {
         "1473f0675c631de696955e24c0ccdbb13208ecfd7836ab1da86959be11d292c3",
     ("disc", "--lattice", "A4+A4"):
         "796ec28c0067124856777fdd96fc75fd1a49142b0ecd1803fc2a52dc55923b0e",
+    ("disc", "--lattice", "E7"):
+        "b460ec124feac06a6a3ddf54b4c32ff7dc41656bc794bba5a8f4acdcfd2a4367",
+    ("disc", "--lattice", "A24"):
+        "74d357016df3d672ced6854a745b521c58e646baa817058d1f1b50a9733bbf43",
+    ("glue", "--lattice", "A2+E6", "--isotropic", "0,1"):
+        "bab889d9a9a29615ffcb9584a3604b06f762983400b28d1af5fa4a161ba7c156",
 }
 
 

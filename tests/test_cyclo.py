@@ -110,6 +110,18 @@ def test_as_root_of_unity():
     assert (zeta(8) * zeta(8, 7)).as_root_of_unity() == RootOfUnity.one()
 
 
+def test_unit_modulus_non_root_is_not_a_root_of_unity():
+    x = CycNum(4, {0: 3, 1: 4}, 5)  # (3 + 4i)/5
+    assert x * x.conj() == 1
+    assert x.as_root_of_unity() is None
+
+
+@pytest.mark.parametrize("n", [240, 528])
+def test_every_root_of_unity_round_trips(n):
+    for k in range(n):
+        assert zeta(n, k).as_root_of_unity() == RootOfUnity(k, n), k
+
+
 def test_root_of_unity_algebra():
     r = RootOfUnity.of(2, 3)
     assert r * r == RootOfUnity.of(1, 3)

@@ -20,7 +20,6 @@ from tycat.intmat import (
     hermite_row_basis,
     identity,
     matmul,
-    rational_inverse,
     smith_normal_form,
 )
 
@@ -80,16 +79,6 @@ def test_hermite_row_basis():
     assert det(b) in (-2, 2)
     assert b == ((1, 1), (0, 2))
     assert hermite_row_basis([[0, 0], [3, 6]]) == ((3, 6),)
-
-
-def test_rational_inverse():
-    m = as_matrix([[2, -1], [-1, 2]])
-    inv = rational_inverse(m)
-    prod_m = [
-        [sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-    assert prod_m == [[1, 0], [0, 1]]
 
 
 def test_positive_set_small():

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import tycat
+from tycat import lattices
+
 from tycat.cyclo import RootOfUnity
-from tycat.errors import CapacityError, InvalidArgumentError
+from tycat.errors import CapacityError, InvalidArgumentError, ModularityError
 from tycat.groups import FinAbGroup
+from tycat.intmat import identity, matmul, smith_normal_form, transpose
 from tycat.lattices import (
     EvenLattice,
     count_roots,
@@ -216,3 +223,91 @@ def test_count_roots_brute_force_oracle():
                 if val == norm:
                     brute += 1
             assert count_roots(lat, norm) == brute, (gram, norm)
+
+
+NAMED = [f"A{n}" for n in range(1, 25)] + ["E6", "E7", "E8"]
+
+
+def test_smith_lifts_invert_u():
+    # the lifts (G V)[:, i] / d_i are the columns of U^-1: U lift_i = e_i
+    for name in NAMED:
+        lat = named_lattice(name)
+        _, u, _ = smith_normal_form(lat.gram)
+        _, u_inv, adj, delta = lattices._smith_adjugate(lat)
+        assert matmul(u, transpose(u_inv)) == identity(lat.rank), name
+        assert delta == lat.determinant, name
+        assert matmul(lat.gram, adj) == tuple(
+            tuple(delta * x for x in row) for row in identity(lat.rank)
+        ), name
+
+
+def _wrong_v(gram):
+    # a true Smith form with the last column of V negated: U G V' != D
+    d, u, v = smith_normal_form(gram)
+    return d, u, tuple(row[:-1] + (-row[-1],) for row in v)
+
+
+def test_adjugate_certificate_rejects_a_wrong_v(monkeypatch):
+    lat = EvenLattice(((4, 1, 0), (1, 6, 2), (0, 2, 8)))
+    monkeypatch.setattr(lattices, "smith_normal_form", _wrong_v)
+    lattices._smith_adjugate.cache_clear()
+    discriminant_form.cache_clear()
+    with pytest.raises(ModularityError, match="adjugate certificate fails"):
+        discriminant_form(lat)
+
+
+def test_adjugate_certificate_survives_python_O():
+    code = (
+        "from tycat import lattices\n"
+        "from tycat.errors import ModularityError\n"
+        "from tycat.intmat import smith_normal_form\n"
+        "def wrong_v(gram):\n"
+        "    d, u, v = smith_normal_form(gram)\n"
+        "    return d, u, tuple(row[:-1] + (-row[-1],) for row in v)\n"
+        "lattices.smith_normal_form = wrong_v\n"
+        "try:\n"
+        "    lattices.discriminant_form(lattices.named_lattice('A3'))\n"
+        "except ModularityError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tycat.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["raised adjugate certificate fails G adj(G) = det(G) I"]
+
+
+def test_large_discriminant_is_refused_before_factoring():
+    # |G| = det = 2 * 10^22 + 3: factoring or enumerating it would not end
+    lat = EvenLattice(((10**22 + 2, 1), (1, 2)))
+    with pytest.raises(CapacityError, match=r"\|G\| = 20000000000000000000003 exceeds 2048"):
+        discriminant_form(lat)
+
+
+def test_positive_definiteness_matches_the_leading_minors():
+    import random
+
+    from tycat.intmat import det
+
+    for gram in (((2, 3), (3, 2)), ((2, 2), (2, 2)), ((2, 1, 2), (1, 2, 2), (2, 2, 2))):
+        with pytest.raises(InvalidArgumentError, match="not positive definite"):
+            EvenLattice(gram)
+    # reference: every leading principal minor, each by its own determinant
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * rng.randint(-1, 3)
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+        gram = tuple(map(tuple, gram))
+        expect = all(det(tuple(r[:k] for r in gram[:k])) > 0 for k in range(1, n + 1))
+        try:
+            EvenLattice(gram)
+            accepted = True
+        except InvalidArgumentError:
+            accepted = False
+        assert accepted == expect, gram

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dense_format import dense_md
-from tycat import moddata
-from tycat.cyclo import MAX_CONDUCTOR, CycNum, RootOfUnity, sqrt_int, zeta
+from tycat import modcheck, moddata
+from tycat.cyclo import MAX_CONDUCTOR, CycNum, RootOfUnity, sqrt_int, zeta, zeta_sum
 from tycat.errors import (
     CapacityError,
     InvalidArgumentError,
@@ -22,6 +22,7 @@ from tycat.labels import (
     TYSigma,
 )
 from tycat.moddata import (
+    ModularData,
     bantay_fs,
     classify_mp,
     hat_twist,
@@ -371,6 +372,50 @@ def test_from_json_limits_the_conductor():
     blob["conductor"] = MAX_CONDUCTOR + 12
     with pytest.raises(CapacityError, match=f"conductor {MAX_CONDUCTOR + 12} exceeds"):
         md_from_json(blob)
+
+
+def test_from_json_limits_the_size_before_reading_entries():
+    # 1,600 labels at conductor 2496 (phi = 768) is 1.97e9 cells; S and T
+    # are empty, so any later check would name their lengths instead
+    blob = {
+        "conductor": 2496, "c_top": "0", "labels": [None] * 1600,
+        "label_names": [], "S": [], "T": [],
+    }
+    with pytest.raises(CapacityError, match=f"exceed {modcheck.MAX_CELLS} cells"):
+        md_from_json(blob)
+
+
+def test_prover_limits_the_size_before_packing(monkeypatch):
+    md = mp_md(Z3, B3, 1)  # rank 5 at conductor 48: 25 * 16 = 400 cells
+    monkeypatch.setattr(modcheck, "MAX_CELLS", 399)
+    monkeypatch.setattr(modcheck.np, "zeros", None)  # nothing may be allocated
+    with pytest.raises(CapacityError, match="exceed 399 cells"):
+        modcheck.MatProver(md.conductor).pack(md.S)
+
+
+def _galois(x: CycNum, a: int) -> CycNum:
+    """sigma_a: zeta_n -> zeta_n^a on one entry."""
+    return zeta_sum(x.n, ((e * a, c) for e, c in x.num.items())) * Fraction(1, x.den)
+
+
+def test_galois_conjugate_fails_only_on_dimensions():
+    # sigma_97 on mp(Z5) at conductor 240: 97 = 1 (mod 24) fixes the T
+    # prefactor, and 97 is a non-residue mod 5, so sqrt(5) -> -sqrt(5);
+    # S and T stay a modular representation, but a dimension turns negative
+    md = mp_md(Z5, classify_metric_groups(Z5)[0].bichar, 1)
+    assert md.conductor == 240
+    s = [[_galois(x, 97) for x in row] for row in md.S]
+    conj = ModularData(md.labels, s, [t**97 for t in md.thetas], md.c_top, 240, md.grading)
+    assert all(a == _galois(b, 97) for a, b in zip(conj.T, md.T))
+    with pytest.raises(ModularityError, match="dimension of label 2 is not positive"):
+        conj.validate()
+
+
+def test_total_dimension_check():
+    md = mp_md(Z3, B3, 1)
+    moddata._check_total_dim(md, 12)
+    with pytest.raises(ModularityError, match="total dimension is .*, expected 13"):
+        moddata._check_total_dim(md, 13)
 
 
 def _corruptions():

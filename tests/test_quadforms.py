@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_integer_core import ODD_GROUPS
-from tycat import quadforms
-from tycat.cyclo import RootOfUnity, factorize
+from tycat import cyclo, quadforms
+from tycat.cyclo import RootOfUnity, factorize, sqrt_int, zeta
 from tycat.errors import DegeneracyError, UnsupportedError
 from tycat.groups import FinAbGroup
 from tycat.quadforms import (
@@ -255,6 +255,36 @@ def test_standard_forms_have_distinct_invariants():
         assert len(set(invariants)) == len(reps) == 2 ** len(types), group
         for m1, m2 in combinations(reps, 2):
             assert brute_force_equiv(m1, m2) is None, group
+
+
+def eight_way_charge(q):
+    """The exact search gauss_central_charge replaced: c with
+    sum_g q(g) = sqrt(|G|) zeta_8^c, or None."""
+    total = quadforms._gauss_sum(q)
+    root = sqrt_int(q.group.order)
+    return next((c for c in range(8) if total == root * zeta(8, c)), None)
+
+
+def test_charge_guess_matches_the_eight_way_search():
+    from tycat.lattices import discriminant_form, named_lattice
+
+    forms = [m.quad for g in GROUPS_TO_45 for m in classify_metric_groups(g)]
+    forms += [
+        discriminant_form(named_lattice(name)).qform
+        for name in [f"A{n}" for n in range(1, 25)] + ["E6", "E7", "E8"]
+    ]
+    assert len(forms) == 71 + 27
+    for q in forms:
+        assert gauss_central_charge(q) == eight_way_charge(q), q
+
+
+def test_even_charge_stays_in_the_forms_field(monkeypatch):
+    # c = 2 for Z75: zeta_8^2 = i, so neither Q(zeta_8) nor Q(zeta_600) is built
+    seen = set()
+    table = cyclo._reduction_table
+    monkeypatch.setattr(cyclo, "_reduction_table", lambda n: seen.add(n) or table(n))
+    assert gauss_central_charge(standard_qform(FinAbGroup.of(75))) == 2
+    assert seen and seen.isdisjoint({8, 600}), seen
 
 
 @st.composite
