@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .fusionrings import (
     ty_hypergroup,
 )
 from .graphs import dual_principal_graph, emit_dot, principal_graph
-from .groups import FinAbGroup
+from .groups import FinAbGroup, check_table_order
 from .lattices import (
     EvenLattice,
     count_roots,
@@ -85,6 +86,14 @@ def _group_orders(spec: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated cyclic orders, got {spec!r}"
         ) from None
+
+
+def _group(orders: list[int]) -> FinAbGroup:
+    """The group of a --group list.  Every subcommand builds |G| x |G| tables
+    or larger, so |G| above ``groups.MAX_TABLE_ORDER`` is refused before any
+    cyclic order is factored."""
+    check_table_order(math.prod(orders))
+    return FinAbGroup.of(orders)
 
 
 def _parse_lattice(spec: str) -> EvenLattice:
@@ -161,7 +170,7 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    group = FinAbGroup.of(args.group)
+    group = _group(args.group)
     reps = classify_metric_groups(group)
     _emit(
         {
@@ -175,7 +184,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_md(args) -> int:
-    group = FinAbGroup.of(args.group)
+    group = _group(args.group)
     sign = 1 if args.sign == "+" else -1
     if args.kind == "pointed":
         q = _parse_qform(args.qform, group)
@@ -197,7 +206,7 @@ def _cmd_fusion(args) -> int:
     if args.from_md:
         ring = verlinde_fusion(_load_md(args.from_md))
     else:
-        group = FinAbGroup.of(args.group)
+        group = _group(args.group)
         builder = {
             "ty": ty_fusion_ring,
             "genty": gen_ty_fusion_ring,
@@ -269,7 +278,7 @@ def _cmd_condense(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    group = FinAbGroup.of(args.group)
+    group = _group(args.group)
     builder = principal_graph if args.which == "lr-principal" else dual_principal_graph
     graph = builder(group)
     if args.dot:
@@ -280,7 +289,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_hypergroup(args) -> int:
-    group = FinAbGroup.of(args.group)
+    group = _group(args.group)
     payload = {"hypergroup": ty_hypergroup(group).to_json()}
     if args.table:
         dual, table = ty_dual_hypergroup_and_table(group)

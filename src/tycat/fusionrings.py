@@ -1,7 +1,8 @@
 """Fusion rings, hypergroups, and character tables from explicit rule tables.
 
-Rings store the full structure-constant tensor N_{ij}^k regardless of how
-they were built (rule table or Verlinde formula), so the same checking path
+Rings store the full structure-constant tensor N_{ij}^k as one read-only
+int64 array regardless of how they were built (rule table or the proven
+Verlinde tensor, which is kept without a copy), so the same checking path
 applies to both.  Hypergroups hold exact rational convex structure
 constants; the Tambara-Yamagami hypergroup and its dual come with the
 character table and Haar weights that make the rows exactly orthogonal.
@@ -40,51 +41,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionRing:
+    """A fusion ring on ``labels`` with the unit at label 0.
+
+    ``tensor[i, j, k]`` = N_{ij}^k is one read-only int64 array: an int64
+    array is kept as a view, never copied, and nested tuples from a rule
+    table are converted once."""
+
     labels: tuple
-    tensor: tuple  # tensor[i][j][k] = N_{ij}^k, nonnegative ints
-    unit: int = 0
+    tensor: np.ndarray
     # the check a rule-table builder already ran, so callers need not rerun it
-    report: "FusionCheckReport | None" = field(
-        default=None, compare=False, repr=False
-    )
+    report: "FusionCheckReport | None" = field(default=None, repr=False)
+
+    def __post_init__(self):
+        arr = np.asarray(self.tensor, dtype=np.int64).view()
+        if arr.shape != (len(self.labels),) * 3:
+            raise InvalidArgumentError(f"tensor of shape {arr.shape} for {len(self.labels)} labels")
+        arr.flags.writeable = False
+        object.__setattr__(self, "tensor", arr)
 
     @property
     def rank(self) -> int:
         return len(self.labels)
 
-    def n(self, i: int, j: int, k: int) -> int:
-        return self.tensor[i][j][k]
-
     def product(self, i: int, j: int) -> dict[int, int]:
-        return {k: c for k, c in enumerate(self.tensor[i][j]) if c}
+        return {k: c for k, c in enumerate(self.tensor[i, j].tolist()) if c}
 
     def dual(self, i: int) -> int:
-        hits = [k for k in range(self.rank) if self.tensor[i][k][self.unit]]
+        hits = np.flatnonzero(self.tensor[i, :, 0])
         if len(hits) != 1:
             raise InvalidArgumentError(f"label {i} has no unique dual")
-        return hits[0]
+        return int(hits[0])
 
     def index_of(self, label) -> int:
         return self.labels.index(label)
 
-    def fusion_matrix(self, i: int) -> list[list[int]]:
-        return [[self.tensor[i][j][k] for k in range(self.rank)] for j in range(self.rank)]
-
     def to_json(self) -> dict:
-        triples = [
-            [i, j, k, self.tensor[i][j][k]]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            for k in range(self.rank)
-            if self.tensor[i][j][k]
-        ]
+        nz = np.argwhere(self.tensor)  # C order: i, then j, then k
         return {
             "labels": [label_to_json(l) for l in self.labels],
             "label_names": [str(l) for l in self.labels],
-            "unit": self.unit,
-            "nonzero": triples,
+            "unit": 0,
+            "nonzero": np.column_stack([nz, self.tensor[tuple(nz.T)]]).tolist(),
         }
 
 
@@ -100,7 +99,7 @@ def _ring_from_products(labels, prod) -> FusionRing:
         for j in range(r):
             for k, c in prod(i, j).items():
                 tensor[i][j][k] = c
-    return FusionRing(tuple(labels), _freeze(tensor))
+    return FusionRing(tuple(labels), tensor)
 
 
 def _checked(ring: FusionRing) -> FusionRing:
@@ -137,6 +136,10 @@ def _nonassociative(arr: np.ndarray) -> list[tuple[int, int, int, int]]:
     return out
 
 
+# Frobenius-Perron dimensions this close to an integer are tried exactly
+_FP_TOL = 1e-9
+
+
 @dataclass
 class FusionCheckReport:
     ok: bool
@@ -148,18 +151,16 @@ class FusionCheckReport:
         return self.ok
 
 
-def check_fusion_ring(ring: FusionRing, fp_tol: float = 1e-9) -> FusionCheckReport:
+def check_fusion_ring(ring: FusionRing) -> FusionCheckReport:
     """Verify unit, duality, associativity, and the Frobenius symmetries;
     compute Frobenius-Perron dimensions (floating, advisory)."""
     r = ring.rank
     report = FusionCheckReport(ok=True)
-    t = ring.tensor
-    u = ring.unit
+    arr = ring.tensor
 
-    for j in range(r):
-        for k in range(r):
-            if t[u][j][k] != (1 if j == k else 0) or t[j][u][k] != (1 if j == k else 0):
-                report.violations.append(("unit", (u, j, k)))
+    eye = np.eye(r, dtype=np.int64)
+    for j, k in np.argwhere((arr[0] != eye) | (arr[:, 0] != eye)).tolist():
+        report.violations.append(("unit", (0, j, k)))
     try:
         dual = [ring.dual(i) for i in range(r)]
         for i in range(r):
@@ -169,7 +170,6 @@ def check_fusion_ring(ring: FusionRing, fp_tol: float = 1e-9) -> FusionCheckRepo
         report.violations.append(("dual", ()))
         dual = None
 
-    arr = np.array(t, dtype=np.int64)
     for idx in _nonassociative(arr):
         report.violations.append(("associativity", idx))
 
@@ -183,17 +183,14 @@ def check_fusion_ring(ring: FusionRing, fp_tol: float = 1e-9) -> FusionCheckRepo
         if bool(np.all(arr == arr.transpose(1, 0, 2))):
             frob_c = arr[:, dual_arr, :][:, :, dual_arr].transpose(0, 2, 1)
             bad |= arr != frob_c
-        for idx in zip(*np.nonzero(bad)):
-            report.violations.append(("frobenius", tuple(int(x) for x in idx)))
+        for idx in np.argwhere(bad).tolist():
+            report.violations.append(("frobenius", tuple(idx)))
 
-    dims = []
-    for i in range(r):
-        eig = np.linalg.eigvals(np.array(ring.fusion_matrix(i), dtype=float))
-        dims.append(float(max(eig.real)))
+    dims = [float(max(np.linalg.eigvals(arr[i].astype(float)).real)) for i in range(r)]
     report.fp_dims = dims
 
     int_dims = [round(d) for d in dims]
-    if all(abs(d - i) < fp_tol for d, i in zip(dims, int_dims)):
+    if all(abs(d - i) < _FP_TOL for d, i in zip(dims, int_dims)):
         # verify the rounded dimensions exactly: N_i d = d_i d_j entrywise
         dvec = np.array(int_dims, dtype=np.int64)
         if bool(np.all(arr @ dvec == np.outer(dvec, dvec))):
@@ -311,12 +308,12 @@ def gen_mp_fusion_ring(G: FinAbGroup) -> FusionRing:
 
 @dataclass(frozen=True)
 class Hypergroup:
-    """Finite hypergroup: convex multiplication table with involution."""
+    """Finite hypergroup: convex multiplication table with involution and
+    the unit at element 0."""
 
     elements: tuple
     table: tuple  # table[i][j][k] = Fraction coefficient of e_k in e_i e_j
     star: tuple[int, ...]
-    unit: int = 0
 
     @property
     def rank(self) -> int:
@@ -335,14 +332,11 @@ class Hypergroup:
                     raise InvalidArgumentError(f"negative weight in {i} * {j}")
                 if sum(coeffs) != 1:
                     raise InvalidArgumentError(f"weights of {i} * {j} do not sum to 1")
-                has_unit = coeffs[self.unit] > 0
+                has_unit = coeffs[0] > 0
                 if has_unit != (j == self.star[i]):
                     raise InvalidArgumentError(f"antipode law fails at ({i}, {j})")
         for j in range(r):
-            if (
-                t[self.unit][j][j] != 1
-                or t[j][self.unit][j] != 1
-            ):
+            if t[0][j][j] != 1 or t[j][0][j] != 1:
                 raise InvalidArgumentError("unit is not a two-sided identity")
         # associativity, exactly, over a cleared common denominator
         den = 1
@@ -361,7 +355,7 @@ class Hypergroup:
     def to_json(self) -> dict:
         return {
             "elements": [str(e) for e in self.elements],
-            "unit": self.unit,
+            "unit": 0,
             "star": list(self.star),
             "weights": [
                 [i, j, k, str(self.table[i][j][k])]
@@ -400,20 +394,14 @@ def hypergroup_from_fusion_ring(ring: FusionRing, dims) -> Hypergroup:
     r = ring.rank
     inv = [d.inverse() for d in dims]
     table = [[[Fraction(0)] * r for _ in range(r)] for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            scale = inv[i] * inv[j]
-            for k in range(r):
-                c = ring.tensor[i][j][k]
-                if c:
-                    val = dims[k] * scale * c
-                    if not val.is_rational():
-                        raise InvalidArgumentError(
-                            "renormalized structure constants are not rational"
-                        )
-                    table[i][j][k] = val.rational_value()
+    nz = np.argwhere(ring.tensor)
+    for (i, j, k), c in zip(nz.tolist(), ring.tensor[tuple(nz.T)].tolist()):
+        val = dims[k] * inv[i] * inv[j] * c
+        if not val.is_rational():
+            raise InvalidArgumentError("renormalized structure constants are not rational")
+        table[i][j][k] = val.rational_value()
     star = tuple(ring.dual(i) for i in range(r))
-    hg = Hypergroup(tuple(ring.labels), _freeze(table), star, ring.unit)
+    hg = Hypergroup(tuple(ring.labels), _freeze(table), star)
     hg.validate()
     return hg
 

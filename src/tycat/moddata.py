@@ -9,10 +9,11 @@ Verlinde coefficients.  Each matrix identity is proven once, by the
 deterministic prover in :mod:`tycat.modcheck`: the permutation identities
 on the packed coefficients, the others by modular evaluation; only S is
 packed, T enters as exponents.  The Verlinde tensor is a rounded float
-guess that the prover alone decides, and the proven tensor is kept for
-``fusion_ring``.  Structural invariants of the builders (rank, total
-dimension) and the pairwise inequivalence of a classification raise
-``ModularityError``, not ``assert``.
+guess that the prover alone decides; the proven array becomes the
+read-only tensor of ``fusion_ring``, without a copy.  Structural
+invariants of the builders (rank, total dimension) and the pairwise
+inequivalence of a classification raise ``ModularityError``, not
+``assert``.
 
 Builders cover pointed data of a metric group, the double of a
 Tambara-Yamagami category for odd groups, the generalized metaplectic
@@ -24,7 +25,7 @@ certificates.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -68,9 +69,9 @@ from .modcheck import MatProver, check_cells
 from .quadforms import (
     Bichar,
     MetricGroup,
-    QuadForm,
     classify_metric_groups,
     gauss_central_charge,
+    qform_from_bichar,
 )
 
 __all__ = [
@@ -94,6 +95,8 @@ __all__ = [
 
 # label placements the equivalence search may try before it gives up
 MAX_PLACEMENTS = 100_000
+# candidate branching matrices a condensation search may try
+MAX_BRANCHINGS = 200_000
 
 
 def _md_conductor(group: FinAbGroup) -> int:
@@ -128,8 +131,7 @@ class ModularData:
         self._s_float: np.ndarray | None = None
         self._charge_conj: tuple[int, ...] | None = None
         self._dims: tuple[CycNum, ...] | None = None
-        self._fusion: FusionRing | None = None
-        self._tensor: np.ndarray | None = None  # set once validate() succeeds
+        self._fusion: FusionRing | None = None  # set once validate() succeeds
 
     @property
     def rank(self) -> int:
@@ -180,8 +182,8 @@ class ModularData:
 
     def validate(self) -> None:
         """Prove the axiom suite exactly, each identity once, and keep the
-        proven Verlinde tensor."""
-        if self._tensor is not None:  # immutable data: a second run cannot differ
+        proven Verlinde tensor as the fusion ring."""
+        if self._fusion is not None:  # immutable data: a second run cannot differ
             return
         r = self.rank
         if not self.thetas[0].is_one():
@@ -226,7 +228,7 @@ class ModularData:
         if w.conj() != w or complex(w).real <= 0:
             raise ModularityError("Gauss sum does not match the stated central charge")
 
-        self._tensor = self._verlinde_tensor(prover, s)
+        self._fusion = FusionRing(self.labels, self._verlinde_tensor(prover, s))
 
     # -- fusion ---------------------------------------------------------------
 
@@ -251,12 +253,7 @@ class ModularData:
         return tensor
 
     def fusion_ring(self) -> FusionRing:
-        if self._fusion is None:
-            self.validate()
-            self._fusion = FusionRing(
-                self.labels,
-                tuple(tuple(map(tuple, plane)) for plane in self._tensor.tolist()),
-            )
+        self.validate()
         return self._fusion
 
     def __repr__(self):
@@ -301,11 +298,7 @@ def _ty_prep(group: FinAbGroup, b: Bichar, sign: int):
         raise UnsupportedError("these doubles are implemented for odd groups")
     if sign not in (1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
-    b.validate()
-    if not b.is_nondegenerate():
-        raise InvalidArgumentError("bicharacter is degenerate")
-    q = QuadForm(group, modulus=b.modulus, exps=-b.diag())
-    q.validate()
+    q = qform_from_bichar(b)
     a_form = q ** ((group.exponent + 1) // 2)
     mod = math.lcm(b.modulus, a_form.modulus)
     bt = b.table() * (mod // b.modulus)
@@ -517,18 +510,14 @@ def bantay_fs(md: ModularData, label) -> int:
     """The Frobenius-Schur indicator of a label from modular data:
     nu = sum_{x,y} S_{x,0} S_{y,0} N_{xy}^label (theta_x / theta_y)^2."""
     idx = md.index_of(label) if not isinstance(label, int) else label
-    ring = md.fusion_ring()
+    n_label = md.fusion_ring().tensor[:, :, idx]
     total = CycNum.zero().promoted(md.conductor)
     rot = cache(lambda e: zeta(md.conductor, e))
     t = [v.k * (md.conductor // v.n) for v in md.thetas]
-    r = md.rank
-    for x in range(r):
-        for y in range(r):
-            nxy = ring.tensor[x][y][idx]
-            if not nxy:
-                continue
-            z = rot(2 * (t[x] - t[y]) % md.conductor)
-            total = total + md.S[x][0] * md.S[y][0] * z * nxy
+    nz = np.argwhere(n_label)
+    for (x, y), nxy in zip(nz.tolist(), n_label[tuple(nz.T)].tolist()):
+        z = rot(2 * (t[x] - t[y]) % md.conductor)
+        total = total + md.S[x][0] * md.S[y][0] * z * nxy
     for value in (0, 1, -1):
         if total == value:
             return value
@@ -615,16 +604,11 @@ def hat_twist(md: ModularData) -> ModularData:
     grading."""
     if md.grading is None:
         raise InvalidArgumentError("hat twist needs a Z2 grading")
-    ring = md.fusion_ring()
     eps = md.grading
-    r = md.rank
-    for i in range(r):
-        for j in range(r):
-            for k, coeff in ring.product(i, j).items():
-                if coeff and eps[k] != (eps[i] + eps[j]) % 2:
-                    raise InvalidArgumentError(
-                        "grading is not fusion-compatible"
-                    )
+    grade = np.array(eps)
+    i, j, k = np.nonzero(md.fusion_ring().tensor)  # every N_ij^k != 0
+    if (grade[k] != (grade[i] + grade[j]) % 2).any():
+        raise InvalidArgumentError("grading is not fusion-compatible")
     rows = [
         [-x if eps[i] and eps[j] else x for j, x in enumerate(row)]
         for i, row in enumerate(md.S)
@@ -670,13 +654,10 @@ def verify_condensation(
             )
     perms = {}
     for k in bos:
-        perm = []
-        for p in range(parent.rank):
-            targets = [t for t, c in ring.product(k, p).items() if c]
-            if len(targets) != 1:
-                raise InvalidArgumentError("bosons do not act by permutations")
-            perm.append(targets[0])
-        perms[k] = perm
+        hits = ring.tensor[k] != 0  # hits[p, t]: t occurs in k p
+        if (hits.sum(axis=1) != 1).any():
+            raise InvalidArgumentError("bosons do not act by permutations")
+        perms[k] = hits.argmax(axis=1).tolist()
     for k1 in bos:
         for k2 in bos:
             if perms[k1][k2] not in bos:
@@ -712,8 +693,6 @@ def verify_condensation(
     def child_key(c):
         return ((cdim[c] * nk).key_at(conductor), child.thetas[c].exponent)
 
-    from collections import defaultdict
-
     slot_classes = defaultdict(list)
     for s_i, orbit in enumerate(slots):
         slot_classes[slot_key(orbit)].append(s_i)
@@ -728,13 +707,12 @@ def verify_condensation(
 
     def assignments():
         keys = sorted(slot_classes, key=str)
-        pools = [list(permutations(slot_classes[key])) for key in keys]
-        cap = 200_000
-        n_comb = math.prod(len(p) for p in pools)
-        if n_comb > cap:
+        n_comb = math.prod(math.factorial(len(slot_classes[key])) for key in keys)
+        if n_comb > MAX_BRANCHINGS:
             raise CapacityError(
-                f"{n_comb} candidate branchings exceed the bound {cap}"
+                f"{n_comb} candidate branchings exceed the bound {MAX_BRANCHINGS}"
             )
+        pools = [list(permutations(slot_classes[key])) for key in keys]
         for combo in product(*pools):
             assign = {
                 c: s_i

@@ -269,6 +269,23 @@ def test_malformed_group_is_usage_error(capsys):
     assert "--group" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--group", "1000000000000000003"),
+    ("graph", "lr-dual", "--group", "4099"),
+    ("hypergroup", "--group", "4099"),
+])
+def test_oversize_group_is_refused_before_factoring(argv):
+    # |G| is checked against MAX_TABLE_ORDER before any cyclic order is
+    # factored; factoring the first or building the others would not end
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tycat.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "tycat", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=5,
+    )
+    assert out.returncode == 1, out.stderr
+    assert "exceeds 2048" in json.loads(out.stdout)["error"]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

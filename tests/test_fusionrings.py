@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tycat.cyclo import CycNum, sqrt_int
-from tycat.errors import UnsupportedError
+from tycat.errors import InvalidArgumentError, UnsupportedError
 from tycat.fusionrings import (
     FusionRing,
     check_fusion_ring,
@@ -123,6 +123,32 @@ def test_corrupted_tensor_reports_triple():
     assert not report.ok
     kinds = {v[0] for v in report.violations}
     assert "associativity" in kinds or "frobenius" in kinds or "unit" in kinds
+
+
+def test_tensor_is_one_read_only_int64_array():
+    ring = gen_mp_fusion_ring(Z5)
+    assert ring.tensor.dtype == np.int64 and ring.tensor.shape == (ring.rank,) * 3
+    with pytest.raises(ValueError):
+        ring.tensor[0, 0, 0] = 5
+    # nested tuples are converted once, to the same array
+    nested = tuple(tuple(tuple(r) for r in plane) for plane in ring.tensor.tolist())
+    from_tuples = FusionRing(ring.labels, nested)
+    assert np.array_equal(from_tuples.tensor, ring.tensor)
+    assert from_tuples.to_json() == ring.to_json()
+    t, r = nested, ring.rank
+    assert ring.to_json()["nonzero"] == [
+        [i, j, k, t[i][j][k]] for i in range(r) for j in range(r) for k in range(r) if t[i][j][k]
+    ]
+    # an int64 array is kept as a read-only view, not copied
+    arr = np.array(ring.tensor)
+    assert np.shares_memory(FusionRing(ring.labels, arr).tensor, arr)
+    assert arr.flags.writeable
+
+
+def test_tensor_shape_must_match_the_labels():
+    ring = ty_fusion_ring(Z3)
+    with pytest.raises(InvalidArgumentError, match="tensor of shape"):
+        FusionRing(ring.labels[:3], ring.tensor)
 
 
 def test_streamed_associativity_matches_dense_oracle():

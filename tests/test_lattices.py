@@ -241,6 +241,21 @@ def test_smith_lifts_invert_u():
         ), name
 
 
+def test_lattice_shifts_keep_q():
+    # the coset argument behind discriminant_form: shifting a lift x by the
+    # k-th Gram row changes x adj x^T by 2 det x_k + det G_kk = 0 mod 2 det
+    for name in NAMED + ["A2+E6", "A4+A4"]:
+        parts = name.split("+")
+        lat = named_lattice(parts[0])
+        for part in parts[1:]:
+            lat = orthogonal_sum(lat, named_lattice(part))
+        _, _, adj, delta = lattices._smith_adjugate(lat)
+        for lift in discriminant_form(lat).lifts:
+            base = lattices._norms([lift], adj)[0]
+            shifted = [[a + b for a, b in zip(lift, row)] for row in lat.gram]
+            assert all((x - base) % (2 * delta) == 0 for x in lattices._norms(shifted, adj)), name
+
+
 def _wrong_v(gram):
     # a true Smith form with the last column of V negated: U G V' != D
     d, u, v = smith_normal_form(gram)

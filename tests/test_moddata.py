@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dense_format import dense_md
@@ -163,7 +164,7 @@ def test_mp_fusion_matches_rule_table():
                 ring = verlinde_fusion(mp_md(g, m.bichar, sign))
                 expected = gen_mp_fusion_ring(g)
                 assert ring.labels == expected.labels
-                assert ring.tensor == expected.tensor
+                assert np.array_equal(ring.tensor, expected.tensor)
 
 
 def test_ty_center_fusion_contains_mp_rules():
@@ -275,6 +276,42 @@ def test_hat_twist():
     ptd = pointed_md(metric_group(Q_A2))
     with pytest.raises(InvalidArgumentError):
         hat_twist(ptd)
+
+
+def test_hat_twist_rejects_a_grading_fusion_does_not_respect():
+    # alpha graded odd: alpha rho_0 = rho_1 joins three odd labels
+    md = mp_md(Z3, B3, 1)
+    grading = [1 if isinstance(x, (MPAlpha, MPRho)) else 0 for x in md.labels]
+    bad = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, grading)
+    with pytest.raises(InvalidArgumentError, match="grading is not fusion-compatible"):
+        hat_twist(bad)
+
+
+def test_fusion_ring_is_the_proven_tensor(monkeypatch):
+    proven = []
+    verify = modcheck.MatProver.verify_verlinde
+
+    def spy(self, s, tensor):
+        proven.append(tensor)
+        return verify(self, s, tensor)
+
+    monkeypatch.setattr(modcheck.MatProver, "verify_verlinde", spy)
+    src = mp_md(Z5, bichar_from_qform(q_cyclic(Z5, 1, 5)), 1)
+    md = ModularData(src.labels, src.S, src.thetas, src.c_top, src.conductor)
+    ring = md.fusion_ring()
+    assert ring is md.fusion_ring()
+    assert len(proven) == 1 and np.shares_memory(ring.tensor, proven[0])
+    assert np.array_equal(ring.tensor, src.fusion_ring().tensor)
+
+
+def test_condensation_search_is_bounded(monkeypatch):
+    md = mp_md(Z3, B3, 1)
+    child = pointed_md(metric_group(QuadForm.from_callable(Z3, lambda g: B3(g, g).inverse())))
+    monkeypatch.setattr(moddata, "MAX_BRANCHINGS", 0)
+    # the bound is checked before any candidate is listed
+    monkeypatch.setattr(moddata, "permutations", lambda _: pytest.fail("listed candidates"))
+    with pytest.raises(CapacityError, match="candidate branchings exceed the bound 0"):
+        verify_condensation(md, child, [0, md.index_of(MPAlpha())])
 
 
 def test_condensation_identity():
