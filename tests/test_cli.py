@@ -232,14 +232,23 @@ def test_condense_cli(tmp_path, capsys):
     cc = tmp_path / "c.json"
     pp.write_text(parent)
     cc.write_text(child)
-    code, out, _ = run_cli(
-        capsys, "condense", "--parent", str(pp), "--child", str(cc),
-        "--bosons", "unit,alpha",
+    expected = {
+        "matrix": [[1, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 1]],
+        "zeta_exponent": 0,
+    }
+    # the bosons form a set: repeats and order do not change the answer
+    for bosons in ("unit,alpha", "1,1", "alpha,unit,alpha"):
+        code, out, _ = run_cli(
+            capsys, "condense", "--parent", str(pp), "--child", str(cc), "--bosons", bosons,
+        )
+        assert code == 0
+        assert json.loads(out)["certificate"] == expected, bosons
+    code, out, err = run_cli(
+        capsys, "condense", "--parent", str(pp), "--child", str(cc), "--bosons", "0,99",
     )
-    assert code == 0
-    cert = json.loads(out)["certificate"]
-    assert cert is not None
-    assert cert["matrix"][0][0] == 1
+    assert code == 1
+    assert json.loads(out)["error"] == "boson index 99 is outside [0, 5)"
+    assert "Traceback" not in err
 
 
 def test_graph_commands(capsys):

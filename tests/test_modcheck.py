@@ -60,7 +60,7 @@ def test_prover_agrees_with_direct_products():
         for j in range(md.rank):
             assert sc[i][j] == (1 if i == j else 0)
     # direct T S T S T = S, and hence (S T)^3 = S^2
-    t = md.T
+    t = [zeta(md.conductor, k) for k in md.t_exps]
     tstst = [
         [
             sum(
@@ -79,7 +79,8 @@ def test_prover_agrees_with_direct_products():
 def test_prover_explicit_st_cubed_small():
     # exact oracle for the identity validate() derives: (S T)^3 = C
     for md in (pointed_md(metric_group(Q_A2)), mp_md(Z3, bichar_from_qform(Q_A2), 1)):
-        w = [[x * md.T[j] for j, x in enumerate(row)] for row in md.S]
+        t = [zeta(md.conductor, k) for k in md.t_exps]
+        w = [[x * t[j] for j, x in enumerate(row)] for row in md.S]
         w3 = mat_mult_direct(mat_mult_direct(w, w), w)
         cperm = md.charge_conjugation()
         for i in range(md.rank):
@@ -245,6 +246,20 @@ def test_capacity_guard_survives_python_O():
         "raised g has an unexpected multi-edge",
         "raised CRT moduli 3 and 3 are not coprime",
     ]
+
+
+def test_package_has_no_assert_statements():
+    # guards must raise errors that survive python -O, which strips assert
+    import ast
+    from pathlib import Path
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(tycat.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # -- the streamed Verlinde proof and the blocked products ----------------------

@@ -71,7 +71,7 @@ def semion_md():
 def test_pointed_trivial():
     md = pointed_md(classify_metric_groups(TRIV)[0])
     assert md.rank == 1 and md.c_top == 0
-    assert md.S[0][0] == 1 and md.T[0] == 1
+    assert md.S[0][0] == 1 and md.t_exps == (0,)
 
 
 def test_pointed_semion():
@@ -356,6 +356,44 @@ def test_condensation_rejects_twisted_boson():
         verify_condensation(md, md, [md.index_of(MPRho(0))])
 
 
+def test_condensation_refuses_boson_indices_outside_the_labels():
+    md = mp_md(Z3, B3, 1)
+    for bad in (99, -1, md.rank):
+        with pytest.raises(InvalidArgumentError, match=f"^boson index {bad} is outside \\[0, 5\\)$"):
+            verify_condensation(md, md, [0, bad])
+
+
+def test_condensation_counts_each_boson_once():
+    md = mp_md(Z3, B3, 1)
+    child = pointed_md(metric_group(QuadForm.from_callable(Z3, lambda g: B3(g, g).inverse())))
+    alpha = md.index_of(MPAlpha())
+    certs = [
+        verify_condensation(md, child, bosons)
+        for bosons in ([0, alpha], [alpha, alpha], [MPAlpha(), md.labels[0], MPAlpha()])
+    ]
+    assert certs[0] is not None and certs[1] == certs[0] and certs[2] == certs[0]
+
+
+def test_condensation_needs_equal_central_charge():
+    # q-bar (not its inverse): the same dimensions, conjugate twists, opposite charge
+    md = mp_md(Z3, B3, 1)
+    bosons = [0, md.index_of(MPAlpha())]
+    child = pointed_md(metric_group(QuadForm.from_callable(Z3, lambda g: B3(g, g))))
+    assert child.c_top != md.c_top
+    assert verify_condensation(md, child, bosons) is None
+    # the child that works, with only its (unvalidated) charge changed
+    good = pointed_md(metric_group(QuadForm.from_callable(Z3, lambda g: B3(g, g).inverse())))
+    assert verify_condensation(md, good, bosons) is not None
+    shifted = ModularData(good.labels, good.S, good.thetas, good.c_top + 4, good.conductor)
+    assert verify_condensation(md, shifted, bosons) is None
+
+
+def test_twist_order_must_divide_the_conductor():
+    thetas = [RootOfUnity.one(), RootOfUnity(1, 7)]
+    with pytest.raises(InvalidArgumentError, match="^cannot promote conductor 7 to 12$"):
+        ModularData(["a", "b"], [[1, 0], [0, 1]], thetas, 0, 12)
+
+
 def test_even_code_condensation_z3_z5():
     q5 = q_cyclic(Z5, 1, 5)
     b5 = bichar_from_qform(q5)
@@ -389,7 +427,7 @@ def test_md_json_roundtrip():
         back = md_from_json(blob)
         assert back.labels == md.labels
         assert back.S == md.S
-        assert back.T == md.T
+        assert back.t_exps == md.t_exps
         assert back.c_top == md.c_top
         assert md_to_json(back) == blob
 
@@ -398,6 +436,24 @@ def test_from_json_rejects_corrupt():
     blob = md_to_json(mp_md(Z3, B3, 1))
     blob["S"][2][3] = CycNum.one().promoted(int(blob["conductor"])).to_json()
     with pytest.raises((ModularityError, InvalidArgumentError)):
+        md_from_json(blob)
+
+
+def test_from_json_refuses_an_edited_c_top():
+    # T stays as written, so the edited prefactor lands on the unit's twist
+    blob = md_to_json(mp_md(Z3, B3, 1))
+    blob["c_top"] = str((int(blob["c_top"]) + 1) % 8)
+    with pytest.raises(ModularityError, match="unit label must have trivial twist"):
+        md_from_json(blob)
+
+
+def test_from_json_refuses_a_t_entry_off_the_roots_of_unity():
+    blob = md_to_json(mp_md(Z3, B3, 1))
+    blob["T"][1] = (zeta(48, 1) * 2).to_json()
+    with pytest.raises(InvalidArgumentError, match="T entry is not a root of unity"):
+        md_from_json(blob)
+    blob["T"][1] = (zeta(48, 1) + zeta(48, 2)).to_json()
+    with pytest.raises(InvalidArgumentError, match="T entry is not a root of unity"):
         md_from_json(blob)
 
 
@@ -443,7 +499,7 @@ def test_galois_conjugate_fails_only_on_dimensions():
     assert md.conductor == 240
     s = [[_galois(x, 97) for x in row] for row in md.S]
     conj = ModularData(md.labels, s, [t**97 for t in md.thetas], md.c_top, 240, md.grading)
-    assert all(a == _galois(b, 97) for a, b in zip(conj.T, md.T))
+    assert conj.t_exps == tuple(97 * k % 240 for k in md.t_exps)
     with pytest.raises(ModularityError, match="dimension of label 2 is not positive"):
         conj.validate()
 
@@ -535,7 +591,7 @@ def test_from_json_rejects_malformed_shape(edit, message):
 def test_from_json_reads_the_dense_format():
     md = mp_md(Z3, B3, 1)
     back = md_from_json(dense_md(md_to_json(md)))
-    assert back.S == md.S and back.T == md.T and back.labels == md.labels
+    assert back.S == md.S and back.t_exps == md.t_exps and back.labels == md.labels
     assert md_to_json(back) == md_to_json(md)
 
 
@@ -557,7 +613,7 @@ def test_tensor_md_json_roundtrip():
     blob = md_to_json(prod)
     back = md_from_json(blob)
     assert back.labels == prod.labels
-    assert back.S == prod.S and back.T == prod.T
+    assert back.S == prod.S and back.t_exps == prod.t_exps
 
 
 def test_pointed_even_groups():
