@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -143,20 +144,33 @@ _FP_TOL = 1e-9
 @dataclass
 class FusionCheckReport:
     ok: bool
+    tensor: np.ndarray = field(repr=False, compare=False)
     violations: list = field(default_factory=list)
-    fp_dims: list = field(default_factory=list)  # floats, advisory
-    global_dim: int | None = None  # exact, only when all dims are integers
 
     def __bool__(self):
         return self.ok
 
+    @cached_property
+    def fp_dims(self) -> list:  # floats, advisory, computed when first read
+        return [float(max(np.linalg.eigvals(n_i.astype(float)).real)) for n_i in self.tensor]
+
+    @cached_property
+    def global_dim(self) -> int | None:  # exact, only when all dims are integers
+        int_dims = [round(d) for d in self.fp_dims]
+        if all(abs(d - i) < _FP_TOL for d, i in zip(self.fp_dims, int_dims)):
+            # verify the rounded dimensions exactly: N_i d = d_i d_j entrywise
+            dvec = np.array(int_dims, dtype=np.int64)
+            if bool(np.all(self.tensor @ dvec == np.outer(dvec, dvec))):
+                return int(sum(d * d for d in int_dims))
+        return None
+
 
 def check_fusion_ring(ring: FusionRing) -> FusionCheckReport:
     """Verify unit, duality, associativity, and the Frobenius symmetries;
-    compute Frobenius-Perron dimensions (floating, advisory)."""
+    the report computes Frobenius-Perron dimensions when asked."""
     r = ring.rank
-    report = FusionCheckReport(ok=True)
     arr = ring.tensor
+    report = FusionCheckReport(ok=True, tensor=arr)
 
     eye = np.eye(r, dtype=np.int64)
     for j, k in np.argwhere((arr[0] != eye) | (arr[:, 0] != eye)).tolist():
@@ -185,16 +199,6 @@ def check_fusion_ring(ring: FusionRing) -> FusionCheckReport:
             bad |= arr != frob_c
         for idx in np.argwhere(bad).tolist():
             report.violations.append(("frobenius", tuple(idx)))
-
-    dims = [float(max(np.linalg.eigvals(arr[i].astype(float)).real)) for i in range(r)]
-    report.fp_dims = dims
-
-    int_dims = [round(d) for d in dims]
-    if all(abs(d - i) < _FP_TOL for d, i in zip(dims, int_dims)):
-        # verify the rounded dimensions exactly: N_i d = d_i d_j entrywise
-        dvec = np.array(int_dims, dtype=np.int64)
-        if bool(np.all(arr @ dvec == np.outer(dvec, dvec))):
-            report.global_dim = int(sum(d * d for d in int_dims))
 
     report.ok = not report.violations
     return report

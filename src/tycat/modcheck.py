@@ -15,11 +15,13 @@ that would break these margins raise ``CapacityError``, so the guarantee
 also holds under ``python -O``.  Matrix products of residues mod p reduce
 after every block of floor(2^53 / (p-1)^2) inner terms (the delayed
 reduction of FFLAS, Dumas-Giorgi-Pernet, ACM TOMS 2008), so they are exact
-at any inner dimension.  The Verlinde relation, the one identity whose
-size grows with the number of label pairs, is streamed over chunks of
-pairs under a fixed budget of a few MB of gathered rows and decided with
-one exact zero test per entry (see ``MatProver.verify_verlinde``); its
-memory does not grow with the rank beyond the O(r^2 * points) evaluations.
+at any inner dimension.
+
+The Verlinde relation, the one identity whose size grows with the number
+of label pairs, is decided at one point per prime, once S is proven
+Galois-symmetric for generators of (Z/N)^x (``galois_generators``;
+sigma_ab = sigma_a sigma_b gives every a).  ``MatProver.verify_verlinde``
+has the argument; conjugation is the case a = -1.
 
 Identities that only permute entries (symmetry, conjugation by a
 permutation) are decided on the packed coefficient arrays themselves:
@@ -38,8 +40,6 @@ from .cyclo import _phi_deg, _reduction_table, factorize
 from .errors import CapacityError, ModularityError
 
 _PRIME_CAP = 1 << 22  # keeps every float64 intermediate below 2^53
-# gathered evaluation rows per Verlinde chunk: a few MB stays in cache
-_CHUNK_ROWS_BYTES = 2 << 20
 # most r x r x phi(N) coefficient cells of a matrix to prove: TY(Z17), with
 # 10.7M cells, peaks at 734 MB RSS, so 16.8M cells keep a build near 1.2 GB
 MAX_CELLS = 1 << 24
@@ -53,26 +53,26 @@ def check_cells(rows: int, cols: int, phi: int) -> None:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))  # n < 2^22
+
+
+def galois_generators(n: int) -> list[int]:
+    """Generators of (Z/n)^x, -1 first: a primitive root of each odd prime
+    power q || n and 5 mod q = 2^k for k >= 3, each lifted to 1 modulo
+    n / q by the CRT.  -1 mod 2^k (1 elsewhere) needs no lift of its own:
+    it is -1 times the lifts of -1 mod each odd q, powers of their roots."""
+    gens = [n - 1]
+    for p, k in factorize(n).items():
+        q = p**k
+        if p > 2:
+            orders = [q // p * (p - 1) // f for f in {*factorize(p - 1), p} if f != p or k > 1]
+            local = [next(x for x in range(2, q)
+                          if x % p and all(pow(x, e, q) != 1 for e in orders))]
         else:
-            return False
-    return True
+            local = [5] if k >= 3 else []
+        m = n // q
+        gens += [(1 + (x - 1) * m * pow(m, -1, q)) % n for x in local]
+    return list(dict.fromkeys(gens))
 
 
 def _root_powers(p: int, n: int) -> np.ndarray:
@@ -86,10 +86,7 @@ def _root_powers(p: int, n: int) -> np.ndarray:
             break
     else:
         raise ModularityError(f"no order-{n} element mod {p}")
-    wpow = [1] * n
-    for k in range(1, n):
-        wpow[k] = wpow[k - 1] * w % p
-    return np.array(wpow, dtype=np.float64)
+    return np.array([pow(w, k, p) for k in range(n)], dtype=np.float64)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -114,16 +111,17 @@ class MatProver:
         self.n = conductor
         self.phi = _phi_deg(conductor)
         self.points = [j for j in range(conductor) if math.gcd(j, conductor) == 1]
-        pt_index = {j: k for k, j in enumerate(self.points)}
-        self.neg_perm = np.array(
-            [pt_index[(conductor - j) % conductor] for j in self.points]
-        )
+        self._pt_index = {j: k for k, j in enumerate(self.points)}
         # growth factor of reduction mod Phi_N, for coefficient bounds
         table = _reduction_table(conductor)
         self.red_growth = max(
             sum(abs(c) for c in row.values()) for row in table
         )
         self._prime_cache: list[int] = []
+
+    def _point_perm(self, a: int) -> np.ndarray:
+        """Indices of the points w^(a j) for the points w^j, in order."""
+        return np.array([self._pt_index[a * j % self.n] for j in self.points])
 
     # -- matrix registration ------------------------------------------------
 
@@ -189,15 +187,12 @@ class MatProver:
         """Evaluations mod p at every primitive point: shape (npts, nr, nc)."""
         if p in mat["evals"]:
             return mat["evals"][p]
-        idx = np.outer(np.arange(self.phi), np.array(self.points)) % self.n
-        v = _root_powers(p, self.n)[idx]
+        idx = np.outer(self.points, np.arange(self.phi)) % self.n
         nr, nc, _ = mat["coeffs"].shape
         flat = mat["coeffs"].reshape(nr * nc, self.phi).astype(np.float64)
-        ev = (flat @ v) % p
-        ev = np.ascontiguousarray(
-            ev.reshape(nr, nc, len(self.points)).transpose(2, 0, 1)
-        )
-        mat["evals"][p] = ev
+        ev = _root_powers(p, self.n)[idx] @ flat.T  # (npts, nr * nc), no transpose
+        ev %= p
+        mat["evals"][p] = ev = ev.reshape(len(self.points), nr, nc)
         return ev
 
     # -- the identities -------------------------------------------------------
@@ -216,19 +211,6 @@ class MatProver:
         c = a["coeffs"]
         if not np.array_equal(c[np.ix_(rows, cols)], c):
             raise ModularityError(f"{what} fails")
-
-    def verify_conj(self, a: dict, perm) -> None:
-        """conj(S) == C S for the row permutation C = perm.
-
-        Conjugation maps the point zeta^j to zeta^-j, so conj(S) evaluates
-        to ev[neg_perm]; the reduced difference has L1 norm at most
-        l1 (red_growth + 1).
-        """
-        bound = a["l1"] * (self.red_growth + 1)
-        for p in self._primes(2 * bound):
-            ev = self._eval(a, p)
-            if not np.array_equal(ev[self.neg_perm], ev[:, perm, :]):
-                raise ModularityError("S is not unitary (conj(S) != CS)")
 
     def verify_product(self, s: dict, perm) -> None:
         """(den S)^2 == den^2 C for the permutation matrix C = perm.
@@ -274,31 +256,89 @@ class MatProver:
             if not np.array_equal(lhs, rhs):
                 raise ModularityError("TSTST = S identity fails")
 
-    def verify_verlinde(self, s: dict, tensor: np.ndarray) -> None:
-        """sum_k N_ij^k S[k,l] S[0,l] == S[i,l] S[j,l] for all i, j, l.
-
-        The tensor must be symmetric in (i, j) (checked), so only pairs
-        with i <= j are proven.  The nonzero channels of those pairs are
-        kept as CSR rows (``indptr``, ``k``, ``N_ij^k``); per prime, the
-        pairs are streamed in chunks of at most ``_CHUNK_ROWS_BYTES`` of
-        gathered evaluation rows (at least one pair), so beyond the
-        evaluations of S the working memory is a fixed budget.  Each chunk
-        forms, at every primitive point and column l,
-
-            diff = S[i,l] S[j,l] - sum_k N_ij^k (S[k,l] S[0,l] mod p)
-
-        from residues in [0, p): the sum gathers the rows of the chunk's
-        channels and adds them with one small matmul by the (pairs x
-        channels) matrix of their N_ij^k, which leaves a pair with no
-        channel at zero.  The first term is below p^2 < 2^44 and the sum,
-        of nonnegative terms, below r nmax p < 2^53 (the ``CapacityError``
-        guard), so |diff| < 2^53 and every step is exact in float64.  Then
-        diff = 0 (mod p) iff rint(diff / p) * p == diff: a multiple q p
-        divides exactly to q, and conversely the product of the integers
-        rint(diff / p) and p is exact below 2^53, so equality means p
-        divides diff.
+    def verify_galois(self, s: dict, guesses: dict) -> None:
+        """sigma_a(S) == S P_a for each a -> (pi_a, eps_a) of ``guesses``,
+        P_a[pi_a(l), l] = eps_a(l), proven by rows for S proven symmetric:
+        sigma_a(S)[i, l] = eps_a(i) S[pi_a(i), l].  sigma_a(S) evaluates to
+        ev[point_perm(a)]; the reduced difference has L1 norm at most
+        l1 (g + 1).  From residues in [0, p), eps ev[pi_a] - ev[point_perm(a)]
+        lies in (-2p, p), so it is 0 mod p iff it is 0 or -p.  a = -1 with
+        pi = C and eps = 1 is conj(S) = CS.  Proven pairs go to s["galois"].
         """
-        r = s["coeffs"].shape[0]
+        bound = s["l1"] * (self.red_growth + 1)
+        for p in self._primes(2 * bound):
+            ev = self._eval(s, p)
+            for a, (perm, eps) in guesses.items():
+                for t, u in enumerate(self._point_perm(a)):  # r x r at a time
+                    diff = ev[t, perm, :] * eps[:, None]
+                    diff -= ev[u]
+                    if not ((diff == 0) | (diff == -p)).all():
+                        raise ModularityError(
+                            "S is not unitary (conj(S) != CS)" if a == self.n - 1
+                            else f"S is not Galois-symmetric under zeta -> zeta^{a}"
+                        )
+        s.setdefault("galois", {}).update(guesses)
+
+    def _galois_guess(self, s: dict, gens) -> dict:
+        """(pi_a, eps_a) for each a of ``gens``, read off M = conj(S)
+        sigma_a(S) = S^-1 sigma_a(S), the signed permutation matrix
+        M[pi_a(l), l] = eps_a(l) when S is unitary and symmetric.  S and
+        every sigma_a(S) come in float from the packed coefficients, in one
+        BLAS product, and every M from one more."""
+        r, k = s["rank"], len(gens)
+        ang = np.outer(np.arange(self.phi), [1, *gens]) % self.n * (2 * np.pi / self.n)
+        vals = s["coeffs"].reshape(r * r, self.phi) @ np.hstack([np.cos(ang), np.sin(ang)])
+        z = ((vals[:, : k + 1] + 1j * vals[:, k + 1 :]) / s["den"]).reshape(r, r, k + 1)
+        m = (z[:, :, 0].conj() @ z[:, :, 1:].reshape(r, r * k)).reshape(r, r, k)
+        cols = np.arange(r)
+        out = {}
+        for t, a in enumerate(gens):
+            perm = np.abs(m[:, :, t]).argmax(axis=0)
+            val = m[perm, cols, t]
+            eps = np.rint(val.real)
+            if (np.abs(eps) != 1).any() or (np.abs(val - eps) >= 1e-6).any() or (
+                len(set(perm.tolist())) != r
+            ):
+                raise ModularityError(f"S is not Galois-symmetric under zeta -> zeta^{a}: "
+                                      "conj(S) sigma(S) is not a signed permutation")
+            out[a] = (perm, eps)
+        return out
+
+    def _eval_point(self, s: dict, p: int) -> np.ndarray:
+        """S mod p at the first primitive point alone, (nr, nc), in int64."""
+        if p in s["evals"]:
+            return s["evals"][p][0]
+        powers = _root_powers(p, self.n)[np.arange(self.phi) * self.points[0] % self.n]
+        return (s["coeffs"] @ powers.astype(np.int64) % p).astype(np.float64)
+
+    def verify_verlinde(self, s: dict, tensor: np.ndarray) -> None:
+        """sum_k N_ij^k S[k,l] S[0,l] == S[i,l] S[j,l] for all i, j, l,
+        decided at one primitive point w per prime.
+
+        Valid S is Galois-symmetric, sigma_a(S_il) = eps_a(l) S_i,pi_a(l)
+        with eps_a = +-1 (Coste-Gannon, Phys. Lett. B 323, 1994; de
+        Boer-Goeree, Commun. Math. Phys. 139, 1991): the theorem holds for
+        every S with an integer Verlinde tensor, so an S without the
+        symmetry fails this identity anyway.  It is proven for generators
+        of (Z/N)^x (``verify_galois``, here unless s carries them), and
+        sigma_ab = sigma_a sigma_b extends it to every a.  With integer N
+        and eps^2 = 1, sigma_a maps D_ij,l = S_il S_jl - sum_k N_ij^k S_kl
+        S_0l to D_ij,pi_a(l), so each pair's set {D_ij,l : l} is
+        Galois-stable: if it vanishes mod p at w, its value at w^a is that
+        of D_ij,pi_a(l) at w, 0 too.  So D lies in every prime of Z[zeta_N]
+        above p, whose intersection is p Z[zeta_N], and the primes' product
+        above twice the coefficient bound gives D = 0; the first pair to fail
+        at w is the first to fail at any point.  A prime only this identity
+        needs is evaluated at w alone.
+
+        The tensor must be symmetric in (i, j) (checked), so the pairs
+        i <= j are proven one row i at a time, summing their channels.
+        From residues in [0, p), S[i,l] S[j,l] < p^2 and sum_k N_ij^k
+        (S[k,l] S[0,l] mod p) < r nmax p < 2^53 (the ``CapacityError``
+        guard), so the difference is exact, and so is rint(diff / p) p,
+        which equals diff iff p divides it.
+        """
+        r = s["rank"]
         nmax = int(tensor.max()) if tensor.size else 0
         if r * max(nmax, 1) * _PRIME_CAP >= 2**53:
             raise CapacityError(
@@ -306,44 +346,28 @@ class MatProver:
             )
         if not np.array_equal(tensor, tensor.transpose(1, 0, 2)):
             raise ModularityError("fusion coefficients are not symmetric")
+        proven = s.get("galois", {})
+        missing = [a for a in galois_generators(self.n) if a not in proven]
+        if missing:
+            self.verify_symmetric(s)
+            self.verify_galois(s, self._galois_guess(s, missing))
         g = self.red_growth
         bound = r * nmax * s["l1"] ** 2 * g + s["l1"] ** 2 * g
-        iu, ju = np.triu_indices(r)
-        npairs = len(iu)
-        pair_rows = tensor[iu, ju]  # (npairs, r)
-        pair_of, chan_k = np.nonzero(pair_rows)
-        chan_n = pair_rows[pair_of, chan_k].astype(np.float64)
-        indptr = np.zeros(npairs + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pair_of, minlength=npairs), out=indptr[1:])
-        # rows gathered for the pairs before t: their channels, their i and j
-        gathered = indptr + 2 * np.arange(npairs + 1)
-        width = len(self.points) * r
-        chunk_rows = max(1, _CHUNK_ROWS_BYTES // (8 * width))
         for p in self._primes(2 * bound):
-            # rows[i] = S[i, l] at every point, flattened to (npts * r)
-            rows = np.ascontiguousarray(
-                self._eval(s, p).transpose(1, 0, 2)
-            ).reshape(r, width)
-            pm = rows * rows[0] % p  # S[k,l] S[0,l] mod p
-            a = 0
-            while a < npairs:
-                b = int(np.searchsorted(
-                    gathered, gathered[a] + chunk_rows, side="right"
-                )) - 1
-                b = max(b, a + 1)
-                diff = rows[iu[a:b]] * rows[ju[a:b]]
-                lo, hi = indptr[a], indptr[b]
-                # weights[t, c] = N_ij^k of channel c if it belongs to pair a + t
-                weights = np.zeros((b - a, hi - lo))
-                weights[pair_of[lo:hi] - a, np.arange(hi - lo)] = chan_n[lo:hi]
-                diff -= weights @ pm[chan_k[lo:hi]]
+            ev = self._eval_point(s, p)
+            pm = ev * ev[0] % p  # S[k,l] S[0,l] mod p
+            for i in range(r):
+                jj, kk = np.nonzero(tensor[i, i:])  # the channels k of the pairs (i, i + jj)
+                diff = ev[i] * ev[i:]
+                if len(jj):
+                    first = np.flatnonzero(np.diff(jj, prepend=-1))
+                    chans = pm[kk] * tensor[i, i + jj, kk][:, None]
+                    diff[jj[first]] -= np.add.reduceat(chans, first)
                 q = np.rint(diff / p)
                 q *= p
                 bad = (q != diff).any(axis=1)
                 if bad.any():
-                    t = a + int(np.argmax(bad))
                     raise ModularityError(
                         "Verlinde eigen-relation fails near "
-                        f"(i={int(iu[t])}, j={int(ju[t])})"
+                        f"(i={i}, j={i + int(np.argmax(bad))})"
                     )
-                a = b

@@ -163,6 +163,26 @@ def test_fusion_from_md(tmp_path, capsys):
     assert json.loads(out)["check"]["ok"] is True
 
 
+def test_fusion_from_md_reads_the_report_validate_proved(tmp_path, capsys, monkeypatch):
+    _, out, _ = run_cli(capsys, "md", "ty-center", "--group", "3")
+    p = tmp_path / "md.json"
+    p.write_text(out)
+    calls = []
+    real = fusionrings.check_fusion_ring
+
+    def counted(ring, *args, **kwargs):
+        calls.append(ring.rank)
+        return real(ring, *args, **kwargs)
+
+    monkeypatch.setattr(fusionrings, "check_fusion_ring", counted)
+    monkeypatch.setattr(cli, "check_fusion_ring", counted)
+    code, out, _ = run_cli(capsys, "fusion", "--from-md", str(p))
+    assert code == 0 and calls == []
+    check = json.loads(out)["check"]
+    assert check["ok"] is True and check["violations"] == []
+    assert check["global_dim"] is None and sum(d * d for d in check["fp_dims"]) == pytest.approx(36)
+
+
 @pytest.mark.parametrize("kind", ["ty-center", "mp"])
 def test_md_writes_sparse_exact_entries(capsys, kind):
     from tycat.moddata import md_from_json, md_to_json

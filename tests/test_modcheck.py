@@ -1,6 +1,8 @@
 """Cross-checks of the modular-evaluation prover against direct exact
 arithmetic, plus negative controls."""
 
+import inspect
+import math
 import os
 import random
 import subprocess
@@ -13,10 +15,10 @@ import pytest
 
 import tycat
 from tycat import modcheck
-from tycat.cyclo import CycNum, RootOfUnity, zeta
+from tycat.cyclo import CycNum, RootOfUnity, euler_phi, zeta, zeta_sum
 from tycat.errors import CapacityError, ModularityError
 from tycat.groups import FinAbGroup
-from tycat.modcheck import MatProver
+from tycat.modcheck import MatProver, galois_generators
 from tycat.moddata import ModularData, mp_md, pointed_md, ty_center_md
 from tycat.quadforms import (
     QuadForm,
@@ -24,6 +26,7 @@ from tycat.quadforms import (
     classify_metric_groups,
     metric_group,
 )
+from verlinde_oracle import all_points_verlinde
 
 Z3 = FinAbGroup.of(3)
 Q_A2 = QuadForm.from_callable(
@@ -304,11 +307,169 @@ def test_streamed_verlinde_names_the_broken_pair():
     _check_streamed_verdicts(_ty5())
 
 
-def test_streamed_verlinde_is_chunk_independent(monkeypatch):
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except ModularityError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed(tensor, rng, count):
+    """``count`` tensors, each with one to three coefficients N_ij^k = N_ji^k
+    moved by one, staying nonnegative."""
+    r = len(tensor)
+    for _ in range(count):
+        t = tensor.copy()
+        for _ in range(rng.integers(1, 4)):
+            i, j, k = (int(x) for x in rng.integers(0, r, size=3))
+            t[i, j, k] += 1 if t[i, j, k] == 0 or rng.random() < 0.5 else -1
+            t[j, i, k] = t[i, j, k]
+        yield t
+
+
+Z9, Z15 = FinAbGroup.of(9), FinAbGroup.of(15)
+
+
+@pytest.mark.parametrize("build", [
+    _ty5,
+    lambda: ty_center_md(Z9, bichar_from_qform(classify_metric_groups(Z9)[0].quad), 1),
+    lambda: pointed_md(classify_metric_groups(Z15)[0]),
+    lambda: mp_md(Z15, classify_metric_groups(Z15)[0].bichar, 1),
+], ids=["ty-Z5", "ty-Z9", "pointed-Z15", "mp-Z15"])
+def test_one_point_verlinde_agrees_with_the_all_points_oracle(build):
+    # the one-point proof and the old streamed check over every point give
+    # the same verdict and name the same pair; the oracle runs with one
+    # pair a chunk and with its old 2 MB chunks
+    md = build()
+    base = np.array(md.fusion_ring().tensor, dtype=np.int64)
+    ours, theirs = MatProver(md.conductor), MatProver(md.conductor)
+    s, s_all = ours.pack(md.S), theirs.pack(md.S)
+    tensors = [base] + [t for t, _ in _bad_tensors(md)]
+    tensors += list(_perturbed(base, np.random.default_rng(md.rank), 20))
+    failed = 0
+    for k, tensor in enumerate(tensors):
+        want = _verdict(all_points_verlinde, theirs, s_all, tensor, 1 if k % 2 else 2 << 20)
+        assert _verdict(ours.verify_verlinde, s, tensor) == want
+        failed += want is not None
+    assert failed == len(tensors) - 1  # only the proven tensor passes
+
+
+# -- the Galois symmetry of S ------------------------------------------------------
+
+
+def test_galois_generators_generate_the_units():
+    for n in [*range(1, 601), 720, 816, 912, 1104, 1200, 2310, 2520]:
+        gens = galois_generators(n)
+        assert gens[0] == n - 1 and len(gens) <= 5
+        group = {1 % n}
+        frontier = list(group)
+        while frontier:
+            x = frontier.pop()
+            for a in gens:
+                y = x * a % n
+                if y not in group:
+                    group.add(y)
+                    frontier.append(y)
+        assert len(group) == euler_phi(n), n
+        assert all(math.gcd(x, n) == 1 for x in group), n
+    assert len(galois_generators(2520)) == 5
+
+
+def test_wrong_galois_permutation_or_sign_is_refused():
     md = _ty5()
-    monkeypatch.setattr(modcheck, "_CHUNK_ROWS_BYTES", 1)  # one pair a chunk
-    _check_streamed_verdicts(md)
-    ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor).validate()
+    prover = MatProver(md.conductor)
+    s = prover.pack(md.S)
+    a = galois_generators(md.conductor)[1]
+    perm, eps = prover._galois_guess(s, [a])[a]
+    flipped = eps.copy()
+    flipped[3] *= -1
+    swapped = perm.copy()
+    swapped[[1, 4]] = swapped[[4, 1]]
+    for guess in ((perm, flipped), (swapped, eps)):
+        with pytest.raises(ModularityError, match=rf"not Galois-symmetric under zeta -> zeta\^{a}$"):
+            prover.verify_galois(s, {a: guess})
+    prover.verify_galois(s, {a: (perm, eps)})
+    assert s["galois"] == {a: (perm, eps)}
+
+
+def test_galois_proof_compares_every_point(monkeypatch):
+    # x = zeta + c zeta^2 with x(w) = x(w^a) mod p: sigma_a(x) = x holds at
+    # the first point but not at the others, so one prime must refuse it
+    n = 48
+    prover = MatProver(n)
+    p = prover._primes(2)[0]
+    monkeypatch.setattr(prover, "_primes", lambda need: [p])
+    a = galois_generators(n)[1]
+    w = modcheck._root_powers(p, n).astype(np.int64).tolist()  # w[k] = w^k mod p
+    c = -(w[1] - w[a]) * pow(w[2] - w[2 * a % n], -1, p) % p
+    s = prover.pack([[CycNum(n, {1: 1, 2: c})]])
+    with pytest.raises(ModularityError, match=rf"not Galois-symmetric under zeta -> zeta\^{a}$"):
+        prover.verify_galois(s, {a: (np.array([0]), np.ones(1))})
+
+
+def _sigma(x: CycNum, b: int) -> CycNum:
+    """sigma_b: zeta_n -> zeta_n^b on one entry."""
+    return zeta_sum(x.n, ((e * b, c) for e, c in x.num.items())) * Fraction(1, x.den)
+
+
+def _sigma7_at(md, i, l):
+    """S with the entry pair S_il = S_li replaced by its sigma_7 conjugate."""
+    rows = [list(row) for row in md.S]
+    rows[i][l] = rows[l][i] = _sigma(md.S[i][l], 7)
+    assert rows[i][l] != md.S[i][l]
+    return rows
+
+
+def test_verlinde_refuses_a_galois_asymmetric_s(monkeypatch):
+    # the one-point proof must not accept an S that is not Galois-symmetric:
+    # the float guess refuses it, and so does the exact proof when it is
+    # handed the guess of the valid S (at self-dual labels, 0, 10, 26 and
+    # 27 here, the change keeps conj(S) = CS)
+    md = _ty5()
+    tensor = np.array(md.fusion_ring().tensor, dtype=np.int64)
+    prover = MatProver(md.conductor)
+    valid = prover._galois_guess(prover.pack(md.S), galois_generators(md.conductor))
+    for i, l in [(2, 4), (10, 12), (21, 25), (3, 11), (0, 10), (26, 27)]:
+        prover = MatProver(md.conductor)
+        with pytest.raises(ModularityError, match=r"not Galois-symmetric under zeta -> zeta\^\d+: "):
+            prover.verify_verlinde(prover.pack(_sigma7_at(md, i, l)), tensor)
+    monkeypatch.setattr(MatProver, "_galois_guess", lambda self, s, gens: {a: valid[a] for a in gens})
+    for i, l in [(0, 10), (26, 27)]:
+        prover = MatProver(md.conductor)
+        with pytest.raises(ModularityError, match=r"^S is not Galois-symmetric under zeta -> zeta\^97$"):
+            prover.verify_verlinde(prover.pack(_sigma7_at(md, i, l)), tensor)
+    # sigma_7 on the rho_0 rho_0 entry stays inside its Galois orbit: the
+    # symmetry is proven and the Verlinde relation fails, at every point too
+    prover, oracle = MatProver(md.conductor), MatProver(md.conductor)
+    rows = _sigma7_at(md, 10, 10)
+    want = _verdict(all_points_verlinde, oracle, oracle.pack(rows), tensor)
+    assert want == "Verlinde eigen-relation fails near (i=1, j=10)"
+    assert _verdict(prover.verify_verlinde, prover.pack(rows), tensor) == want
+
+
+def test_verlinde_evaluates_its_own_primes_at_one_point(monkeypatch):
+    # mp(Z21) needs a second prime for Verlinde alone (on TY(Z13) S^2 = C
+    # and TSTST = S need it too): validate never evaluates it at every point
+    full, single = [], []
+    evaluate, at_point = MatProver._eval, MatProver._eval_point
+    monkeypatch.setattr(MatProver, "_eval", lambda self, m, p: full.append(p) or evaluate(self, m, p))
+    monkeypatch.setattr(
+        MatProver, "_eval_point", lambda self, m, p: single.append(p) or at_point(self, m, p)
+    )
+    z21 = FinAbGroup.of(21)
+    mp_md.__wrapped__(z21, classify_metric_groups(z21)[0].bichar, 1)
+    assert len(set(full)) == 1 and len(single) == 2
+    assert single[0] == full[0] and single[1] not in full
+
+
+def test_the_names_the_benchmark_wraps_stay():
+    # perfbench/tracechild.py wraps verify_verlinde and _verlinde_tensor and
+    # reads the prover's points
+    params = list(inspect.signature(MatProver.verify_verlinde).parameters)
+    assert params == ["self", "s", "tensor"]
+    assert callable(ModularData._verlinde_tensor)
+    assert MatProver(12).points == [1, 5, 7, 11]
 
 
 def test_validate_memory_is_bounded():

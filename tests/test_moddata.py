@@ -12,6 +12,7 @@ from tycat.errors import (
     InvalidArgumentError,
     ModularityError,
 )
+from tycat.fusionrings import check_fusion_ring
 from tycat.groups import FinAbGroup
 from tycat.labels import (
     MPAlpha,
@@ -361,6 +362,36 @@ def test_condensation_refuses_boson_indices_outside_the_labels():
     for bad in (99, -1, md.rank):
         with pytest.raises(InvalidArgumentError, match=f"^boson index {bad} is outside \\[0, 5\\)$"):
             verify_condensation(md, md, [0, bad])
+
+
+def test_label_indices_are_range_checked_and_foreign_labels_named():
+    md = mp_md(Z3, B3, 1)
+    foreign = MPSigma(Z5.element([1]))
+    assert md.index_of(np.int64(2)) == 2 and type(md.index_of(np.int64(2))) is int
+    assert bantay_fs(md, np.int64(2)) == bantay_fs(md, 2) == bantay_fs(md, md.labels[2])
+    for bad in (-1, 99, np.int64(-1), np.int64(5)):
+        with pytest.raises(InvalidArgumentError, match=f"^label index {bad} is outside \\[0, 5\\)$"):
+            bantay_fs(md, bad)
+    for call in (lambda: md.index_of(foreign), lambda: bantay_fs(md, foreign),
+                 lambda: verify_condensation(md, md, [foreign])):
+        with pytest.raises(InvalidArgumentError, match=rf"^{foreign} is not a label of this datum$"):
+            call()
+    with pytest.raises(InvalidArgumentError, match=r"^boson index 7 is outside \[0, 5\)$"):
+        verify_condensation(md, md, [np.int64(7)])
+    alpha = np.int64(md.index_of(MPAlpha()))
+    assert verify_condensation(md, md, [alpha]) == verify_condensation(md, md, [int(alpha)])
+
+
+def test_a_proven_ring_carries_the_report_of_the_full_check():
+    # validate's report without check_fusion_ring says what the full check
+    # says, dimensions included, so `fusion --from-md` prints the same
+    for md in (mp_md(Z3, B3, 1), mp_md(Z5, bichar_from_qform(q_cyclic(Z5, 1, 5)), -1),
+               ty_center_md(Z3, B3, 1), pointed_md(metric_group(Q_A2))):
+        ring = md.fusion_ring()
+        full = check_fusion_ring(ring)
+        assert ring.report.ok and full.ok and ring.report.violations == full.violations == []
+        assert ring.report.fp_dims == full.fp_dims
+        assert ring.report.global_dim == full.global_dim
 
 
 def test_condensation_counts_each_boson_once():
