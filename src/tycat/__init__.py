@@ -42,7 +42,6 @@ from .moddata import (
     tensor_md,
     ty_center_md,
     verify_condensation,
-    verlinde_fusion,
 )
 from .quadforms import (
     Bichar,

@@ -48,7 +48,6 @@ from .moddata import (
     pointed_md,
     ty_center_md,
     verify_condensation,
-    verlinde_fusion,
 )
 from .quadforms import (
     Bichar,
@@ -204,7 +203,7 @@ def _cmd_md(args) -> int:
 
 def _cmd_fusion(args) -> int:
     if args.from_md:
-        ring = verlinde_fusion(_load_md(args.from_md))
+        ring = _load_md(args.from_md).fusion_ring()
     else:
         group = _group(args.group)
         builder = {

@@ -4,7 +4,8 @@ Rings store the full structure-constant tensor N_{ij}^k as one read-only
 int64 array regardless of how they were built (rule table or the proven
 Verlinde tensor, which is kept without a copy), so the same checking path
 applies to both.  Hypergroups hold exact rational convex structure
-constants; the Tambara-Yamagami hypergroup and its dual come with the
+constants, likewise as one read-only int64 array, over a common
+denominator; the Tambara-Yamagami hypergroup and its dual come with the
 character table and Haar weights that make the rows exactly orthogonal.
 """
 
@@ -76,7 +77,10 @@ class FusionRing:
         return int(hits[0])
 
     def index_of(self, label) -> int:
-        return self.labels.index(label)
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise InvalidArgumentError(f"{label} is not a label of this ring") from None
 
     def to_json(self) -> dict:
         nz = np.argwhere(self.tensor)  # C order: i, then j, then k
@@ -86,10 +90,6 @@ class FusionRing:
             "unit": 0,
             "nonzero": np.column_stack([nz, self.tensor[tuple(nz.T)]]).tolist(),
         }
-
-
-def _freeze(t) -> tuple:
-    return tuple(tuple(tuple(row) for row in plane) for plane in t)
 
 
 def _ring_from_products(labels, prod) -> FusionRing:
@@ -310,65 +310,72 @@ def gen_mp_fusion_ring(G: FinAbGroup) -> FusionRing:
 # -- hypergroups ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergroup:
     """Finite hypergroup: convex multiplication table with involution and
-    the unit at element 0."""
+    the unit at element 0.
+
+    ``table[i, j, k] / den`` is the weight of e_k in e_i e_j: one read-only
+    int64 array over a common denominator, as ``_nonassociative`` reads it."""
 
     elements: tuple
-    table: tuple  # table[i][j][k] = Fraction coefficient of e_k in e_i e_j
+    table: np.ndarray
+    den: int
     star: tuple[int, ...]
+
+    def __post_init__(self):
+        arr = np.asarray(self.table, dtype=np.int64).view()
+        arr.flags.writeable = False
+        object.__setattr__(self, "table", arr)
 
     @property
     def rank(self) -> int:
         return len(self.elements)
 
     def coeff(self, i: int, j: int, k: int) -> Fraction:
-        return self.table[i][j][k]
+        return Fraction(int(self.table[i, j, k]), self.den)
 
     def validate(self) -> None:
-        r = self.rank
-        t = self.table
-        for i in range(r):
-            for j in range(r):
-                coeffs = t[i][j]
-                if any(c < 0 for c in coeffs):
-                    raise InvalidArgumentError(f"negative weight in {i} * {j}")
-                if sum(coeffs) != 1:
-                    raise InvalidArgumentError(f"weights of {i} * {j} do not sum to 1")
-                has_unit = coeffs[0] > 0
-                if has_unit != (j == self.star[i]):
-                    raise InvalidArgumentError(f"antipode law fails at ({i}, {j})")
-        for j in range(r):
-            if t[0][j][j] != 1 or t[j][0][j] != 1:
-                raise InvalidArgumentError("unit is not a two-sided identity")
-        # associativity, exactly, over a cleared common denominator
-        den = 1
-        for plane in t:
-            for row in plane:
-                for c in row:
-                    den = den * c.denominator // math.gcd(den, c.denominator)
-        arr = np.array(
-            [[[int(c * den) for c in row] for row in plane] for plane in t],
-            dtype=np.int64,
-        )
-        bad = _nonassociative(arr)
+        t, den, r = self.table, self.den, self.rank
+        if r * den >= 2**63:
+            raise CapacityError(f"hypergroup weights over {den} at rank {r} exceed int64")
+        cols = np.arange(r)
+        for what, bad in (
+            ("negative weight in {} * {}", (t < 0).any(axis=2)),
+            ("weights of {} * {} do not sum to 1", (t > den).any(axis=2) | (t.sum(axis=2) != den)),
+            ("antipode law fails at ({}, {})", (t[:, :, 0] > 0) != (cols == np.array(self.star)[:, None])),
+        ):
+            hits = np.argwhere(bad)
+            if len(hits):
+                raise InvalidArgumentError(what.format(*hits[0].tolist()))
+        if (t[0, cols, cols] != den).any() or (t[cols, 0, cols] != den).any():
+            raise InvalidArgumentError("unit is not a two-sided identity")
+        bad = _nonassociative(t)
         if bad:
             raise InvalidArgumentError(f"hypergroup is not associative at {bad[0]}")
 
     def to_json(self) -> dict:
+        nz = np.argwhere(self.table)  # C order: i, then j, then k
         return {
             "elements": [str(e) for e in self.elements],
             "unit": 0,
             "star": list(self.star),
-            "weights": [
-                [i, j, k, str(self.table[i][j][k])]
-                for i in range(self.rank)
-                for j in range(self.rank)
-                for k in range(self.rank)
-                if self.table[i][j][k]
-            ],
+            "weights": [[i, j, k, str(Fraction(c, self.den))]
+                        for (i, j, k), c in zip(nz.tolist(), self.table[tuple(nz.T)].tolist())],
         }
+
+
+def _hypergroup(elements, weights: dict, star) -> Hypergroup:
+    """The hypergroup with weight ``weights[i, j, k]`` (a Fraction, 0 when
+    absent) of e_k in e_i e_j, over the least common denominator, checked."""
+    r = len(elements)
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    table = np.zeros((r, r, r), dtype=np.int64)
+    for (i, j, k), w in weights.items():
+        table[i, j, k] = w.numerator * (den // w.denominator)
+    hg = Hypergroup(tuple(elements), table, den, tuple(star))
+    hg.validate()
+    return hg
 
 
 def ty_hypergroup(group: FinAbGroup) -> Hypergroup:
@@ -377,37 +384,29 @@ def ty_hypergroup(group: FinAbGroup) -> Hypergroup:
     n = len(els)
     labels = list(els) + ["tau"]
     idx = {g: i for i, g in enumerate(els)}
-    r = n + 1
-    table = [[[Fraction(0)] * r for _ in range(r)] for _ in range(r)]
+    one = Fraction(1)
+    weights = {}
     for i, g in enumerate(els):
         for j, h in enumerate(els):
-            table[i][j][idx[g + h]] = Fraction(1)
-        table[i][n][n] = Fraction(1)
-        table[n][i][n] = Fraction(1)
+            weights[i, j, idx[g + h]] = one
+        weights[i, n, n] = weights[n, i, n] = one
     for k in range(n):
-        table[n][n][k] = Fraction(1, n)
-    star = tuple(idx[-g] for g in els) + (n,)
-    hg = Hypergroup(tuple(labels), _freeze(table), star)
-    hg.validate()
-    return hg
+        weights[n, n, k] = Fraction(1, n)
+    return _hypergroup(labels, weights, [idx[-g] for g in els] + [n])
 
 
 def hypergroup_from_fusion_ring(ring: FusionRing, dims) -> Hypergroup:
     """Renormalize a fusion ring by exact dimensions: on the basis
     [x]/d(x) the structure constants become N_ij^k d_k / (d_i d_j)."""
-    r = ring.rank
     inv = [d.inverse() for d in dims]
-    table = [[[Fraction(0)] * r for _ in range(r)] for _ in range(r)]
+    weights = {}
     nz = np.argwhere(ring.tensor)
     for (i, j, k), c in zip(nz.tolist(), ring.tensor[tuple(nz.T)].tolist()):
         val = dims[k] * inv[i] * inv[j] * c
         if not val.is_rational():
             raise InvalidArgumentError("renormalized structure constants are not rational")
-        table[i][j][k] = val.rational_value()
-    star = tuple(ring.dual(i) for i in range(r))
-    hg = Hypergroup(tuple(ring.labels), _freeze(table), star)
-    hg.validate()
-    return hg
+        weights[i, j, k] = val.rational_value()
+    return _hypergroup(ring.labels, weights, [ring.dual(i) for i in range(ring.rank)])
 
 
 @dataclass(frozen=True)
@@ -456,11 +455,11 @@ def ty_dual_hypergroup_and_table(group: FinAbGroup):
     labels = ["1", "eps"] + [("c", chi) for chi in chis]
     r = len(labels)
     cidx = {chi: 2 + i for i, chi in enumerate(chis)}
-    table = [[[Fraction(0)] * r for _ in range(r)] for _ in range(r)]
+    weights = {}
 
-    def set_prod(i, j, weights):
-        for k, w in weights.items():
-            table[i][j][k] = w
+    def set_prod(i, j, prod):
+        for k, w in prod.items():
+            weights[i, j, k] = w
 
     for i in range(r):
         set_prod(0, i, {i: Fraction(1)})
@@ -476,9 +475,7 @@ def ty_dual_hypergroup_and_table(group: FinAbGroup):
                 set_prod(i, j, {0: Fraction(1, 2), 1: Fraction(1, 2)})
             else:
                 set_prod(i, j, {cidx[chi + tchi]: Fraction(1)})
-    star = (0, 1) + tuple(cidx[-chi] for chi in chis)
-    hg = Hypergroup(tuple(labels), _freeze(table), star)
-    hg.validate()
+    hg = _hypergroup(labels, weights, [0, 1] + [cidx[-chi] for chi in chis])
 
     # character table over columns G u {tau}
     els = group.elements()

@@ -20,8 +20,10 @@ at any inner dimension.
 The Verlinde relation, the one identity whose size grows with the number
 of label pairs, is decided at one point per prime, once S is proven
 Galois-symmetric for generators of (Z/N)^x (``galois_generators``;
-sigma_ab = sigma_a sigma_b gives every a).  ``MatProver.verify_verlinde``
-has the argument; conjugation is the case a = -1.
+sigma_ab = sigma_a sigma_b gives every a), all guessed from one float
+product (``MatProver._galois_guess``) and proven by one ``verify_galois``
+call; conjugation is the case a = -1.  ``MatProver.verify_verlinde`` has
+the argument.
 
 Identities that only permute entries (symmetry, conjugation by a
 permutation) are decided on the packed coefficient arrays themselves:
@@ -126,8 +128,10 @@ class MatProver:
     # -- matrix registration ------------------------------------------------
 
     def pack(self, rows) -> dict:
-        """Clear denominators of a CycNum matrix; keep int64 coefficients,
-        the denominator, L1 norms, and a per-prime evaluation cache."""
+        """Clear denominators of a CycNum matrix; keep the integer
+        coefficients as float64 (exact: the cap keeps each dot product with
+        residues below ``_PRIME_CAP`` under 2^53), the denominator, L1 norms,
+        and a per-prime evaluation cache."""
         nr = len(rows)
         nc = len(rows[0])
         check_cells(nr, nc, self.phi)
@@ -135,7 +139,7 @@ class MatProver:
         for row in rows:
             for x in row:
                 den = den * x.den // math.gcd(den, x.den)
-        coeffs = np.zeros((nr, nc, self.phi), dtype=np.int64)
+        coeffs = np.zeros((nr, nc, self.phi))
         l1_max = 0
         cap = (2**53 - 1) // (_PRIME_CAP * self.phi)
         for i, row in enumerate(rows):
@@ -189,7 +193,7 @@ class MatProver:
             return mat["evals"][p]
         idx = np.outer(self.points, np.arange(self.phi)) % self.n
         nr, nc, _ = mat["coeffs"].shape
-        flat = mat["coeffs"].reshape(nr * nc, self.phi).astype(np.float64)
+        flat = mat["coeffs"].reshape(nr * nc, self.phi)
         ev = _root_powers(p, self.n)[idx] @ flat.T  # (npts, nr * nc), no transpose
         ev %= p
         mat["evals"][p] = ev = ev.reshape(len(self.points), nr, nc)
@@ -279,17 +283,21 @@ class MatProver:
                         )
         s.setdefault("galois", {}).update(guesses)
 
-    def _galois_guess(self, s: dict, gens) -> dict:
-        """(pi_a, eps_a) for each a of ``gens``, read off M = conj(S)
-        sigma_a(S) = S^-1 sigma_a(S), the signed permutation matrix
-        M[pi_a(l), l] = eps_a(l) when S is unitary and symmetric.  S and
-        every sigma_a(S) come in float from the packed coefficients, in one
-        BLAS product, and every M from one more."""
+    def _galois_guess(self, s: dict, gens) -> tuple[np.ndarray, dict]:
+        """S in float and (pi_a, eps_a) for each a of ``gens``, read off
+        M = conj(S) sigma_a(S) = S^-1 sigma_a(S), the signed permutation
+        matrix M[pi_a(l), l] = eps_a(l) when S is unitary and symmetric (for
+        a = -1, M = conj(S^2) and pi_a is C).  S and every sigma_a(S) come in
+        float from the packed coefficients, in one BLAS product, and every M
+        from one more; S is returned as a copy, so that the rest is freed."""
         r, k = s["rank"], len(gens)
         ang = np.outer(np.arange(self.phi), [1, *gens]) % self.n * (2 * np.pi / self.n)
         vals = s["coeffs"].reshape(r * r, self.phi) @ np.hstack([np.cos(ang), np.sin(ang)])
         z = ((vals[:, : k + 1] + 1j * vals[:, k + 1 :]) / s["den"]).reshape(r, r, k + 1)
-        m = (z[:, :, 0].conj() @ z[:, :, 1:].reshape(r, r * k)).reshape(r, r, k)
+        del vals
+        sf = z[:, :, 0].copy()
+        m = (sf.conj() @ z[:, :, 1:].reshape(r, r * k)).reshape(r, r, k)
+        del z
         cols = np.arange(r)
         out = {}
         for t, a in enumerate(gens):
@@ -302,14 +310,12 @@ class MatProver:
                 raise ModularityError(f"S is not Galois-symmetric under zeta -> zeta^{a}: "
                                       "conj(S) sigma(S) is not a signed permutation")
             out[a] = (perm, eps)
-        return out
+        return sf, out
 
     def _eval_point(self, s: dict, p: int) -> np.ndarray:
-        """S mod p at the first primitive point alone, (nr, nc), in int64."""
-        if p in s["evals"]:
-            return s["evals"][p][0]
+        """S mod p at the first primitive point alone, (nr, nc)."""
         powers = _root_powers(p, self.n)[np.arange(self.phi) * self.points[0] % self.n]
-        return (s["coeffs"] @ powers.astype(np.int64) % p).astype(np.float64)
+        return s["coeffs"] @ powers % p
 
     def verify_verlinde(self, s: dict, tensor: np.ndarray) -> None:
         """sum_k N_ij^k S[k,l] S[0,l] == S[i,l] S[j,l] for all i, j, l,
@@ -320,16 +326,16 @@ class MatProver:
         Boer-Goeree, Commun. Math. Phys. 139, 1991): the theorem holds for
         every S with an integer Verlinde tensor, so an S without the
         symmetry fails this identity anyway.  It is proven for generators
-        of (Z/N)^x (``verify_galois``, here unless s carries them), and
-        sigma_ab = sigma_a sigma_b extends it to every a.  With integer N
-        and eps^2 = 1, sigma_a maps D_ij,l = S_il S_jl - sum_k N_ij^k S_kl
-        S_0l to D_ij,pi_a(l), so each pair's set {D_ij,l : l} is
-        Galois-stable: if it vanishes mod p at w, its value at w^a is that
-        of D_ij,pi_a(l) at w, 0 too.  So D lies in every prime of Z[zeta_N]
-        above p, whose intersection is p Z[zeta_N], and the primes' product
-        above twice the coefficient bound gives D = 0; the first pair to fail
-        at w is the first to fail at any point.  A prime only this identity
-        needs is evaluated at w alone.
+        of (Z/N)^x by ``verify_galois``, which must have run on s for each
+        of them (else ``ModularityError``), and sigma_ab = sigma_a sigma_b
+        extends it to every a.  With integer N and eps^2 = 1, sigma_a maps
+        D_ij,l = S_il S_jl - sum_k N_ij^k S_kl S_0l to D_ij,pi_a(l), so each
+        pair's set {D_ij,l : l} is Galois-stable: if it vanishes mod p at w,
+        its value at w^a is that of D_ij,pi_a(l) at w, 0 too.  So D lies in
+        every prime of Z[zeta_N] above p, whose intersection is p Z[zeta_N],
+        and the primes' product above twice the coefficient bound gives
+        D = 0; the first pair to fail at w is the first to fail at any
+        point.  Each prime is evaluated at w alone.
 
         The tensor must be symmetric in (i, j) (checked), so the pairs
         i <= j are proven one row i at a time, summing their channels.
@@ -349,8 +355,10 @@ class MatProver:
         proven = s.get("galois", {})
         missing = [a for a in galois_generators(self.n) if a not in proven]
         if missing:
-            self.verify_symmetric(s)
-            self.verify_galois(s, self._galois_guess(s, missing))
+            raise ModularityError(
+                f"S is not proven Galois-symmetric under zeta -> zeta^{missing[0]}, "
+                "which the Verlinde proof needs"
+            )
         g = self.red_growth
         bound = r * nmax * s["l1"] ** 2 * g + s["l1"] ** 2 * g
         for p in self._primes(2 * bound):

@@ -8,12 +8,15 @@ real dimensions, Gauss-sum consistency of c, and integrality of all
 Verlinde coefficients.  Each matrix identity is proven once, by the
 deterministic prover in :mod:`tycat.modcheck`: the permutation identities
 on the packed coefficients, the others by modular evaluation; only S is
-packed, T enters as exponents.  The Verlinde tensor is a rounded float
-guess that the prover alone decides; the proven array becomes the
-read-only tensor of ``fusion_ring``, without a copy.  Structural
-invariants of the builders (rank, total dimension) and the pairwise
-inequivalence of a classification raise ``ModularityError``, not
-``assert``.
+packed, T enters as exponents.  Every float guess comes from the prover's
+one float S: charge conjugation C and the signed Galois permutations of
+every generator of (Z/N)^x are read off one product and proven in one
+``verify_galois`` call (conj(S) = CS is the generator -1), and the
+Verlinde tensor is a rounded float guess that the prover alone decides;
+the proven array becomes the read-only tensor of ``fusion_ring``, without
+a copy.  Structural invariants of the builders (rank, total dimension)
+and the pairwise inequivalence of a classification raise
+``ModularityError``, not ``assert``.
 
 Builders cover pointed data of a metric group, the double of a
 Tambara-Yamagami category for odd groups, the generalized metaplectic
@@ -65,7 +68,7 @@ from .labels import (
     label_from_json,
     label_to_json,
 )
-from .modcheck import MatProver, check_cells
+from .modcheck import MatProver, check_cells, galois_generators
 from .quadforms import (
     Bichar,
     MetricGroup,
@@ -83,7 +86,6 @@ __all__ = [
     "mp_md",
     "tensor_md",
     "reverse_md",
-    "verlinde_fusion",
     "bantay_fs",
     "md_equivalent",
     "hat_twist",
@@ -130,7 +132,6 @@ class ModularData:
             if conductor % x.n:
                 raise InvalidArgumentError(f"cannot promote conductor {x.n} to {conductor}")
         self.t_exps = tuple(x.k * (conductor // x.n) for x in roots)  # T_i = zeta_N^k_i
-        self._s_float: np.ndarray | None = None
         self._charge_conj: tuple[int, ...] | None = None
         self._dims: tuple[CycNum, ...] | None = None
         self._fusion: FusionRing | None = None  # set once validate() succeeds
@@ -141,13 +142,6 @@ class ModularData:
 
     # -- derived data --------------------------------------------------------
 
-    def s_float(self) -> np.ndarray:
-        """S in floating point, computed once and read-only."""
-        if self._s_float is None:
-            self._s_float = np.array([[complex(x) for x in row] for row in self.S])
-            self._s_float.flags.writeable = False
-        return self._s_float
-
     def dims(self) -> tuple[CycNum, ...]:
         if self._dims is None:
             inv00 = self.S[0][0].inverse()
@@ -155,17 +149,8 @@ class ModularData:
         return self._dims
 
     def charge_conjugation(self) -> tuple[int, ...]:
-        """The permutation C = S^2 (validated exactly in validate())."""
-        if self._charge_conj is None:
-            sf = self.s_float()
-            c = sf @ sf
-            perm = []
-            for i in range(self.rank):
-                js = [j for j in range(self.rank) if abs(c[i, j] - 1) < 1e-6]
-                if len(js) != 1:
-                    raise ModularityError("S^2 is not a permutation matrix")
-                perm.append(js[0])
-            self._charge_conj = tuple(perm)
+        """The permutation C = S^2, as validate() proved it."""
+        self.validate()
         return self._charge_conj
 
     def index_of(self, label, what: str = "label") -> int:
@@ -196,11 +181,15 @@ class ModularData:
         r = self.rank
         if not self.thetas[0].is_one():
             raise ModularityError("the unit label must have trivial twist")
-        prover = MatProver(self.conductor)
+        n = self.conductor
+        prover = MatProver(n)
         s = prover.pack(self.S)
         prover.verify_symmetric(s)
-
-        cperm = self.charge_conjugation()
+        # one float product guesses S, C = pi_-1 and the signed permutations
+        # of every Galois generator; -1 is proven with eps = 1, as conj(S) = CS
+        sf, guesses = prover._galois_guess(s, galois_generators(n))
+        cperm = tuple(guesses[n - 1][0].tolist())
+        guesses[n - 1] = (guesses[n - 1][0], np.ones(r))
         if sorted(cperm) != list(range(r)) or cperm[0] != 0:
             raise ModularityError("charge conjugation is not a unit-fixing permutation")
         for i in range(r):
@@ -210,14 +199,17 @@ class ModularData:
         prover.verify_permuted(s, cperm, cperm, "CSC = S")
         if any(self.thetas[cperm[i]] != self.thetas[i] for i in range(r)):
             raise ModularityError("CTC = T fails")
-        # conj(S) = C S, the Galois symmetry of a = -1 (the other generators
-        # follow in the Verlinde proof); with S^2 = C, C^2 = I, and CS = SC
-        # this proves unitarity S conj(S) = S C S = C S^2 = I exactly, and
-        # (ST)^3 = S (TSTST) = S^2 = C follows from TSTST = S; the explicit
-        # product forms of both are exercised on small data in the tests
-        prover.verify_galois(s, {self.conductor - 1: (np.array(cperm), np.ones(r))})
+        # conj(S) = C S is the Galois symmetry of a = -1, proven with the
+        # other generators, which the Verlinde proof needs; with S^2 = C,
+        # C^2 = I, and CS = SC it proves unitarity S conj(S) = S C S = C S^2
+        # = I exactly, and (ST)^3 = S (TSTST) = S^2 = C follows from TSTST =
+        # S; the explicit product forms of both are exercised on small data
+        # in the tests
+        prover.verify_galois(s, guesses)
         prover.verify_product(s, cperm)
         prover.verify_tstst(s, self.t_exps)
+        s["evals"].clear()  # the Verlinde proof evaluates its own points
+        self._charge_conj = cperm
 
         # d_i |S_00|^2 = S_i0 conj(S_00) with |S_00|^2 > 0 once S_00 != 0,
         # so the signs and phases below are those of the dimensions d_i
@@ -242,17 +234,17 @@ class ModularData:
         # and N_0 = I; S_0l = d_l S_00 with d_l > 0 makes N_ij^0 a constant
         # times (S^2)_ij = C_ij, and N_00^0 = 1 the dual C; conj(S_kl) =
         # S_C(k),l and real N give the Frobenius symmetries
-        ring = FusionRing(self.labels, self._verlinde_tensor(prover, s))
+        ring = FusionRing(self.labels, self._verlinde_tensor(prover, s, sf))
         self._fusion = replace(ring, report=FusionCheckReport(ok=True, tensor=ring.tensor))
 
     # -- fusion ---------------------------------------------------------------
 
-    def _verlinde_tensor(self, prover: MatProver, packed_s: dict) -> np.ndarray:
-        """N_ij^k = sum_l S_il S_jl conj(S_kl) / S_0l: a float guess, rounded,
-        then proven.  S is proven unitary before this runs, so it is
-        invertible and the proven relation sum_k N_ij^k S_kl S_0l = S_il S_jl
-        (every l) fixes each N_ij^k: a wrong guess fails the proof."""
-        sf = self.s_float()
+    def _verlinde_tensor(self, prover: MatProver, packed_s: dict, sf: np.ndarray) -> np.ndarray:
+        """N_ij^k = sum_l S_il S_jl conj(S_kl) / S_0l: a guess from the float
+        S ``sf``, rounded, then proven.  S is proven unitary before this
+        runs, so it is invertible and the proven relation sum_k N_ij^k S_kl
+        S_0l = S_il S_jl (every l) fixes each N_ij^k: a wrong guess fails
+        the proof."""
         ratios_t = (sf.conj() / sf[0][None, :]).T
         tensor = np.empty((self.rank,) * 3, dtype=np.int64)
         for i in range(self.rank):  # one BLAS product per row i
@@ -515,12 +507,6 @@ def reverse_md(a: ModularData) -> ModularData:
     return md
 
 
-def verlinde_fusion(md: ModularData) -> FusionRing:
-    """Fusion coefficients N_ij^k = sum_l S_jl S_il conj(S_kl) / S_0l,
-    verified exactly to be nonnegative integers."""
-    return md.fusion_ring()
-
-
 def bantay_fs(md: ModularData, label) -> int:
     """The Frobenius-Schur indicator of a label from modular data:
     nu = sum_{x,y} S_{0,x} S_{0,y} N_{xy}^label (theta_x / theta_y)^2;
@@ -766,7 +752,6 @@ def classify_mp(group: FinAbGroup) -> list[ModularData]:
 
 
 def md_to_json(md: ModularData) -> dict:
-    sf = md.s_float()
     t = [zeta(md.conductor, k) for k in md.t_exps]  # T_i = zeta_N^k_i, canonical
     return {
         "conductor": md.conductor,
@@ -777,7 +762,7 @@ def md_to_json(md: ModularData) -> dict:
         "T": [x.to_json() for x in t],
         "grading": list(md.grading) if md.grading is not None else None,
         "float_view": {
-            "S": [[[z.real, z.imag] for z in row] for row in sf.tolist()],
+            "S": [[[z.real, z.imag] for z in map(complex, row)] for row in md.S],
             "T": [[complex(x).real, complex(x).imag] for x in t],
         },
     }

@@ -38,7 +38,6 @@ from tycat.moddata import (
     tensor_md,
     ty_center_md,
     verify_condensation,
-    verlinde_fusion,
 )
 from tycat.quadforms import (
     QuadForm,
@@ -158,7 +157,7 @@ def test_criterion_03_fusion_rule_reproduction():
                 expected = gen_mp_fusion_ring(group)
                 for m in classify_metric_groups(group):
                     for sign in (1, -1):
-                        ring = verlinde_fusion(mp_md(group, m.bichar, sign))
+                        ring = mp_md(group, m.bichar, sign).fusion_ring()
                         assert ring.labels == expected.labels
                         assert np.array_equal(ring.tensor, expected.tensor)
 
@@ -166,7 +165,7 @@ def test_criterion_03_fusion_rule_reproduction():
         group = FinAbGroup.of(3)
         m = classify_metric_groups(group)[0]
         md = ty_center_md(group, m.bichar, 1)
-        ring = verlinde_fusion(md)
+        ring = md.fusion_ring()
         zero = group.zero()
         pos = positive_set(group)
         label_map = {

@@ -9,6 +9,7 @@ from tycat.cyclo import CycNum, sqrt_int
 from tycat.errors import InvalidArgumentError, UnsupportedError
 from tycat.fusionrings import (
     FusionRing,
+    Hypergroup,
     check_fusion_ring,
     gen_mp_fusion_ring,
     gen_ty_fusion_ring,
@@ -196,8 +197,51 @@ def test_normalized_ring_reproduces_hypergroup():
         dims = [CycNum.one()] * g.order + [sqrt_int(g.order)]
         hg = hypergroup_from_fusion_ring(ring, dims)
         ref = ty_hypergroup(g)
-        assert hg.table == ref.table
+        assert np.array_equal(hg.table, ref.table) and hg.den == ref.den
         assert hg.star == ref.star
+
+
+def test_hypergroup_table_is_one_read_only_int64_array():
+    hg = ty_hypergroup(Z3)
+    assert hg.table.dtype == np.int64 and hg.den == 3
+    assert not hg.table.flags.writeable
+    assert hg.coeff(3, 3, 1) == Fraction(1, 3) and hg.coeff(1, 3, 1) == 0
+    assert hg.to_json()["weights"][-1] == [3, 3, 2, "1/3"]
+
+
+def test_hypergroup_validate_refuses_each_broken_law():
+    base = ty_hypergroup(Z3)  # elements 0, 1, 2 and tau = 3, den 3
+
+    def broken(edit, star=base.star):
+        table = base.table.copy()
+        edit(table)
+        return Hypergroup(base.elements, table, base.den, star)
+
+    def moved(i, j, k_from, k_to, amount=1):
+        def edit(t):
+            t[i, j, k_from] -= amount
+            t[i, j, k_to] += amount
+        return edit
+
+    cases = [
+        (broken(moved(1, 1, 2, 0, 4)), r"negative weight in 1 \* 1"),
+        (broken(lambda t: t.__setitem__((2, 3, 3), 4)), r"weights of 2 \* 3 do not sum to 1"),
+        (broken(moved(1, 2, 0, 1, 3)), r"antipode law fails at \(1, 2\)"),
+        (broken(lambda t: None, star=(0, 2, 1, 0)), r"antipode law fails at \(3, 0\)"),
+        (broken(moved(0, 3, 3, 2, 1)), r"unit is not a two-sided identity"),
+        (broken(moved(3, 3, 1, 2, 1)), r"not associative"),
+    ]
+    for hg, message in cases:
+        with pytest.raises(InvalidArgumentError, match=message):
+            hg.validate()
+    base.validate()
+
+
+def test_ring_index_of_names_a_foreign_label():
+    ring = gen_mp_fusion_ring(Z3)
+    assert ring.index_of(ring.labels[2]) == 2
+    with pytest.raises(InvalidArgumentError, match="^nope is not a label of this ring$"):
+        ring.index_of("nope")
 
 
 def test_dual_hypergroup_and_table():

@@ -26,7 +26,7 @@ from tycat.quadforms import (
     classify_metric_groups,
     metric_group,
 )
-from verlinde_oracle import all_points_verlinde
+from verlinde_oracle import _proven, all_points_verlinde
 
 Z3 = FinAbGroup.of(3)
 Q_A2 = QuadForm.from_callable(
@@ -132,21 +132,20 @@ def test_verlinde_rejects_wrong_tensor():
     tensor = np.maximum(tensor, 0)
     tensor[1, 2, 2] = tensor[2, 1, 2]  # keep it symmetric
     prover = MatProver(md.conductor)
-    s = prover.pack(md.S)
+    s, _ = _proven(prover, md.S)
     with pytest.raises(ModularityError):
         prover.verify_verlinde(s, tensor)
 
 
-def test_verlinde_guess_rejects_negative_coefficients(monkeypatch):
+def test_verlinde_guess_rejects_negative_coefficients():
     # the proof fixes N_ij^k but not its sign; negating row 0 of the float S
     # negates N_ij^k for i, j, k != 0, and 1 + 1 = 2 in Z3
     md = pointed_md(metric_group(Q_A2))
     prover = MatProver(md.conductor)
-    sf = md.s_float().copy()
+    s, sf = _proven(prover, md.S)
     sf[0] *= -1
-    monkeypatch.setattr(md, "s_float", lambda: sf)
     with pytest.raises(ModularityError, match=r"at \(1, 1, 2\) is not a nonnegative"):
-        md._verlinde_tensor(prover, prover.pack(md.S))
+        md._verlinde_tensor(prover, s, sf)
 
 
 def _corrupted(md, i, j, delta):
@@ -205,6 +204,24 @@ def test_pack_rejects_oversized_coefficient():
     big = CycNum(3, {0: 2**40})
     with pytest.raises(CapacityError, match="coefficients too large"):
         prover.pack([[big]])
+
+
+def test_packed_coefficients_are_exact_at_the_cap():
+    # pack keeps the integer coefficients as float64, which every evaluation
+    # reads without a copy: at the cap each dot product stays below 2^53
+    n = 48
+    prover = MatProver(n)
+    cap = (2**53 - 1) // (modcheck._PRIME_CAP * prover.phi)
+    rng = random.Random(7)
+    num = {e: rng.choice([-1, 1]) * (cap - rng.randrange(8)) for e in range(prover.phi)}
+    x = CycNum(n, num)
+    s = prover.pack([[x]])
+    assert s["coeffs"].dtype == np.float64 and x.den == 1
+    p = prover._primes(2)[0]
+    w = modcheck._root_powers(p, n).astype(np.int64).tolist()
+    want = [sum(c * w[j * e % n] for e, c in x.num.items()) % p for j in prover.points]
+    assert prover._eval(s, p)[:, 0, 0].tolist() == want
+    assert prover._eval_point(s, p)[0, 0] == want[0]
 
 
 def test_capacity_guard_survives_python_O():
@@ -276,7 +293,7 @@ def _ty5():
 
 def _verlinde(md, tensor):
     prover = MatProver(md.conductor)
-    prover.verify_verlinde(prover.pack(md.S), tensor)
+    prover.verify_verlinde(_proven(prover, md.S)[0], tensor)
 
 
 def _bad_tensors(md):
@@ -344,7 +361,7 @@ def test_one_point_verlinde_agrees_with_the_all_points_oracle(build):
     md = build()
     base = np.array(md.fusion_ring().tensor, dtype=np.int64)
     ours, theirs = MatProver(md.conductor), MatProver(md.conductor)
-    s, s_all = ours.pack(md.S), theirs.pack(md.S)
+    s, s_all = _proven(ours, md.S)[0], theirs.pack(md.S)
     tensors = [base] + [t for t, _ in _bad_tensors(md)]
     tensors += list(_perturbed(base, np.random.default_rng(md.rank), 20))
     failed = 0
@@ -379,9 +396,9 @@ def test_galois_generators_generate_the_units():
 def test_wrong_galois_permutation_or_sign_is_refused():
     md = _ty5()
     prover = MatProver(md.conductor)
-    s = prover.pack(md.S)
     a = galois_generators(md.conductor)[1]
-    perm, eps = prover._galois_guess(s, [a])[a]
+    perm, eps = _proven(prover, md.S)[0]["galois"][a]
+    s = prover.pack(md.S)
     flipped = eps.copy()
     flipped[3] *= -1
     swapped = perm.copy()
@@ -429,23 +446,73 @@ def test_verlinde_refuses_a_galois_asymmetric_s(monkeypatch):
     md = _ty5()
     tensor = np.array(md.fusion_ring().tensor, dtype=np.int64)
     prover = MatProver(md.conductor)
-    valid = prover._galois_guess(prover.pack(md.S), galois_generators(md.conductor))
+    sf, valid = prover._galois_guess(prover.pack(md.S), galois_generators(md.conductor))
     for i, l in [(2, 4), (10, 12), (21, 25), (3, 11), (0, 10), (26, 27)]:
         prover = MatProver(md.conductor)
         with pytest.raises(ModularityError, match=r"not Galois-symmetric under zeta -> zeta\^\d+: "):
-            prover.verify_verlinde(prover.pack(_sigma7_at(md, i, l)), tensor)
-    monkeypatch.setattr(MatProver, "_galois_guess", lambda self, s, gens: {a: valid[a] for a in gens})
+            _proven(prover, _sigma7_at(md, i, l))
+    monkeypatch.setattr(MatProver, "_galois_guess",
+                        lambda self, s, gens: (sf, {a: valid[a] for a in gens}))
     for i, l in [(0, 10), (26, 27)]:
         prover = MatProver(md.conductor)
         with pytest.raises(ModularityError, match=r"^S is not Galois-symmetric under zeta -> zeta\^97$"):
-            prover.verify_verlinde(prover.pack(_sigma7_at(md, i, l)), tensor)
+            _proven(prover, _sigma7_at(md, i, l))
     # sigma_7 on the rho_0 rho_0 entry stays inside its Galois orbit: the
     # symmetry is proven and the Verlinde relation fails, at every point too
     prover, oracle = MatProver(md.conductor), MatProver(md.conductor)
     rows = _sigma7_at(md, 10, 10)
     want = _verdict(all_points_verlinde, oracle, oracle.pack(rows), tensor)
     assert want == "Verlinde eigen-relation fails near (i=1, j=10)"
-    assert _verdict(prover.verify_verlinde, prover.pack(rows), tensor) == want
+    assert _verdict(prover.verify_verlinde, _proven(prover, rows)[0], tensor) == want
+
+
+def test_verlinde_refuses_an_s_without_a_galois_proof():
+    # the one-point argument needs every generator proven: an S packed
+    # alone, or with -1 proven only, is refused before any evaluation
+    md = _ty5()
+    n = md.conductor
+    tensor = np.array(md.fusion_ring().tensor, dtype=np.int64)
+    prover = MatProver(n)
+    s = prover.pack(md.S)
+    a = galois_generators(n)[1]
+    with pytest.raises(ModularityError, match=rf"not proven Galois-symmetric under zeta -> zeta\^{n - 1},"):
+        prover.verify_verlinde(s, tensor)
+    prover.verify_galois(s, {n - 1: (np.array(md.charge_conjugation()), np.ones(md.rank))})
+    with pytest.raises(ModularityError, match=rf"not proven Galois-symmetric under zeta -> zeta\^{a},"):
+        prover.verify_verlinde(s, tensor)
+    prover.verify_galois(s, _proven(MatProver(n), md.S)[0]["galois"])
+    prover.verify_verlinde(s, tensor)
+
+
+def test_validate_guesses_and_proves_galois_once(monkeypatch):
+    # one float guess and one proof cover C and every generator, -1 first;
+    # -1 is proven as conj(S) = CS even when the guess flips a sign, and the
+    # Verlinde proof finds no evaluation left over from the other proofs
+    guessed, proven, left = [], [], []
+    guess, prove, verlinde = MatProver._galois_guess, MatProver.verify_galois, MatProver.verify_verlinde
+
+    def flipped(self, s, gens):
+        guessed.append(list(gens))
+        sf, out = guess(self, s, gens)
+        out[gens[0]][1][1] = -1
+        return sf, out
+
+    monkeypatch.setattr(MatProver, "_galois_guess", flipped)
+    monkeypatch.setattr(MatProver, "verify_galois",
+                        lambda self, s, g: proven.append(dict(g)) or prove(self, s, g))
+    monkeypatch.setattr(MatProver, "verify_verlinde",
+                        lambda self, s, t: left.append(len(s["evals"])) or verlinde(self, s, t))
+    md = _ty5()
+    fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
+    fresh.validate()
+    n = md.conductor
+    gens = galois_generators(n)
+    assert gens[0] == n - 1 and len(gens) > 1
+    assert guessed == [gens] and [list(g) for g in proven] == [gens]
+    perm, eps = proven[0][n - 1]
+    assert perm.tolist() == list(md.charge_conjugation()) and (eps == 1).all()
+    assert fresh.charge_conjugation() == md.charge_conjugation()
+    assert left == [0]
 
 
 def test_verlinde_evaluates_its_own_primes_at_one_point(monkeypatch):

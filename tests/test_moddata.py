@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dense_format import dense_md
+from verlinde_oracle import _proven
 from tycat import modcheck, moddata
 from tycat.cyclo import MAX_CONDUCTOR, CycNum, RootOfUnity, sqrt_int, zeta, zeta_sum
 from tycat.errors import (
@@ -37,7 +38,6 @@ from tycat.moddata import (
     tensor_md,
     ty_center_md,
     verify_condensation,
-    verlinde_fusion,
 )
 from tycat.quadforms import (
     QuadForm,
@@ -93,7 +93,7 @@ def test_pointed_z3():
 
 def test_pointed_fusion_is_group_ring():
     md = pointed_md(metric_group(Q_A2))
-    ring = verlinde_fusion(md)
+    ring = md.fusion_ring()
     for i, g in enumerate(Z3.elements()):
         for j, h in enumerate(Z3.elements()):
             expected = Z3.index_of(g + h)
@@ -162,7 +162,7 @@ def test_mp_fusion_matches_rule_table():
         g = FinAbGroup.of(facs)
         for m in classify_metric_groups(g):
             for sign in (1, -1):
-                ring = verlinde_fusion(mp_md(g, m.bichar, sign))
+                ring = mp_md(g, m.bichar, sign).fusion_ring()
                 expected = gen_mp_fusion_ring(g)
                 assert ring.labels == expected.labels
                 assert np.array_equal(ring.tensor, expected.tensor)
@@ -170,7 +170,7 @@ def test_mp_fusion_matches_rule_table():
 
 def test_ty_center_fusion_contains_mp_rules():
     md = ty_center_md(Z3, B3, 1)
-    ring = verlinde_fusion(md)
+    ring = md.fusion_ring()
     zero = Z3.zero()
     rho0 = md.index_of(TYRho(zero, 0))
     unit = md.index_of(TYPt(zero, 0))
@@ -445,11 +445,14 @@ def test_one_md_build_evaluates_the_float_s_once(monkeypatch):
     monkeypatch.setattr(CycNum, "__complex__", lambda x: calls.append(x) or to_complex(x))
     md = pointed_md.__wrapped__(metric_group(standard_qform(FinAbGroup.of(15))))
     blob = md_to_json(md)
-    # S alone takes r^2 evaluations, shared by charge conjugation, the
-    # Verlinde guess and the float view; dims, the Gauss check and T take O(r)
+    # S alone takes r^2 evaluations, for the float view: charge conjugation,
+    # the Galois and Verlinde guesses read the prover's float S instead;
+    # dims, the Gauss check and T take O(r)
     assert md.rank**2 <= len(calls) < 2 * md.rank**2
-    assert not md.s_float().flags.writeable
-    assert blob["float_view"]["S"][1][2] == [md.s_float()[1, 2].real, md.s_float()[1, 2].imag]
+    z = complex(md.S[1][2])
+    assert blob["float_view"]["S"][1][2] == [z.real, z.imag]
+    _, sf = _proven(modcheck.MatProver(md.conductor), md.S)
+    assert np.allclose(np.array(blob["float_view"]["S"]) @ [1, 1j], sf, rtol=0, atol=1e-12)
 
 
 def test_md_json_roundtrip():

@@ -2,11 +2,25 @@
 before it decided the relation at one point per prime, kept as an oracle:
 every label pair i <= j at every primitive point of every prime, streamed
 over chunks of pairs with the CSR list of their nonzero fusion channels.
-It raises the same message, naming the first failing pair."""
+It raises the same message, naming the first failing pair.  ``_proven``
+packs an S and proves its Galois symmetry the way ``validate`` does, as
+``verify_verlinde`` requires."""
 
 import numpy as np
 
 from tycat.errors import ModularityError
+from tycat.modcheck import galois_generators
+
+
+def _proven(prover, rows) -> tuple[dict, np.ndarray]:
+    """The packed S of ``rows``, symmetric and proven Galois-symmetric for
+    every generator (-1 with eps = 1, as conj(S) = CS), and its float S."""
+    s = prover.pack(rows)
+    prover.verify_symmetric(s)
+    sf, guesses = prover._galois_guess(s, galois_generators(prover.n))
+    guesses[prover.n - 1] = (guesses[prover.n - 1][0], np.ones(s["rank"]))
+    prover.verify_galois(s, guesses)
+    return s, sf
 
 
 def all_points_verlinde(prover, s: dict, tensor: np.ndarray, chunk_bytes: int = 2 << 20) -> None:
