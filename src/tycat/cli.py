@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 
 from .cyclo import RootOfUnity
@@ -99,24 +100,28 @@ def _parse_lattice(spec: str) -> EvenLattice:
     if spec.endswith(".json") or os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return EvenLattice.from_json(json.load(fh))
-    parts = [p.strip() for p in spec.split("+") if p.strip()]
-    lat = named_lattice(parts[0])
-    for p in parts[1:]:
-        lat = orthogonal_sum(lat, named_lattice(p))
-    return lat
+    parts = [p.strip() for p in spec.split("+") if p.strip()] or [spec]  # "+" names no lattice
+    return reduce(orthogonal_sum, map(named_lattice, parts))
+
+
+def _fractions(spec: str) -> list[Fraction]:
+    """Comma-separated rationals; a zero denominator is malformed input."""
+    try:
+        return [Fraction(x) for x in spec.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {spec!r}") from None
 
 
 def _parse_qform(spec: str, group: FinAbGroup) -> QuadForm:
     if spec == "default":
         return standard_qform(group)
-    exps = [Fraction(x) for x in spec.split(",")]
-    return QuadForm.from_exponents(group, exps)
+    return QuadForm.from_exponents(group, _fractions(spec))
 
 
 def _parse_bichar(spec: str, group: FinAbGroup) -> Bichar:
     if spec == "default":
         return metric_group(standard_qform(group)).bichar
-    rows = [[RootOfUnity(Fraction(x)) for x in row.split(",")] for row in spec.split(";")]
+    rows = [[RootOfUnity(x) for x in _fractions(row)] for row in spec.split(";")]
     b = Bichar(group, rows)
     b.validate()
     return b

@@ -25,11 +25,13 @@ product (``MatProver._galois_guess``) and proven by one ``verify_galois``
 call; conjugation is the case a = -1.  ``MatProver.verify_verlinde`` has
 the argument.
 
-Identities that only permute entries (symmetry, conjugation by a
-permutation) are decided on the packed coefficient arrays themselves:
-entries share one denominator and the coefficient vectors are canonical,
-so array equality is value equality.  S^2 = C is proven against the
-permutation C directly, whose evaluation needs no pack.
+A matrix is packed as its K distinct values, one canonical coefficient
+row each over one denominator, and an integer table of every entry's
+value (``distinct_values``); evaluation reads K rows and gathers.  So
+identities that only permute entries (symmetry, conjugation by a
+permutation) are decided on the index table alone: index equality is
+value equality.  S^2 = C is proven against the permutation C directly,
+whose evaluation needs no pack.
 """
 
 from __future__ import annotations
@@ -42,13 +44,14 @@ from .cyclo import _phi_deg, _reduction_table, factorize
 from .errors import CapacityError, ModularityError
 
 _PRIME_CAP = 1 << 22  # keeps every float64 intermediate below 2^53
-# most r x r x phi(N) coefficient cells of a matrix to prove: TY(Z17), with
-# 10.7M cells, peaks at 734 MB RSS, so 16.8M cells keep a build near 1.2 GB
+# most r x r x phi(N) cells of a matrix to prove: one float64 per entry and
+# primitive point in each cached evaluation, 134 MB at the cap (coefficients
+# are only K x phi(N)); TY(Z17), with 10.7M cells, peaks at 201 MB RSS
 MAX_CELLS = 1 << 24
 
 
 def check_cells(rows: int, cols: int, phi: int) -> None:
-    """Refuse more than ``MAX_CELLS`` coefficient cells before they exist."""
+    """Refuse more than ``MAX_CELLS`` evaluation cells before they exist."""
     if rows * cols * phi > MAX_CELLS:
         raise CapacityError(f"{rows} x {cols} entries of {phi} coefficients exceed "
                             f"{MAX_CELLS} cells, the size limit for modular data")
@@ -75,6 +78,18 @@ def galois_generators(n: int) -> list[int]:
         m = n // q
         gens += [(1 + (x - 1) * m * pow(m, -1, q)) % n for x in local]
     return list(dict.fromkeys(gens))
+
+
+def distinct_values(rows) -> tuple[list, np.ndarray]:
+    """The distinct values of a CycNum matrix, first seen first, told apart
+    by the canonical key of each entry at its own conductor, and the
+    read-only table of each entry's position among them."""
+    pos: dict[tuple, int] = {}  # a new key is given len(pos) before it is added
+    index = np.array([[pos.setdefault(x.key_at(x.n), len(pos)) for x in row] for row in rows],
+                     dtype=np.intp)
+    index.flags.writeable = False
+    flat = [x for row in rows for x in row]
+    return [flat[k] for k in np.unique(index, return_index=True)[1]], index
 
 
 def _root_powers(p: int, n: int) -> np.ndarray:
@@ -128,92 +143,75 @@ class MatProver:
     # -- matrix registration ------------------------------------------------
 
     def pack(self, rows) -> dict:
-        """Clear denominators of a CycNum matrix; keep the integer
-        coefficients as float64 (exact: the cap keeps each dot product with
-        residues below ``_PRIME_CAP`` under 2^53), the denominator, L1 norms,
-        and a per-prime evaluation cache."""
-        nr = len(rows)
-        nc = len(rows[0])
-        check_cells(nr, nc, self.phi)
-        den = 1
-        for row in rows:
-            for x in row:
-                den = den * x.den // math.gcd(den, x.den)
-        coeffs = np.zeros((nr, nc, self.phi))
+        """Reduce a CycNum matrix to its K distinct values over one cleared
+        denominator: their integer coefficients as a K x phi float64 array
+        (exact: the cap keeps each dot product with residues below
+        ``_PRIME_CAP`` under 2^53), the read-only ``index`` of every entry
+        among them, the denominator, the largest L1 norm, and a per-prime
+        evaluation cache."""
+        check_cells(len(rows), len(rows[0]), self.phi)
+        values, index = distinct_values(rows)
+        den = math.lcm(*(x.den for x in values))
+        coeffs = np.zeros((len(values), self.phi))
         l1_max = 0
         cap = (2**53 - 1) // (_PRIME_CAP * self.phi)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if x.n != self.n:
-                    raise ModularityError("matrix entry at a foreign conductor")
-                scale = den // x.den
-                tot = 0
-                for e, c in x.num.items():
-                    v = c * scale
-                    av = abs(v)
-                    if av > cap:
-                        raise CapacityError(
-                            f"coefficients too large: {av} exceeds {cap}, "
-                            "the bound for exact float64 evaluation"
-                        )
-                    coeffs[i, j, e] = v
-                    tot += av
-                l1_max = max(l1_max, tot)
-        return {"coeffs": coeffs, "den": den, "l1": l1_max, "rank": nr, "evals": {}}
+        for row, x in zip(coeffs, values):
+            if x.n != self.n:
+                raise ModularityError("matrix entry at a foreign conductor")
+            scale = den // x.den
+            for e, c in x.num.items():
+                if abs(v := c * scale) > cap:
+                    raise CapacityError(f"coefficients too large: {abs(v)} exceeds {cap}, "
+                                        "the bound for exact float64 evaluation")
+                row[e] = v
+            l1_max = max(l1_max, scale * sum(map(abs, x.num.values())))
+        return {"coeffs": coeffs, "index": index, "den": den, "l1": l1_max,
+                "rank": len(rows), "evals": {}}
 
     # -- primes and evaluation ----------------------------------------------
 
     def _primes(self, need: int) -> list[int]:
-        have = 1
-        for p in self._prime_cache:
-            have *= p
-        start = self._prime_cache[-1] + self.n if self._prime_cache else (
-            (_PRIME_CAP // 2) // self.n * self.n + 1
-        )
-        p = start
+        """The fewest primes p = 1 (mod N) from _PRIME_CAP / 2 up, in order,
+        whose product exceeds ``need``; found once and cached."""
+        out, have = [], 1
         while have <= need:
-            if p >= _PRIME_CAP:
-                raise ModularityError("prime pool exhausted")
-            if _is_prime(p):
+            if len(out) == len(self._prime_cache):
+                p = out[-1] + self.n if out else (_PRIME_CAP // 2) // self.n * self.n + 1
+                while p < _PRIME_CAP and not _is_prime(p):
+                    p += self.n
+                if p >= _PRIME_CAP:
+                    raise ModularityError("prime pool exhausted")
                 self._prime_cache.append(p)
-                have *= p
-            p += self.n
-        out = []
-        have = 1
-        for q in self._prime_cache:
-            out.append(q)
-            have *= q
-            if have > need:
-                break
+            out.append(self._prime_cache[len(out)])
+            have *= out[-1]
         return out
 
     def _eval(self, mat: dict, p: int) -> np.ndarray:
-        """Evaluations mod p at every primitive point: shape (npts, nr, nc)."""
+        """Evaluations mod p at every primitive point: shape (npts, nr, nc),
+        gathered from the K distinct values' (npts, K)."""
         if p in mat["evals"]:
             return mat["evals"][p]
         idx = np.outer(self.points, np.arange(self.phi)) % self.n
-        nr, nc, _ = mat["coeffs"].shape
-        flat = mat["coeffs"].reshape(nr * nc, self.phi)
-        ev = _root_powers(p, self.n)[idx] @ flat.T  # (npts, nr * nc), no transpose
+        ev = _root_powers(p, self.n)[idx] @ mat["coeffs"].T
         ev %= p
-        mat["evals"][p] = ev = ev.reshape(len(self.points), nr, nc)
+        mat["evals"][p] = ev = np.take(ev, mat["index"], axis=1)  # C-contiguous, as indexing is not
         return ev
 
     # -- the identities -------------------------------------------------------
 
     def verify_symmetric(self, a: dict) -> None:
-        """S == S^T, decided on the canonical coefficients."""
-        c = a["coeffs"]
-        bad = np.argwhere(np.tril((c != c.transpose(1, 0, 2)).any(axis=2), -1))
+        """S == S^T, decided on the index of distinct values."""
+        idx = a["index"]
+        bad = np.argwhere(np.tril(idx != idx.T, -1))
         if len(bad):
             i, j = (int(x) for x in bad[0])
             raise ModularityError(f"S is not symmetric at ({i}, {j})")
 
     def verify_permuted(self, a: dict, rows, cols, what: str) -> None:
-        """A[rows[i], cols[j]] == A[i, j], decided on the canonical
-        coefficients (CSC = S for a permutation C is rows = cols = C)."""
-        c = a["coeffs"]
-        if not np.array_equal(c[np.ix_(rows, cols)], c):
+        """A[rows[i], cols[j]] == A[i, j], decided on the index of distinct
+        values (CSC = S for a permutation C is rows = cols = C)."""
+        idx = a["index"]
+        if not np.array_equal(idx[np.ix_(rows, cols)], idx):
             raise ModularityError(f"{what} fails")
 
     def verify_product(self, s: dict, perm) -> None:
@@ -221,16 +219,16 @@ class MatProver:
 
         C is never packed: at every point its scaled evaluation is den^2
         at (i, perm[i]) and 0 elsewhere, one r x r array per prime.  The
-        reduced difference has L1 norm at most r l1^2 g + den^2.
+        reduced difference has L1 norm at most r l1^2 g + den^2.  Proven one
+        point at a time.
         """
         den = s["den"]
         r = s["rank"]
         bound = r * s["l1"] ** 2 * self.red_growth + den**2
         for p in self._primes(2 * bound):
-            es = self._eval(s, p)
             rhs = np.zeros((r, r))
             rhs[np.arange(r), perm] = den * den % p
-            if not (_matmul_mod(es, es, p) == rhs).all():
+            if any((_matmul_mod(e, e, p) != rhs).any() for e in self._eval(s, p)):
                 raise ModularityError("S^2 = C identity fails")
 
     def verify_tstst(self, s: dict, t_exps) -> None:
@@ -239,26 +237,21 @@ class MatProver:
         point w^j it evaluates to w^(j t_exps[i]).  As monomials the T entries
         add no L1 norm, so the left side has L1 norm at most r l1^2 in
         Z[x]/(x^N - 1), reduced once at the end, and the reduced difference
-        has L1 norm at most r l1^2 g + den l1.  Computed as (T S T) @ (S T):
-        X = S * t[col], then t[row] * X, then one matrix product.
+        has L1 norm at most r l1^2 g + den l1.  Computed one point at a time
+        as (T S T) @ (S T): X = S * t[col], then t[row] * X, then one matrix
+        product.
         """
-        den = s["den"]
         r = s["rank"]
-        bound = r * s["l1"] ** 2 * self.red_growth + den * s["l1"]
+        bound = r * s["l1"] ** 2 * self.red_growth + s["den"] * s["l1"]
         idx = np.outer(self.points, t_exps) % self.n  # (npts, r)
         for p in self._primes(2 * bound):
-            es = self._eval(s, p)
-            et = _root_powers(p, self.n)[idx]
-            st = es * et[:, None, :]  # S T   (columns scaled)
-            st %= p
-            tst = st * et[:, :, None]  # T S T (then rows)
-            tst %= p
-            lhs = _matmul_mod(tst, st, p)
-            del st, tst
-            rhs = es * (den % p)
-            rhs %= p
-            if not np.array_equal(lhs, rhs):
-                raise ModularityError("TSTST = S identity fails")
+            for e, t in zip(self._eval(s, p), _root_powers(p, self.n)[idx]):
+                st = e * t  # S T   (columns scaled)
+                st %= p
+                tst = st * t[:, None]  # T S T (then rows)
+                tst %= p
+                if not np.array_equal(_matmul_mod(tst, st, p), e * (s["den"] % p) % p):
+                    raise ModularityError("TSTST = S identity fails")
 
     def verify_galois(self, s: dict, guesses: dict) -> None:
         """sigma_a(S) == S P_a for each a -> (pi_a, eps_a) of ``guesses``,
@@ -287,14 +280,14 @@ class MatProver:
         """S in float and (pi_a, eps_a) for each a of ``gens``, read off
         M = conj(S) sigma_a(S) = S^-1 sigma_a(S), the signed permutation
         matrix M[pi_a(l), l] = eps_a(l) when S is unitary and symmetric (for
-        a = -1, M = conj(S^2) and pi_a is C).  S and every sigma_a(S) come in
-        float from the packed coefficients, in one BLAS product, and every M
-        from one more; S is returned as a copy, so that the rest is freed."""
+        a = -1, M = conj(S^2) and pi_a is C).  The distinct values of S and
+        of every sigma_a(S) come in float from one BLAS product, gathered
+        through the index, and every M from one more; S is returned as a
+        copy, so that the rest is freed."""
         r, k = s["rank"], len(gens)
         ang = np.outer(np.arange(self.phi), [1, *gens]) % self.n * (2 * np.pi / self.n)
-        vals = s["coeffs"].reshape(r * r, self.phi) @ np.hstack([np.cos(ang), np.sin(ang)])
-        z = ((vals[:, : k + 1] + 1j * vals[:, k + 1 :]) / s["den"]).reshape(r, r, k + 1)
-        del vals
+        vals = s["coeffs"] @ np.hstack([np.cos(ang), np.sin(ang)])
+        z = np.take((vals[:, : k + 1] + 1j * vals[:, k + 1 :]) / s["den"], s["index"], axis=0)
         sf = z[:, :, 0].copy()
         m = (sf.conj() @ z[:, :, 1:].reshape(r, r * k)).reshape(r, r, k)
         del z
@@ -315,7 +308,7 @@ class MatProver:
     def _eval_point(self, s: dict, p: int) -> np.ndarray:
         """S mod p at the first primitive point alone, (nr, nc)."""
         powers = _root_powers(p, self.n)[np.arange(self.phi) * self.points[0] % self.n]
-        return s["coeffs"] @ powers % p
+        return (s["coeffs"] @ powers % p)[s["index"]]
 
     def verify_verlinde(self, s: dict, tensor: np.ndarray) -> None:
         """sum_k N_ij^k S[k,l] S[0,l] == S[i,l] S[j,l] for all i, j, l,

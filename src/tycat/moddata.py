@@ -7,16 +7,16 @@ S^2 = C a permutation, TSTST = S, CSC = S, CTC = T, (ST)^3 = C, positive
 real dimensions, Gauss-sum consistency of c, and integrality of all
 Verlinde coefficients.  Each matrix identity is proven once, by the
 deterministic prover in :mod:`tycat.modcheck`: the permutation identities
-on the packed coefficients, the others by modular evaluation; only S is
-packed, T enters as exponents.  Every float guess comes from the prover's
-one float S: charge conjugation C and the signed Galois permutations of
-every generator of (Z/N)^x are read off one product and proven in one
-``verify_galois`` call (conj(S) = CS is the generator -1), and the
-Verlinde tensor is a rounded float guess that the prover alone decides;
-the proven array becomes the read-only tensor of ``fusion_ring``, without
-a copy.  Structural invariants of the builders (rank, total dimension)
-and the pairwise inequivalence of a classification raise
-``ModularityError``, not ``assert``.
+on the index table of S's distinct values, the others by modular
+evaluation; only S is packed, T enters as exponents.  Every float guess
+comes from the prover's one float S: charge conjugation C and the signed
+Galois permutations of every generator of (Z/N)^x are read off one
+product and proven in one ``verify_galois`` call (conj(S) = CS is the
+generator -1), and the Verlinde tensor is a rounded float guess that the
+prover alone decides; the proven array becomes the read-only tensor of
+``fusion_ring``, without a copy.  Structural invariants of the builders
+(rank, total dimension) and the pairwise inequivalence of a
+classification raise ``ModularityError``, not ``assert``.
 
 Builders cover pointed data of a metric group, the double of a
 Tambara-Yamagami category for odd groups, the generalized metaplectic
@@ -68,7 +68,7 @@ from .labels import (
     label_from_json,
     label_to_json,
 )
-from .modcheck import MatProver, check_cells, galois_generators
+from .modcheck import MatProver, check_cells, distinct_values, galois_generators
 from .quadforms import (
     Bichar,
     MetricGroup,
@@ -547,10 +547,11 @@ def md_equivalent(a: ModularData, b: ModularData) -> MDEquivalence | None:
     if a.rank != b.rank or a.c_top != b.c_top:
         return None
 
+    # one integer per distinct value of both S, promoted to one conductor
     conductor = math.lcm(a.conductor, b.conductor)
-
-    ka, kb = ([[x.key_at(conductor) for x in row] for row in md.S] for md in (a, b))
-    # classes of (S_0i key, twist); S is symmetric
+    _, index = distinct_values([[x.promoted(conductor) for x in row] for row in a.S + b.S])
+    ka, kb = index[: a.rank].tolist(), index[a.rank :].tolist()
+    # classes of (S_0i value, twist); S is symmetric
     ca = [(ka[i][0], a.thetas[i]) for i in range(a.rank)]
     cb = [(kb[i][0], b.thetas[i]) for i in range(b.rank)]
     if Counter(ca) != Counter(cb):
@@ -590,12 +591,10 @@ def md_equivalent(a: ModularData, b: ModularData) -> MDEquivalence | None:
         return None
 
     # full verification of the witness
-    for i in range(a.rank):
-        if b.thetas[mapping[i]] != a.thetas[i]:
-            raise ModularityError("equivalence witness fails on T")
-        for j in range(a.rank):
-            if ka[i][j] != kb[mapping[i]][mapping[j]]:
-                raise ModularityError("equivalence witness fails on S")
+    if any(b.thetas[mapping[i]] != a.thetas[i] for i in range(a.rank)):
+        raise ModularityError("equivalence witness fails on T")
+    if not np.array_equal(index[a.rank :][np.ix_(mapping, mapping)], index[: a.rank]):
+        raise ModularityError("equivalence witness fails on S")
     return MDEquivalence(tuple(mapping))
 
 
@@ -826,12 +825,14 @@ def md_from_json(obj: dict) -> ModularData:
     ``CapacityError``."""
     _md_shape(obj)
     conductor = obj["conductor"]
-    labels = []
+    labels, first = [], {}
     for i, l in enumerate(obj["labels"]):
         try:
             labels.append(label_from_json(l))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"labels[{i}] is malformed: {exc!r}") from None
+        if (j := first.setdefault(labels[i], i)) != i:
+            raise InvalidArgumentError(f"labels[{i}] repeats labels[{j}]")
     c_top = obj["c_top"]
     if not (type(c_top) is int or isinstance(c_top, str) and c_top.lstrip("-").isdigit()):
         raise InvalidArgumentError(f"c_top must be an integer, got {c_top!r}")

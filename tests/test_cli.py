@@ -327,6 +327,24 @@ def test_bad_lattice_is_domain_error(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ("disc", "--lattice", "+"),
+    ("glue", "--lattice", "+", "--isotropic", "1"),
+    ("md", "pointed", "--group", "3", "--qform", "0,1/3,1/0"),
+    ("md", "mp", "--group", "3", "--bichar", "1/0"),
+])
+def test_malformed_argument_ends_without_a_traceback(argv):
+    # a lattice sum naming no lattice and a zero denominator are input errors
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tycat.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "tycat", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode in (1, 2) and "Traceback" not in out.stderr, out.stderr
+    if out.returncode == 1:
+        assert "error" in json.loads(out.stdout)
+
+
 def test_custom_gram_file(tmp_path, capsys):
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps({"gram": [[2, -1], [-1, 2]]}))

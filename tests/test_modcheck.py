@@ -224,6 +224,74 @@ def test_packed_coefficients_are_exact_at_the_cap():
     assert prover._eval_point(s, p)[0, 0] == want[0]
 
 
+# -- S as a table of distinct values -----------------------------------------------
+
+
+def test_equal_values_pack_to_one_index_whatever_their_objects():
+    # equal values given as distinct objects, their terms in different
+    # orders, are one value; symmetry and CSC = S read the index alone
+    x, y = CycNum(12, {0: 1, 1: 2}), CycNum(12, {1: 2, 0: 1})
+    assert x is not y and list(x.num) != list(y.num) and x == y
+    z = CycNum(12, {1: 2})
+    prover = MatProver(12)
+    s = prover.pack([[x, z, z], [z, y, x], [z, x, y]])
+    assert s["index"].tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+    assert s["coeffs"].shape == (2, prover.phi) and not s["index"].flags.writeable
+    s["coeffs"] = None
+    prover.verify_symmetric(s)
+    prover.verify_permuted(s, [0, 2, 1], [0, 2, 1], "CSC = S")
+    with pytest.raises(ModularityError, match="swap fails"):
+        prover.verify_permuted(s, [1, 0, 2], [1, 0, 2], "swap")
+
+
+def test_an_entry_at_a_divisor_conductor_is_refused_after_an_equal_value():
+    # zeta_3 at conductor 12 and at 3 are equal, but the prover works at 12
+    w = CycNum(3, {1: 1})
+    with pytest.raises(ModularityError, match="matrix entry at a foreign conductor"):
+        MatProver(12).pack([[w.promoted(12), w], [w, w.promoted(12)]])
+
+
+def _ty11():
+    z11 = FinAbGroup.of(11)
+    return ty_center_md(z11, bichar_from_qform(classify_metric_groups(z11)[0].quad), 1)
+
+
+def test_ty11_packs_its_distinct_values_and_evaluates_each_entry():
+    md = _ty11()
+    prover = MatProver(md.conductor)
+    s = prover.pack(md.S)
+    assert s["coeffs"].shape == (100, prover.phi) and s["index"].shape == (md.rank,) * 2
+    p = prover._primes(2)[0]
+    ev = prover._eval(s, p)
+    assert ev.shape == (prover.phi, md.rank, md.rank) and ev.flags.c_contiguous
+    # the oracle: each sampled entry evaluated on its own, mod p
+    w = modcheck._root_powers(p, md.conductor).astype(np.int64).tolist()
+    rng = random.Random(11)
+    for t in (0, 1, prover.phi - 1):
+        j = prover.points[t]
+        for i, k in [(0, 0), (md.rank - 1, md.rank - 1)] + [
+            (rng.randrange(md.rank), rng.randrange(md.rank)) for _ in range(200)
+        ]:
+            x = md.S[i][k]
+            scale = s["den"] // x.den
+            want = sum(c * scale * w[j * e % md.conductor] for e, c in x.num.items()) % p
+            assert ev[t, i, k] == want, (t, i, k)
+    assert (prover._eval_point(s, p) == ev[0]).all()
+
+
+def test_validate_memory_on_ty11_is_bounded():
+    # S^2 = C and TSTST = S are proven one r x r point at a time
+    md = _ty11()
+    fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
+    tracemalloc.start()
+    try:
+        fresh.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20, f"validate() peaked at {peak / 2**20:.0f} MB"
+
+
 def test_capacity_guard_survives_python_O():
     # asserts are stripped under -O; the guards must not be ones: the
     # prover's coefficient bound, the Smith normal form certificate

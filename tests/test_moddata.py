@@ -592,6 +592,11 @@ def _corruptions():
     def bad_label(b):
         b["labels"][0] = {"kind": "mp_sigma"}
 
+    def repeated_label(b):
+        b["labels"][1] = b["labels"][0]
+        b["S"][0][1] = "1/2"  # refused before any entry is read
+
+
     return [
         (drop_s_row, "S has 4 entries, labels has 5"),
         (drop_label, "label_names has 5 entries, labels has 4"),
@@ -608,6 +613,7 @@ def _corruptions():
         (bad_c_top, "c_top must be an integer"),
         (bad_grading, "grading has 1 entries, labels has 5"),
         (bad_label, "labels[0] is malformed"),
+        (repeated_label, "labels[1] repeats labels[0]"),
     ]
 
 

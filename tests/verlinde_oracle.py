@@ -24,7 +24,7 @@ def _proven(prover, rows) -> tuple[dict, np.ndarray]:
 
 
 def all_points_verlinde(prover, s: dict, tensor: np.ndarray, chunk_bytes: int = 2 << 20) -> None:
-    r = s["coeffs"].shape[0]
+    r = s["rank"]
     nmax = int(tensor.max()) if tensor.size else 0
     g = prover.red_growth
     bound = r * nmax * s["l1"] ** 2 * g + s["l1"] ** 2 * g
