@@ -18,10 +18,9 @@ import os
 import sys
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 
 from .cyclo import RootOfUnity
-from .errors import TycatError
+from .errors import TycatError, UnsupportedError
 from .fusionrings import (
     check_fusion_ring,
     gen_mp_fusion_ring,
@@ -61,7 +60,7 @@ from .quadforms import (
 )
 
 
-_EMIT_BATCH = 1 << 16  # encoder chunks per write
+_EMIT_BATCH = 1 << 16  # pieces per write
 
 
 def _rat(x: Fraction):
@@ -69,13 +68,111 @@ def _rat(x: Fraction):
     return int(x) if x.denominator == 1 else str(x)
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+_str = json.encoder.encode_basestring_ascii
+# the text of a scalar by its exact type; subclasses go through _scalar
+_SCALAR = {
+    str: _str,
+    int: int.__repr__,
+    float: _float,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _scalar(x) -> str | None:
+    """The JSON text of a scalar as ``json`` writes it, None for a list,
+    tuple or dict, and ``json``'s TypeError for anything else."""
+    if (f := _SCALAR.get(type(x))) is not None:
+        return f(x)
+    if isinstance(x, (list, tuple, dict)):
+        return None
+    if isinstance(x, str):
+        return _str(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float(x)
+    return json.JSONEncoder().default(x)  # raises
+
+
+def _key(k) -> str:
+    """A dict key converted as ``json`` converts it."""
+    if isinstance(k, str):
+        return _str(k)
+    if k is None or isinstance(k, (int, float)):
+        return _str(_scalar(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
 def _emit(obj) -> None:
     """Write ``json.dumps(obj, indent=2)`` and a newline, in joined batches
-    of encoder chunks rather than one string of the whole document."""
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    while batch := "".join(islice(chunks, _EMIT_BATCH)):
-        sys.stdout.write(batch)
+    of ``_EMIT_BATCH`` pieces rather than one string of the whole document.
+
+    A container met a second time at the same depth is encoded once more
+    into a string that every later sighting writes as it is (the text of a
+    container depends only on its depth), so modular data's shared S
+    entries are encoded at most twice; a list of scalars is one join."""
+    out: list[str] = []
+    seen: dict = {}  # (id, depth) -> None when met once, its text from then on
+
+    def container(o, depth: int, parts: list) -> None:
+        key = (id(o), depth)
+        if key not in seen:
+            seen[key] = None
+            return body(o, depth, parts)
+        if (text := seen[key]) is None:
+            sub: list[str] = []
+            body(o, depth, sub)
+            text = seen[key] = "".join(sub)
+        parts.append(text)
+
+    def body(o, depth: int, parts: list) -> None:
+        if not o:
+            return parts.append("{}" if isinstance(o, dict) else "[]")
+        inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        if isinstance(o, dict):
+            sep, end = "{" + inner, close + "}"
+            items = ((_key(k) + ": ", v) for k, v in o.items())
+        else:
+            sep, end = "[" + inner, close + "]"
+            try:
+                texts = [_SCALAR[type(x)](x) for x in o]
+            except KeyError:  # a container or a subclass
+                items = (("", x) for x in o)
+            else:
+                return parts.append(sep + ("," + inner).join(texts) + end)
+        for head, v in items:
+            if (text := _scalar(v)) is None:
+                parts.append(sep + head)
+                container(v, depth + 1, parts)
+            else:
+                parts.append(sep + head + text)
+            sep = "," + inner
+            if len(out) >= _EMIT_BATCH:
+                flush()
+        parts.append(end)
+
+    def flush() -> None:
+        sys.stdout.write("".join(out))
+        out.clear()
+
+    if (text := _scalar(obj)) is None:
+        container(obj, 0, out)
+    else:
+        out.append(text)
+    flush()
+    # a write the reader left part-way returns short without an error, so
+    # the newline goes alone and the flush reports a closed pipe here
     sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 def _group_orders(spec: str) -> list[int]:
@@ -112,15 +209,24 @@ def _fractions(spec: str) -> list[Fraction]:
         raise ValueError(f"zero denominator in {spec!r}") from None
 
 
+def _default_qform(group: FinAbGroup) -> QuadForm:
+    if group.order % 2 == 0:
+        raise UnsupportedError(
+            f"the default form needs a group of odd order, got order {group.order}; "
+            "pass --qform"
+        )
+    return standard_qform(group)
+
+
 def _parse_qform(spec: str, group: FinAbGroup) -> QuadForm:
     if spec == "default":
-        return standard_qform(group)
+        return _default_qform(group)
     return QuadForm.from_exponents(group, _fractions(spec))
 
 
 def _parse_bichar(spec: str, group: FinAbGroup) -> Bichar:
     if spec == "default":
-        return metric_group(standard_qform(group)).bichar
+        return metric_group(_default_qform(group)).bichar
     rows = [[RootOfUnity(x) for x in _fractions(row)] for row in spec.split(";")]
     b = Bichar(group, rows)
     b.validate()

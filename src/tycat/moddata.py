@@ -751,18 +751,26 @@ def classify_mp(group: FinAbGroup) -> list[ModularData]:
 
 
 def md_to_json(md: ModularData) -> dict:
+    """The JSON document of modular data.  Each distinct S entry object is
+    converted once, and its dict and float pair stand at every position
+    that holds it (the builders and ``md_from_json`` share one ``CycNum``
+    per value), which lets ``cli._emit`` write each from cached text; so
+    editing one entry in place edits every copy of its value."""
     t = [zeta(md.conductor, k) for k in md.t_exps]  # T_i = zeta_N^k_i, canonical
+    distinct = {id(x): x for row in md.S for x in row}  # md.S keeps every id alive
+    exact = {i: x.to_json() for i, x in distinct.items()}
+    approx = {i: [z.real, z.imag] for i, z in zip(distinct, map(complex, distinct.values()))}
     return {
         "conductor": md.conductor,
         "c_top": str(md.c_top),
         "labels": [label_to_json(l) for l in md.labels],
         "label_names": [str(l) for l in md.labels],
-        "S": [[x.to_json() for x in row] for row in md.S],
+        "S": [[exact[id(x)] for x in row] for row in md.S],
         "T": [x.to_json() for x in t],
         "grading": list(md.grading) if md.grading is not None else None,
         "float_view": {
-            "S": [[[z.real, z.imag] for z in map(complex, row)] for row in md.S],
-            "T": [[complex(x).real, complex(x).imag] for x in t],
+            "S": [[approx[id(x)] for x in row] for row in md.S],
+            "T": [[z.real, z.imag] for z in map(complex, t)],
         },
     }
 
@@ -836,13 +844,22 @@ def md_from_json(obj: dict) -> ModularData:
     c_top = obj["c_top"]
     if not (type(c_top) is int or isinstance(c_top, str) and c_top.lstrip("-").isdigit()):
         raise InvalidArgumentError(f"c_top must be an integer, got {c_top!r}")
-    s_entries = [
-        [_md_entry(x, conductor, f"S[{i}][{j}]") for j, x in enumerate(row)]
+    # each distinct entry is read once, and the datum shares its CycNum as a
+    # built one does; repr is one-to-one on what json.load returns, types
+    # included (1, 1.0 and true differ), and only successful reads are kept,
+    # so a malformed entry is reported at its own position
+    memo: dict[str, CycNum] = {}
+
+    def entry(x, where: str) -> CycNum:
+        if (v := memo.get(key := repr(x))) is None:
+            v = memo[key] = _md_entry(x, conductor, where).promoted(conductor)
+        return v
+
+    s_rows = [
+        [entry(x, f"S[{i}][{j}]") for j, x in enumerate(row)]
         for i, row in enumerate(obj["S"])
     ]
-    t_entries = [_md_entry(x, conductor, f"T[{i}]") for i, x in enumerate(obj["T"])]
-    s_rows = [[x.promoted(conductor) for x in row] for row in s_entries]
-    t_entries = [x.promoted(conductor) for x in t_entries]
+    t_entries = [entry(x, f"T[{i}]") for i, x in enumerate(obj["T"])]
     c_top = int(c_top) % 8
     pref_inv = RootOfUnity(Fraction(c_top, 24)).to_cyc(conductor)
     # as_root_of_unity proves t zeta_24^c = theta exactly, so the T that

@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tycat
 from dense_format import dense_md
@@ -142,7 +148,7 @@ def test_fusion_rules_check_the_ring_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("batch", [3, cli._EMIT_BATCH])
+@pytest.mark.parametrize("batch", [1, 3, cli._EMIT_BATCH])
 def test_emit_matches_json_dumps(capsys, monkeypatch, batch):
     obj = {
         "a": [1, 2.5, None, True, "x\u00e9\"y"],
@@ -152,6 +158,79 @@ def test_emit_matches_json_dumps(capsys, monkeypatch, batch):
     monkeypatch.setattr(cli, "_EMIT_BATCH", batch)
     cli._emit(obj)
     assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+
+def emitted(obj, batch: int) -> str:
+    buf = io.StringIO()
+    with mock.patch.object(cli, "_EMIT_BATCH", batch), contextlib.redirect_stdout(buf):
+        cli._emit(obj)
+    return buf.getvalue()
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**63)),
+    st.floats(),  # nan and +-inf included
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, float("nan"), float("inf"), -float("inf")]),
+    st.text(),  # non-ASCII and control characters included
+    st.sampled_from(["\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\"\\/", "\ud800", "\u2028"]),
+)
+json_keys = st.one_of(st.text(max_size=5), st.integers(), st.floats(), st.booleans(), st.none())
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(json_keys, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@st.composite
+def shared_docs(draw):
+    """A document that holds one object twice at one depth and again at
+    other depths, around independent parts."""
+    shared = draw(json_docs)
+    return {
+        "pair": [shared, shared],
+        "deeper": [[shared], {"x": shared, "y": [shared, draw(json_docs)]}],
+        "rest": draw(json_docs),
+        "again": shared,
+    }
+
+
+@pytest.mark.parametrize("batch", [1, 3, cli._EMIT_BATCH])
+@settings(max_examples=60, deadline=None)
+@given(obj=st.one_of(json_docs, shared_docs()))
+def test_emit_writes_json_dumps_of_any_document(batch, obj):
+    assert emitted(obj, batch) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [np.int64(3), [1, Fraction(1, 3)], {"a": {"b": [np.float32(1.5)]}}, {"k": {1, 2}},
+     {(1, 2): 3}, [{frozenset(): 1}]],
+    ids=["int64", "fraction", "float32", "set", "tuple-key", "frozenset-key"],
+)
+def test_emit_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        emitted(obj, cli._EMIT_BATCH)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("kind", ["pointed", "ty-center", "mp"])
+def test_default_form_on_an_even_group_asks_for_a_qform(capsys, kind):
+    code, out, err = run_cli(capsys, "md", kind, "--group", "4")
+    assert code == 1
+    message = json.loads(out)["error"]
+    assert "odd order" in message and "--qform" in message and "order 4" in message
+    assert "classification" not in message and "Traceback" not in err
 
 
 def test_fusion_from_md(tmp_path, capsys):
@@ -396,6 +475,11 @@ GOLDEN_STDOUT = {
         "c6bf3a9944f0bf36bd08482901845a0e56ea40b962af55a7748d5a8cda33304b",
     ("md", "ty-center", "--group", "5"):
         "1473f0675c631de696955e24c0ccdbb13208ecfd7836ab1da86959be11d292c3",
+    # the two builds that repeat S entries the most among the quick ones
+    ("md", "ty-center", "--group", "9"):
+        "b2b59308e8268500abf556812224f08e8daf80a6f1bf92470671a7f78d5f9715",
+    ("md", "pointed", "--group", "45"):
+        "047c3ee22495bdaf94646b7f3812ad188499b72797d308f50cfae9fa3c72352a",
     ("disc", "--lattice", "A4+A4"):
         "796ec28c0067124856777fdd96fc75fd1a49142b0ecd1803fc2a52dc55923b0e",
     ("disc", "--lattice", "E7"):

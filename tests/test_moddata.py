@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from tycat.labels import (
     TYPt,
     TYRho,
     TYSigma,
+    label_to_json,
 )
 from tycat.moddata import (
     ModularData,
@@ -445,10 +447,12 @@ def test_one_md_build_evaluates_the_float_s_once(monkeypatch):
     monkeypatch.setattr(CycNum, "__complex__", lambda x: calls.append(x) or to_complex(x))
     md = pointed_md.__wrapped__(metric_group(standard_qform(FinAbGroup.of(15))))
     blob = md_to_json(md)
-    # S alone takes r^2 evaluations, for the float view: charge conjugation,
-    # the Galois and Verlinde guesses read the prover's float S instead;
-    # dims, the Gauss check and T take O(r)
-    assert md.rank**2 <= len(calls) < 2 * md.rank**2
+    # S takes one evaluation per distinct entry object, for the float view:
+    # charge conjugation, the Galois and Verlinde guesses read the prover's
+    # float S instead; dims, the Gauss check and T take O(r)
+    k = len({id(x) for row in md.S for x in row})
+    assert k < md.rank**2
+    assert k <= len(calls) < k + 3 * md.rank
     z = complex(md.S[1][2])
     assert blob["float_view"]["S"][1][2] == [z.real, z.imag]
     _, sf = _proven(modcheck.MatProver(md.conductor), md.S)
@@ -464,6 +468,71 @@ def test_md_json_roundtrip():
         assert back.t_exps == md.t_exps
         assert back.c_top == md.c_top
         assert md_to_json(back) == blob
+
+
+Z9 = FinAbGroup.of(9)
+
+
+def test_to_json_converts_each_distinct_entry_once():
+    md = ty_center_md(Z9, bichar_from_qform(standard_qform(Z9)), 1)
+    blob = md_to_json(md)
+    k = len({id(x) for row in md.S for x in row})
+    assert k < md.rank**2 // 10
+    assert len({id(e) for row in blob["S"] for e in row}) <= k
+    assert len({id(p) for row in blob["float_view"]["S"] for p in row}) <= k
+    # the per-entry conversion md_to_json made before it shared entries
+    t = [zeta(md.conductor, e) for e in md.t_exps]
+    assert blob == {
+        "conductor": md.conductor,
+        "c_top": str(md.c_top),
+        "labels": [label_to_json(l) for l in md.labels],
+        "label_names": [str(l) for l in md.labels],
+        "S": [[x.to_json() for x in row] for row in md.S],
+        "T": [x.to_json() for x in t],
+        "grading": list(md.grading) if md.grading is not None else None,
+        "float_view": {
+            "S": [[[z.real, z.imag] for z in map(complex, row)] for row in md.S],
+            "T": [[complex(x).real, complex(x).imag] for x in t],
+        },
+    }
+
+
+def test_from_json_reads_each_distinct_entry_once(monkeypatch):
+    md = ty_center_md(Z9, bichar_from_qform(standard_qform(Z9)), 1)
+    blob = json.loads(json.dumps(md_to_json(md)))
+    reads = []
+    real = moddata._md_entry
+    monkeypatch.setattr(moddata, "_md_entry", lambda x, *a: reads.append(x) or real(x, *a))
+    back = md_from_json(blob)
+    texts = {json.dumps(x) for x in [*(x for row in blob["S"] for x in row), *blob["T"]]}
+    assert len(reads) == len(texts) < md.rank**2 // 10
+    assert back.S == md.S
+    # one CycNum per distinct value, shared like the builders' entries
+    values, _ = modcheck.distinct_values(back.S)
+    assert len({id(x) for row in back.S for x in row}) == len(values)
+
+
+def _repeated_entry(blob):
+    """The position of the last copy of a value S holds more than once whose
+    first coefficient is 1, which 1.0 and true equal in Python."""
+    first = {}
+    for i, row in enumerate(blob["S"]):
+        for j, x in enumerate(row):
+            if x["terms"][:1] and x["terms"][0][1] == 1:
+                first.setdefault(json.dumps(x), []).append((i, j))
+    return max(pos[-1] for pos in first.values() if len(pos) > 1)
+
+
+@pytest.mark.parametrize("retype", [float, bool, str], ids=["float", "bool", "str"])
+def test_from_json_reports_a_corrupted_copy_at_its_own_position(retype):
+    blob = json.loads(json.dumps(md_to_json(mp_md(Z3, B3, 1))))
+    i, j = _repeated_entry(blob)
+    entry = blob["S"][i][j]
+    e, c = entry["terms"][0]
+    entry["terms"][0] = [e, retype(c)]  # 1.0 and true equal 1, but are no JSON integer
+    with pytest.raises(InvalidArgumentError) as exc:
+        md_from_json(blob)
+    assert str(exc.value).startswith(f"S[{i}][{j}]: term coefficient must be an integer")
 
 
 def test_from_json_rejects_corrupt():
@@ -621,7 +690,8 @@ def _corruptions():
     "edit, message", _corruptions(), ids=[e.__name__ for e, _ in _corruptions()]
 )
 def test_from_json_rejects_malformed_shape(edit, message):
-    blob = md_to_json(mp_md(Z3, B3, 1))
+    # a document as a reader gets it: md_to_json shares repeated entries
+    blob = json.loads(json.dumps(md_to_json(mp_md(Z3, B3, 1))))
     edit(blob)
     with pytest.raises(InvalidArgumentError) as exc:
         md_from_json(blob)
