@@ -19,16 +19,11 @@ import sys
 from fractions import Fraction
 from functools import reduce
 
+# moddata (with modcheck, fusionrings and labels) and fusionrings are
+# imported inside the commands that run them, so that `classify`, `disc`,
+# `glue` and `graph` start without them
 from .cyclo import RootOfUnity
 from .errors import TycatError, UnsupportedError
-from .fusionrings import (
-    check_fusion_ring,
-    gen_mp_fusion_ring,
-    gen_ty_fusion_ring,
-    ty_dual_hypergroup_and_table,
-    ty_fusion_ring,
-    ty_hypergroup,
-)
 from .graphs import dual_principal_graph, emit_dot, principal_graph
 from .groups import FinAbGroup, check_table_order
 from .lattices import (
@@ -38,16 +33,6 @@ from .lattices import (
     glue,
     named_lattice,
     orthogonal_sum,
-)
-from .moddata import (
-    bantay_fs,
-    md_equivalent,
-    md_from_json,
-    md_to_json,
-    mp_md,
-    pointed_md,
-    ty_center_md,
-    verify_condensation,
 )
 from .quadforms import (
     Bichar,
@@ -234,6 +219,8 @@ def _parse_bichar(spec: str, group: FinAbGroup) -> Bichar:
 
 
 def _load_md(path: str):
+    from .moddata import md_from_json
+
     with open(path, "r", encoding="utf-8") as fh:
         return md_from_json(json.load(fh))
 
@@ -294,6 +281,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_md(args) -> int:
+    from .moddata import md_to_json, mp_md, pointed_md, ty_center_md
+
     group = _group(args.group)
     sign = 1 if args.sign == "+" else -1
     if args.kind == "pointed":
@@ -313,6 +302,13 @@ def _cmd_md(args) -> int:
 
 
 def _cmd_fusion(args) -> int:
+    from .fusionrings import (
+        check_fusion_ring,
+        gen_mp_fusion_ring,
+        gen_ty_fusion_ring,
+        ty_fusion_ring,
+    )
+
     if args.from_md:
         ring = _load_md(args.from_md).fusion_ring()
     else:
@@ -339,6 +335,8 @@ def _cmd_fusion(args) -> int:
 
 
 def _cmd_fs(args) -> int:
+    from .moddata import bantay_fs
+
     md = _load_md(args.md)
     label = md.label_named(args.label)
     _emit({"label": args.label, "nu": bantay_fs(md, label)})
@@ -346,6 +344,8 @@ def _cmd_fs(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .moddata import md_equivalent
+
     a = _load_md(args.a)
     b = _load_md(args.b)
     w = md_equivalent(a, b)
@@ -364,6 +364,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_condense(args) -> int:
+    from .moddata import verify_condensation
+
     parent = _load_md(args.parent)
     child = _load_md(args.child)
     bosons = []
@@ -399,6 +401,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_hypergroup(args) -> int:
+    from .fusionrings import ty_dual_hypergroup_and_table, ty_hypergroup
+
     group = _group(args.group)
     payload = {"hypergroup": ty_hypergroup(group).to_json()}
     if args.table:

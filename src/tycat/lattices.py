@@ -6,7 +6,7 @@ diagonal).  The discriminant construction produces the metric group
 returns the overlattice as a new even Gram matrix in a Hermite-reduced
 basis.  Inner products are integer arithmetic through the adjugate
 adj(G) = det(G) G^-1, read off the Smith form.  Root counting enumerates
-norm-2 vectors exactly with rational bounds, so the E8 identifications can
+norm-2 vectors exactly with integer bounds, so the E8 identifications can
 be checked by (rank, det, evenness, root count) without any
 lattice-isomorphism machinery.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -46,6 +45,22 @@ __all__ = [
 ]
 
 
+def _bareiss(gram) -> tuple[list[list[int]], list[int]]:
+    """Pivot-free (Bareiss) elimination of a symmetric integer matrix: the
+    rows, row k as it was when it was the pivot, and the leading principal
+    minors D_0 = 1, D_1, ..., which are the pivots.  It stops at the first
+    minor that is not positive."""
+    m, minors = [list(row) for row in gram], [1]
+    for k, mk in enumerate(m):
+        minors.append(mk[k])
+        if mk[k] <= 0:
+            break
+        for mi in m[k + 1:]:
+            tail = zip(mi[k + 1:], mk[k + 1:])
+            mi[k + 1:] = [(x * mk[k] - mi[k] * y) // minors[k] for x, y in tail]
+    return m, minors
+
+
 @dataclass(frozen=True)
 class EvenLattice:
     gram: Matrix
@@ -61,16 +76,9 @@ class EvenLattice:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise InvalidArgumentError("Gram matrix must be symmetric")
-        # Sylvester: positive definite iff each leading principal minor is
-        # positive; they are the pivots of one pivot-free Bareiss elimination
-        m, prev = [list(row) for row in g], 1
-        for k, mk in enumerate(m):
-            if mk[k] <= 0:
-                raise InvalidArgumentError("Gram matrix is not positive definite")
-            for mi in m[k + 1:]:
-                tail = zip(mi[k + 1:], mk[k + 1:])
-                mi[k + 1:] = [(x * mk[k] - mi[k] * y) // prev for x, y in tail]
-            prev = mk[k]
+        # Sylvester: positive definite iff each leading principal minor is positive
+        if min(_bareiss(g)[1]) <= 0:
+            raise InvalidArgumentError("Gram matrix is not positive definite")
 
     @property
     def rank(self) -> int:
@@ -288,55 +296,38 @@ def mirror_check(lattice: EvenLattice, candidate: EvenLattice) -> GroupAut | Non
 
 def count_roots(lattice: EvenLattice, norm: int = 2) -> int:
     """The exact number of lattice vectors of the given norm, by exhaustive
-    search with rational Cholesky bounds.  Rank is capped at 8."""
+    search with integer bounds.  Rank is capped at 8.
+
+    With D_k the leading principal minors and b_i the integer pivot rows of
+    the Bareiss elimination of the Gram matrix,
+    Q(x) = sum_i u_i^2 / (D_i D_{i+1}) for u_i = D_{i+1} x_i + sum_{j>i} b_ij x_j.
+    Scaling by M = lcm_i(D_i D_{i+1}) makes every weight w_i an integer, so
+    each x_i runs over exactly the integers with w_i u_i^2 <= the scaled
+    norm left."""
     n = lattice.rank
     if n > 8:
         raise CapacityError("root counting is capped at rank 8")
-    if n == 0:
+    if n == 0 or norm < 0:
         return 0
-    # rational LDL^T: Q(x) = sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2
-    a = [[Fraction(x) for x in row] for row in lattice.gram]
-    dvec = [Fraction(0)] * n
-    coef = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        dvec[i] = a[i][i]
-        for j in range(i + 1, n):
-            coef[i][j] = a[i][j] / a[i][i]
-        for k in range(i + 1, n):
-            for l in range(i + 1, n):
-                a[k][l] -= a[k][i] * a[i][l] / a[i][i]
-
-    target = Fraction(norm)
+    b, minors = _bareiss(lattice.gram)
+    scale = math.lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    weight = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
     count = 0
 
-    def floor_sqrt(f: Fraction) -> Fraction:
-        # floor of sqrt(f) for f >= 0, exact
-        if f < 0:
-            return Fraction(-1)
-        num, den = f.numerator, f.denominator
-        return Fraction(math.isqrt(num * den), den)
-
-    def search(i: int, rem: Fraction, shifts: list[Fraction]):
+    def search(i: int, rem: int, shifts: list[int]):
+        # shifts[j] = sum_{k>i} b_jk x_k for j <= i; rem = M (norm - fixed part)
         nonlocal count
         if i < 0:
-            if rem == 0:
-                count += 1
+            count += rem == 0
             return
-        c = shifts[i]
-        bound = rem / dvec[i]
-        s = floor_sqrt(bound)
-        lo = math.ceil(-c - s) - 1  # widen: s only under-approximates sqrt
-        hi = math.floor(-c + s) + 1
-        for xi in range(lo, hi + 1):
-            term = dvec[i] * (xi + c) ** 2
-            if term > rem:
-                continue
-            new_shifts = list(shifts)
-            for j in range(i):
-                new_shifts[j] += coef[j][i] * xi
-            search(i - 1, rem - term, new_shifts)
+        d, t, s = minors[i + 1], shifts[i], math.isqrt(rem // weight[i])
+        row = [bj[i] for bj in b[:i]]
+        for xi in range(-((s + t) // d), (s - t) // d + 1):
+            u = d * xi + t
+            search(i - 1, rem - weight[i] * u * u,
+                   [sj + bji * xi for sj, bji in zip(shifts, row)])
 
-    search(n - 1, target, [Fraction(0)] * n)
+    search(n - 1, norm * scale, [0] * n)
     if norm == 0:
         count -= 1  # exclude the zero vector
     return count

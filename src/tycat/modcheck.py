@@ -83,13 +83,18 @@ def galois_generators(n: int) -> list[int]:
 def distinct_values(rows) -> tuple[list, np.ndarray]:
     """The distinct values of a CycNum matrix, first seen first, told apart
     by the canonical key of each entry at its own conductor, and the
-    read-only table of each entry's position among them."""
+    read-only table of each entry's position among them.  Entries that are
+    one object share a value, so the key is computed once per object."""
     pos: dict[tuple, int] = {}  # a new key is given len(pos) before it is added
-    index = np.array([[pos.setdefault(x.key_at(x.n), len(pos)) for x in row] for row in rows],
-                     dtype=np.intp)
+    values = []
+    at: dict[int, int] = {}  # id of an entry object -> its position
+    for x in {id(x): x for row in rows for x in row}.values():  # first seen first
+        at[id(x)] = k = pos.setdefault(x.key_at(x.n), len(pos))
+        if k == len(values):
+            values.append(x)
+    index = np.array([[at[id(x)] for x in row] for row in rows], dtype=np.intp)
     index.flags.writeable = False
-    flat = [x for row in rows for x in row]
-    return [flat[k] for k in np.unique(index, return_index=True)[1]], index
+    return values, index
 
 
 def _root_powers(p: int, n: int) -> np.ndarray:

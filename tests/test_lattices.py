@@ -1,4 +1,7 @@
+import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +14,7 @@ from tycat import lattices
 from tycat.cyclo import RootOfUnity
 from tycat.errors import CapacityError, InvalidArgumentError, ModularityError
 from tycat.groups import FinAbGroup
-from tycat.intmat import identity, matmul, smith_normal_form, transpose
+from tycat.intmat import as_matrix, det, identity, matmul, smith_normal_form, transpose
 from tycat.lattices import (
     EvenLattice,
     count_roots,
@@ -158,15 +161,58 @@ def test_mirrors():
     assert mirror_check(named_lattice("A2"), named_lattice("A2")) is None
 
 
+D4 = EvenLattice(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
+
+
 def test_count_roots():
-    assert count_roots(named_lattice("A1")) == 2
-    assert count_roots(named_lattice("A2")) == 6
-    assert count_roots(named_lattice("A3")) == 12
+    for n in range(1, 9):
+        assert count_roots(named_lattice(f"A{n}")) == n * (n + 1)
+    assert count_roots(D4) == 24
     assert count_roots(named_lattice("E6")) == 72
     assert count_roots(named_lattice("E7")) == 126
     assert count_roots(named_lattice("E8")) == 240
+    # the theta series of E8 is 1 + 240 q + 2160 q^2 + ...
+    assert count_roots(named_lattice("E8"), 4) == 2160
+    assert count_roots(named_lattice("E8"), 0) == 0
     with pytest.raises(CapacityError):
         count_roots(orthogonal_sum(named_lattice("E8"), named_lattice("A1")))
+
+
+def _brute_force_count(gram, norm: int) -> int:
+    """Vectors of the given norm in the box |x_i| <= sqrt(norm (G^-1)_ii),
+    which holds every such vector; (G^-1)_ii is the i-th principal minor
+    over det(G)."""
+    n = len(gram)
+    d = det(gram)
+    bounds = [
+        math.isqrt(norm * det([[gram[a][b] for b in range(n) if b != i]
+                               for a in range(n) if a != i]) // d) + 1
+        for i in range(n)
+    ]
+    return sum(
+        1
+        for x in itertools.product(*(range(-b, b + 1) for b in bounds))
+        if any(x) and sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n)) == norm
+    )
+
+
+def test_count_roots_matches_brute_force_on_small_grams():
+    rng = random.Random(7)
+    grams = []
+    while len(grams) < 60:
+        n = rng.randint(1, 4)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randint(1, 4)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        try:
+            grams.append(EvenLattice(as_matrix(g)))
+        except InvalidArgumentError:  # not positive definite
+            continue
+    for lat in grams:
+        for norm in (2, 4, 6):
+            assert count_roots(lat, norm) == _brute_force_count(lat.gram, norm), (lat.gram, norm)
 
 
 def test_central_charge_matches_rank_mod_8():

@@ -2,6 +2,7 @@
 arithmetic, plus negative controls."""
 
 import inspect
+import json
 import math
 import os
 import random
@@ -19,7 +20,14 @@ from tycat.cyclo import CycNum, RootOfUnity, euler_phi, zeta, zeta_sum
 from tycat.errors import CapacityError, ModularityError
 from tycat.groups import FinAbGroup
 from tycat.modcheck import MatProver, galois_generators
-from tycat.moddata import ModularData, mp_md, pointed_md, ty_center_md
+from tycat.moddata import (
+    ModularData,
+    md_from_json,
+    md_to_json,
+    mp_md,
+    pointed_md,
+    ty_center_md,
+)
 from tycat.quadforms import (
     QuadForm,
     bichar_from_qform,
@@ -249,6 +257,48 @@ def test_an_entry_at_a_divisor_conductor_is_refused_after_an_equal_value():
     w = CycNum(3, {1: 1})
     with pytest.raises(ModularityError, match="matrix entry at a foreign conductor"):
         MatProver(12).pack([[w.promoted(12), w], [w, w.promoted(12)]])
+
+
+def _distinct_values_per_entry(rows):
+    """distinct_values keyed on every entry: the reference it must equal."""
+    pos: dict[tuple, int] = {}
+    index = np.array([[pos.setdefault(x.key_at(x.n), len(pos)) for x in row] for row in rows],
+                     dtype=np.intp)
+    flat = [x for row in rows for x in row]
+    return [flat[k] for k in np.unique(index, return_index=True)[1]], index
+
+
+def _ty9():
+    z9 = FinAbGroup.of(9)
+    return ty_center_md(z9, bichar_from_qform(classify_metric_groups(z9)[0].quad), 1)
+
+
+def _equal_values_in_distinct_objects():
+    # a 3 x 3 matrix with one object per entry, where equal values recur
+    # with their terms in different orders, and one value at a divisor conductor
+    x, z = (0, 1), (1, 2)
+    return [
+        [CycNum(12, dict([x, z])), CycNum(12, {1: 2}), CycNum(12, dict([z, x]))],
+        [CycNum(12, {1: 2}), CycNum(3, {1: 1}), CycNum(12, {4: 1})],
+        [CycNum(12, dict([z, x])), CycNum(12, {4: 1}), CycNum(12, {1: 2})],
+    ]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _ty9().S,
+    lambda: md_from_json(json.loads(json.dumps(md_to_json(_ty9())))).S,
+    _equal_values_in_distinct_objects,
+], ids=["ty9-built", "ty9-json", "equal-values-distinct-objects"])
+def test_distinct_values_keys_each_object_once(monkeypatch, build):
+    rows = build()
+    want_values, want_index = _distinct_values_per_entry(rows)
+    keyed = []
+    key_at = CycNum.key_at
+    monkeypatch.setattr(CycNum, "key_at", lambda self, m: keyed.append(id(self)) or key_at(self, m))
+    values, index = modcheck.distinct_values(rows)
+    assert [id(v) for v in values] == [id(v) for v in want_values]
+    assert index.tolist() == want_index.tolist() and not index.flags.writeable
+    assert sorted(keyed) == sorted({id(x) for row in rows for x in row})
 
 
 def _ty11():
