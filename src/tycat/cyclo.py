@@ -385,11 +385,10 @@ class CycNum:
 
     @staticmethod
     def from_json(obj) -> "CycNum":
-        """Read the sparse form ``to_json`` writes, or the older dense form
-        ``{"conductor": n, "coeffs": [[p, q], ...]}`` with the coefficient
-        p/q of zeta_n^e at position e < phi(n).  Malformed input raises
-        ``InvalidArgumentError`` and a conductor above ``MAX_CONDUCTOR``
-        ``CapacityError``, both before any arithmetic."""
+        """Read the sparse form ``to_json`` writes.  Malformed input, the
+        older dense ``coeffs`` form included, raises ``InvalidArgumentError``
+        and a conductor above ``MAX_CONDUCTOR`` ``CapacityError``, both
+        before any arithmetic."""
         if not isinstance(obj, dict):
             raise InvalidArgumentError(
                 f"cyclotomic entry must be an object, got {type(obj).__name__}"
@@ -398,47 +397,31 @@ class CycNum:
         if n < 1:
             raise InvalidArgumentError(f"conductor must be >= 1, got {n}")
         check_conductor(n)
+        if "terms" not in obj:
+            raise InvalidArgumentError(
+                "cyclotomic entry needs 'terms' (the dense 'coeffs' form is no longer read)"
+            )
         deg = euler_phi(n)
+        den = _json_int(obj.get("den"), "den")
+        if den < 1:
+            raise InvalidArgumentError(f"den must be >= 1, got {den}")
+        terms = obj["terms"]
+        if not isinstance(terms, list):
+            raise InvalidArgumentError("terms must be a list of [exponent, coefficient]")
         num: dict[int, int] = {}
-        if "terms" in obj:
-            den = _json_int(obj.get("den"), "den")
-            if den < 1:
-                raise InvalidArgumentError(f"den must be >= 1, got {den}")
-            terms = obj["terms"]
-            if not isinstance(terms, list):
-                raise InvalidArgumentError("terms must be a list of [exponent, coefficient]")
-            for term in terms:
-                if not (isinstance(term, list) and len(term) == 2):
-                    raise InvalidArgumentError(
-                        f"term must be [exponent, coefficient], got {term!r}"
-                    )
-                e = _json_int(term[0], "term exponent")
-                if not 0 <= e < deg:
-                    raise InvalidArgumentError(
-                        f"term exponent {e} outside [0, {deg}) at conductor {n}"
-                    )
-                if e in num:
-                    raise InvalidArgumentError(f"term exponent {e} repeated")
-                num[e] = _json_int(term[1], "term coefficient")
-            return CycNum(n, num, den)
-        coeffs = obj.get("coeffs")
-        if coeffs is None:
-            raise InvalidArgumentError("cyclotomic entry needs 'terms' or 'coeffs'")
-        if not isinstance(coeffs, list) or len(coeffs) != deg:
-            raise InvalidArgumentError("coefficient vector has wrong length")
-        pairs = []
-        for pair in coeffs:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise InvalidArgumentError(f"coefficient must be [num, den], got {pair!r}")
-            p = _json_int(pair[0], "coefficient numerator")
-            q = _json_int(pair[1], "coefficient denominator")
-            if q == 0:
-                raise InvalidArgumentError("coefficient denominator is 0")
-            pairs.append((p, q))
-        den = math.lcm(*(q for p, q in pairs if p))
-        for e, (p, q) in enumerate(pairs):
-            if p:
-                num[e] = p * (den // q)
+        for term in terms:
+            if not (isinstance(term, list) and len(term) == 2):
+                raise InvalidArgumentError(
+                    f"term must be [exponent, coefficient], got {term!r}"
+                )
+            e = _json_int(term[0], "term exponent")
+            if not 0 <= e < deg:
+                raise InvalidArgumentError(
+                    f"term exponent {e} outside [0, {deg}) at conductor {n}"
+                )
+            if e in num:
+                raise InvalidArgumentError(f"term exponent {e} repeated")
+            num[e] = _json_int(term[1], "term coefficient")
         return CycNum(n, num, den)
 
 

@@ -17,21 +17,24 @@ after every block of floor(2^53 / (p-1)^2) inner terms (the delayed
 reduction of FFLAS, Dumas-Giorgi-Pernet, ACM TOMS 2008), so they are exact
 at any inner dimension.
 
-The Verlinde relation, the one identity whose size grows with the number
-of label pairs, is decided at one point per prime, once S is proven
-Galois-symmetric for generators of (Z/N)^x (``galois_generators``;
-sigma_ab = sigma_a sigma_b gives every a), all guessed from one float
-product (``MatProver._galois_guess``) and proven by one ``verify_galois``
-call; conjugation is the case a = -1.  ``MatProver.verify_verlinde`` has
-the argument.
+S's Galois symmetry sigma_a(S) = Q_a S, for a signed permutation Q_a
+(Coste-Gannon, Phys. Lett. B 323, 1994), is found and proven in one exact
+step on the residues of S's distinct values (``verify_galois``), for the
+generators of (Z/N)^x (``galois_generators``; sigma_ab = sigma_a sigma_b
+gives every a); conjugation is the case a = -1, whose permutation is the
+charge conjugation C.  With it, S^2 = C and the Verlinde relation, whose
+size grows with the number of label pairs, are decided at one point per
+prime: ``MatProver.verify_product`` and ``verify_verlinde`` have the
+argument.
 
 A matrix is packed as its K distinct values, one canonical coefficient
 row each over one denominator, and an integer table of every entry's
-value (``distinct_values``); evaluation reads K rows and gathers.  So
-identities that only permute entries (symmetry, conjugation by a
-permutation) are decided on the index table alone: index equality is
-value equality.  S^2 = C is proven against the permutation C directly,
-whose evaluation needs no pack.
+value (``distinct_values``).  The one evaluation, ``MatProver._values``,
+reads the K rows, and a proof gathers entries through the table one point
+at a time, so no evaluation of every entry is kept.  Symmetry only
+permutes entries, so it is decided on the index table alone: index
+equality is value equality.  S^2 = C is proven against the permutation C
+directly, whose evaluation needs no pack.
 """
 
 from __future__ import annotations
@@ -44,14 +47,16 @@ from .cyclo import _phi_deg, _reduction_table, factorize
 from .errors import CapacityError, ModularityError
 
 _PRIME_CAP = 1 << 22  # keeps every float64 intermediate below 2^53
-# most r x r x phi(N) cells of a matrix to prove: one float64 per entry and
-# primitive point in each cached evaluation, 134 MB at the cap (coefficients
-# are only K x phi(N)); TY(Z17), with 10.7M cells, peaks at 201 MB RSS
+# most r x r x phi(N) cells of a matrix to prove.  No evaluation of every
+# entry is kept (coefficients are K x phi(N), each prime's evaluation
+# phi(N) x K), so the bound limits the size of the input read and the work
+# of TSTST = S, an r x r product at each of the phi(N) points per prime
 MAX_CELLS = 1 << 24
 
 
 def check_cells(rows: int, cols: int, phi: int) -> None:
-    """Refuse more than ``MAX_CELLS`` evaluation cells before they exist."""
+    """Refuse more than ``MAX_CELLS`` entry-by-coefficient cells of a matrix
+    before any entry is read."""
     if rows * cols * phi > MAX_CELLS:
         raise CapacityError(f"{rows} x {cols} entries of {phi} coefficients exceed "
                             f"{MAX_CELLS} cells, the size limit for modular data")
@@ -126,6 +131,19 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _signed_match(rows: np.ndarray, where: dict, negate) -> tuple[np.ndarray, np.ndarray]:
+    """For each row, its position in ``where`` (keyed by row bytes) and
+    sign 1, else the position of ``negate(row)`` and sign -1, else sign 0."""
+    pos = np.zeros(len(rows), dtype=np.intp)
+    sign = np.zeros(len(rows), dtype=np.int64)
+    for t, row in enumerate(rows):
+        for e, cand in ((1, row), (-1, negate(row))):
+            if (k := where.get(cand.tobytes())) is not None:
+                pos[t], sign[t] = k, e
+                break
+    return pos, sign
+
+
 class MatProver:
     """Verifies products of CycNum matrices at one common conductor."""
 
@@ -152,8 +170,7 @@ class MatProver:
         denominator: their integer coefficients as a K x phi float64 array
         (exact: the cap keeps each dot product with residues below
         ``_PRIME_CAP`` under 2^53), the read-only ``index`` of every entry
-        among them, the denominator, the largest L1 norm, and a per-prime
-        evaluation cache."""
+        among them, the denominator, the largest L1 norm and the rank."""
         check_cells(len(rows), len(rows[0]), self.phi)
         values, index = distinct_values(rows)
         den = math.lcm(*(x.den for x in values))
@@ -171,7 +188,7 @@ class MatProver:
                 row[e] = v
             l1_max = max(l1_max, scale * sum(map(abs, x.num.values())))
         return {"coeffs": coeffs, "index": index, "den": den, "l1": l1_max,
-                "rank": len(rows), "evals": {}}
+                "rank": len(rows)}
 
     # -- primes and evaluation ----------------------------------------------
 
@@ -191,16 +208,24 @@ class MatProver:
             have *= out[-1]
         return out
 
-    def _eval(self, mat: dict, p: int) -> np.ndarray:
-        """Evaluations mod p at every primitive point: shape (npts, nr, nc),
-        gathered from the K distinct values' (npts, K)."""
-        if p in mat["evals"]:
-            return mat["evals"][p]
-        idx = np.outer(self.points, np.arange(self.phi)) % self.n
-        ev = _root_powers(p, self.n)[idx] @ mat["coeffs"].T
+    def _values(self, s: dict, p: int, at=slice(None)) -> np.ndarray:
+        """Residues mod p of den v_k for the K distinct values v_k of a
+        packed matrix, at every primitive point or at the point positions
+        ``at``: shape (points, K).  An entry's residue is gathered through
+        s["index"]."""
+        pts = np.asarray(self.points)[at]
+        ev = _root_powers(p, self.n)[np.outer(pts, np.arange(self.phi)) % self.n] @ s["coeffs"].T
         ev %= p
-        mat["evals"][p] = ev = np.take(ev, mat["index"], axis=1)  # C-contiguous, as indexing is not
         return ev
+
+    def _galois_proven(self, s: dict, proof: str) -> dict:
+        """s["galois"], once it holds every generator of (Z/N)^x."""
+        proven = s.get("galois", {})
+        for a in galois_generators(self.n):
+            if a not in proven:
+                raise ModularityError(f"S is not proven Galois-symmetric under zeta -> "
+                                      f"zeta^{a}, which the {proof} proof needs")
+        return proven
 
     # -- the identities -------------------------------------------------------
 
@@ -212,28 +237,36 @@ class MatProver:
             i, j = (int(x) for x in bad[0])
             raise ModularityError(f"S is not symmetric at ({i}, {j})")
 
-    def verify_permuted(self, a: dict, rows, cols, what: str) -> None:
-        """A[rows[i], cols[j]] == A[i, j], decided on the index of distinct
-        values (CSC = S for a permutation C is rows = cols = C)."""
-        idx = a["index"]
-        if not np.array_equal(idx[np.ix_(rows, cols)], idx):
-            raise ModularityError(f"{what} fails")
-
     def verify_product(self, s: dict, perm) -> None:
-        """(den S)^2 == den^2 C for the permutation matrix C = perm.
+        """(den S)^2 == den^2 C for the permutation matrix C = perm, decided
+        at the first primitive point w of each prime.
 
-        C is never packed: at every point its scaled evaluation is den^2
-        at (i, perm[i]) and 0 elsewhere, one r x r array per prime.  The
-        reduced difference has L1 norm at most r l1^2 g + den^2.  Proven one
-        point at a time.
+        S must be proven symmetric, with conj(S) = CS and sigma_a(S) = Q_a S
+        for every generator a (``verify_galois``; else ``ModularityError``).
+        First, on integers, each Q_a must commute with C: pi_a C = C pi_a
+        and eps_a C = eps_a.  As sigma_a commutes with complex conjugation,
+        C Q_a S = conj(sigma_a(S)) = Q_a C S, so a Q_a that does not commute
+        with C shows S singular.  Otherwise, Q_a being orthogonal and
+        sigma_a(S) = Q_a S = S Q_a^T, sigma_a(S^2 - C) = Q_a (S^2 - C) Q_a^T
+        permutes the entries of S^2 - C up to sign: if they vanish mod p at
+        w, they vanish at every w^a and lie in p Z[zeta_N].  C is not packed:
+        it evaluates to den^2 at (i, perm[i]) and 0 elsewhere.  The reduced
+        difference has L1 norm at most r l1^2 g + den^2.
         """
+        perm = np.asarray(perm)
+        for a, (pi, eps) in self._galois_proven(s, "S^2 = C").items():
+            if not (np.array_equal(pi[perm], perm[pi]) and np.array_equal(eps[perm], eps)):
+                raise ModularityError(
+                    f"S^2 = C identity fails: S is singular, as Q_{a} does not commute with C"
+                )
         den = s["den"]
         r = s["rank"]
         bound = r * s["l1"] ** 2 * self.red_growth + den**2
         for p in self._primes(2 * bound):
+            e = self._values(s, p, [0])[0][s["index"]]
             rhs = np.zeros((r, r))
             rhs[np.arange(r), perm] = den * den % p
-            if any((_matmul_mod(e, e, p) != rhs).any() for e in self._eval(s, p)):
+            if (_matmul_mod(e, e, p) != rhs).any():
                 raise ModularityError("S^2 = C identity fails")
 
     def verify_tstst(self, s: dict, t_exps) -> None:
@@ -250,7 +283,8 @@ class MatProver:
         bound = r * s["l1"] ** 2 * self.red_growth + s["den"] * s["l1"]
         idx = np.outer(self.points, t_exps) % self.n  # (npts, r)
         for p in self._primes(2 * bound):
-            for e, t in zip(self._eval(s, p), _root_powers(p, self.n)[idx]):
+            for v, t in zip(self._values(s, p), _root_powers(p, self.n)[idx]):
+                e = v[s["index"]]
                 st = e * t  # S T   (columns scaled)
                 st %= p
                 tst = st * t[:, None]  # T S T (then rows)
@@ -258,62 +292,45 @@ class MatProver:
                 if not np.array_equal(_matmul_mod(tst, st, p), e * (s["den"] % p) % p):
                     raise ModularityError("TSTST = S identity fails")
 
-    def verify_galois(self, s: dict, guesses: dict) -> None:
-        """sigma_a(S) == S P_a for each a -> (pi_a, eps_a) of ``guesses``,
-        P_a[pi_a(l), l] = eps_a(l), proven by rows for S proven symmetric:
-        sigma_a(S)[i, l] = eps_a(i) S[pi_a(i), l].  sigma_a(S) evaluates to
-        ev[point_perm(a)]; the reduced difference has L1 norm at most
-        l1 (g + 1).  From residues in [0, p), eps ev[pi_a] - ev[point_perm(a)]
-        lies in (-2p, p), so it is 0 mod p iff it is 0 or -p.  a = -1 with
-        pi = C and eps = 1 is conj(S) = CS.  Proven pairs go to s["galois"].
+    def verify_galois(self, s: dict, gens) -> None:
+        """Find and prove sigma_a(S) = Q_a S for each a of ``gens`` on a
+        symmetric S (checked first): row i of sigma_a(S) is eps_a(i) times
+        row pi_a(i) of S, eps_a = +-1.  The proven (pi_a, eps_a) go to
+        s["galois"].  For a = -1 this is conj(S) = CS: eps must be 1, and
+        pi_-1 is the charge conjugation C.
+
+        One exact step on the K distinct values, whose residues at every
+        point of every prime of the bound form a K x (primes phi) table.
+        sigma_a(den v_k) - eps den v_k' has L1 norm at most l1 (g + 1), so
+        rows are equal iff the values are, and sigma_a(v_k), at w^j the
+        value v_k at w^(a j), is eps v_k' iff its point-permuted row is the
+        row of k', or that row negated mod p.  Coded 0 for 0 and opposite
+        for v and -v, a row of sigma_a(S) is then a row of S or of -S iff
+        its codes are.  A value or row without a match refutes the symmetry,
+        and a pi_a that is not a bijection shows S singular: the one-point
+        proofs need pi_a to permute the labels.
         """
-        bound = s["l1"] * (self.red_growth + 1)
-        for p in self._primes(2 * bound):
-            ev = self._eval(s, p)
-            for a, (perm, eps) in guesses.items():
-                for t, u in enumerate(self._point_perm(a)):  # r x r at a time
-                    diff = ev[t, perm, :] * eps[:, None]
-                    diff -= ev[u]
-                    if not ((diff == 0) | (diff == -p)).all():
-                        raise ModularityError(
-                            "S is not unitary (conj(S) != CS)" if a == self.n - 1
-                            else f"S is not Galois-symmetric under zeta -> zeta^{a}"
-                        )
-        s.setdefault("galois", {}).update(guesses)
-
-    def _galois_guess(self, s: dict, gens) -> tuple[np.ndarray, dict]:
-        """S in float and (pi_a, eps_a) for each a of ``gens``, read off
-        M = conj(S) sigma_a(S) = S^-1 sigma_a(S), the signed permutation
-        matrix M[pi_a(l), l] = eps_a(l) when S is unitary and symmetric (for
-        a = -1, M = conj(S^2) and pi_a is C).  The distinct values of S and
-        of every sigma_a(S) come in float from one BLAS product, gathered
-        through the index, and every M from one more; S is returned as a
-        copy, so that the rest is freed."""
-        r, k = s["rank"], len(gens)
-        ang = np.outer(np.arange(self.phi), [1, *gens]) % self.n * (2 * np.pi / self.n)
-        vals = s["coeffs"] @ np.hstack([np.cos(ang), np.sin(ang)])
-        z = np.take((vals[:, : k + 1] + 1j * vals[:, k + 1 :]) / s["den"], s["index"], axis=0)
-        sf = z[:, :, 0].copy()
-        m = (sf.conj() @ z[:, :, 1:].reshape(r, r * k)).reshape(r, r, k)
-        del z
-        cols = np.arange(r)
-        out = {}
-        for t, a in enumerate(gens):
-            perm = np.abs(m[:, :, t]).argmax(axis=0)
-            val = m[perm, cols, t]
-            eps = np.rint(val.real)
-            if (np.abs(eps) != 1).any() or (np.abs(val - eps) >= 1e-6).any() or (
-                len(set(perm.tolist())) != r
-            ):
-                raise ModularityError(f"S is not Galois-symmetric under zeta -> zeta^{a}: "
-                                      "conj(S) sigma(S) is not a signed permutation")
-            out[a] = (perm, eps)
-        return sf, out
-
-    def _eval_point(self, s: dict, p: int) -> np.ndarray:
-        """S mod p at the first primitive point alone, (nr, nc)."""
-        powers = _root_powers(p, self.n)[np.arange(self.phi) * self.points[0] % self.n]
-        return (s["coeffs"] @ powers % p)[s["index"]]
+        self.verify_symmetric(s)
+        primes = self._primes(2 * s["l1"] * (self.red_growth + 1))
+        table = np.hstack([self._values(s, p).T for p in primes]).astype(np.int64)
+        mods = np.repeat(np.array(primes, dtype=np.int64), self.phi)
+        row_of = {row.tobytes(): k for k, row in enumerate(table)}
+        ks = np.arange(len(table))
+        neg = np.array([row_of.get((-row % mods).tobytes(), len(ks)) for row in table])
+        code = np.where(ks < neg, ks + 1, np.where(ks > neg, -neg - 1, 0))
+        row_at = {row.tobytes(): j for j, row in reversed(list(enumerate(code[s["index"]])))}
+        offsets = np.arange(len(primes))[:, None] * self.phi
+        for a in gens:
+            img, sign = _signed_match(table[:, (offsets + self._point_perm(a)).ravel()],
+                                      row_of, lambda row: -row % mods)
+            perm, eps = _signed_match((sign * code[img])[s["index"]], row_at, np.negative)
+            if not (sign.all() and eps.all()) or (a == self.n - 1 and (eps != 1).any()):
+                raise ModularityError("S is not unitary (conj(S) != CS)" if a == self.n - 1
+                                      else f"S is not Galois-symmetric under zeta -> zeta^{a}")
+            if len(set(perm.tolist())) != len(perm):
+                raise ModularityError(f"S is singular: two rows of its conjugate under "
+                                      f"zeta -> zeta^{a} are equal up to sign")
+            s.setdefault("galois", {})[a] = (perm, eps)
 
     def verify_verlinde(self, s: dict, tensor: np.ndarray) -> None:
         """sum_k N_ij^k S[k,l] S[0,l] == S[i,l] S[j,l] for all i, j, l,
@@ -350,17 +367,11 @@ class MatProver:
             )
         if not np.array_equal(tensor, tensor.transpose(1, 0, 2)):
             raise ModularityError("fusion coefficients are not symmetric")
-        proven = s.get("galois", {})
-        missing = [a for a in galois_generators(self.n) if a not in proven]
-        if missing:
-            raise ModularityError(
-                f"S is not proven Galois-symmetric under zeta -> zeta^{missing[0]}, "
-                "which the Verlinde proof needs"
-            )
+        self._galois_proven(s, "Verlinde")
         g = self.red_growth
         bound = r * nmax * s["l1"] ** 2 * g + s["l1"] ** 2 * g
         for p in self._primes(2 * bound):
-            ev = self._eval_point(s, p)
+            ev = self._values(s, p, [0])[0][s["index"]]
             pm = ev * ev[0] % p  # S[k,l] S[0,l] mod p
             for i in range(r):
                 jj, kk = np.nonzero(tensor[i, i:])  # the channels k of the pairs (i, i + jj)
@@ -375,5 +386,5 @@ class MatProver:
                 if bad.any():
                     raise ModularityError(
                         "Verlinde eigen-relation fails near "
-                        f"(i={i}, j={i + int(np.argmax(bad))})"
+                        f"(i={i}, j={i + int(np.flatnonzero(bad)[0])})"
                     )

@@ -6,14 +6,14 @@ builder validates the full axiom suite exactly: S symmetric and unitary,
 S^2 = C a permutation, TSTST = S, CSC = S, CTC = T, (ST)^3 = C, positive
 real dimensions, Gauss-sum consistency of c, and integrality of all
 Verlinde coefficients.  Each matrix identity is proven once, by the
-deterministic prover in :mod:`tycat.modcheck`: the permutation identities
-on the index table of S's distinct values, the others by modular
-evaluation; only S is packed, T enters as exponents.  Every float guess
-comes from the prover's one float S: charge conjugation C and the signed
-Galois permutations of every generator of (Z/N)^x are read off one
-product and proven in one ``verify_galois`` call (conj(S) = CS is the
-generator -1), and the Verlinde tensor is a rounded float guess that the
-prover alone decides; the proven array becomes the read-only tensor of
+deterministic prover in :mod:`tycat.modcheck`: symmetry on the index table
+of S's distinct values, the others by modular evaluation; only S is
+packed, T enters as exponents.  Charge conjugation C and the signed Galois
+permutations of every generator of (Z/N)^x are found and proven exactly in
+one ``verify_galois`` call (conj(S) = CS is the generator -1), which lets
+S^2 = C and the Verlinde relation be decided at one point per prime.  The
+one float guess left is the Verlinde tensor, rounded from S in float and
+decided by the prover alone; the proven array becomes the read-only tensor of
 ``fusion_ring``, without a copy.  Structural invariants of the builders
 (rank, total dimension) and the pairwise inequivalence of a
 classification raise ``ModularityError``, not ``assert``.
@@ -28,6 +28,7 @@ certificates.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -184,31 +185,23 @@ class ModularData:
         n = self.conductor
         prover = MatProver(n)
         s = prover.pack(self.S)
-        prover.verify_symmetric(s)
-        # one float product guesses S, C = pi_-1 and the signed permutations
-        # of every Galois generator; -1 is proven with eps = 1, as conj(S) = CS
-        sf, guesses = prover._galois_guess(s, galois_generators(n))
-        cperm = tuple(guesses[n - 1][0].tolist())
-        guesses[n - 1] = (guesses[n - 1][0], np.ones(r))
-        if sorted(cperm) != list(range(r)) or cperm[0] != 0:
+        # symmetry, then one exact step finds and proves the signed
+        # permutation Q_a of every Galois generator, -1 first: conj(S) = CS,
+        # so C = pi_-1; with C^2 = I it gives CSC = S (conj(S) = conj(S)^T
+        # = SC), and with S^2 = C unitarity S conj(S) = S C S = C S^2 = I,
+        # and (ST)^3 = S (TSTST) = S^2 = C follows from TSTST = S; the
+        # explicit product forms are exercised on small data in the tests
+        prover.verify_galois(s, galois_generators(n))
+        cperm = tuple(s["galois"][n - 1][0].tolist())
+        if cperm[0] != 0:
             raise ModularityError("charge conjugation is not a unit-fixing permutation")
         for i in range(r):
             if cperm[cperm[i]] != i:
                 raise ModularityError("charge conjugation is not an involution")
-
-        prover.verify_permuted(s, cperm, cperm, "CSC = S")
         if any(self.thetas[cperm[i]] != self.thetas[i] for i in range(r)):
             raise ModularityError("CTC = T fails")
-        # conj(S) = C S is the Galois symmetry of a = -1, proven with the
-        # other generators, which the Verlinde proof needs; with S^2 = C,
-        # C^2 = I, and CS = SC it proves unitarity S conj(S) = S C S = C S^2
-        # = I exactly, and (ST)^3 = S (TSTST) = S^2 = C follows from TSTST =
-        # S; the explicit product forms of both are exercised on small data
-        # in the tests
-        prover.verify_galois(s, guesses)
         prover.verify_product(s, cperm)
         prover.verify_tstst(s, self.t_exps)
-        s["evals"].clear()  # the Verlinde proof evaluates its own points
         self._charge_conj = cperm
 
         # d_i |S_00|^2 = S_i0 conj(S_00) with |S_00|^2 > 0 once S_00 != 0,
@@ -234,17 +227,20 @@ class ModularData:
         # and N_0 = I; S_0l = d_l S_00 with d_l > 0 makes N_ij^0 a constant
         # times (S^2)_ij = C_ij, and N_00^0 = 1 the dual C; conj(S_kl) =
         # S_C(k),l and real N give the Frobenius symmetries
-        ring = FusionRing(self.labels, self._verlinde_tensor(prover, s, sf))
+        ring = FusionRing(self.labels, self._verlinde_tensor(prover, s))
         self._fusion = replace(ring, report=FusionCheckReport(ok=True, tensor=ring.tensor))
 
     # -- fusion ---------------------------------------------------------------
 
-    def _verlinde_tensor(self, prover: MatProver, packed_s: dict, sf: np.ndarray) -> np.ndarray:
-        """N_ij^k = sum_l S_il S_jl conj(S_kl) / S_0l: a guess from the float
-        S ``sf``, rounded, then proven.  S is proven unitary before this
-        runs, so it is invertible and the proven relation sum_k N_ij^k S_kl
-        S_0l = S_il S_jl (every l) fixes each N_ij^k: a wrong guess fails
-        the proof."""
+    def _verlinde_tensor(self, prover: MatProver, packed_s: dict) -> np.ndarray:
+        """N_ij^k = sum_l S_il S_jl conj(S_kl) / S_0l: a guess from S in
+        float at zeta_N (a = 1), read from the packed coefficients of its
+        distinct values and gathered through the index, rounded, then
+        proven.  S is proven unitary before this runs, so it is invertible
+        and the proven relation sum_k N_ij^k S_kl S_0l = S_il S_jl (every l)
+        fixes each N_ij^k: a wrong guess fails the proof."""
+        powers = np.exp(2j * np.pi / prover.n * np.arange(prover.phi))
+        sf = (packed_s["coeffs"] @ powers / packed_s["den"])[packed_s["index"]]
         ratios_t = (sf.conj() / sf[0][None, :]).T
         tensor = np.empty((self.rank,) * 3, dtype=np.int64)
         for i in range(self.rank):  # one BLAS product per row i
@@ -825,8 +821,8 @@ def _md_shape(obj) -> None:
 def md_from_json(obj: dict) -> ModularData:
     """Read modular data written by ``md_to_json`` and validate it.
 
-    Entries may be in the sparse ``terms`` form or the older dense
-    ``coeffs`` form.  The document's shape, every entry's conductor and
+    Entries are in the sparse ``terms`` form; the older dense ``coeffs``
+    form is refused.  The document's shape, every entry's conductor and
     encoding are checked before any arithmetic; a malformed document
     raises ``InvalidArgumentError``, a conductor above
     ``cyclo.MAX_CONDUCTOR`` or more than ``modcheck.MAX_CELLS`` cells
@@ -842,7 +838,7 @@ def md_from_json(obj: dict) -> ModularData:
         if (j := first.setdefault(labels[i], i)) != i:
             raise InvalidArgumentError(f"labels[{i}] repeats labels[{j}]")
     c_top = obj["c_top"]
-    if not (type(c_top) is int or isinstance(c_top, str) and c_top.lstrip("-").isdigit()):
+    if not (type(c_top) is int or isinstance(c_top, str) and re.fullmatch(r"-?[0-9]+", c_top)):
         raise InvalidArgumentError(f"c_top must be an integer, got {c_top!r}")
     # each distinct entry is read once, and the datum shares its CycNum as a
     # built one does; repr is one-to-one on what json.load returns, types

@@ -15,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tycat
-from dense_format import dense_md
 from tycat import cli, fusionrings
 from tycat.cli import main
-from tycat.cyclo import factorize
+from tycat.cyclo import euler_phi, factorize
 from tycat.groups import FinAbGroup
 from tycat.quadforms import standard_qform
 
@@ -274,20 +273,20 @@ def test_md_writes_sparse_exact_entries(capsys, kind):
     assert md_to_json(md_from_json(blob)) == blob
 
 
-def test_fusion_from_dense_md_matches_sparse(tmp_path, capsys):
+def test_fusion_from_dense_md_is_refused(tmp_path, capsys):
+    # the dense form earlier versions wrote, one [p, q] per power of zeta,
+    # is no longer read: a domain error, not a traceback
     _, out, _ = run_cli(capsys, "md", "mp", "--group", "3")
-    sparse = tmp_path / "sparse.json"
+    blob = json.loads(out)
+    n = blob["conductor"]
+    blob["S"][1][2] = {"conductor": n, "coeffs": [[1, 1]] + [[0, 1]] * (euler_phi(n) - 1)}
     dense = tmp_path / "dense.json"
-    sparse.write_text(out)
-    dense.write_text(json.dumps(dense_md(json.loads(out)), indent=2))
-    assert '"coeffs"' in dense.read_text()
-    rings = []
-    for path in (sparse, dense):
-        code, out, _ = run_cli(capsys, "fusion", "--from-md", str(path))
-        assert code == 0, out
-        rings.append(json.loads(out))
-    assert rings[0]["check"]["ok"] is True
-    assert rings[0] == rings[1]
+    dense.write_text(json.dumps(blob, indent=2))
+    code, out, _ = run_cli(capsys, "fusion", "--from-md", str(dense))
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        "S[1][2]: cyclotomic entry needs 'terms' (the dense 'coeffs' form is no longer read)"
+    )
 
 
 @pytest.mark.parametrize("key, index, message", [

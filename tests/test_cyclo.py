@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_format import dense_entry
 from tycat import cyclo
 from tycat.cyclo import CycNum, RootOfUnity, cyc, euler_phi, sqrt_int, zeta
 from tycat.errors import CapacityError, InvalidArgumentError
@@ -168,9 +167,12 @@ def test_json_roundtrip_property(v):
 
 @settings(max_examples=100, deadline=None)
 @given(cycnums())
-def test_dense_json_reads_as_sparse(v):
-    dense = CycNum.from_json(dense_entry(v))
-    assert (dense.n, dense.num, dense.den) == (v.n, v.num, v.den)
+def test_dense_json_is_refused(v):
+    # the dense form earlier versions wrote: the coefficient p/q of zeta^e
+    # for every e < phi(n)
+    coeffs = [[v.num.get(e, 0), v.den] for e in range(euler_phi(v.n))]
+    with pytest.raises(InvalidArgumentError, match=r"^cyclotomic entry needs 'terms' \(the dense"):
+        CycNum.from_json({"conductor": v.n, "coeffs": coeffs})
 
 
 def _malformed(blob: dict, draw) -> dict:

@@ -34,6 +34,7 @@ from tycat.quadforms import (
     classify_metric_groups,
     metric_group,
 )
+from galois_oracle import all_points_galois, all_points_product
 from verlinde_oracle import _proven, all_points_verlinde
 
 Z3 = FinAbGroup.of(3)
@@ -100,12 +101,20 @@ def test_prover_explicit_st_cubed_small():
 
 
 def test_prover_rejects_corruption():
+    # the all-points oracle refuses S^2 = C; the one-point proof refuses an
+    # S without a Galois proof, which refuses an S that is not symmetric
     md = mp_md(Z3, bichar_from_qform(Q_A2), 1)
     prover = MatProver(md.conductor)
     rows = [list(row) for row in md.S]
     rows[2][3] = rows[2][3] + 1
+    s = prover.pack(rows)
     with pytest.raises(ModularityError, match=r"S\^2 = C identity fails"):
-        prover.verify_product(prover.pack(rows), md.charge_conjugation())
+        all_points_product(prover, s, md.charge_conjugation())
+    with pytest.raises(ModularityError, match=r"not proven Galois-symmetric under zeta -> "
+                                              r"zeta\^\d+, which the S\^2 = C proof needs"):
+        prover.verify_product(s, md.charge_conjugation())
+    with pytest.raises(ModularityError, match=r"not symmetric at \(3, 2\)"):
+        prover.verify_galois(s, galois_generators(md.conductor))
 
 
 @pytest.mark.parametrize("build", [
@@ -114,10 +123,13 @@ def test_prover_rejects_corruption():
     lambda: _ty5(),
 ], ids=["pointed-Z3", "mp-Z3", "ty-Z5"])
 def test_prover_product_random_negative_control(build):
+    # the all-points oracle refuses each change as S^2 = C; the prover
+    # refuses it too, in the Galois step or at one point
     md = build()
     cperm = md.charge_conjugation()
     prover = MatProver(md.conductor)
-    prover.verify_product(prover.pack(md.S), cperm)
+    prover.verify_product(_proven(prover, md.S), cperm)
+    all_points_product(prover, prover.pack(md.S), cperm)
     rng = random.Random(23)
     for _ in range(3):
         i, j = rng.sample(range(md.rank), 2)
@@ -128,7 +140,9 @@ def test_prover_product_random_negative_control(build):
         rows[i][j] = rows[i][j] + delta
         rows[j][i] = rows[j][i] + delta
         with pytest.raises(ModularityError, match=r"S\^2 = C identity fails"):
-            prover.verify_product(prover.pack(rows), cperm)
+            all_points_product(prover, prover.pack(rows), cperm)
+        with pytest.raises(ModularityError):
+            prover.verify_product(_proven(prover, rows), cperm)
 
 
 def test_verlinde_rejects_wrong_tensor():
@@ -140,20 +154,19 @@ def test_verlinde_rejects_wrong_tensor():
     tensor = np.maximum(tensor, 0)
     tensor[1, 2, 2] = tensor[2, 1, 2]  # keep it symmetric
     prover = MatProver(md.conductor)
-    s, _ = _proven(prover, md.S)
     with pytest.raises(ModularityError):
-        prover.verify_verlinde(s, tensor)
+        prover.verify_verlinde(_proven(prover, md.S), tensor)
 
 
 def test_verlinde_guess_rejects_negative_coefficients():
-    # the proof fixes N_ij^k but not its sign; negating row 0 of the float S
-    # negates N_ij^k for i, j, k != 0, and 1 + 1 = 2 in Z3
+    # the proof fixes N_ij^k but not its sign; negating row 0 of S negates
+    # the guess N_ij^k for i, j, k != 0, and 1 + 1 = 2 in Z3; the guess is
+    # refused before the proof runs
     md = pointed_md(metric_group(Q_A2))
     prover = MatProver(md.conductor)
-    s, sf = _proven(prover, md.S)
-    sf[0] *= -1
+    rows = [[-x for x in md.S[0]]] + [list(row) for row in md.S[1:]]
     with pytest.raises(ModularityError, match=r"at \(1, 1, 2\) is not a nonnegative"):
-        md._verlinde_tensor(prover, s, sf)
+        md._verlinde_tensor(prover, prover.pack(rows))
 
 
 def _corrupted(md, i, j, delta):
@@ -170,8 +183,9 @@ def test_validate_rejects_each_permutation_identity():
 
     with pytest.raises(ModularityError, match=r"not symmetric at \(2, 1\)"):
         rebuilt(_corrupted(md, 1, 2, Fraction(1, 3))).validate()
-    # a diagonal change at 1 only breaks CSC = S (C swaps 1 and 2)
-    with pytest.raises(ModularityError, match="CSC = S fails"):
+    # a diagonal change at 1 only breaks CSC = S (C swaps 1 and 2), which
+    # follows from conj(S) = CS and C^2 = I: the Galois step refuses it
+    with pytest.raises(ModularityError, match=r"not unitary \(conj\(S\) != CS\)"):
         rebuilt(_corrupted(md, 1, 1, Fraction(1, 10**7))).validate()
     thetas = list(md.thetas)
     thetas[2] = thetas[2] * RootOfUnity(Fraction(1, 3))
@@ -215,7 +229,7 @@ def test_pack_rejects_oversized_coefficient():
 
 
 def test_packed_coefficients_are_exact_at_the_cap():
-    # pack keeps the integer coefficients as float64, which every evaluation
+    # pack keeps the integer coefficients as float64, which the evaluation
     # reads without a copy: at the cap each dot product stays below 2^53
     n = 48
     prover = MatProver(n)
@@ -228,8 +242,8 @@ def test_packed_coefficients_are_exact_at_the_cap():
     p = prover._primes(2)[0]
     w = modcheck._root_powers(p, n).astype(np.int64).tolist()
     want = [sum(c * w[j * e % n] for e, c in x.num.items()) % p for j in prover.points]
-    assert prover._eval(s, p)[:, 0, 0].tolist() == want
-    assert prover._eval_point(s, p)[0, 0] == want[0]
+    assert prover._values(s, p)[:, 0].tolist() == want
+    assert prover._values(s, p, [0]).tolist() == [want[:1]]
 
 
 # -- S as a table of distinct values -----------------------------------------------
@@ -237,7 +251,7 @@ def test_packed_coefficients_are_exact_at_the_cap():
 
 def test_equal_values_pack_to_one_index_whatever_their_objects():
     # equal values given as distinct objects, their terms in different
-    # orders, are one value; symmetry and CSC = S read the index alone
+    # orders, are one value; symmetry reads the index alone
     x, y = CycNum(12, {0: 1, 1: 2}), CycNum(12, {1: 2, 0: 1})
     assert x is not y and list(x.num) != list(y.num) and x == y
     z = CycNum(12, {1: 2})
@@ -247,9 +261,10 @@ def test_equal_values_pack_to_one_index_whatever_their_objects():
     assert s["coeffs"].shape == (2, prover.phi) and not s["index"].flags.writeable
     s["coeffs"] = None
     prover.verify_symmetric(s)
-    prover.verify_permuted(s, [0, 2, 1], [0, 2, 1], "CSC = S")
-    with pytest.raises(ModularityError, match="swap fails"):
-        prover.verify_permuted(s, [1, 0, 2], [1, 0, 2], "swap")
+    s = prover.pack([[x, z, z], [y, y, x], [z, x, y]])
+    s["coeffs"] = None
+    with pytest.raises(ModularityError, match=r"not symmetric at \(1, 0\)"):
+        prover.verify_symmetric(s)
 
 
 def test_an_entry_at_a_divisor_conductor_is_refused_after_an_equal_value():
@@ -312,8 +327,9 @@ def test_ty11_packs_its_distinct_values_and_evaluates_each_entry():
     s = prover.pack(md.S)
     assert s["coeffs"].shape == (100, prover.phi) and s["index"].shape == (md.rank,) * 2
     p = prover._primes(2)[0]
-    ev = prover._eval(s, p)
-    assert ev.shape == (prover.phi, md.rank, md.rank) and ev.flags.c_contiguous
+    values = prover._values(s, p)
+    assert values.shape == (prover.phi, 100)
+    ev = values[:, s["index"]]
     # the oracle: each sampled entry evaluated on its own, mod p
     w = modcheck._root_powers(p, md.conductor).astype(np.int64).tolist()
     rng = random.Random(11)
@@ -326,7 +342,7 @@ def test_ty11_packs_its_distinct_values_and_evaluates_each_entry():
             scale = s["den"] // x.den
             want = sum(c * scale * w[j * e % md.conductor] for e, c in x.num.items()) % p
             assert ev[t, i, k] == want, (t, i, k)
-    assert (prover._eval_point(s, p) == ev[0]).all()
+    assert (prover._values(s, p, [0]) == values[:1]).all()
 
 
 def test_validate_memory_on_ty11_is_bounded():
@@ -411,7 +427,7 @@ def _ty5():
 
 def _verlinde(md, tensor):
     prover = MatProver(md.conductor)
-    prover.verify_verlinde(_proven(prover, md.S)[0], tensor)
+    prover.verify_verlinde(_proven(prover, md.S), tensor)
 
 
 def _bad_tensors(md):
@@ -479,7 +495,7 @@ def test_one_point_verlinde_agrees_with_the_all_points_oracle(build):
     md = build()
     base = np.array(md.fusion_ring().tensor, dtype=np.int64)
     ours, theirs = MatProver(md.conductor), MatProver(md.conductor)
-    s, s_all = _proven(ours, md.S)[0], theirs.pack(md.S)
+    s, s_all = _proven(ours, md.S), theirs.pack(md.S)
     tensors = [base] + [t for t, _ in _bad_tensors(md)]
     tensors += list(_perturbed(base, np.random.default_rng(md.rank), 20))
     failed = 0
@@ -512,20 +528,25 @@ def test_galois_generators_generate_the_units():
 
 
 def test_wrong_galois_permutation_or_sign_is_refused():
+    # the prover derives (pi_a, eps_a); the all-points oracle accepts the
+    # derived pair and refuses it with one sign flipped or two rows swapped
     md = _ty5()
     prover = MatProver(md.conductor)
     a = galois_generators(md.conductor)[1]
-    perm, eps = _proven(prover, md.S)[0]["galois"][a]
+    perm, eps = _proven(prover, md.S)["galois"][a]
     s = prover.pack(md.S)
     flipped = eps.copy()
     flipped[3] *= -1
     swapped = perm.copy()
     swapped[[1, 4]] = swapped[[4, 1]]
-    for guess in ((perm, flipped), (swapped, eps)):
+    for pair in ((perm, flipped), (swapped, eps)):
         with pytest.raises(ModularityError, match=rf"not Galois-symmetric under zeta -> zeta\^{a}$"):
-            prover.verify_galois(s, {a: guess})
-    prover.verify_galois(s, {a: (perm, eps)})
-    assert s["galois"] == {a: (perm, eps)}
+            all_points_galois(prover, s, {a: pair})
+    all_points_galois(prover, s, {a: (perm, eps)})
+    prover.verify_galois(s, [a])
+    assert list(s["galois"]) == [a]
+    assert s["galois"][a][0].tolist() == perm.tolist()
+    assert s["galois"][a][1].tolist() == eps.tolist()
 
 
 def test_galois_proof_compares_every_point(monkeypatch):
@@ -540,7 +561,9 @@ def test_galois_proof_compares_every_point(monkeypatch):
     c = -(w[1] - w[a]) * pow(w[2] - w[2 * a % n], -1, p) % p
     s = prover.pack([[CycNum(n, {1: 1, 2: c})]])
     with pytest.raises(ModularityError, match=rf"not Galois-symmetric under zeta -> zeta\^{a}$"):
-        prover.verify_galois(s, {a: (np.array([0]), np.ones(1))})
+        prover.verify_galois(s, [a])
+    with pytest.raises(ModularityError, match=rf"not Galois-symmetric under zeta -> zeta\^{a}$"):
+        all_points_galois(prover, s, {a: (np.array([0]), np.ones(1))})
 
 
 def _sigma(x: CycNum, b: int) -> CycNum:
@@ -556,36 +579,38 @@ def _sigma7_at(md, i, l):
     return rows
 
 
-def test_verlinde_refuses_a_galois_asymmetric_s(monkeypatch):
+def test_verlinde_refuses_a_galois_asymmetric_s():
     # the one-point proof must not accept an S that is not Galois-symmetric:
-    # the float guess refuses it, and so does the exact proof when it is
-    # handed the guess of the valid S (at self-dual labels, 0, 10, 26 and
-    # 27 here, the change keeps conj(S) = CS)
+    # the prover refuses it, with the message of the all-points oracle
+    # handed the valid S's pairs (at self-dual labels, 0, 10, 26 and 27
+    # here, the change keeps conj(S) = CS)
     md = _ty5()
+    n = md.conductor
     tensor = np.array(md.fusion_ring().tensor, dtype=np.int64)
-    prover = MatProver(md.conductor)
-    sf, valid = prover._galois_guess(prover.pack(md.S), galois_generators(md.conductor))
-    for i, l in [(2, 4), (10, 12), (21, 25), (3, 11), (0, 10), (26, 27)]:
-        prover = MatProver(md.conductor)
-        with pytest.raises(ModularityError, match=r"not Galois-symmetric under zeta -> zeta\^\d+: "):
-            _proven(prover, _sigma7_at(md, i, l))
-    monkeypatch.setattr(MatProver, "_galois_guess",
-                        lambda self, s, gens: (sf, {a: valid[a] for a in gens}))
-    for i, l in [(0, 10), (26, 27)]:
-        prover = MatProver(md.conductor)
-        with pytest.raises(ModularityError, match=r"^S is not Galois-symmetric under zeta -> zeta\^97$"):
-            _proven(prover, _sigma7_at(md, i, l))
+    valid = _proven(MatProver(n), md.S)["galois"]
+    for (i, l), want in [((2, 4), r"^S is not unitary \(conj\(S\) != CS\)$"),
+                         ((10, 12), r"^S is not unitary \(conj\(S\) != CS\)$"),
+                         ((21, 25), r"^S is not unitary \(conj\(S\) != CS\)$"),
+                         ((3, 11), r"^S is not unitary \(conj\(S\) != CS\)$"),
+                         ((0, 10), r"^S is not Galois-symmetric under zeta -> zeta\^97$"),
+                         ((26, 27), r"^S is not Galois-symmetric under zeta -> zeta\^97$")]:
+        prover = MatProver(n)
+        rows = _sigma7_at(md, i, l)
+        with pytest.raises(ModularityError, match=want):
+            _proven(prover, rows)
+        with pytest.raises(ModularityError, match=want):
+            all_points_galois(prover, prover.pack(rows), valid)
     # sigma_7 on the rho_0 rho_0 entry stays inside its Galois orbit: the
     # symmetry is proven and the Verlinde relation fails, at every point too
-    prover, oracle = MatProver(md.conductor), MatProver(md.conductor)
+    prover, oracle = MatProver(n), MatProver(n)
     rows = _sigma7_at(md, 10, 10)
     want = _verdict(all_points_verlinde, oracle, oracle.pack(rows), tensor)
     assert want == "Verlinde eigen-relation fails near (i=1, j=10)"
-    assert _verdict(prover.verify_verlinde, _proven(prover, rows)[0], tensor) == want
+    assert _verdict(prover.verify_verlinde, _proven(prover, rows), tensor) == want
 
 
 def test_verlinde_refuses_an_s_without_a_galois_proof():
-    # the one-point argument needs every generator proven: an S packed
+    # the one-point arguments need every generator proven: an S packed
     # alone, or with -1 proven only, is refused before any evaluation
     md = _ty5()
     n = md.conductor
@@ -595,66 +620,204 @@ def test_verlinde_refuses_an_s_without_a_galois_proof():
     a = galois_generators(n)[1]
     with pytest.raises(ModularityError, match=rf"not proven Galois-symmetric under zeta -> zeta\^{n - 1},"):
         prover.verify_verlinde(s, tensor)
-    prover.verify_galois(s, {n - 1: (np.array(md.charge_conjugation()), np.ones(md.rank))})
+    prover.verify_galois(s, [n - 1])
     with pytest.raises(ModularityError, match=rf"not proven Galois-symmetric under zeta -> zeta\^{a},"):
         prover.verify_verlinde(s, tensor)
-    prover.verify_galois(s, _proven(MatProver(n), md.S)[0]["galois"])
+    with pytest.raises(ModularityError, match=rf"zeta\^{a}, which the S\^2 = C proof needs"):
+        prover.verify_product(s, md.charge_conjugation())
+    prover.verify_galois(s, galois_generators(n))
+    prover.verify_product(s, md.charge_conjugation())
     prover.verify_verlinde(s, tensor)
 
 
-def test_validate_guesses_and_proves_galois_once(monkeypatch):
-    # one float guess and one proof cover C and every generator, -1 first;
-    # -1 is proven as conj(S) = CS even when the guess flips a sign, and the
-    # Verlinde proof finds no evaluation left over from the other proofs
-    guessed, proven, left = [], [], []
-    guess, prove, verlinde = MatProver._galois_guess, MatProver.verify_galois, MatProver.verify_verlinde
+def _recorded_reads(monkeypatch) -> list:
+    """Record (proof, prime, number of points) for every evaluation, the
+    proof being the MatProver.verify_* method that asked for it."""
+    reads, stage = [], []
+    values = MatProver._values
 
-    def flipped(self, s, gens):
-        guessed.append(list(gens))
-        sf, out = guess(self, s, gens)
-        out[gens[0]][1][1] = -1
-        return sf, out
+    def recorded(self, s, p, at=slice(None)):
+        out = values(self, s, p, at)
+        reads.append((stage[-1] if stage else None, p, len(out)))
+        return out
 
-    monkeypatch.setattr(MatProver, "_galois_guess", flipped)
+    def staged(name, method):
+        def run(self, *args):
+            stage.append(name)
+            try:
+                return method(self, *args)
+            finally:
+                stage.pop()
+        return run
+
+    monkeypatch.setattr(MatProver, "_values", recorded)
+    for name in ("galois", "product", "tstst", "verlinde"):
+        method = getattr(MatProver, f"verify_{name}")
+        monkeypatch.setattr(MatProver, f"verify_{name}", staged(name, method))
+    return reads
+
+
+def test_validate_proves_galois_once_and_reads_the_points_each_proof_needs(monkeypatch):
+    # one exact step covers C and every generator, -1 first, and C = pi_-1
+    # with eps = 1; the Galois proof and TSTST = S read every point, S^2 = C
+    # and the Verlinde relation the first point alone
+    proven = []
+    prove = MatProver.verify_galois
     monkeypatch.setattr(MatProver, "verify_galois",
-                        lambda self, s, g: proven.append(dict(g)) or prove(self, s, g))
+                        lambda self, s, gens: proven.append(list(gens)) or prove(self, s, gens))
+    reads = _recorded_reads(monkeypatch)
+    galois = {}
+    verlinde = MatProver.verify_verlinde
     monkeypatch.setattr(MatProver, "verify_verlinde",
-                        lambda self, s, t: left.append(len(s["evals"])) or verlinde(self, s, t))
+                        lambda self, s, t: galois.update(s["galois"]) or verlinde(self, s, t))
     md = _ty5()
     fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
     fresh.validate()
     n = md.conductor
     gens = galois_generators(n)
     assert gens[0] == n - 1 and len(gens) > 1
-    assert guessed == [gens] and [list(g) for g in proven] == [gens]
-    perm, eps = proven[0][n - 1]
+    assert proven == [gens] and list(galois) == gens
+    perm, eps = galois[n - 1]
     assert perm.tolist() == list(md.charge_conjugation()) and (eps == 1).all()
     assert fresh.charge_conjugation() == md.charge_conjugation()
-    assert left == [0]
+    phi = euler_phi(n)
+    points = {(stage, k) for stage, _, k in reads}
+    assert points == {("galois", phi), ("product", 1), ("tstst", phi), ("verlinde", 1)}
 
 
 def test_verlinde_evaluates_its_own_primes_at_one_point(monkeypatch):
     # mp(Z21) needs a second prime for Verlinde alone (on TY(Z13) S^2 = C
     # and TSTST = S need it too): validate never evaluates it at every point
-    full, single = [], []
-    evaluate, at_point = MatProver._eval, MatProver._eval_point
-    monkeypatch.setattr(MatProver, "_eval", lambda self, m, p: full.append(p) or evaluate(self, m, p))
-    monkeypatch.setattr(
-        MatProver, "_eval_point", lambda self, m, p: single.append(p) or at_point(self, m, p)
-    )
+    reads = _recorded_reads(monkeypatch)
     z21 = FinAbGroup.of(21)
     mp_md.__wrapped__(z21, classify_metric_groups(z21)[0].bichar, 1)
-    assert len(set(full)) == 1 and len(single) == 2
-    assert single[0] == full[0] and single[1] not in full
+    full = {p for stage, p, k in reads if k > 1}
+    single = [p for stage, p, k in reads if stage == "verlinde"]
+    assert len(full) == 1 and len(single) == 2
+    assert single[0] in full and single[1] not in full
+    assert [p for stage, p, _ in reads if stage == "product"] == single[:1]
+
+
+def _tamper_one_sign(md, s):
+    """A generator a and its proven pair with eps_a flipped at one label i
+    that C moves, so that eps_a C != eps_a: Q_a no longer commutes with C."""
+    cperm = md.charge_conjugation()
+    i = next(i for i in range(md.rank) if cperm[i] != i)
+    a = galois_generators(md.conductor)[1]
+    perm, eps = s["galois"][a]
+    eps = eps.copy()
+    eps[i] *= -1
+    return a, (perm, eps)
+
+
+def test_a_q_a_that_does_not_commute_with_c_is_refused_before_any_evaluation(monkeypatch):
+    md = _ty5()
+    prover = MatProver(md.conductor)
+    s = _proven(prover, md.S)
+    a, pair = _tamper_one_sign(md, s)
+    s["galois"][a] = pair
+    reads = _recorded_reads(monkeypatch)
+    with pytest.raises(ModularityError,
+                       match=rf"S\^2 = C identity fails: S is singular, as Q_{a} does not commute"):
+        prover.verify_product(s, md.charge_conjugation())
+    assert reads == []
+    # the tampered pair is not the Galois symmetry of S at all
+    with pytest.raises(ModularityError, match=rf"under zeta -> zeta\^{a}$"):
+        all_points_galois(prover, s, {a: pair})
+
+
+def test_a_singular_s_whose_pi_a_is_not_a_bijection_is_refused():
+    # two equal rows: sigma_a(S) = S, and both rows are matched to the first
+    one = CycNum(5, {0: 1})
+    prover = MatProver(5)
+    s = prover.pack([[one, one], [one, one]])
+    a = galois_generators(5)[1]
+    with pytest.raises(ModularityError, match=rf"^S is singular: two rows of its conjugate under "
+                                              rf"zeta -> zeta\^{a} are equal up to sign$"):
+        prover.verify_galois(s, [a])
+    assert "galois" not in s
+
+
+def test_conj_s_equal_to_minus_cs_is_refused():
+    # conj(i S) = -C (i S), and i S is Galois-symmetric under every other
+    # generator: only eps_-1 = 1 tells it from a unitary S
+    md = _ty5()
+    n = md.conductor
+    gens = galois_generators(n)
+    rows = [[x * zeta(n, n // 4) for x in row] for row in md.S]
+    prover = MatProver(n)
+    s = prover.pack(rows)
+    with pytest.raises(ModularityError, match=r"^S is not unitary \(conj\(S\) != CS\)$"):
+        prover.verify_galois(s, gens)
+    prover.verify_galois(s, gens[1:])
+    assert list(s["galois"]) == gens[1:]
+
+
+def _scaled(md):
+    return [[x * Fraction(101, 100) for x in row] for row in md.S]
+
+
+@pytest.mark.parametrize("build", [
+    _ty5,
+    _ty9,
+    lambda: mp_md(Z15, classify_metric_groups(Z15)[0].bichar, 1),
+    lambda: mp_md(Z15, classify_metric_groups(Z15)[0].bichar, -1),
+    lambda: pointed_md(classify_metric_groups(FinAbGroup.of(45))[0]),
+], ids=["ty-Z5", "ty-Z9", "mp-Z15+", "mp-Z15-", "pointed-Z45"])
+def test_galois_and_product_agree_with_the_all_points_oracles(build):
+    # the derived (pi_a, eps_a) pass the all-points Galois check, and S^2 = C
+    # at one point agrees with every point; on a scaled S both accept the
+    # same pairs and refuse S^2 = C, and a shifted c leaves S as it is
+    md = build()
+    n = md.conductor
+    cperm = md.charge_conjugation()
+    for rows, product_ok in ((md.S, True), (_scaled(md), False)):
+        prover = MatProver(n)
+        s = _proven(prover, rows)
+        assert list(s["galois"]) == galois_generators(n)
+        all_points_galois(prover, s, s["galois"])
+        assert _verdict(prover.verify_product, s, cperm) == _verdict(
+            all_points_product, prover, s, cperm)
+        assert (_verdict(prover.verify_product, s, cperm) is None) == product_ok
+    shifted = ModularData(md.labels, md.S, md.thetas, md.c_top + 2, n)
+    with pytest.raises(ModularityError, match="TSTST = S identity fails"):
+        shifted.validate()
+    prover = MatProver(n)
+    s = _proven(prover, shifted.S)
+    all_points_galois(prover, s, s["galois"])
+    prover.verify_product(s, cperm)
+    all_points_product(prover, s, cperm)
+
+
+def test_galois_and_product_agree_on_a_sigma7_conjugated_entry():
+    # sigma_7 on the rho_0 rho_0 entry of TY(Z5) keeps the Galois symmetry,
+    # with the valid pairs, and breaks S^2 = C at one point and at every one
+    md = _ty5()
+    prover = MatProver(md.conductor)
+    valid = _proven(MatProver(md.conductor), md.S)["galois"]
+    s = _proven(prover, _sigma7_at(md, 10, 10))
+    for a, (perm, eps) in valid.items():
+        assert s["galois"][a][0].tolist() == perm.tolist()
+        assert s["galois"][a][1].tolist() == eps.tolist()
+    all_points_galois(prover, s, valid)
+    want = _verdict(all_points_product, prover, s, md.charge_conjugation())
+    assert want == "S^2 = C identity fails"
+    assert _verdict(prover.verify_product, s, md.charge_conjugation()) == want
 
 
 def test_the_names_the_benchmark_wraps_stay():
-    # perfbench/tracechild.py wraps verify_verlinde and _verlinde_tensor and
-    # reads the prover's points
+    # perfbench/tracechild.py wraps pack, verify_product, verify_tstst,
+    # verify_verlinde, validate and _verlinde_tensor, and reads the prover's
+    # points and the "coeffs" and "rank" of the packed S
     params = list(inspect.signature(MatProver.verify_verlinde).parameters)
     assert params == ["self", "s", "tensor"]
-    assert callable(ModularData._verlinde_tensor)
+    for method in (MatProver.pack, MatProver.verify_product, MatProver.verify_tstst,
+                   ModularData.validate, ModularData._verlinde_tensor):
+        assert inspect.isfunction(method)
     assert MatProver(12).points == [1, 5, 7, 11]
+    md = _ty5()
+    s = MatProver(md.conductor).pack(md.S)
+    assert s["rank"] == md.rank and s["coeffs"].shape[1] == euler_phi(md.conductor)
 
 
 def test_validate_memory_is_bounded():

@@ -5,10 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_format import dense_md
-from verlinde_oracle import _proven
 from tycat import modcheck, moddata
-from tycat.cyclo import MAX_CONDUCTOR, CycNum, RootOfUnity, sqrt_int, zeta, zeta_sum
+from tycat.cyclo import MAX_CONDUCTOR, CycNum, RootOfUnity, euler_phi, sqrt_int, zeta, zeta_sum
 from tycat.errors import (
     CapacityError,
     InvalidArgumentError,
@@ -448,14 +446,14 @@ def test_one_md_build_evaluates_the_float_s_once(monkeypatch):
     md = pointed_md.__wrapped__(metric_group(standard_qform(FinAbGroup.of(15))))
     blob = md_to_json(md)
     # S takes one evaluation per distinct entry object, for the float view:
-    # charge conjugation, the Galois and Verlinde guesses read the prover's
-    # float S instead; dims, the Gauss check and T take O(r)
+    # the Verlinde guess reads S in float from the packed coefficients and
+    # the Galois symmetry is exact; dims, the Gauss check and T take O(r)
     k = len({id(x) for row in md.S for x in row})
     assert k < md.rank**2
     assert k <= len(calls) < k + 3 * md.rank
     z = complex(md.S[1][2])
     assert blob["float_view"]["S"][1][2] == [z.real, z.imag]
-    _, sf = _proven(modcheck.MatProver(md.conductor), md.S)
+    sf = np.array([[complex(x) for x in row] for row in md.S])
     assert np.allclose(np.array(blob["float_view"]["S"]) @ [1, 1j], sf, rtol=0, atol=1e-12)
 
 
@@ -655,6 +653,12 @@ def _corruptions():
     def bad_c_top(b):
         b["c_top"] = "1/2"
 
+    def c_top_double_minus(b):
+        b["c_top"] = "--1"
+
+    def c_top_non_ascii_digit(b):
+        b["c_top"] = "\u0663"  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+
     def bad_grading(b):
         b["grading"] = [0]
 
@@ -677,9 +681,11 @@ def _corruptions():
         (repeated_exponent, "S[1][1]: term exponent"),
         (exponent_out_of_range, "S[1][1]: term exponent 48 outside [0, 16)"),
         (zero_den, "T[2]: den must be >= 1"),
-        (dense_wrong_length, "T[2]: coefficient vector has wrong length"),
+        (dense_wrong_length, "T[2]: cyclotomic entry needs 'terms'"),
         (missing_key, "modular data lacks c_top"),
         (bad_c_top, "c_top must be an integer"),
+        (c_top_double_minus, "c_top must be an integer"),
+        (c_top_non_ascii_digit, "c_top must be an integer"),
         (bad_grading, "grading has 1 entries, labels has 5"),
         (bad_label, "labels[0] is malformed"),
         (repeated_label, "labels[1] repeats labels[0]"),
@@ -698,11 +704,13 @@ def test_from_json_rejects_malformed_shape(edit, message):
     assert message in str(exc.value)
 
 
-def test_from_json_reads_the_dense_format():
-    md = mp_md(Z3, B3, 1)
-    back = md_from_json(dense_md(md_to_json(md)))
-    assert back.S == md.S and back.t_exps == md.t_exps and back.labels == md.labels
-    assert md_to_json(back) == md_to_json(md)
+def test_from_json_refuses_the_dense_format():
+    # one [p, q] per power of zeta, as earlier versions wrote, is refused
+    blob = json.loads(json.dumps(md_to_json(mp_md(Z3, B3, 1))))
+    n = blob["conductor"]
+    blob["S"][2][3] = {"conductor": n, "coeffs": [[1, 3]] + [[0, 1]] * (euler_phi(n) - 1)}
+    with pytest.raises(InvalidArgumentError, match=r"^S\[2\]\[3\]: cyclotomic entry needs 'terms'"):
+        md_from_json(blob)
 
 
 def test_classification_rejects_cross_class_equivalences():

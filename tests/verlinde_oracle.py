@@ -3,24 +3,23 @@ before it decided the relation at one point per prime, kept as an oracle:
 every label pair i <= j at every primitive point of every prime, streamed
 over chunks of pairs with the CSR list of their nonzero fusion channels.
 It raises the same message, naming the first failing pair.  ``_proven``
-packs an S and proves its Galois symmetry the way ``validate`` does, as
-``verify_verlinde`` requires."""
+packs an S and proves its symmetry and Galois symmetry the way
+``validate`` does, as ``verify_verlinde`` requires."""
 
 import numpy as np
 
 from tycat.errors import ModularityError
 from tycat.modcheck import galois_generators
 
+from galois_oracle import all_points
 
-def _proven(prover, rows) -> tuple[dict, np.ndarray]:
-    """The packed S of ``rows``, symmetric and proven Galois-symmetric for
-    every generator (-1 with eps = 1, as conj(S) = CS), and its float S."""
+
+def _proven(prover, rows) -> dict:
+    """The packed S of ``rows``, proven symmetric and Galois-symmetric for
+    every generator (-1 as conj(S) = CS)."""
     s = prover.pack(rows)
-    prover.verify_symmetric(s)
-    sf, guesses = prover._galois_guess(s, galois_generators(prover.n))
-    guesses[prover.n - 1] = (guesses[prover.n - 1][0], np.ones(s["rank"]))
-    prover.verify_galois(s, guesses)
-    return s, sf
+    prover.verify_galois(s, galois_generators(prover.n))
+    return s
 
 
 def all_points_verlinde(prover, s: dict, tensor: np.ndarray, chunk_bytes: int = 2 << 20) -> None:
@@ -41,7 +40,7 @@ def all_points_verlinde(prover, s: dict, tensor: np.ndarray, chunk_bytes: int = 
     chunk_rows = max(1, chunk_bytes // (8 * width))
     for p in prover._primes(2 * bound):
         # rows[i] = S[i, l] at every point, flattened to (npts * r)
-        rows = np.ascontiguousarray(prover._eval(s, p).transpose(1, 0, 2)).reshape(r, width)
+        rows = np.ascontiguousarray(all_points(prover, s, p).transpose(1, 0, 2)).reshape(r, width)
         pm = rows * rows[0] % p  # S[k,l] S[0,l] mod p
         a = 0
         while a < npairs:
