@@ -93,7 +93,14 @@ class EvenLattice:
 
     @staticmethod
     def from_json(obj: dict) -> "EvenLattice":
-        return EvenLattice(as_matrix(obj["gram"]))
+        """The lattice of ``{"gram": [[...], ...]}``, whose entries must be
+        JSON integers: a float, a string or a bool is refused, not truncated."""
+        gram = obj.get("gram") if isinstance(obj, dict) else None
+        if not (isinstance(gram, list) and all(
+                isinstance(row, list) and all(type(x) is int for x in row) for row in gram)):
+            raise InvalidArgumentError(
+                'a lattice file must hold {"gram": a list of lists of integers}')
+        return EvenLattice(as_matrix(gram))
 
     def __repr__(self):
         return f"EvenLattice(rank={self.rank}, det={self.determinant})"

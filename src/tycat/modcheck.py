@@ -25,7 +25,9 @@ gives every a); conjugation is the case a = -1, whose permutation is the
 charge conjugation C.  With it, S^2 = C and the Verlinde relation, whose
 size grows with the number of label pairs, are decided at one point per
 prime: ``MatProver.verify_product`` and ``verify_verlinde`` have the
-argument.
+argument.  The tensor that ``verify_verlinde`` proves is guessed from the
+residues of S at one prime (``guess_verlinde``), so no float approximation
+of S is made.
 
 A matrix is packed as its K distinct values, one canonical coefficient
 row each over one denominator, and an integer table of every entry's
@@ -39,6 +41,7 @@ directly, whose evaluation needs no pack.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -192,19 +195,25 @@ class MatProver:
 
     # -- primes and evaluation ----------------------------------------------
 
-    def _primes(self, need: int) -> list[int]:
-        """The fewest primes p = 1 (mod N) from _PRIME_CAP / 2 up, in order,
-        whose product exceeds ``need``; found once and cached."""
-        out, have = [], 1
-        while have <= need:
-            if len(out) == len(self._prime_cache):
-                p = out[-1] + self.n if out else (_PRIME_CAP // 2) // self.n * self.n + 1
+    def _prime_pool(self):
+        """The primes p = 1 (mod N) from _PRIME_CAP / 2 up, in order, each
+        found once and cached."""
+        for k in itertools.count():
+            if k == len(self._prime_cache):
+                p = self._prime_cache[-1] + self.n if k else (_PRIME_CAP // 2) // self.n * self.n + 1
                 while p < _PRIME_CAP and not _is_prime(p):
                     p += self.n
                 if p >= _PRIME_CAP:
                     raise ModularityError("prime pool exhausted")
                 self._prime_cache.append(p)
-            out.append(self._prime_cache[len(out)])
+            yield self._prime_cache[k]
+
+    def _primes(self, need: int) -> list[int]:
+        """The fewest primes of the pool, in order, whose product exceeds
+        ``need``."""
+        out, have, pool = [], 1, self._prime_pool()
+        while have <= need:
+            out.append(next(pool))
             have *= out[-1]
         return out
 
@@ -331,6 +340,35 @@ class MatProver:
                 raise ModularityError(f"S is singular: two rows of its conjugate under "
                                       f"zeta -> zeta^{a} are equal up to sign")
             s.setdefault("galois", {})[a] = (perm, eps)
+
+    def guess_verlinde(self, s: dict) -> np.ndarray:
+        """The Verlinde tensor N_ij^k = sum_l S_il S_jl conj(S_kl) / S_0l of
+        a symmetric, unitary S, guessed from residues at the first prime p
+        of the pool where den and every S_0l are nonzero mod p.
+
+        One read of two points gives e = den S at the first point w and
+        ebar = den conj(S) at w^(N-1) = w^-1, as conj is zeta -> zeta^-1;
+        then den^2 N_ij^k = sum_l e_il e_jl ebar_kl / e_0l mod p, one
+        product per row i over the pairs j >= i, mirrored to j < i, and
+        lifted to (-p/2, p/2].  The lift is N where |N_ij^k| < p/2, and a
+        guess only: ``verify_verlinde`` decides it whatever it is.
+        """
+        r = s["rank"]
+        for p in self._prime_pool():
+            e, ebar = self._values(s, p, [0, len(self.points) - 1])[:, s["index"]]
+            if s["den"] % p and e[0].all():
+                break
+        scale = pow(s["den"], -2, p)
+        inv0 = np.array([pow(int(x), -1, p) * scale % p for x in e[0]], dtype=np.float64)
+        b = (ebar * inv0 % p).T  # b[l, k] = ebar_kl / (den^2 e_0l) mod p
+        tensor = np.empty((r, r, r), dtype=np.int64)
+        for i in range(r):
+            prods = e[i] * e[i:]
+            prods %= p
+            tensor[i, i:] = _matmul_mod(prods, b, p)
+            tensor[i + 1 :, i] = tensor[i, i + 1 :]
+        tensor[tensor > p // 2] -= p
+        return tensor
 
     def verify_verlinde(self, s: dict, tensor: np.ndarray) -> None:
         """sum_k N_ij^k S[k,l] S[0,l] == S[i,l] S[j,l] for all i, j, l,

@@ -2,18 +2,19 @@
 
 A ``ModularData`` holds a labeled S matrix, a diagonal T with the global
 e^{-pi i c/12} prefactor, and the topological central charge mod 8.  Every
-builder validates the full axiom suite exactly: S symmetric and unitary,
-S^2 = C a permutation, TSTST = S, CSC = S, CTC = T, (ST)^3 = C, positive
+builder validates the full axiom suite exactly: S symmetric, conj(S) = CS
+for a unit-fixing involution C with CTC = T, S^2 = C, TSTST = S, positive
 real dimensions, Gauss-sum consistency of c, and integrality of all
-Verlinde coefficients.  Each matrix identity is proven once, by the
-deterministic prover in :mod:`tycat.modcheck`: symmetry on the index table
-of S's distinct values, the others by modular evaluation; only S is
-packed, T enters as exponents.  Charge conjugation C and the signed Galois
-permutations of every generator of (Z/N)^x are found and proven exactly in
-one ``verify_galois`` call (conj(S) = CS is the generator -1), which lets
-S^2 = C and the Verlinde relation be decided at one point per prime.  The
-one float guess left is the Verlinde tensor, rounded from S in float and
-decided by the prover alone; the proven array becomes the read-only tensor of
+Verlinde coefficients; unitarity, CSC = S and (ST)^3 = C follow from these.
+Each matrix identity is proven once, by the deterministic prover in
+:mod:`tycat.modcheck`: symmetry on the index table of S's distinct values,
+the others by modular evaluation; only S is packed, T enters as exponents.
+Charge conjugation C and the signed Galois permutations of every generator
+of (Z/N)^x are found and proven exactly in one ``verify_galois`` call
+(conj(S) = CS is the generator -1), which lets S^2 = C and the Verlinde
+relation be decided at one point per prime.  The Verlinde tensor is guessed
+by the prover from the residues of S at one prime, then proven, so S is
+evaluated one way only; the proven array becomes the read-only tensor of
 ``fusion_ring``, without a copy.  Structural invariants of the builders
 (rank, total dimension) and the pairwise inequivalence of a
 classification raise ``ModularityError``, not ``assert``.
@@ -233,18 +234,12 @@ class ModularData:
     # -- fusion ---------------------------------------------------------------
 
     def _verlinde_tensor(self, prover: MatProver, packed_s: dict) -> np.ndarray:
-        """N_ij^k = sum_l S_il S_jl conj(S_kl) / S_0l: a guess from S in
-        float at zeta_N (a = 1), read from the packed coefficients of its
-        distinct values and gathered through the index, rounded, then
+        """N_ij^k = sum_l S_il S_jl conj(S_kl) / S_0l: guessed by the prover
+        from the residues of S at one prime, refused if negative, then
         proven.  S is proven unitary before this runs, so it is invertible
         and the proven relation sum_k N_ij^k S_kl S_0l = S_il S_jl (every l)
         fixes each N_ij^k: a wrong guess fails the proof."""
-        powers = np.exp(2j * np.pi / prover.n * np.arange(prover.phi))
-        sf = (packed_s["coeffs"] @ powers / packed_s["den"])[packed_s["index"]]
-        ratios_t = (sf.conj() / sf[0][None, :]).T
-        tensor = np.empty((self.rank,) * 3, dtype=np.int64)
-        for i in range(self.rank):  # one BLAS product per row i
-            tensor[i] = np.rint(((sf[i] * sf) @ ratios_t).real)
+        tensor = prover.guess_verlinde(packed_s)
         neg = np.argwhere(tensor < 0)
         if len(neg):
             i, j, k = (int(x) for x in neg[0])

@@ -349,6 +349,21 @@ def test_condense_cli(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_condense_looks_a_non_ascii_digit_up_as_a_name(tmp_path, capsys):
+    # the Arabic-Indic one is a name, not the index 1, and no label has it
+    _, parent, _ = run_cli(capsys, "md", "mp", "--group", "3", "--sign", "+")
+    _, child, _ = run_cli(capsys, "md", "pointed", "--group", "3", "--qform", "0,1/3,1/3")
+    pp, cc = tmp_path / "p.json", tmp_path / "c.json"
+    pp.write_text(parent)
+    cc.write_text(child)
+    code, out, err = run_cli(
+        capsys, "condense", "--parent", str(pp), "--child", str(cc), "--bosons", "0,\u0661",
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "no label named '\u0661'"
+    assert "Traceback" not in err
+
+
 def test_graph_commands(capsys):
     code, out, _ = run_cli(capsys, "graph", "lr-principal", "--group", "3")
     assert code == 0
@@ -374,6 +389,29 @@ def test_malformed_group_is_usage_error(capsys):
         main(["classify", "--group", "3,x"])
     assert exc.value.code == 2
     assert "--group" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["\u0661\u0665", "1_5", "+15", "3,\u0665"])
+@pytest.mark.parametrize("command", [["classify"], ["md", "pointed"]])
+def test_group_takes_ascii_digits_only(capsys, command, spec):
+    # int() reads the Arabic-Indic "15", "1_5" and "+15" as 15
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--group", spec])
+    assert exc.value.code == 2
+    assert "--group" in capsys.readouterr().err
+
+
+def test_group_orders_take_ascii_digits_around_whitespace():
+    assert cli._group_orders(" 3, 5 ,") == [3, 5]
+
+
+@pytest.mark.parametrize("vec", ["0,\u0661", "0,1_0", "0,+1"])
+def test_isotropic_coordinates_take_ascii_digits_only(capsys, vec):
+    # "0,1" glues A2+E6 to E8; int() would read each of these as 0,1 or 0,10
+    code, out, err = run_cli(capsys, "glue", "--lattice", "A2+E6", "--isotropic", vec)
+    assert code == 1
+    assert "expected an integer in ASCII digits" in json.loads(out)["error"]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -429,6 +467,16 @@ def test_custom_gram_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "disc", "--lattice", str(gram))
     assert code == 0
     assert json.loads(out)["group"] == [3]
+
+
+def test_gram_file_with_a_float_entry_is_a_domain_error(tmp_path, capsys):
+    # int(2.9) would make this A2, whose form was printed with exit 0
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"gram": [[2.9, -1], [-1, 2]]}))
+    code, out, err = run_cli(capsys, "disc", "--lattice", str(gram))
+    assert code == 1
+    assert "list of lists of integers" in json.loads(out)["error"]
+    assert "Traceback" not in err
 
 
 def test_equiv_of_ty_z7(tmp_path, capsys):
@@ -504,6 +552,28 @@ def test_stdout_is_byte_identical(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+# SHA-256 of `fusion --from-md` on the output of each build, taken while the
+# Verlinde tensor was still guessed from S in float; the fp_dims digits come
+# from the platform's LAPACK
+GOLDEN_FUSION_FROM_MD = {
+    ("md", "ty-center", "--group", "9"):
+        "f4436e72a1209b422c5fb647aa2d5a03b930d3183fa1c2f25214b25f21e54132",
+    ("md", "mp", "--group", "15", "--sign", "-"):
+        "49470b04f586217a470ec9764960df67a4080d30f1275fc8c19bbca2c33ca722",
+}
+
+
+@pytest.mark.parametrize("build", list(GOLDEN_FUSION_FROM_MD), ids=" ".join)
+def test_fusion_from_md_stdout_is_byte_identical(tmp_path, capsys, build):
+    code, out, _ = run_cli(capsys, *build)
+    assert code == 0
+    path = tmp_path / "md.json"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "fusion", "--from-md", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FUSION_FROM_MD[build]
 
 
 def test_closed_stdout_ends_without_a_traceback():

@@ -227,6 +227,26 @@ def test_lattice_json_roundtrip():
     assert EvenLattice.from_json(a2.to_json()) == a2
 
 
+@pytest.mark.parametrize("obj", [
+    {"gram": [[2.9, -1], [-1, 2]]},
+    {"gram": [[2.0, -1], [-1, 2]]},
+    {"gram": [["2", -1], [-1, 2]]},
+    {"gram": [["\u0662", -1], [-1, 2]]},
+    {"gram": [[True, -1], [-1, 2]]},
+    {"gram": [[2, None], [-1, 2]]},
+    {"gram": [2, -1]},
+    {"gram": "A2"},
+    {"lattice": [[2, -1], [-1, 2]]},
+    [[2, -1], [-1, 2]],
+], ids=["float", "integral_float", "string", "non_ascii_string", "bool", "null", "flat",
+        "name", "no_gram", "bare_list"])
+def test_lattice_json_takes_integer_entries_only(obj):
+    # int() would truncate 2.9 to A2's 2 and read "2" and the Arabic-Indic
+    # two as 2
+    with pytest.raises(InvalidArgumentError, match="list of lists of integers"):
+        EvenLattice.from_json(obj)
+
+
 def test_glue_determinant_law_all_small_builtins():
     from tycat.quadforms import isotropic_subgroups
 

@@ -2,6 +2,7 @@
 arithmetic, plus negative controls."""
 
 import inspect
+import itertools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from tycat.quadforms import (
     metric_group,
 )
 from galois_oracle import all_points_galois, all_points_product
-from verlinde_oracle import _proven, all_points_verlinde
+from verlinde_oracle import _proven, all_points_verlinde, float_guess
 
 Z3 = FinAbGroup.of(3)
 Q_A2 = QuadForm.from_callable(
@@ -632,7 +633,8 @@ def test_verlinde_refuses_an_s_without_a_galois_proof():
 
 def _recorded_reads(monkeypatch) -> list:
     """Record (proof, prime, number of points) for every evaluation, the
-    proof being the MatProver.verify_* method that asked for it."""
+    proof being the MatProver.verify_* method that asked for it, or
+    "guess" for guess_verlinde."""
     reads, stage = [], []
     values = MatProver._values
 
@@ -651,16 +653,19 @@ def _recorded_reads(monkeypatch) -> list:
         return run
 
     monkeypatch.setattr(MatProver, "_values", recorded)
-    for name in ("galois", "product", "tstst", "verlinde"):
-        method = getattr(MatProver, f"verify_{name}")
-        monkeypatch.setattr(MatProver, f"verify_{name}", staged(name, method))
+    for name, attr in [("guess", "guess_verlinde")] + [
+            (name, f"verify_{name}") for name in ("galois", "product", "tstst", "verlinde")]:
+        monkeypatch.setattr(MatProver, attr, staged(name, getattr(MatProver, attr)))
     return reads
 
 
 def test_validate_proves_galois_once_and_reads_the_points_each_proof_needs(monkeypatch):
     # one exact step covers C and every generator, -1 first, and C = pi_-1
     # with eps = 1; the Galois proof and TSTST = S read every point, S^2 = C
-    # and the Verlinde relation the first point alone
+    # and the Verlinde relation the first point alone, and the Verlinde
+    # guess reads the first and the last point once; the cached build runs
+    # before the recording starts, so the test holds in any order
+    md = _ty5()
     proven = []
     prove = MatProver.verify_galois
     monkeypatch.setattr(MatProver, "verify_galois",
@@ -670,7 +675,6 @@ def test_validate_proves_galois_once_and_reads_the_points_each_proof_needs(monke
     verlinde = MatProver.verify_verlinde
     monkeypatch.setattr(MatProver, "verify_verlinde",
                         lambda self, s, t: galois.update(s["galois"]) or verlinde(self, s, t))
-    md = _ty5()
     fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
     fresh.validate()
     n = md.conductor
@@ -682,7 +686,9 @@ def test_validate_proves_galois_once_and_reads_the_points_each_proof_needs(monke
     assert fresh.charge_conjugation() == md.charge_conjugation()
     phi = euler_phi(n)
     points = {(stage, k) for stage, _, k in reads}
-    assert points == {("galois", phi), ("product", 1), ("tstst", phi), ("verlinde", 1)}
+    assert points == {("galois", phi), ("product", 1), ("tstst", phi), ("guess", 2),
+                      ("verlinde", 1)}
+    assert [k for stage, _, k in reads if stage == "guess"] == [2]
 
 
 def test_verlinde_evaluates_its_own_primes_at_one_point(monkeypatch):
@@ -787,6 +793,51 @@ def test_galois_and_product_agree_with_the_all_points_oracles(build):
     all_points_galois(prover, s, s["galois"])
     prover.verify_product(s, cperm)
     all_points_product(prover, s, cperm)
+
+
+Z3xZ3 = FinAbGroup.of(3, 3)
+
+
+@pytest.mark.parametrize("build", [
+    _ty5,
+    _ty9,
+    lambda: ty_center_md(Z3xZ3, bichar_from_qform(classify_metric_groups(Z3xZ3)[0].quad), 1),
+    lambda: mp_md(Z15, classify_metric_groups(Z15)[0].bichar, 1),
+    lambda: mp_md(Z15, classify_metric_groups(Z15)[0].bichar, -1),
+    lambda: pointed_md(classify_metric_groups(FinAbGroup.of(45))[0]),
+], ids=["ty-Z5", "ty-Z9", "ty-Z3xZ3", "mp-Z15+", "mp-Z15-", "pointed-Z45"])
+def test_residue_guess_agrees_with_the_float_guess_and_the_proven_ring(build):
+    md = build()
+    prover = MatProver(md.conductor)
+    s = prover.pack(md.S)
+    guess = prover.guess_verlinde(s)
+    assert np.array_equal(guess, float_guess(prover, s))
+    assert np.array_equal(guess, md.fusion_ring().tensor)
+
+
+def test_residue_guess_moves_past_a_prime_where_a_row_0_residue_vanishes(monkeypatch):
+    # S_03 read as 0 at the first prime: 1 / S_03 is not defined there, so
+    # the guess is made at the second prime, and it is the same tensor
+    md = _ty5()
+    want = md.fusion_ring().tensor
+    prover = MatProver(md.conductor)
+    s = prover.pack(md.S)
+    first, second = itertools.islice(prover._prime_pool(), 2)
+    k = s["index"][0, 3]
+    values, reads = MatProver._values, []
+
+    def zero_at_first(self, s, p, at=slice(None)):
+        out = values(self, s, p, at)
+        reads.append(p)
+        if p == first:
+            out[:, k] = 0
+        return out
+
+    monkeypatch.setattr(MatProver, "_values", zero_at_first)
+    assert np.array_equal(prover.guess_verlinde(s), want)
+    assert reads == [first, second]
+    monkeypatch.setattr(MatProver, "_values", values)
+    assert np.array_equal(prover.guess_verlinde(s), want)
 
 
 def test_galois_and_product_agree_on_a_sigma7_conjugated_entry():

@@ -445,9 +445,9 @@ def test_one_md_build_evaluates_the_float_s_once(monkeypatch):
     monkeypatch.setattr(CycNum, "__complex__", lambda x: calls.append(x) or to_complex(x))
     md = pointed_md.__wrapped__(metric_group(standard_qform(FinAbGroup.of(15))))
     blob = md_to_json(md)
-    # S takes one evaluation per distinct entry object, for the float view:
-    # the Verlinde guess reads S in float from the packed coefficients and
-    # the Galois symmetry is exact; dims, the Gauss check and T take O(r)
+    # S takes one float evaluation per distinct entry object, for the float
+    # view: validate evaluates S only as residues mod p, the Verlinde guess
+    # included; dims, the Gauss check and T take O(r)
     k = len({id(x) for row in md.S for x in row})
     assert k < md.rank**2
     assert k <= len(calls) < k + 3 * md.rank

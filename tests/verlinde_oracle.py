@@ -4,7 +4,10 @@ every label pair i <= j at every primitive point of every prime, streamed
 over chunks of pairs with the CSR list of their nonzero fusion channels.
 It raises the same message, naming the first failing pair.  ``_proven``
 packs an S and proves its symmetry and Galois symmetry the way
-``validate`` does, as ``verify_verlinde`` requires."""
+``validate`` does, as ``verify_verlinde`` requires.  ``float_guess`` is
+the Verlinde tensor rounded from S in complex floats, the guess
+``validate`` made before ``MatProver.guess_verlinde`` read it from
+residues."""
 
 import numpy as np
 
@@ -20,6 +23,20 @@ def _proven(prover, rows) -> dict:
     s = prover.pack(rows)
     prover.verify_galois(s, galois_generators(prover.n))
     return s
+
+
+def float_guess(prover, s: dict) -> np.ndarray:
+    """N_ij^k = sum_l S_il S_jl conj(S_kl) / S_0l, rounded from S in float
+    at zeta_N, read from the packed coefficients of its distinct values and
+    gathered through the index."""
+    powers = np.exp(2j * np.pi / prover.n * np.arange(prover.phi))
+    sf = (s["coeffs"] @ powers / s["den"])[s["index"]]
+    ratios_t = (sf.conj() / sf[0][None, :]).T
+    r = s["rank"]
+    tensor = np.empty((r, r, r), dtype=np.int64)
+    for i in range(r):  # one BLAS product per row i
+        tensor[i] = np.rint(((sf[i] * sf) @ ratios_t).real)
+    return tensor
 
 
 def all_points_verlinde(prover, s: dict, tensor: np.ndarray, chunk_bytes: int = 2 << 20) -> None:
