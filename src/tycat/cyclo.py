@@ -7,6 +7,12 @@ integer coefficient dictionary over a single positive denominator.  Two
 values are equal iff their canonical forms agree after promotion to the
 least common conductor, so equality never involves floating point.
 
+``CycNum.galois(a)`` is the Galois map sigma_a: zeta_n -> zeta_n^a for a
+prime to n; complex conjugation is sigma_{-1}.  An inverse is the product of
+a value's other distinct conjugates over its norm, which every sigma_a fixes
+and so is rational.  ``sqrt_int(n)`` is sqrt(n) as a product of Gauss sums at
+its natural conductor (``sqrt_int_conductor``); callers promote it.
+
 ``RootOfUnity`` is the lighter exact representation e^{2 pi i k/n} as a
 reduced integer pair; it is the natural container for single quadratic-form
 and bicharacter values and converts losslessly to ``CycNum``.
@@ -214,9 +220,6 @@ class CycNum:
             total += self.num[e] * cmath.exp(w * e)
         return total / self.den
 
-    def to_complex(self) -> complex:
-        return complex(self)
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -280,39 +283,35 @@ class CycNum:
 
     __rmul__ = __mul__
 
+    def galois(self, a: int) -> "CycNum":
+        """The Galois map sigma_a: zeta_n -> zeta_n^a, for a prime to n."""
+        n = self.n
+        if math.gcd(a, n) != 1:
+            raise InvalidArgumentError(f"sigma_{a} needs gcd({a}, {n}) = 1")
+        return CycNum(n, _reduce_terms(n, ((a * e % n, c) for e, c in self.num.items())), self.den)
+
     def conj(self) -> "CycNum":
         """Complex conjugate (zeta -> zeta^{-1})."""
-        n = self.n
-        terms = (((n - e) % n, c) for e, c in self.num.items())
-        return CycNum(n, _reduce_terms(n, terms), self.den)
+        return self.galois(-1)
 
     def inverse(self) -> "CycNum":
+        """1/x as the product of x's other distinct conjugates over the
+        norm: x times that product is fixed by every sigma_a, so rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
-        if self.is_rational():
-            return CycNum.from_fraction(1 / self.rational_value()).promoted(self.n)
-        # extended Euclid in Q[x] against the (irreducible) cyclotomic polynomial
-        deg = _phi_deg(self.n)
-        a = [Fraction(self.num.get(e, 0), self.den) for e in range(deg)]
-        b = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        while any(b):
-            q, r = _poly_divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # now a = gcd (a nonzero constant), s0 * self = a  (mod Phi_n)
-        if len(_poly_trim(a)) != 1:
-            raise ModularityError(f"Phi_{self.n} and {self!r} share a factor")
-        inv_c = 1 / a[0]
-        coeffs = [c * inv_c for c in s0]
-        num: dict[int, int] = {}
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        for e, c in enumerate(coeffs):
-            if c:
-                num[e] = int(c * den)
-        out = CycNum(self.n, num, den)
+        n = self.n
+        seen = {self.key_at(n)}
+        rest = CycNum.one().promoted(n)
+        for a in range(2, n):
+            if math.gcd(a, n) == 1:
+                y = self.galois(a)
+                if (key := y.key_at(n)) not in seen:
+                    seen.add(key)
+                    rest = rest * y
+        norm = self * rest
+        if not norm.is_rational():
+            raise ModularityError(f"the conjugates of {self!r} multiply to {norm!r}")
+        out = CycNum(n, {e: c * norm.den for e, c in rest.num.items()}, rest.den * norm.num[0])
         if out * self != 1:
             raise ModularityError(f"inverse of {self!r} fails x * x^-1 = 1")
         return out
@@ -440,45 +439,6 @@ def _json_int(x, what: str) -> int:
     return x
 
 
-def _poly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_sub(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b):
-        c = a[-1] / lead
-        d = len(a) - len(b)
-        q[d] = c
-        for i, cb in enumerate(b):
-            a[d + i] -= c * cb
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k = e^{2 pi i k/n}, in canonical form."""
     if n < 1:
@@ -501,28 +461,11 @@ def _sqrt_prime(p: int) -> CycNum:
     """sqrt(p) for a prime p via the quadratic Gauss sum, at its natural
     conductor: p for p = 1 mod 4, else 4p (8 for p = 2)."""
     if p == 2:
-        return (zeta(8, 1) + zeta(8, 7)).promoted(8)
+        return zeta(8, 1) + zeta(8, 7)
     g = zeta_sum(p, ((x * x, 1) for x in range(p)))
     if p % 4 == 1:
         return g
     return g.promoted(4 * p) * zeta(4, 3)  # the sum equals i*sqrt(p)
-
-
-@lru_cache(maxsize=None)
-def _sqrt_int_min(n: int) -> CycNum:
-    """sqrt(n) at its natural conductor (see sqrt_int_conductor)."""
-    if n < 1:
-        raise InvalidArgumentError(f"sqrt_int needs n >= 1, got {n}")
-    square_part = 1
-    root = CycNum.one()
-    for p, e in factorize(n).items():
-        square_part *= p ** (e // 2)
-        if e % 2:
-            root = root * _sqrt_prime(p)
-    root = (root * square_part).promoted(sqrt_int_conductor(n))
-    if root * root != n:
-        raise ModularityError(f"Gauss-sum square root of {n} does not square to {n}")
-    return root
 
 
 def sqrt_int_conductor(n: int) -> int:
@@ -540,9 +483,20 @@ def sqrt_int_conductor(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def sqrt_int(n: int) -> CycNum:
-    """The positive square root of n >= 1, exact in Q(zeta_{4n})."""
-    root = _sqrt_int_min(n)
-    return root.promoted(4 * n) if (4 * n) % root.n == 0 else root
+    """The positive square root of n >= 1 at its natural conductor
+    (``sqrt_int_conductor``), as a product of Gauss sums."""
+    if n < 1:
+        raise InvalidArgumentError(f"sqrt_int needs n >= 1, got {n}")
+    square_part = 1
+    root = CycNum.one()
+    for p, e in factorize(n).items():
+        square_part *= p ** (e // 2)
+        if e % 2:
+            root = root * _sqrt_prime(p)
+    root = (root * square_part).promoted(sqrt_int_conductor(n))
+    if root * root != n:
+        raise ModularityError(f"Gauss-sum square root of {n} does not square to {n}")
+    return root
 
 
 @total_ordering

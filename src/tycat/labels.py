@@ -11,10 +11,12 @@ serialize as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from .cyclo import _json_int
 from .errors import InvalidArgumentError
-from .groups import FinAbGroup, GroupElement
+from .groups import FinAbGroup, GroupElement, check_table_order
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,19 @@ def _el_json(g: GroupElement) -> dict:
     }
 
 
+def _json_ints(xs, what: str) -> list[int]:
+    if not isinstance(xs, list):
+        raise InvalidArgumentError(f"{what} must be a list of integers, got {xs!r}")
+    return [_json_int(x, what) for x in xs]
+
+
 def _el_from_json(obj: dict) -> GroupElement:
-    return FinAbGroup.of(obj["group"]).element(obj["coords"])
+    # the orders' product is bounded before any of them is factored
+    orders = _json_ints(obj["group"], "group order")
+    if any(d < 1 for d in orders):
+        raise InvalidArgumentError(f"group orders must be positive, got {orders}")
+    check_table_order(math.prod(orders))
+    return FinAbGroup.of(orders).element(_json_ints(obj["coords"], "coordinate"))
 
 
 def label_to_json(label) -> dict:
@@ -164,13 +177,13 @@ def label_from_json(obj: dict):
     if kind == "mp_alpha":
         return MPAlpha()
     if kind == "mp_rho":
-        return MPRho(int(obj["i"]))
+        return MPRho(_json_int(obj["i"], "i"))
     if kind == "pointed":
         return Pointed(_el_from_json(obj["g"]))
     if kind == "ty_pt":
-        return TYPt(_el_from_json(obj["g"]), int(obj["i"]))
+        return TYPt(_el_from_json(obj["g"]), _json_int(obj["i"], "i"))
     if kind == "ty_rho":
-        return TYRho(_el_from_json(obj["g"]), int(obj["i"]))
+        return TYRho(_el_from_json(obj["g"]), _json_int(obj["i"], "i"))
     if kind == "ty_sigma":
         a, b = obj["pair"]
         return TYSigma.of(_el_from_json(a), _el_from_json(b))
@@ -181,5 +194,5 @@ def label_from_json(obj: dict):
     if kind == "name":
         return str(obj["name"])
     if kind == "dihedral":
-        return (_el_from_json(obj["g"]), int(obj["eps"]))
+        return (_el_from_json(obj["g"]), _json_int(obj["eps"], "eps"))
     raise InvalidArgumentError(f"unknown label kind {kind!r}")

@@ -41,7 +41,6 @@ import numpy as np
 from .cyclo import (
     CycNum,
     RootOfUnity,
-    _sqrt_int_min,
     check_conductor,
     euler_phi,
     sqrt_int,
@@ -279,7 +278,7 @@ def pointed_md(m: MetricGroup) -> ModularData:
     conductor = _pointed_conductor(group)
     if conductor % q.modulus:
         raise InvalidArgumentError(f"cannot promote conductor {q.modulus} to {conductor}")
-    scale = _sqrt_int_min(n).promoted(conductor) * Fraction(1, n)
+    scale = sqrt_int(n).promoted(conductor) * Fraction(1, n)
     entry = cache(lambda e: zeta(conductor, e) * scale)
     dq = q.dq() * (conductor // q.modulus)
     labels = [Pointed(g) for g in group.elements()]

@@ -414,6 +414,36 @@ def test_isotropic_coordinates_take_ascii_digits_only(capsys, vec):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("item", ["\u0661/\u0663", "1_0/30", "0.5", "+1/3", "1/-3", "1/3/1", ""])
+@pytest.mark.parametrize("flag", ["--qform", "--bichar"])
+def test_rationals_take_ascii_digits_only(capsys, flag, item):
+    # Fraction() reads the first two as 1/3 and 10/30, which made the same
+    # data as --qform 0,1/3,1/3 or --bichar 1/3
+    kind, spec = ("pointed", f"0,{item},{item}") if flag == "--qform" else ("mp", item)
+    code, out, err = run_cli(capsys, "md", kind, "--group", "3", flag, spec)
+    assert code == 1
+    assert "expected a rational in ASCII digits" in json.loads(out)["error"]
+    assert "Traceback" not in err
+
+
+def test_rationals_take_ascii_digits_around_whitespace():
+    assert cli._fractions(" 0, -1/3 ,2") == [0, Fraction(-1, 3), 2]
+
+
+@pytest.mark.parametrize("argv", [
+    ("pointed", "--bichar", "1/3"),
+    ("pointed", "--qform", "0,1/3,1/3", "--bichar", "default"),
+    ("ty-center", "--qform", "0,2/3,2/3", "--bichar", "default"),
+    ("mp", "--qform", "default", "--bichar", "default"),
+])
+def test_md_refuses_a_bichar_it_would_ignore(capsys, argv):
+    # pointed data never read --bichar, and --bichar overrode --qform
+    with pytest.raises(SystemExit) as exc:
+        main(["md", argv[0], "--group", "3", *argv[1:]])
+    assert exc.value.code == 2
+    assert "--bichar" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "--group", "1000000000000000003"),
     ("graph", "lr-dual", "--group", "4099"),

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 import time
 from fractions import Fraction
@@ -78,6 +79,90 @@ def test_field_axioms_random():
             assert a.conj().conj() == a
             if not a.is_zero():
                 assert a * a.inverse() == 1
+
+
+def _rand_val(rng, n, terms=3):
+    deg = euler_phi(n)
+    num = {e: rng.randint(-9, 9) for e in rng.sample(range(deg), min(terms, deg))}
+    num[rng.randrange(deg)] = rng.randint(1, 9)  # never zero
+    return CycNum(n, num, rng.randint(1, 6))
+
+
+def _units(n):
+    return [a for a in range(n) if math.gcd(a, n) == 1]
+
+
+@pytest.mark.parametrize("n", [8, 12, 45, 120])
+def test_galois_maps_compose_and_minus_one_is_conj(n):
+    rng = random.Random(n)
+    units = _units(n)
+    for _ in range(6):
+        x = _rand_val(rng, n)
+        a, b = rng.choice(units), rng.choice(units)
+        assert x.galois(a).galois(b) == x.galois(a * b % n)
+        assert x.galois(-1) == x.galois(n - 1) == x.conj()
+        assert x.galois(1) == x
+        assert x.galois(a).n == n
+    assert zeta(n).galois(units[-1]) == zeta(n, units[-1])
+
+
+@pytest.mark.parametrize("n", [1, 8, 12, 45, 120])
+def test_galois_maps_preserve_sums_and_products(n):
+    rng = random.Random(n)
+    units = _units(n)
+    for _ in range(8):
+        x, y = _rand_val(rng, n), _rand_val(rng, n)
+        a = rng.choice(units)
+        assert (x + y).galois(a) == x.galois(a) + y.galois(a)
+        assert (x * y).galois(a) == x.galois(a) * y.galois(a)
+
+
+@pytest.mark.parametrize("n, a", [(12, 2), (12, 3), (12, 0), (45, 15), (8, -2), (2, 4)])
+def test_galois_refuses_an_exponent_sharing_a_factor_with_n(n, a):
+    with pytest.raises(InvalidArgumentError, match=f"needs gcd\\({a}, {n}\\) = 1"):
+        zeta(n).galois(a)
+
+
+def _check_inverse(x):
+    y = x.inverse()
+    assert y.n == x.n and x * y == 1
+    assert abs(complex(y) * complex(x) - 1) < 1e-9
+
+
+def test_inverse_of_rationals_and_roots_of_unity():
+    for q in (Fraction(-3, 7), Fraction(5), Fraction(1, 12)):
+        for n in (1, 12, 2520):
+            x = cyc(q).promoted(n)
+            _check_inverse(x)
+            assert x.inverse() == 1 / q
+    for n in (5, 12, 240):
+        for k in range(n):
+            assert zeta(n, k).inverse() == zeta(n, -k)
+
+
+def test_inverse_of_square_roots():
+    for n in (2, 3, 5, 12, 15, 45):
+        r = sqrt_int(n)
+        _check_inverse(r)
+        assert r.inverse() == r / n
+    x = (2 * sqrt_int(15)).promoted(2520)
+    _check_inverse(x)
+    assert x.inverse() == sqrt_int(15) / 30
+
+
+@pytest.mark.parametrize("n", [120, 240])
+def test_inverse_of_generic_elements(n):
+    rng = random.Random(n)
+    for terms in (2, 8):
+        x = _rand_val(rng, n, terms)
+        _check_inverse(x)
+        assert x.inverse().inverse() == x
+
+
+def test_inverse_of_zero_raises():
+    for n in (1, 12, 240):
+        with pytest.raises(ZeroDivisionError):
+            CycNum.zero().promoted(n).inverse()
 
 
 def test_division():

@@ -859,7 +859,14 @@ def test_galois_and_product_agree_on_a_sigma7_conjugated_entry():
 def test_the_names_the_benchmark_wraps_stay():
     # perfbench/tracechild.py wraps pack, verify_product, verify_tstst,
     # verify_verlinde, validate and _verlinde_tensor, and reads the prover's
-    # points and the "coeffs" and "rank" of the packed S
+    # points and the "coeffs" and "rank" of the packed S; it counts calls of
+    # RootOfUnity.__post_init__ and of these CycNum methods, silently
+    # skipping a name that CycNum.__dict__ lacks
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__", "__truediv__", "__rtruediv__", "__pow__", "__eq__", "conj",
+                 "inverse", "promoted"):
+        assert inspect.isfunction(CycNum.__dict__.get(name)), name
+    assert inspect.isfunction(RootOfUnity.__dict__.get("__post_init__"))
     params = list(inspect.signature(MatProver.verify_verlinde).parameters)
     assert params == ["self", "s", "tensor"]
     for method in (MatProver.pack, MatProver.verify_product, MatProver.verify_tstst,

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -669,6 +670,16 @@ def _corruptions():
         b["labels"][1] = b["labels"][0]
         b["S"][0][1] = "1/2"  # refused before any entry is read
 
+    # int() would read each of these as the label's own value
+    def float_label_index(b):
+        b["labels"][2]["i"] = 0.9
+
+    def float_coordinate(b):
+        b["labels"][4]["h"]["coords"] = [1.7]
+
+    def non_ascii_coordinate(b):
+        b["labels"][4]["h"]["coords"] = ["\u0661"]  # ARABIC-INDIC DIGIT ONE
+
 
     return [
         (drop_s_row, "S has 4 entries, labels has 5"),
@@ -689,6 +700,9 @@ def _corruptions():
         (bad_grading, "grading has 1 entries, labels has 5"),
         (bad_label, "labels[0] is malformed"),
         (repeated_label, "labels[1] repeats labels[0]"),
+        (float_label_index, "labels[2] is malformed"),
+        (float_coordinate, "labels[4] is malformed"),
+        (non_ascii_coordinate, "labels[4] is malformed"),
     ]
 
 
@@ -702,6 +716,16 @@ def test_from_json_rejects_malformed_shape(edit, message):
     with pytest.raises(InvalidArgumentError) as exc:
         md_from_json(blob)
     assert message in str(exc.value)
+
+
+def test_from_json_bounds_a_label_group_before_factoring_it():
+    # factoring this prime by trial division takes more than 10 s
+    blob = json.loads(json.dumps(md_to_json(mp_md(Z3, B3, 1))))
+    blob["labels"][4]["h"]["group"] = [10**18 + 3]
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="exceeds 2048, the limit for"):
+        md_from_json(blob)
+    assert time.perf_counter() - start < 1
 
 
 def test_from_json_refuses_the_dense_format():
