@@ -341,15 +341,16 @@ def _cmd_fusion(args) -> int:
             "genmp": gen_mp_fusion_ring,
         }[args.rules]
         ring = builder(group)
-    report = ring.report  # every rule builder and validate() attach one
+    # every ring printed here was checked by its rule builder or proven by
+    # ModularData, which raise otherwise (exit 1)
     _emit(
         {
             "ring": ring.to_json(),
             "check": {
-                "ok": report.ok,
-                "violations": [[k, list(t)] for k, t in report.violations],
-                "fp_dims": report.fp_dims,
-                "global_dim": report.global_dim,
+                "ok": True,
+                "violations": [],
+                "fp_dims": ring.fp_dims,
+                "global_dim": ring.global_dim,
             },
         }
     )

@@ -41,6 +41,7 @@ __all__ = [
     "sqrt_int",
     "euler_phi",
     "factorize",
+    "galois_generators",
     "MAX_CONDUCTOR",
 ]
 
@@ -66,6 +67,25 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n).items():
         phi *= (p - 1) * p ** (e - 1)
     return phi
+
+
+def galois_generators(n: int) -> list[int]:
+    """Generators of (Z/n)^x, -1 first: a primitive root of each odd prime
+    power q || n and 5 mod q = 2^k for k >= 3, each lifted to 1 modulo
+    n / q by the CRT.  -1 mod 2^k (1 elsewhere) needs no lift of its own:
+    it is -1 times the lifts of -1 mod each odd q, powers of their roots."""
+    gens = [n - 1]
+    for p, k in factorize(n).items():
+        q = p**k
+        if p > 2:
+            orders = [q // p * (p - 1) // f for f in {*factorize(p - 1), p} if f != p or k > 1]
+            local = [next(x for x in range(2, q)
+                          if x % p and all(pow(x, e, q) != 1 for e in orders))]
+        else:
+            local = [5] if k >= 3 else []
+        m = n // q
+        gens += [(1 + (x - 1) * m * pow(m, -1, q)) % n for x in local]
+    return list(dict.fromkeys(gens))
 
 
 def _divisors(n: int) -> list[int]:
@@ -296,17 +316,22 @@ class CycNum:
 
     def inverse(self) -> "CycNum":
         """1/x as the product of x's other distinct conjugates over the
-        norm: x times that product is fixed by every sigma_a, so rational."""
+        norm: x times that product is fixed by every sigma_a, so rational.
+        The conjugates are found by walking x's orbit under the generators
+        of (Z/n)^x, so each generator is applied once per distinct one."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
         n = self.n
+        gens = galois_generators(n)
         seen = {self.key_at(n)}
+        orbit = [self]
         rest = CycNum.one().promoted(n)
-        for a in range(2, n):
-            if math.gcd(a, n) == 1:
-                y = self.galois(a)
+        for x in orbit:  # grows while it is walked
+            for a in gens:
+                y = x.galois(a)
                 if (key := y.key_at(n)) not in seen:
                     seen.add(key)
+                    orbit.append(y)
                     rest = rest * y
         norm = self * rest
         if not norm.is_rational():

@@ -12,7 +12,7 @@ character table and Haar weights that make the rows exactly orthogonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -30,7 +30,6 @@ from .labels import MPAlpha, MPRho, MPSigma, MPUnit, label_to_json
 
 __all__ = [
     "FusionRing",
-    "FusionCheckReport",
     "Hypergroup",
     "CharTable",
     "ty_fusion_ring",
@@ -43,18 +42,21 @@ __all__ = [
 ]
 
 
+# Frobenius-Perron dimensions this close to an integer are tried exactly
+_FP_TOL = 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class FusionRing:
     """A fusion ring on ``labels`` with the unit at label 0.
 
     ``tensor[i, j, k]`` = N_{ij}^k is one read-only int64 array: an int64
-    array is kept as a view, never copied, and nested tuples from a rule
-    table are converted once."""
+    array is kept as a view, never copied, and nested tuples are converted
+    once.  The package hands out checked rings only: the rule-table
+    builders run ``check_fusion_ring``, and a Verlinde ring is proven."""
 
     labels: tuple
     tensor: np.ndarray
-    # the check a rule-table builder already ran, so callers need not rerun it
-    report: "FusionCheckReport | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.tensor, dtype=np.int64).view()
@@ -82,6 +84,20 @@ class FusionRing:
         except ValueError:
             raise InvalidArgumentError(f"{label} is not a label of this ring") from None
 
+    @cached_property
+    def fp_dims(self) -> list:  # floats, advisory, computed when first read
+        return [float(max(np.linalg.eigvals(n_i.astype(float)).real)) for n_i in self.tensor]
+
+    @cached_property
+    def global_dim(self) -> int | None:  # exact, only when all dims are integers
+        int_dims = [round(d) for d in self.fp_dims]
+        if all(abs(d - i) < _FP_TOL for d, i in zip(self.fp_dims, int_dims)):
+            # verify the rounded dimensions exactly: N_i d = d_i d_j entrywise
+            dvec = np.array(int_dims, dtype=np.int64)
+            if bool(np.all(self.tensor @ dvec == np.outer(dvec, dvec))):
+                return int(sum(d * d for d in int_dims))
+        return None
+
     def to_json(self) -> dict:
         nz = np.argwhere(self.tensor)  # C order: i, then j, then k
         return {
@@ -95,19 +111,19 @@ class FusionRing:
 def _ring_from_products(labels, prod) -> FusionRing:
     """Build the dense tensor from a map (i, j) -> {k: coeff}."""
     r = len(labels)
-    tensor = [[[0] * r for _ in range(r)] for _ in range(r)]
+    tensor = np.zeros((r, r, r), dtype=np.int64)
     for i in range(r):
         for j in range(r):
             for k, c in prod(i, j).items():
-                tensor[i][j][k] = c
+                tensor[i, j, k] = c
     return FusionRing(tuple(labels), tensor)
 
 
 def _checked(ring: FusionRing) -> FusionRing:
-    report = check_fusion_ring(ring)
-    if not report.ok:
-        raise ModularityError(f"rule table fails its checks: {report.violations[:5]}")
-    return replace(ring, report=report)
+    violations = check_fusion_ring(ring)
+    if violations:
+        raise ModularityError(f"rule table fails its checks: {violations[:5]}")
+    return ring
 
 
 def _nonassociative(arr: np.ndarray) -> list[tuple[int, int, int, int]]:
@@ -137,55 +153,27 @@ def _nonassociative(arr: np.ndarray) -> list[tuple[int, int, int, int]]:
     return out
 
 
-# Frobenius-Perron dimensions this close to an integer are tried exactly
-_FP_TOL = 1e-9
-
-
-@dataclass
-class FusionCheckReport:
-    ok: bool
-    tensor: np.ndarray = field(repr=False, compare=False)
-    violations: list = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
-
-    @cached_property
-    def fp_dims(self) -> list:  # floats, advisory, computed when first read
-        return [float(max(np.linalg.eigvals(n_i.astype(float)).real)) for n_i in self.tensor]
-
-    @cached_property
-    def global_dim(self) -> int | None:  # exact, only when all dims are integers
-        int_dims = [round(d) for d in self.fp_dims]
-        if all(abs(d - i) < _FP_TOL for d, i in zip(self.fp_dims, int_dims)):
-            # verify the rounded dimensions exactly: N_i d = d_i d_j entrywise
-            dvec = np.array(int_dims, dtype=np.int64)
-            if bool(np.all(self.tensor @ dvec == np.outer(dvec, dvec))):
-                return int(sum(d * d for d in int_dims))
-        return None
-
-
-def check_fusion_ring(ring: FusionRing) -> FusionCheckReport:
-    """Verify unit, duality, associativity, and the Frobenius symmetries;
-    the report computes Frobenius-Perron dimensions when asked."""
+def check_fusion_ring(ring: FusionRing) -> list[tuple[str, tuple]]:
+    """Verify unit, duality, associativity, and the Frobenius symmetries:
+    the (kind, index) of every violation, none for a fusion ring."""
     r = ring.rank
     arr = ring.tensor
-    report = FusionCheckReport(ok=True, tensor=arr)
+    violations = []
 
     eye = np.eye(r, dtype=np.int64)
     for j, k in np.argwhere((arr[0] != eye) | (arr[:, 0] != eye)).tolist():
-        report.violations.append(("unit", (0, j, k)))
+        violations.append(("unit", (0, j, k)))
     try:
         dual = [ring.dual(i) for i in range(r)]
         for i in range(r):
             if dual[dual[i]] != i:
-                report.violations.append(("dual-involution", (i,)))
+                violations.append(("dual-involution", (i,)))
     except InvalidArgumentError:
-        report.violations.append(("dual", ()))
+        violations.append(("dual", ()))
         dual = None
 
     for idx in _nonassociative(arr):
-        report.violations.append(("associativity", idx))
+        violations.append(("associativity", idx))
 
     if dual is not None:
         dual_arr = np.array(dual)
@@ -198,10 +186,9 @@ def check_fusion_ring(ring: FusionRing) -> FusionCheckReport:
             frob_c = arr[:, dual_arr, :][:, :, dual_arr].transpose(0, 2, 1)
             bad |= arr != frob_c
         for idx in np.argwhere(bad).tolist():
-            report.violations.append(("frobenius", tuple(idx)))
+            violations.append(("frobenius", tuple(idx)))
 
-    report.ok = not report.violations
-    return report
+    return violations
 
 
 # -- rule-table builders -------------------------------------------------------

@@ -118,13 +118,6 @@ class FinAbGroup:
             idx = idx * d + c
         return idx
 
-    def to_json(self) -> dict:
-        return {"invariant_factors": list(self.invariant_factors)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "FinAbGroup":
-        return FinAbGroup.of(obj["invariant_factors"])
-
     def __repr__(self):
         if self.is_trivial():
             return "FinAbGroup(trivial)"

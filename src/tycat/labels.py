@@ -168,6 +168,18 @@ def label_to_json(label) -> dict:
     raise InvalidArgumentError(f"unknown label type {type(label).__name__}")
 
 
+def _json_bit(x, what: str) -> int:
+    if _json_int(x, what) not in (0, 1):
+        raise InvalidArgumentError(f"{what} must be 0 or 1, got {x!r}")
+    return x
+
+
+def _json_str(x, what: str) -> str:
+    if type(x) is not str:
+        raise InvalidArgumentError(f"{what} must be a string, got {x!r}")
+    return x
+
+
 def label_from_json(obj: dict):
     kind = obj["kind"]
     if kind == "product":
@@ -177,13 +189,13 @@ def label_from_json(obj: dict):
     if kind == "mp_alpha":
         return MPAlpha()
     if kind == "mp_rho":
-        return MPRho(_json_int(obj["i"], "i"))
+        return MPRho(_json_bit(obj["i"], "i"))
     if kind == "pointed":
         return Pointed(_el_from_json(obj["g"]))
     if kind == "ty_pt":
-        return TYPt(_el_from_json(obj["g"]), _json_int(obj["i"], "i"))
+        return TYPt(_el_from_json(obj["g"]), _json_bit(obj["i"], "i"))
     if kind == "ty_rho":
-        return TYRho(_el_from_json(obj["g"]), _json_int(obj["i"], "i"))
+        return TYRho(_el_from_json(obj["g"]), _json_bit(obj["i"], "i"))
     if kind == "ty_sigma":
         a, b = obj["pair"]
         return TYSigma.of(_el_from_json(a), _el_from_json(b))
@@ -192,7 +204,7 @@ def label_from_json(obj: dict):
     if kind == "element":
         return _el_from_json(obj["g"])
     if kind == "name":
-        return str(obj["name"])
+        return _json_str(obj["name"], "name")
     if kind == "dihedral":
-        return (_el_from_json(obj["g"]), _json_int(obj["eps"], "eps"))
+        return (_el_from_json(obj["g"]), _json_bit(obj["eps"], "eps"))
     raise InvalidArgumentError(f"unknown label kind {kind!r}")

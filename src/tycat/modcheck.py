@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .cyclo import _phi_deg, _reduction_table, factorize
+from .cyclo import _phi_deg, _reduction_table, factorize, galois_generators
 from .errors import CapacityError, ModularityError
 
 _PRIME_CAP = 1 << 22  # keeps every float64 intermediate below 2^53
@@ -67,25 +67,6 @@ def check_cells(rows: int, cols: int, phi: int) -> None:
 
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))  # n < 2^22
-
-
-def galois_generators(n: int) -> list[int]:
-    """Generators of (Z/n)^x, -1 first: a primitive root of each odd prime
-    power q || n and 5 mod q = 2^k for k >= 3, each lifted to 1 modulo
-    n / q by the CRT.  -1 mod 2^k (1 elsewhere) needs no lift of its own:
-    it is -1 times the lifts of -1 mod each odd q, powers of their roots."""
-    gens = [n - 1]
-    for p, k in factorize(n).items():
-        q = p**k
-        if p > 2:
-            orders = [q // p * (p - 1) // f for f in {*factorize(p - 1), p} if f != p or k > 1]
-            local = [next(x for x in range(2, q)
-                          if x % p and all(pow(x, e, q) != 1 for e in orders))]
-        else:
-            local = [5] if k >= 3 else []
-        m = n // q
-        gens += [(1 + (x - 1) * m * pow(m, -1, q)) % n for x in local]
-    return list(dict.fromkeys(gens))
 
 
 def distinct_values(rows) -> tuple[list, np.ndarray]:

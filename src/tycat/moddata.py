@@ -1,11 +1,13 @@
 """Construction and exact verification of modular data.
 
 A ``ModularData`` holds a labeled S matrix, a diagonal T with the global
-e^{-pi i c/12} prefactor, and the topological central charge mod 8.  Every
-builder validates the full axiom suite exactly: S symmetric, conj(S) = CS
-for a unit-fixing involution C with CTC = T, S^2 = C, TSTST = S, positive
-real dimensions, Gauss-sum consistency of c, and integrality of all
-Verlinde coefficients; unitarity, CSC = S and (ST)^3 = C follow from these.
+e^{-pi i c/12} prefactor, and the topological central charge mod 8.  The
+constructor proves the full axiom suite exactly, so no unproven datum
+exists: S symmetric, conj(S) = CS for a unit-fixing involution C with
+CTC = T, S^2 = C, TSTST = S, positive real dimensions, Gauss-sum
+consistency of c, and integrality of all Verlinde coefficients; unitarity,
+CSC = S and (ST)^3 = C follow from these, and the dimensions and c are
+read off column 0 of S once TSTST = S holds.
 Each matrix identity is proven once, by the deterministic prover in
 :mod:`tycat.modcheck`: symmetry on the index table of S's distinct values,
 the others by modular evaluation; only S is packed, T enters as exponents.
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import permutations, product
@@ -43,6 +45,7 @@ from .cyclo import (
     RootOfUnity,
     check_conductor,
     euler_phi,
+    galois_generators,
     sqrt_int,
     sqrt_int_conductor,
     zeta,
@@ -54,7 +57,7 @@ from .errors import (
     ModularityError,
     UnsupportedError,
 )
-from .fusionrings import FusionCheckReport, FusionRing
+from .fusionrings import FusionRing
 from .groups import FinAbGroup, add_table, positive_set
 from .labels import (
     MPAlpha,
@@ -69,7 +72,7 @@ from .labels import (
     label_from_json,
     label_to_json,
 )
-from .modcheck import MatProver, check_cells, distinct_values, galois_generators
+from .modcheck import MatProver, check_cells, distinct_values
 from .quadforms import (
     Bichar,
     MetricGroup,
@@ -136,6 +139,7 @@ class ModularData:
         self._charge_conj: tuple[int, ...] | None = None
         self._dims: tuple[CycNum, ...] | None = None
         self._fusion: FusionRing | None = None  # set once validate() succeeds
+        self.validate()
 
     @property
     def rank(self) -> int:
@@ -150,8 +154,7 @@ class ModularData:
         return self._dims
 
     def charge_conjugation(self) -> tuple[int, ...]:
-        """The permutation C = S^2, as validate() proved it."""
-        self.validate()
+        """The permutation C = S^2, as construction proved it."""
         return self._charge_conj
 
     def index_of(self, label, what: str = "label") -> int:
@@ -176,7 +179,8 @@ class ModularData:
 
     def validate(self) -> None:
         """Prove the axiom suite exactly, each identity once, and keep the
-        proven Verlinde tensor as the fusion ring."""
+        proven Verlinde tensor as the fusion ring.  The constructor runs it,
+        so every datum is proven; a second run returns at once."""
         if self._fusion is not None:  # immutable data: a second run cannot differ
             return
         r = self.rank
@@ -202,24 +206,22 @@ class ModularData:
             raise ModularityError("CTC = T fails")
         prover.verify_product(s, cperm)
         prover.verify_tstst(s, self.t_exps)
-        self._charge_conj = cperm
 
-        # d_i |S_00|^2 = S_i0 conj(S_00) with |S_00|^2 > 0 once S_00 != 0,
-        # so the signs and phases below are those of the dimensions d_i
-        s00 = self.S[0][0].conj()
-        scaled = [row[0] * s00 for row in self.S]
-        for i, d in enumerate(scaled):
-            if d.conj() != d:
+        # column 0 of S decides the dimensions d_i = S_i0 / S_00 and c:
+        # conj(S_i0) = S_C(i),0 (conj(S) = CS), so S_i0 is real iff the two
+        # share a value, and S_00 is real as C(0) = 0; d_i > 0 iff
+        # S_i0 S_00 > 0.  Entry (0, 0) of STS = T^-1 S T^-1, which is
+        # TSTST = S as proven above, reads sum_l S_l0^2 theta_l =
+        # e^{2 pi i c/8} S_00, so the Gauss sum sum_l d_l^2 theta_l =
+        # e^{2 pi i c/8} / S_00 matches c iff S_00 > 0
+        col = s["index"][:, 0]
+        s00 = complex(self.S[0][0]).real
+        for i in range(r):
+            if col[cperm[i]] != col[i]:
                 raise ModularityError(f"dimension of label {i} is not real")
-            if complex(d).real <= 0:
+            if complex(self.S[i][0]).real * s00 <= 0:
                 raise ModularityError(f"dimension of label {i} is not positive")
-
-        # Gauss-sum consistency: sum d^2 theta = |.| e^{pi i c/4}
-        z = CycNum.zero().promoted(self.conductor)
-        for d, th in zip(scaled, self.thetas):
-            z = z + d * d * th.to_cyc(self.conductor)
-        w = z * RootOfUnity(Fraction(-self.c_top, 8)).to_cyc(self.conductor)
-        if w.conj() != w or complex(w).real <= 0:
+        if s00 <= 0:
             raise ModularityError("Gauss sum does not match the stated central charge")
 
         # the proven ring passes check_fusion_ring, so it is not rerun:
@@ -227,8 +229,8 @@ class ModularData:
         # and N_0 = I; S_0l = d_l S_00 with d_l > 0 makes N_ij^0 a constant
         # times (S^2)_ij = C_ij, and N_00^0 = 1 the dual C; conj(S_kl) =
         # S_C(k),l and real N give the Frobenius symmetries
-        ring = FusionRing(self.labels, self._verlinde_tensor(prover, s))
-        self._fusion = replace(ring, report=FusionCheckReport(ok=True, tensor=ring.tensor))
+        self._fusion = FusionRing(self.labels, self._verlinde_tensor(prover, s))
+        self._charge_conj = cperm
 
     # -- fusion ---------------------------------------------------------------
 
@@ -250,7 +252,6 @@ class ModularData:
         return tensor
 
     def fusion_ring(self) -> FusionRing:
-        self.validate()
         return self._fusion
 
     def __repr__(self):
@@ -283,9 +284,7 @@ def pointed_md(m: MetricGroup) -> ModularData:
     dq = q.dq() * (conductor // q.modulus)
     labels = [Pointed(g) for g in group.elements()]
     rows = [[entry(e) for e in row] for row in dq.tolist()]
-    md = ModularData(labels, rows, q.values, c, conductor)
-    md.validate()
-    return md
+    return ModularData(labels, rows, q.values, c, conductor)
 
 
 def _ty_prep(group: FinAbGroup, b: Bichar, sign: int):
@@ -398,13 +397,12 @@ def ty_center_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     thetas = [theta(x) for x in labels]
     grading = [1 if isinstance(x, TYRho) else 0 for x in labels]
     md = ModularData(labels, rows, thetas, 0, conductor, grading)
-    md.validate()
     _check_total_dim(md, 4 * n * n)
     return md
 
 
 def _check_total_dim(md: ModularData, expected: int) -> None:
-    # for validated data sum_i d_i^2 = (S^2)_00 / S_00^2 = 1 / S_00^2
+    # for proven data sum_i d_i^2 = (S^2)_00 / S_00^2 = 1 / S_00^2
     s00_sq = md.S[0][0] * md.S[0][0]
     if s00_sq * expected != 1:
         raise ModularityError(f"total dimension is {s00_sq.inverse()}, expected {expected}")
@@ -458,7 +456,6 @@ def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     thetas = [theta(x) for x in labels]
     grading = [1 if isinstance(x, MPRho) else 0 for x in labels]
     md = ModularData(labels, rows, thetas, c, conductor, grading)
-    md.validate()
     _check_total_dim(md, 4 * n)
     return md
 
@@ -478,11 +475,7 @@ def tensor_md(a: ModularData, b: ModularData) -> ModularData:
         ga = a.grading or (0,) * a.rank
         gb = b.grading or (0,) * b.rank
         grading = [(x + y) % 2 for x in ga for y in gb]
-    md = ModularData(
-        labels, rows, thetas, (a.c_top + b.c_top) % 8, conductor, grading
-    )
-    md.validate()
-    return md
+    return ModularData(labels, rows, thetas, (a.c_top + b.c_top) % 8, conductor, grading)
 
 
 def reverse_md(a: ModularData) -> ModularData:
@@ -490,11 +483,7 @@ def reverse_md(a: ModularData) -> ModularData:
     c changes sign mod 8."""
     rows = [[x.conj() for x in row] for row in a.S]
     thetas = [t.inverse() for t in a.thetas]
-    md = ModularData(
-        a.labels, rows, thetas, (-a.c_top) % 8, a.conductor, a.grading
-    )
-    md.validate()
-    return md
+    return ModularData(a.labels, rows, thetas, (-a.c_top) % 8, a.conductor, a.grading)
 
 
 def bantay_fs(md: ModularData, label) -> int:
@@ -604,9 +593,7 @@ def hat_twist(md: ModularData) -> ModularData:
         for i, row in enumerate(md.S)
     ]
     thetas = [t * RootOfUnity(eps[i], 4) for i, t in enumerate(md.thetas)]
-    out = ModularData(md.labels, rows, thetas, md.c_top, md.conductor, eps)
-    out.validate()
-    return out
+    return ModularData(md.labels, rows, thetas, md.c_top, md.conductor, eps)
 
 
 @dataclass(frozen=True)
@@ -813,7 +800,7 @@ def _md_shape(obj) -> None:
 
 
 def md_from_json(obj: dict) -> ModularData:
-    """Read modular data written by ``md_to_json`` and validate it.
+    """Read modular data written by ``md_to_json`` and prove it.
 
     Entries are in the sparse ``terms`` form; the older dense ``coeffs``
     form is refused.  The document's shape, every entry's conductor and
@@ -861,7 +848,4 @@ def md_from_json(obj: dict) -> ModularData:
         if ru is None:
             raise InvalidArgumentError("T entry is not a root of unity")
         thetas.append(ru)
-    grading = obj.get("grading")
-    md = ModularData(labels, s_rows, thetas, c_top, conductor, grading)
-    md.validate()
-    return md
+    return ModularData(labels, s_rows, thetas, c_top, conductor, obj.get("grading"))

@@ -151,14 +151,6 @@ class QuadForm:
     def is_nondegenerate(self) -> bool:
         return not (self.dq()[1:] == 0).all(axis=1).any()
 
-    def to_json(self) -> dict:
-        values = [str(v.exponent) for v in self.values]
-        return {"group": self.group.to_json(), "values": values}
-
-    @staticmethod
-    def from_json(obj: dict) -> "QuadForm":
-        return QuadForm.from_exponents(FinAbGroup.from_json(obj["group"]), obj["values"])
-
 
 @dataclass(frozen=True, init=False)
 class Bichar:
@@ -220,17 +212,6 @@ class Bichar:
 
     def conj(self) -> "Bichar":
         return Bichar(self.group, modulus=self.modulus, mat=[[-e for e in row] for row in self.mat])
-
-    def to_json(self) -> dict:
-        rows = [[str(v.exponent) for v in row] for row in self.gen_values]
-        return {"group": self.group.to_json(), "generator_exponents": rows}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Bichar":
-        rows = [[RootOfUnity(Fraction(s)) for s in row] for row in obj["generator_exponents"]]
-        b = Bichar(FinAbGroup.from_json(obj["group"]), rows)
-        b.validate()
-        return b
 
 
 @dataclass(frozen=True)

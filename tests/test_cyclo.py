@@ -327,3 +327,14 @@ def test_conductor_limit_is_checked_before_factoring():
     assert time.perf_counter() - start < 1
     top = {"conductor": cyclo.MAX_CONDUCTOR, "den": 1, "terms": [[0, 1]]}
     assert CycNum.from_json(top) == CycNum.one()
+
+
+def test_inverse_walks_the_orbit_of_its_argument(monkeypatch):
+    # 2 sqrt(15) at conductor 2520 has 2 distinct conjugates among the 576
+    # sigma_a: each generator is applied once to each of them
+    x = (2 * sqrt_int(15)).promoted(2520)
+    calls = []
+    galois = CycNum.galois
+    monkeypatch.setattr(CycNum, "galois", lambda self, a: calls.append(a) or galois(self, a))
+    assert x.inverse() * x == 1
+    assert 0 < len(calls) <= 4 * len(cyclo.galois_generators(2520))

@@ -34,17 +34,16 @@ def test_ty_ring_trivial_group():
 def test_ty_ring_z3():
     ring = ty_fusion_ring(Z3)
     assert ring.rank == 4
-    report = check_fusion_ring(ring)
-    assert report.ok
+    assert check_fusion_ring(ring) == []
     # d(rho) is the Perron root sqrt(3)
-    assert report.fp_dims[3] == pytest.approx(math.sqrt(3), abs=1e-9)
-    assert report.global_dim is None  # irrational dims
+    assert ring.fp_dims[3] == pytest.approx(math.sqrt(3), abs=1e-9)
+    assert ring.global_dim is None  # irrational dims
 
 
 def test_ty_ring_z5_dims():
-    report = check_fusion_ring(ty_fusion_ring(Z5))
-    assert report.fp_dims[-1] == pytest.approx(math.sqrt(5), abs=1e-9)
-    assert sum(d * d for d in report.fp_dims) == pytest.approx(10, abs=1e-6)
+    ring = ty_fusion_ring(Z5)
+    assert ring.fp_dims[-1] == pytest.approx(math.sqrt(5), abs=1e-9)
+    assert sum(d * d for d in ring.fp_dims) == pytest.approx(10, abs=1e-6)
 
 
 def test_gen_ty_ring():
@@ -58,9 +57,8 @@ def test_gen_ty_ring():
 
     ring3 = gen_ty_fusion_ring(Z3)
     assert ring3.rank == 8
-    assert check_fusion_ring(ring3).ok
-    report = check_fusion_ring(ring3)
-    assert report.fp_dims[ring3.labels.index("rho+")] == pytest.approx(
+    assert check_fusion_ring(ring3) == []
+    assert ring3.fp_dims[ring3.labels.index("rho+")] == pytest.approx(
         math.sqrt(3), abs=1e-9
     )
     with pytest.raises(UnsupportedError):
@@ -83,13 +81,13 @@ def test_gen_mp_ring_z5():
     s1 = ring.index_of(MPSigma(Z5.element([1])))
     s2 = ring.index_of(MPSigma(Z5.element([2])))
     assert ring.product(s1, s2) == {s1: 1, s2: 1}  # |3| = 2, |-1| = 1
-    assert check_fusion_ring(ring).ok
+    assert check_fusion_ring(ring) == []
 
 
 def test_gen_mp_rank_z15():
     ring = gen_mp_fusion_ring(FinAbGroup.of(15))
     assert ring.rank == 11
-    assert check_fusion_ring(ring).ok
+    assert check_fusion_ring(ring) == []
 
 
 def test_rule_table_labels_roundtrip_through_json():
@@ -106,9 +104,9 @@ def test_rule_table_labels_roundtrip_through_json():
 def test_builders_pass_checks():
     for facs in [(1,), (3,), (5,), (7,), (9,), (3, 3), (15,)]:
         g = FinAbGroup.of(facs)
-        assert check_fusion_ring(ty_fusion_ring(g)).ok
-        assert check_fusion_ring(gen_ty_fusion_ring(g)).ok
-        assert check_fusion_ring(gen_mp_fusion_ring(g)).ok
+        assert check_fusion_ring(ty_fusion_ring(g)) == []
+        assert check_fusion_ring(gen_ty_fusion_ring(g)) == []
+        assert check_fusion_ring(gen_mp_fusion_ring(g)) == []
 
 
 def test_corrupted_tensor_reports_triple():
@@ -118,11 +116,11 @@ def test_corrupted_tensor_reports_triple():
         for i in range(4)
     ]
     bad[2][1][3] += 1
-    report = check_fusion_ring(FusionRing(ring.labels, tuple(
+    violations = check_fusion_ring(FusionRing(ring.labels, tuple(
         tuple(tuple(r) for r in plane) for plane in bad
     )))
-    assert not report.ok
-    kinds = {v[0] for v in report.violations}
+    assert violations
+    kinds = {v[0] for v in violations}
     assert "associativity" in kinds or "frobenius" in kinds or "unit" in kinds
 
 
@@ -161,10 +159,10 @@ def test_streamed_associativity_matches_dense_oracle():
     lhs = np.einsum("ijm,mkl->ijkl", arr, arr)
     rhs = np.einsum("jkm,iml->ijkl", arr, arr)
     dense = [tuple(int(x) for x in idx) for idx in zip(*np.nonzero(lhs != rhs))]
-    report = check_fusion_ring(FusionRing(ring.labels, tuple(
+    violations = check_fusion_ring(FusionRing(ring.labels, tuple(
         tuple(tuple(r) for r in plane) for plane in arr.tolist()
     )))
-    streamed = [idx for kind, idx in report.violations if kind == "associativity"]
+    streamed = [idx for kind, idx in violations if kind == "associativity"]
     assert dense and streamed == dense
 
 
@@ -174,10 +172,9 @@ def test_group_ring_check():
     group_ring = FusionRing(ring.labels[:3], tuple(
         tuple(tuple(r) for r in plane) for plane in sub
     ))
-    report = check_fusion_ring(group_ring)
-    assert report.ok
-    assert report.fp_dims == pytest.approx([1, 1, 1])
-    assert report.global_dim == 3
+    assert check_fusion_ring(group_ring) == []
+    assert group_ring.fp_dims == pytest.approx([1, 1, 1])
+    assert group_ring.global_dim == 3
 
 
 def test_ty_hypergroup():

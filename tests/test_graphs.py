@@ -1,8 +1,15 @@
+import json
+
+import numpy as np
 import pytest
 
+from tycat.cli import main
 from tycat.errors import UnsupportedError
 from tycat.graphs import dual_principal_graph, emit_dot, principal_graph
-from tycat.groups import FinAbGroup
+from tycat.groups import FinAbGroup, positive_set
+from tycat.labels import TYPt, TYSigma
+from tycat.moddata import ty_center_md
+from tycat.quadforms import metric_group, standard_qform
 
 
 def test_n3_counts():
@@ -72,3 +79,65 @@ def test_dot_n3_structure():
     assert dot.count("--") == 12
     assert dot.count("style=filled") == 9
     assert dot.count("style=solid") == 3
+
+
+# -- the index 2|A| against proven dimensions ----------------------------------
+
+
+def _graph_json(capsys, which: str, group: str) -> dict:
+    assert main(["graph", which, "--group", group]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _tag(g) -> str:  # a vertex name's group element, as `graph` writes it
+    return ",".join(map(str, g.coords)) if g.coords else "0"
+
+
+def _index_holds(graph: dict, dims: dict, index: int) -> bool:
+    """Lambda Lambda^T d = index d for the even-by-odd adjacency Lambda."""
+    even, odd = graph["even_vertices"], graph["odd_vertices"]
+    lam = np.zeros((len(even), len(odd)), dtype=np.int64)
+    for e, o in graph["edges"]:
+        lam[even.index(e), odd.index(o)] += 1
+    d = np.array([dims[v] for v in even], dtype=np.int64)
+    return bool((lam @ (lam.T @ d) == index * d).all())
+
+
+def _moved(graph: dict) -> dict:
+    """The graph with its first edge moved to the next odd vertex."""
+    (e, o), odd = graph["edges"][0], graph["odd_vertices"]
+    other = odd[(odd.index(o) + 1) % len(odd)]
+    return dict(graph, edges=[[e, other]] + graph["edges"][1:])
+
+
+GRAPH_GROUPS = ["1", "3", "5", "7", "9", "3,3"]
+
+
+@pytest.mark.parametrize("group", GRAPH_GROUPS)
+def test_dual_graph_has_index_2a_on_proven_dimensions(capsys, group):
+    A = FinAbGroup.of(*map(int, group.split(",")))
+    md = ty_center_md(A, metric_group(standard_qform(A)).bichar, 1)
+    proven = dict(zip(md.labels, md.dims()))
+    dims = {}
+    for g in A.elements():
+        dims[f"(id,{_tag(g)})"] = proven[TYPt(g, 0)]
+        dims[f"(alpha,{_tag(g)})"] = proven[TYPt(g, 1)]
+        for d in positive_set(A).members:
+            dims[f"(sigma{_tag(d)},{_tag(g)})"] = proven[TYSigma.of(g - d, g + d)]
+    assert all(x.is_rational() for x in dims.values())
+    dims = {v: int(x.rational_value()) for v, x in dims.items()}
+    graph = _graph_json(capsys, "lr-dual", group)
+    assert _index_holds(graph, dims, 2 * A.order)
+    if A.order > 1:
+        assert not _index_holds(_moved(graph), dims, 2 * A.order)
+
+
+@pytest.mark.parametrize("group", GRAPH_GROUPS)
+def test_principal_graph_has_index_2a(capsys, group):
+    A = FinAbGroup.of(*map(int, group.split(",")))
+    graph = _graph_json(capsys, "lr-principal", group)
+    # TY x TY^op dimensions: 1 on each (g, h), |A| on (rho, rho)
+    dims = {v: A.order if v == "(rho,rho)" else 1 for v in graph["even_vertices"]}
+    assert _index_holds(graph, dims, 2 * A.order)
+    if A.order > 1:
+        assert not _index_holds(_moved(graph), dims, 2 * A.order)

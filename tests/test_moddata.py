@@ -13,7 +13,7 @@ from tycat.errors import (
     InvalidArgumentError,
     ModularityError,
 )
-from tycat.fusionrings import check_fusion_ring
+from tycat.fusionrings import FusionRing, check_fusion_ring, gen_mp_fusion_ring
 from tycat.groups import FinAbGroup
 from tycat.labels import (
     MPAlpha,
@@ -23,6 +23,7 @@ from tycat.labels import (
     TYPt,
     TYRho,
     TYSigma,
+    label_from_json,
     label_to_json,
 )
 from tycat.moddata import (
@@ -383,16 +384,21 @@ def test_label_indices_are_range_checked_and_foreign_labels_named():
     assert verify_condensation(md, md, [alpha]) == verify_condensation(md, md, [int(alpha)])
 
 
-def test_a_proven_ring_carries_the_report_of_the_full_check():
-    # validate's report without check_fusion_ring says what the full check
-    # says, dimensions included, so `fusion --from-md` prints the same
+def test_a_proven_ring_passes_the_full_check():
+    # the Verlinde ring is not rechecked when it is proven: the full check
+    # finds nothing, and its dimensions are those of the same tensor read
+    # as a rule table, so `fusion --from-md` prints what `--rules` would
     for md in (mp_md(Z3, B3, 1), mp_md(Z5, bichar_from_qform(q_cyclic(Z5, 1, 5)), -1),
                ty_center_md(Z3, B3, 1), pointed_md(metric_group(Q_A2))):
         ring = md.fusion_ring()
-        full = check_fusion_ring(ring)
-        assert ring.report.ok and full.ok and ring.report.violations == full.violations == []
-        assert ring.report.fp_dims == full.fp_dims
-        assert ring.report.global_dim == full.global_dim
+        assert check_fusion_ring(ring) == []
+        table = FusionRing(ring.labels, ring.tensor.tolist())
+        assert (ring.fp_dims, ring.global_dim) == (table.fp_dims, table.global_dim)
+    for group, sign in ((Z3, 1), (Z5, -1)):
+        ring = mp_md(group, classify_metric_groups(group)[0].bichar, sign).fusion_ring()
+        rules = gen_mp_fusion_ring(group)
+        assert rules.labels == ring.labels and np.array_equal(rules.tensor, ring.tensor)
+        assert (ring.fp_dims, ring.global_dim) == (rules.fp_dims, rules.global_dim)
 
 
 def test_condensation_counts_each_boson_once():
@@ -413,11 +419,11 @@ def test_condensation_needs_equal_central_charge():
     child = pointed_md(metric_group(QuadForm.from_callable(Z3, lambda g: B3(g, g))))
     assert child.c_top != md.c_top
     assert verify_condensation(md, child, bosons) is None
-    # the child that works, with only its (unvalidated) charge changed
     good = pointed_md(metric_group(QuadForm.from_callable(Z3, lambda g: B3(g, g).inverse())))
     assert verify_condensation(md, good, bosons) is not None
-    shifted = ModularData(good.labels, good.S, good.thetas, good.c_top + 4, good.conductor)
-    assert verify_condensation(md, shifted, bosons) is None
+    # the child that works with only its charge changed is no datum
+    with pytest.raises(ModularityError, match="TSTST = S identity fails"):
+        ModularData(good.labels, good.S, good.thetas, good.c_top + 4, good.conductor)
 
 
 def test_twist_order_must_divide_the_conductor():
@@ -599,11 +605,10 @@ def test_galois_conjugate_fails_only_on_dimensions():
     # S and T stay a modular representation, but a dimension turns negative
     md = mp_md(Z5, classify_metric_groups(Z5)[0].bichar, 1)
     assert md.conductor == 240
+    assert 97 % 24 == 1
     s = [[_galois(x, 97) for x in row] for row in md.S]
-    conj = ModularData(md.labels, s, [t**97 for t in md.thetas], md.c_top, 240, md.grading)
-    assert conj.t_exps == tuple(97 * k % 240 for k in md.t_exps)
     with pytest.raises(ModularityError, match="dimension of label 2 is not positive"):
-        conj.validate()
+        ModularData(md.labels, s, [t**97 for t in md.thetas], md.c_top, 240, md.grading)
 
 
 def test_total_dimension_check():
@@ -680,6 +685,12 @@ def _corruptions():
     def non_ascii_coordinate(b):
         b["labels"][4]["h"]["coords"] = ["\u0661"]  # ARABIC-INDIC DIGIT ONE
 
+    # str() and an unchecked index would load labels no writer produces
+    def mp_rho_index_out_of_range(b):
+        b["labels"][2]["i"] = -4
+
+    def name_not_a_string(b):
+        b["labels"][1] = {"kind": "name", "name": 5}
 
     return [
         (drop_s_row, "S has 4 entries, labels has 5"),
@@ -703,6 +714,8 @@ def _corruptions():
         (float_label_index, "labels[2] is malformed"),
         (float_coordinate, "labels[4] is malformed"),
         (non_ascii_coordinate, "labels[4] is malformed"),
+        (mp_rho_index_out_of_range, "labels[2] is malformed"),
+        (name_not_a_string, "labels[1] is malformed"),
     ]
 
 
@@ -837,3 +850,94 @@ def test_mp_z3_matches_affine_su2_level4():
             m = (a + 1) * (b + 1)
             val = sin_table[m % 6] if (m // 6) % 2 == 0 else -sin_table[m % 6]
             assert md.S[i][j] * root3 == val, (a, b)
+
+
+@pytest.mark.parametrize("blob, message", [
+    ({"kind": "name", "name": 5}, "name must be a string, got 5"),
+    ({"kind": "name", "name": [1]}, r"name must be a string, got \[1\]"),
+    ({"kind": "ty_pt", "g": {"group": [3], "coords": [1]}, "i": 7}, "i must be 0 or 1, got 7"),
+    ({"kind": "mp_rho", "i": -4}, "i must be 0 or 1, got -4"),
+    ({"kind": "dihedral", "g": {"group": [3], "coords": [1]}, "eps": 9},
+     "eps must be 0 or 1, got 9"),
+], ids=["name-int", "name-list", "ty-pt-index", "mp-rho-index", "dihedral-eps"])
+def test_label_json_is_read_strictly(blob, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        label_from_json(blob)
+
+
+# -- a datum is proven when it is built ----------------------------------------
+
+Z15 = FinAbGroup.of(15)
+CYCNUM_ARITHMETIC = ("__add__", "__radd__", "__mul__", "__rmul__", "__neg__", "__sub__",
+                     "__rsub__", "__truediv__", "__rtruediv__", "__pow__", "conj", "galois",
+                     "inverse")
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("CycNum arithmetic during the proof")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ty_center_md(Z5, bichar_from_qform(q_cyclic(Z5, 1, 5)), 1),
+    lambda: mp_md(Z15, classify_metric_groups(Z15)[0].bichar, -1),
+    lambda: pointed_md(classify_metric_groups(FinAbGroup.of(45))[0]),
+], ids=["ty-Z5", "mp-Z15-", "pointed-Z45"])
+def test_the_proof_does_no_cyclotomic_arithmetic(monkeypatch, build):
+    # after pack, the prover works on residues and the dimensions and c are
+    # read off the index of column 0 and float signs
+    md = build()
+    for name in CYCNUM_ARITHMETIC:
+        monkeypatch.setattr(CycNum, name, _refused)
+    fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
+    assert fresh.charge_conjugation() == md.charge_conjugation()
+    assert np.array_equal(fresh.fusion_ring().tensor, md.fusion_ring().tensor)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mp_md(Z5, classify_metric_groups(Z5)[0].bichar, 1),
+    lambda: mp_md(Z3, B3, -1),
+    lambda: ty_center_md(Z3, B3, 1),
+], ids=["mp-Z5", "mp-Z3-", "ty-Z3"])
+def test_the_negated_datum_fails_only_the_gauss_sum(build):
+    # (-S, c + 4) passes every identity: T gains e^{-pi i/3}, a cube root of
+    # -1, and the dimensions S_i0 / S_00 are unchanged; only S_00 < 0 shows
+    md = build()
+    rows = [[-x for x in row] for row in md.S]
+    with pytest.raises(ModularityError, match="^Gauss sum does not match the stated central charge$"):
+        ModularData(md.labels, rows, md.thetas, md.c_top + 4, md.conductor, md.grading)
+
+
+def test_a_datum_is_proven_before_any_method_is_called():
+    md = mp_md(Z3, B3, 1)
+    fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
+    assert fresh._charge_conj == md.charge_conjugation()
+    assert fresh._fusion is not None
+    assert np.array_equal(fresh._fusion.tensor, md.fusion_ring().tensor)
+
+
+def test_each_builder_proves_each_new_datum_once(monkeypatch):
+    a = mp_md(Z3, B3, 1)
+    pt = pointed_md(metric_group(Q_A2))
+    blob = md_to_json(a)
+    calls = []
+    validate, pack = ModularData.validate, modcheck.MatProver.pack
+    monkeypatch.setattr(ModularData, "validate",
+                        lambda self: calls.append("validate") or validate(self))
+    monkeypatch.setattr(modcheck.MatProver, "pack",
+                        lambda self, rows: calls.append("pack") or pack(self, rows))
+    for build in (
+        lambda: pointed_md.__wrapped__(metric_group(Q_A2)),  # past the cache
+        lambda: ty_center_md.__wrapped__(Z3, B3, 1),
+        lambda: mp_md.__wrapped__(Z3, B3, 1),
+        lambda: tensor_md(a, pt),
+        lambda: reverse_md(a),
+        lambda: hat_twist(a),
+        lambda: md_from_json(blob),
+    ):
+        calls.clear()
+        md = build()
+        assert calls == ["validate", "pack"]
+        md.validate()  # a second run returns at once
+        md.fusion_ring()
+        md.charge_conjugation()
+        assert calls == ["validate", "pack", "validate"]

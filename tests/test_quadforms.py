@@ -186,16 +186,6 @@ def test_qform_properties_enumerated():
             assert q.is_nondegenerate()
 
 
-def test_qform_json_roundtrip():
-    blob = Q_A2.to_json()
-    q = QuadForm.from_json(blob)
-    assert q.values == Q_A2.values and q.group == Z3
-
-    b = bichar_from_qform(Q_A2)
-    b2 = Bichar.from_json(b.to_json())
-    assert b2.gen_values == b.gen_values
-
-
 def test_qform_validation_at_order_81():
     # constructed forms are validated up to |G| = 81
     z81 = FinAbGroup.of(81)
