@@ -1,12 +1,14 @@
 """Fusion rings, hypergroups, and character tables from explicit rule tables.
 
-Rings store the full structure-constant tensor N_{ij}^k as one read-only
-int64 array regardless of how they were built (rule table or the proven
-Verlinde tensor, which is kept without a copy), so the same checking path
-applies to both.  Hypergroups hold exact rational convex structure
-constants, likewise as one read-only int64 array, over a common
-denominator; the Tambara-Yamagami hypergroup and its dual come with the
-character table and Haar weights that make the rows exactly orthogonal.
+Rings store one read-only int64 array of channel rows (i, j, k, N_{ij}^k),
+the nonzero structure constants in C order: rule tables emit the rows, and
+the proven Verlinde channels are kept without a copy.  Hypergroups hold
+exact rational convex structure constants as one dense read-only int64
+array over a common denominator; the Tambara-Yamagami hypergroup and its
+dual come with the character table and Haar weights that make the rows
+exactly orthogonal.  The associativity check reads an r x r x r cube, so
+rule tables and hypergroups past ``MAX_RULE_CELLS`` cells (rank 256) raise
+``CapacityError`` before any product or weight is enumerated.
 """
 
 from __future__ import annotations
@@ -44,36 +46,66 @@ __all__ = [
 
 # Frobenius-Perron dimensions this close to an integer are tried exactly
 _FP_TOL = 1e-9
+# most label triples a rule table or hypergroup may have: the dense r x r x r
+# cube that ``_nonassociative`` reads, up to rank 256
+MAX_RULE_CELLS = 1 << 24
+
+
+def _check_rank(r: int, what: str) -> None:
+    """Refuse a rank whose cube exceeds ``MAX_RULE_CELLS``, before any
+    product or weight is enumerated."""
+    if r**3 > MAX_RULE_CELLS:
+        raise CapacityError(f"{what} of rank {r} exceeds {MAX_RULE_CELLS} cells, "
+                            "the size limit for rule tables and hypergroups")
 
 
 @dataclass(frozen=True, eq=False)
 class FusionRing:
     """A fusion ring on ``labels`` with the unit at label 0.
 
-    ``tensor[i, j, k]`` = N_{ij}^k is one read-only int64 array: an int64
-    array is kept as a view, never copied, and nested tuples are converted
-    once.  The package hands out checked rings only: the rule-table
+    ``channels`` has a row (i, j, k, N_ij^k) per nonzero N_ij^k, i and j
+    ordered, strictly increasing in (i, j, k): one read-only int64 (nnz, 4)
+    array, kept as a view of an int64 input, whose rows of a label or pair
+    are slices.  The package hands out checked rings only: the rule-table
     builders run ``check_fusion_ring``, and a Verlinde ring is proven."""
 
     labels: tuple
-    tensor: np.ndarray
+    channels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.tensor, dtype=np.int64).view()
-        if arr.shape != (len(self.labels),) * 3:
-            raise InvalidArgumentError(f"tensor of shape {arr.shape} for {len(self.labels)} labels")
+        arr = np.asarray(self.channels, dtype=np.int64).view()
+        r = len(self.labels)
+        if arr.ndim != 2 or arr.shape[1] != 4:
+            raise InvalidArgumentError(f"channels of shape {arr.shape}, not (nnz, 4)")
+        if ((arr[:, :3] < 0) | (arr[:, :3] >= r)).any():
+            raise InvalidArgumentError(f"channel indices outside [0, {r})")
+        if (arr[:, 3] <= 0).any():
+            raise InvalidArgumentError("channel coefficients must be positive")
+        if (np.diff((arr[:, 0] * r + arr[:, 1]) * r + arr[:, 2]) <= 0).any():
+            raise InvalidArgumentError("channels are not strictly increasing in (i, j, k)")
         arr.flags.writeable = False
-        object.__setattr__(self, "tensor", arr)
+        object.__setattr__(self, "channels", arr)
 
     @property
     def rank(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """Pair (i, j) has the rows _offsets[i r + j] to _offsets[i r + j + 1]."""
+        r = self.rank
+        return np.searchsorted(self.channels[:, 0] * r + self.channels[:, 1], np.arange(r * r + 1))
+
+    def row(self, i: int) -> np.ndarray:  # the channels (i, j, k, N_ij^k) of label i
+        return self.channels[self._offsets[i * self.rank] : self._offsets[(i + 1) * self.rank]]
+
     def product(self, i: int, j: int) -> dict[int, int]:
-        return {k: c for k, c in enumerate(self.tensor[i, j].tolist()) if c}
+        lo, hi = self._offsets[i * self.rank + j : i * self.rank + j + 2]
+        return {k: n for _, _, k, n in self.channels[lo:hi].tolist()}
 
     def dual(self, i: int) -> int:
-        hits = np.flatnonzero(self.tensor[i, :, 0])
+        _, j, k, _ = self.row(i).T
+        hits = j[k == 0]
         if len(hits) != 1:
             raise InvalidArgumentError(f"label {i} has no unique dual")
         return int(hits[0])
@@ -86,40 +118,42 @@ class FusionRing:
 
     @cached_property
     def fp_dims(self) -> list:  # floats, advisory, computed when first read
-        return [float(max(np.linalg.eigvals(n_i.astype(float)).real)) for n_i in self.tensor]
+        out = []
+        for i in range(self.rank):
+            _, j, k, n = self.row(i).T
+            n_i = np.zeros((self.rank, self.rank))  # N_i[j, k] = N_ij^k
+            n_i[j, k] = n
+            out.append(float(max(np.linalg.eigvals(n_i).real)))
+        return out
 
     @cached_property
     def global_dim(self) -> int | None:  # exact, only when all dims are integers
         int_dims = [round(d) for d in self.fp_dims]
         if all(abs(d - i) < _FP_TOL for d, i in zip(self.fp_dims, int_dims)):
-            # verify the rounded dimensions exactly: N_i d = d_i d_j entrywise
+            # verify the rounded dimensions exactly: sum_k N_ij^k d_k = d_i d_j
             dvec = np.array(int_dims, dtype=np.int64)
-            if bool(np.all(self.tensor @ dvec == np.outer(dvec, dvec))):
+            sums = np.cumsum(np.append(0, self.channels[:, 3] * dvec[self.channels[:, 2]]))
+            if np.array_equal(np.diff(sums[self._offsets]), np.outer(dvec, dvec).ravel()):
                 return int(sum(d * d for d in int_dims))
         return None
 
     def to_json(self) -> dict:
-        nz = np.argwhere(self.tensor)  # C order: i, then j, then k
         return {
             "labels": [label_to_json(l) for l in self.labels],
             "label_names": [str(l) for l in self.labels],
             "unit": 0,
-            "nonzero": np.column_stack([nz, self.tensor[tuple(nz.T)]]).tolist(),
+            "nonzero": self.channels.tolist(),
         }
 
 
 def _ring_from_products(labels, prod) -> FusionRing:
-    """Build the dense tensor from a map (i, j) -> {k: coeff}."""
+    """The ring of a map (i, j) -> {k: coeff}, once ``_check_rank`` passes,
+    checked by ``check_fusion_ring``."""
     r = len(labels)
-    tensor = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            for k, c in prod(i, j).items():
-                tensor[i, j, k] = c
-    return FusionRing(tuple(labels), tensor)
-
-
-def _checked(ring: FusionRing) -> FusionRing:
+    _check_rank(r, "fusion ring")
+    rows = [(i, j, k, c) for i in range(r) for j in range(r)
+            for k, c in sorted(prod(i, j).items()) if c]
+    ring = FusionRing(tuple(labels), np.array(rows, dtype=np.int64).reshape(-1, 4))
     violations = check_fusion_ring(ring)
     if violations:
         raise ModularityError(f"rule table fails its checks: {violations[:5]}")
@@ -154,10 +188,12 @@ def _nonassociative(arr: np.ndarray) -> list[tuple[int, int, int, int]]:
 
 
 def check_fusion_ring(ring: FusionRing) -> list[tuple[str, tuple]]:
-    """Verify unit, duality, associativity, and the Frobenius symmetries:
-    the (kind, index) of every violation, none for a fusion ring."""
+    """Verify unit, duality, associativity, and the Frobenius symmetries on
+    the cube of the channels: the (kind, index) of every violation."""
     r = ring.rank
-    arr = ring.tensor
+    _check_rank(r, "fusion ring")
+    arr = np.zeros((r, r, r), dtype=np.int64)
+    arr[tuple(ring.channels[:, :3].T)] = ring.channels[:, 3]
     violations = []
 
     eye = np.eye(r, dtype=np.int64)
@@ -208,7 +244,7 @@ def ty_fusion_ring(group: FinAbGroup) -> FusionRing:
             return {k: 1 for k in range(n)}
         return {n: 1}
 
-    return _checked(_ring_from_products(labels, prod))
+    return _ring_from_products(labels, prod)
 
 
 def gen_ty_fusion_ring(A: FinAbGroup) -> FusionRing:
@@ -247,7 +283,7 @@ def gen_ty_fusion_ring(A: FinAbGroup) -> FusionRing:
             return {idx[(a, 0)]: 1 for a in els}
         return {idx[(a, 1)]: 1 for a in els}
 
-    return _checked(_ring_from_products(labels, prod))
+    return _ring_from_products(labels, prod)
 
 
 def gen_mp_fusion_ring(G: FinAbGroup) -> FusionRing:
@@ -291,7 +327,7 @@ def gen_mp_fusion_ring(G: FinAbGroup) -> FusionRing:
             out[sidx[target]] = out.get(sidx[target], 0) + 1
         return out
 
-    return _checked(_ring_from_products(labels, prod))
+    return _ring_from_products(labels, prod)
 
 
 # -- hypergroups ---------------------------------------------------------------
@@ -367,6 +403,7 @@ def _hypergroup(elements, weights: dict, star) -> Hypergroup:
 
 def ty_hypergroup(group: FinAbGroup) -> Hypergroup:
     """K = G u {tau} with tau* = tau = g tau = tau g, tau^2 = (1/|G|) sum_g g."""
+    _check_rank(group.order + 1, "hypergroup")
     els = group.elements()
     n = len(els)
     labels = list(els) + ["tau"]
@@ -385,10 +422,10 @@ def ty_hypergroup(group: FinAbGroup) -> Hypergroup:
 def hypergroup_from_fusion_ring(ring: FusionRing, dims) -> Hypergroup:
     """Renormalize a fusion ring by exact dimensions: on the basis
     [x]/d(x) the structure constants become N_ij^k d_k / (d_i d_j)."""
+    _check_rank(ring.rank, "hypergroup")
     inv = [d.inverse() for d in dims]
     weights = {}
-    nz = np.argwhere(ring.tensor)
-    for (i, j, k), c in zip(nz.tolist(), ring.tensor[tuple(nz.T)].tolist()):
+    for i, j, k, c in ring.channels.tolist():
         val = dims[k] * inv[i] * inv[j] * c
         if not val.is_rational():
             raise InvalidArgumentError("renormalized structure constants are not rational")
@@ -437,6 +474,7 @@ def ty_dual_hypergroup_and_table(group: FinAbGroup):
     with weights w(g) = 1, w(tau) = |G|."""
     if group.order % 2 == 0:
         raise UnsupportedError("the dual hypergroup computation needs |G| odd")
+    _check_rank(group.order + 1, "hypergroup")
     dual, pairing = character_group(group)
     chis = [h for h in dual.elements() if not h.is_zero()]
     labels = ["1", "eps"] + [("c", chi) for chi in chis]

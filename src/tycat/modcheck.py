@@ -25,9 +25,9 @@ gives every a); conjugation is the case a = -1, whose permutation is the
 charge conjugation C.  With it, S^2 = C and the Verlinde relation, whose
 size grows with the number of label pairs, are decided at one point per
 prime: ``MatProver.verify_product`` and ``verify_verlinde`` have the
-argument.  The tensor that ``verify_verlinde`` proves is guessed from the
-residues of S at one prime (``guess_verlinde``), so no float approximation
-of S is made.
+argument.  The Verlinde tensor that ``verify_verlinde`` proves is guessed
+from the residues of S at one prime (``guess_verlinde``), so no float
+approximation of S is made; both hold it as channel rows (i, j, k, N_ij^k).
 
 A matrix is packed as its K distinct values, one canonical coefficient
 row each over one denominator, and an integer table of every entry's
@@ -113,6 +113,11 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         out += np.matmul(a[..., lo : lo + step], b[..., lo : lo + step, :]) % p
         out %= p
     return out
+
+
+def _c_order(rows: np.ndarray) -> np.ndarray:
+    """Rows (i, j, k, N) sorted by i, then j, then k."""
+    return rows[np.lexsort(rows[:, 2::-1].T)]
 
 
 def _signed_match(rows: np.ndarray, where: dict, negate) -> tuple[np.ndarray, np.ndarray]:
@@ -325,14 +330,15 @@ class MatProver:
     def guess_verlinde(self, s: dict) -> np.ndarray:
         """The Verlinde tensor N_ij^k = sum_l S_il S_jl conj(S_kl) / S_0l of
         a symmetric, unitary S, guessed from residues at the first prime p
-        of the pool where den and every S_0l are nonzero mod p.
+        of the pool where den and every S_0l are nonzero mod p, as the rows
+        (i, j, k, N_ij^k) of its nonzero entries in C order.
 
         One read of two points gives e = den S at the first point w and
         ebar = den conj(S) at w^(N-1) = w^-1, as conj is zeta -> zeta^-1;
         then den^2 N_ij^k = sum_l e_il e_jl ebar_kl / e_0l mod p, one
-        product per row i over the pairs j >= i, mirrored to j < i, and
-        lifted to (-p/2, p/2].  The lift is N where |N_ij^k| < p/2, and a
-        guess only: ``verify_verlinde`` decides it whatever it is.
+        product per row i over the pairs j >= i, lifted to (-p/2, p/2]; its
+        nonzeros are kept, mirrored to j < i and sorted once.  The lift is N
+        where |N_ij^k| < p/2, and a guess only: ``verify_verlinde`` decides.
         """
         r = s["rank"]
         for p in self._prime_pool():
@@ -342,18 +348,23 @@ class MatProver:
         scale = pow(s["den"], -2, p)
         inv0 = np.array([pow(int(x), -1, p) * scale % p for x in e[0]], dtype=np.float64)
         b = (ebar * inv0 % p).T  # b[l, k] = ebar_kl / (den^2 e_0l) mod p
-        tensor = np.empty((r, r, r), dtype=np.int64)
+        upper = []
         for i in range(r):
             prods = e[i] * e[i:]
             prods %= p
-            tensor[i, i:] = _matmul_mod(prods, b, p)
-            tensor[i + 1 :, i] = tensor[i, i + 1 :]
-        tensor[tensor > p // 2] -= p
-        return tensor
+            block = _matmul_mod(prods, b, p)
+            jj, kk = np.nonzero(block)
+            n = block[jj, kk].astype(np.int64)
+            n[n > p // 2] -= p
+            upper.append(np.column_stack([np.full_like(jj, i), jj + i, kk, n]))
+        upper = np.concatenate(upper)
+        lower = upper[upper[:, 1] > upper[:, 0]][:, [1, 0, 2, 3]]  # (j, i, k, N) for j > i
+        return _c_order(np.concatenate([upper, lower]))
 
     def verify_verlinde(self, s: dict, tensor: np.ndarray) -> None:
         """sum_k N_ij^k S[k,l] S[0,l] == S[i,l] S[j,l] for all i, j, l,
-        decided at one primitive point w per prime.
+        decided at one primitive point w per prime, for ``guess_verlinde``'s
+        channel rows (i, j, k, N_ij^k) of ``tensor``.
 
         Valid S is Galois-symmetric, sigma_a(S_il) = eps_a(l) S_i,pi_a(l)
         with eps_a = +-1 (Coste-Gannon, Phys. Lett. B 323, 1994; de
@@ -371,33 +382,38 @@ class MatProver:
         D = 0; the first pair to fail at w is the first to fail at any
         point.  Each prime is evaluated at w alone.
 
-        The tensor must be symmetric in (i, j) (checked), so the pairs
-        i <= j are proven one row i at a time, summing their channels.
+        The rows must equal their (j, i)-swapped copy, sorted (checked), so
+        the pairs i <= j are proven a slice of rows i at a time, summing
+        their channels.
         From residues in [0, p), S[i,l] S[j,l] < p^2 and sum_k N_ij^k
         (S[k,l] S[0,l] mod p) < r nmax p < 2^53 (the ``CapacityError``
         guard), so the difference is exact, and so is rint(diff / p) p,
         which equals diff iff p divides it.
         """
         r = s["rank"]
-        nmax = int(tensor.max()) if tensor.size else 0
+        nmax = int(tensor[:, 3].max()) if len(tensor) else 0
         if r * max(nmax, 1) * _PRIME_CAP >= 2**53:
             raise CapacityError(
                 f"fusion coefficients too large: {nmax} at rank {r}"
             )
-        if not np.array_equal(tensor, tensor.transpose(1, 0, 2)):
+        if not np.array_equal(tensor, _c_order(tensor[:, [1, 0, 2, 3]])):
             raise ModularityError("fusion coefficients are not symmetric")
         self._galois_proven(s, "Verlinde")
         g = self.red_growth
         bound = r * nmax * s["l1"] ** 2 * g + s["l1"] ** 2 * g
+        pair = tensor[:, 0] * r + tensor[:, 1]  # the pairs (i, j >= i) are rows lo[i]:hi[i]
+        lo = np.searchsorted(pair, np.arange(r) * (r + 1))
+        hi = np.searchsorted(pair, np.arange(1, r + 1) * r)
         for p in self._primes(2 * bound):
             ev = self._values(s, p, [0])[0][s["index"]]
             pm = ev * ev[0] % p  # S[k,l] S[0,l] mod p
             for i in range(r):
-                jj, kk = np.nonzero(tensor[i, i:])  # the channels k of the pairs (i, i + jj)
+                _, j, k, n = tensor[lo[i] : hi[i]].T
+                jj = j - i  # the channels k of the pairs (i, i + jj)
                 diff = ev[i] * ev[i:]
                 if len(jj):
                     first = np.flatnonzero(np.diff(jj, prepend=-1))
-                    chans = pm[kk] * tensor[i, i + jj, kk][:, None]
+                    chans = pm[k] * n[:, None]
                     diff[jj[first]] -= np.add.reduceat(chans, first)
                 q = np.rint(diff / p)
                 q *= p

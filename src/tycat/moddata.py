@@ -16,7 +16,7 @@ of (Z/N)^x are found and proven exactly in one ``verify_galois`` call
 (conj(S) = CS is the generator -1), which lets S^2 = C and the Verlinde
 relation be decided at one point per prime.  The Verlinde tensor is guessed
 by the prover from the residues of S at one prime, then proven, so S is
-evaluated one way only; the proven array becomes the read-only tensor of
+evaluated one way only; its channel rows (i, j, k, N_ij^k) become those of
 ``fusion_ring``, without a copy.  Structural invariants of the builders
 (rank, total dimension) and the pairwise inequivalence of a
 classification raise ``ModularityError``, not ``assert``.
@@ -235,15 +235,15 @@ class ModularData:
     # -- fusion ---------------------------------------------------------------
 
     def _verlinde_tensor(self, prover: MatProver, packed_s: dict) -> np.ndarray:
-        """N_ij^k = sum_l S_il S_jl conj(S_kl) / S_0l: guessed by the prover
-        from the residues of S at one prime, refused if negative, then
-        proven.  S is proven unitary before this runs, so it is invertible
-        and the proven relation sum_k N_ij^k S_kl S_0l = S_il S_jl (every l)
-        fixes each N_ij^k: a wrong guess fails the proof."""
+        """The channels of N_ij^k = sum_l S_il S_jl conj(S_kl) / S_0l: guessed
+        by the prover from the residues of S at one prime, refused at the
+        first negative row, then proven.  S is proven unitary before this
+        runs, so it is invertible and the proven relation sum_k N_ij^k S_kl
+        S_0l = S_il S_jl (every l) fixes each N_ij^k: a wrong guess fails."""
         tensor = prover.guess_verlinde(packed_s)
-        neg = np.argwhere(tensor < 0)
+        neg = tensor[tensor[:, 3] < 0]
         if len(neg):
-            i, j, k = (int(x) for x in neg[0])
+            i, j, k, _ = neg[0].tolist()
             raise ModularityError(
                 f"Verlinde coefficient at ({i}, {j}, {k}) is not a "
                 "nonnegative integer"
@@ -491,12 +491,11 @@ def bantay_fs(md: ModularData, label) -> int:
     nu = sum_{x,y} S_{0,x} S_{0,y} N_{xy}^label (theta_x / theta_y)^2;
     theta_x / theta_y = T_x / T_y, so the twists are read as ``t_exps``."""
     idx = md.index_of(label)
-    n_label = md.fusion_ring().tensor[:, :, idx]
+    channels = md.fusion_ring().channels
     total = CycNum.zero().promoted(md.conductor)
     rot = cache(lambda e: zeta(md.conductor, e))
     t, s0 = md.t_exps, md.S[0]
-    nz = np.argwhere(n_label)
-    for (x, y), nxy in zip(nz.tolist(), n_label[tuple(nz.T)].tolist()):
+    for x, y, _, nxy in channels[channels[:, 2] == idx].tolist():
         z = rot(2 * (t[x] - t[y]) % md.conductor)
         total = total + s0[x] * s0[y] * z * nxy
     for value in (0, 1, -1):
@@ -585,7 +584,7 @@ def hat_twist(md: ModularData) -> ModularData:
         raise InvalidArgumentError("hat twist needs a Z2 grading")
     eps = md.grading
     grade = np.array(eps)
-    i, j, k = np.nonzero(md.fusion_ring().tensor)  # every N_ij^k != 0
+    i, j, k, _ = md.fusion_ring().channels.T  # every N_ij^k != 0
     if (grade[k] != (grade[i] + grade[j]) % 2).any():
         raise InvalidArgumentError("grading is not fusion-compatible")
     rows = [
@@ -628,14 +627,14 @@ def verify_condensation(
     for k in bos:
         # k is invertible iff k p is simple for every p: otherwise k k* holds
         # the unit and more, and in a unitary category d_k = 1 iff invertible
-        hits = ring.tensor[k] != 0  # hits[p, t]: t occurs in k p
-        if (hits.sum(axis=1) != 1).any():
+        _, p, t, _ = ring.row(k).T  # t occurs in k p
+        if not np.array_equal(p, np.arange(r)):  # one channel per p
             raise InvalidArgumentError(f"boson {parent.labels[k]} is not invertible")
         if not parent.thetas[k].is_one():
             raise InvalidArgumentError(
                 f"boson {parent.labels[k]} does not have trivial twist"
             )
-        perms[k] = hits.argmax(axis=1).tolist()
+        perms[k] = t.tolist()
     for k1 in bos:
         for k2 in bos:
             if perms[k1][k2] not in bos:

@@ -491,6 +491,31 @@ def test_malformed_argument_ends_without_a_traceback(argv):
         assert "error" in json.loads(out.stdout)
 
 
+@pytest.mark.parametrize("argv, rank", [
+    (("fusion", "--rules", "ty", "--group", "1001"), 1002),
+    (("fusion", "--rules", "genty", "--group", "999"), 2000),
+    (("hypergroup", "--group", "1001"), 1002),
+])
+def test_oversized_rule_tables_are_refused_at_once(argv, rank):
+    # their cubes would take 7.5 GiB, 59.6 GiB and 7.5 GiB; under a 3 GiB
+    # address-space cap they are refused before any product or weight
+    import resource
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tycat.__file__)))
+    cap = 3 << 30
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "tycat", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert time.perf_counter() - start < 20
+    assert out.returncode == 1 and "Traceback" not in out.stderr, out.stderr
+    error = json.loads(out.stdout)["error"]
+    assert error.endswith(f"of rank {rank} exceeds {fusionrings.MAX_RULE_CELLS} cells, "
+                          "the size limit for rule tables and hypergroups")
+
+
 def test_custom_gram_file(tmp_path, capsys):
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps({"gram": [[2, -1], [-1, 2]]}))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from tycat.cyclo import CycNum, sqrt_int
-from tycat.errors import InvalidArgumentError, UnsupportedError
+from tycat.errors import CapacityError, InvalidArgumentError, UnsupportedError
 from tycat.fusionrings import (
+    MAX_RULE_CELLS,
     FusionRing,
     Hypergroup,
     check_fusion_ring,
@@ -20,6 +21,8 @@ from tycat.fusionrings import (
 )
 from tycat.groups import FinAbGroup, positive_set
 from tycat.labels import MPAlpha, MPRho, MPSigma, label_from_json, label_to_json
+
+from fusion_oracle import channels_of, dense
 
 Z3 = FinAbGroup.of(3)
 Z5 = FinAbGroup.of(5)
@@ -111,70 +114,142 @@ def test_builders_pass_checks():
 
 def test_corrupted_tensor_reports_triple():
     ring = ty_fusion_ring(Z3)
-    bad = [
-        [[ring.tensor[i][j][k] for k in range(4)] for j in range(4)]
-        for i in range(4)
-    ]
-    bad[2][1][3] += 1
-    violations = check_fusion_ring(FusionRing(ring.labels, tuple(
-        tuple(tuple(r) for r in plane) for plane in bad
-    )))
+    bad = dense(ring)
+    bad[2, 1, 3] += 1
+    violations = check_fusion_ring(FusionRing(ring.labels, channels_of(bad)))
     assert violations
     kinds = {v[0] for v in violations}
     assert "associativity" in kinds or "frobenius" in kinds or "unit" in kinds
 
 
-def test_tensor_is_one_read_only_int64_array():
+def test_channels_are_one_read_only_int64_array():
     ring = gen_mp_fusion_ring(Z5)
-    assert ring.tensor.dtype == np.int64 and ring.tensor.shape == (ring.rank,) * 3
+    ch = ring.channels
+    assert ch.dtype == np.int64 and ch.shape == (len(ch), 4)
     with pytest.raises(ValueError):
-        ring.tensor[0, 0, 0] = 5
+        ch[0, 3] = 5
     # nested tuples are converted once, to the same array
-    nested = tuple(tuple(tuple(r) for r in plane) for plane in ring.tensor.tolist())
-    from_tuples = FusionRing(ring.labels, nested)
-    assert np.array_equal(from_tuples.tensor, ring.tensor)
+    from_tuples = FusionRing(ring.labels, tuple(tuple(row) for row in ch.tolist()))
+    assert np.array_equal(from_tuples.channels, ch)
     assert from_tuples.to_json() == ring.to_json()
-    t, r = nested, ring.rank
+    t, r = dense(ring), ring.rank
     assert ring.to_json()["nonzero"] == [
         [i, j, k, t[i][j][k]] for i in range(r) for j in range(r) for k in range(r) if t[i][j][k]
     ]
     # an int64 array is kept as a read-only view, not copied
-    arr = np.array(ring.tensor)
-    assert np.shares_memory(FusionRing(ring.labels, arr).tensor, arr)
+    arr = np.array(ch)
+    assert np.shares_memory(FusionRing(ring.labels, arr).channels, arr)
     assert arr.flags.writeable
 
 
-def test_tensor_shape_must_match_the_labels():
+def test_channels_must_match_the_labels():
     ring = ty_fusion_ring(Z3)
-    with pytest.raises(InvalidArgumentError, match="tensor of shape"):
-        FusionRing(ring.labels[:3], ring.tensor)
+    with pytest.raises(InvalidArgumentError, match=r"^channels of shape \(\d+, 3\), not"):
+        FusionRing(ring.labels, ring.channels[:, :3])
+    with pytest.raises(InvalidArgumentError, match=r"^channel indices outside \[0, 3\)$"):
+        FusionRing(ring.labels[:3], ring.channels)
+
+
+def _edited(rows, at, row):
+    rows = rows.copy()
+    rows[at] = row
+    return rows
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ch: ch[::-1], "not strictly increasing"),  # unsorted
+    (lambda ch: _edited(ch, 1, ch[0]), "not strictly increasing"),  # repeated
+    (lambda ch: _edited(ch, -1, [3, 3, 4, 1]), r"outside \[0, 4\)"),  # out of range
+    (lambda ch: _edited(ch, 0, [0, 0, 0, 0]), "coefficients must be positive"),  # zero N
+], ids=["unsorted", "repeated", "out-of-range", "zero"])
+def test_constructor_refuses_malformed_channels(edit, message):
+    ring = ty_fusion_ring(Z3)
+    with pytest.raises(InvalidArgumentError, match=message):
+        FusionRing(ring.labels, edit(np.array(ring.channels)))
+
+
+def _verlinde_rings():
+    from tycat.moddata import mp_md, pointed_md, ty_center_md
+    from tycat.quadforms import bichar_from_qform, classify_metric_groups
+
+    Z15, Z45 = FinAbGroup.of(15), FinAbGroup.of(45)
+    yield "ty-Z5", ty_center_md(Z5, bichar_from_qform(classify_metric_groups(Z5)[0].quad), 1)
+    yield "mp-Z15-", mp_md(Z15, classify_metric_groups(Z15)[0].bichar, -1)
+    yield "pointed-Z45", pointed_md(classify_metric_groups(Z45)[0])
+
+
+def test_every_ring_holds_its_channels_once():
+    # rule tables of every builder and proven Verlinde rings: the channels
+    # are strictly sorted, read-only, printed as they are, and are the
+    # nonzero entries of the dense cube their products span; for a
+    # Verlinde ring that cube is also the float guess from S
+    from tycat.modcheck import MatProver
+    from verlinde_oracle import float_guess
+
+    rings = [(builder.__name__, builder(FinAbGroup.of(facs)))
+             for facs in [(1,), (3,), (5,), (3, 3)]
+             for builder in (ty_fusion_ring, gen_ty_fusion_ring, gen_mp_fusion_ring)]
+    for name, md in _verlinde_rings():
+        ring = md.fusion_ring()
+        prover = MatProver(md.conductor)
+        assert np.array_equal(dense(ring), float_guess(prover, prover.pack(md.S))), name
+        rings.append((name, ring))
+    for name, ring in rings:
+        ch, r = ring.channels, ring.rank
+        key = (ch[:, 0] * r + ch[:, 1]) * r + ch[:, 2]
+        assert (np.diff(key) > 0).all() and not ch.flags.writeable, name
+        assert ring.to_json()["nonzero"] == ch.tolist(), name
+        assert np.array_equal(channels_of(dense(ring)), ch), name
+
+
+def test_genty_ring_is_not_commutative():
+    ring = gen_ty_fusion_ring(Z3)
+    pairs = [(i, j) for i in range(ring.rank) for j in range(ring.rank)]
+    assert any(ring.product(i, j) != ring.product(j, i) for i, j in pairs)
+    assert check_fusion_ring(ring) == []
 
 
 def test_streamed_associativity_matches_dense_oracle():
     ring = gen_mp_fusion_ring(FinAbGroup.of(7))
-    arr = np.array(ring.tensor, dtype=np.int64)
+    arr = dense(ring)
     arr[4, 5, 6] += 1
     arr[5, 4, 6] += 1
     arr[2, 3, 0] += 2
     lhs = np.einsum("ijm,mkl->ijkl", arr, arr)
     rhs = np.einsum("jkm,iml->ijkl", arr, arr)
-    dense = [tuple(int(x) for x in idx) for idx in zip(*np.nonzero(lhs != rhs))]
-    violations = check_fusion_ring(FusionRing(ring.labels, tuple(
-        tuple(tuple(r) for r in plane) for plane in arr.tolist()
-    )))
+    expected = [tuple(int(x) for x in idx) for idx in zip(*np.nonzero(lhs != rhs))]
+    violations = check_fusion_ring(FusionRing(ring.labels, channels_of(arr)))
     streamed = [idx for kind, idx in violations if kind == "associativity"]
-    assert dense and streamed == dense
+    assert expected and streamed == expected
 
 
 def test_group_ring_check():
     ring = ty_fusion_ring(Z3)
-    sub = [[[ring.tensor[i][j][k] for k in range(3)] for j in range(3)] for i in range(3)]
-    group_ring = FusionRing(ring.labels[:3], tuple(
-        tuple(tuple(r) for r in plane) for plane in sub
-    ))
+    group_ring = FusionRing(ring.labels[:3], channels_of(dense(ring)[:3, :3, :3]))
     assert check_fusion_ring(group_ring) == []
     assert group_ring.fp_dims == pytest.approx([1, 1, 1])
     assert group_ring.global_dim == 3
+
+
+def test_rank_past_the_cube_bound_is_refused_before_enumerating():
+    # 256^3 = MAX_RULE_CELLS is the largest cube allowed; each builder
+    # refuses a larger rank before it makes a product or a weight
+    assert 256**3 == MAX_RULE_CELLS
+    r = 257
+    group_ring = FusionRing(tuple(range(r)),
+                            [(i, j, (i + j) % r, 1) for i in range(r) for j in range(r)])
+    for call, what in [
+        (lambda: ty_fusion_ring(FinAbGroup.of(256)), "fusion ring of rank 257"),
+        (lambda: gen_ty_fusion_ring(FinAbGroup.of(129)), "fusion ring of rank 260"),
+        (lambda: gen_mp_fusion_ring(FinAbGroup.of(507)), "fusion ring of rank 257"),
+        (lambda: check_fusion_ring(group_ring), "fusion ring of rank 257"),
+        (lambda: ty_hypergroup(FinAbGroup.of(256)), "hypergroup of rank 257"),
+        (lambda: ty_dual_hypergroup_and_table(FinAbGroup.of(257)), "hypergroup of rank 258"),
+        (lambda: hypergroup_from_fusion_ring(group_ring, [CycNum.one()] * r),
+         "hypergroup of rank 257"),
+    ]:
+        with pytest.raises(CapacityError, match=f"^{what} exceeds {MAX_RULE_CELLS} cells"):
+            call()
 
 
 def test_ty_hypergroup():

@@ -36,6 +36,7 @@ from tycat.quadforms import (
     classify_metric_groups,
     metric_group,
 )
+from fusion_oracle import channels_of, dense
 from galois_oracle import all_points_galois, all_points_product
 from verlinde_oracle import _proven, all_points_verlinde, float_guess
 
@@ -150,14 +151,14 @@ def test_prover_product_random_negative_control(build):
 def test_verlinde_rejects_wrong_tensor():
     md = mp_md(Z3, bichar_from_qform(Q_A2), 1)
     ring = md.fusion_ring()
-    tensor = np.array(ring.tensor, dtype=np.int64)
+    tensor = dense(ring)
     tensor[2, 2, 1] += 1
     tensor[2, 2, 0] -= 1
     tensor = np.maximum(tensor, 0)
     tensor[1, 2, 2] = tensor[2, 1, 2]  # keep it symmetric
     prover = MatProver(md.conductor)
     with pytest.raises(ModularityError):
-        prover.verify_verlinde(_proven(prover, md.S), tensor)
+        prover.verify_verlinde(_proven(prover, md.S), channels_of(tensor))
 
 
 def test_verlinde_guess_rejects_negative_coefficients():
@@ -363,7 +364,8 @@ def test_capacity_guard_survives_python_O():
     # asserts are stripped under -O; the guards must not be ones: the
     # prover's coefficient bound, the Smith normal form certificate
     # (checked here against a determinant that lies), a principal graph's
-    # shape certificate and the CRT step of product_group
+    # shape certificate, the CRT step of product_group and the rank bound
+    # of rule tables and hypergroups
     code = (
         "from tycat import intmat\n"
         "from tycat.cyclo import CycNum\n"
@@ -388,6 +390,12 @@ def test_capacity_guard_survives_python_O():
         "    _crt_pair(0, 3, 1, 3)\n"
         "except ModularityError as exc:\n"
         "    print('raised', exc)\n"
+        "from tycat.fusionrings import ty_hypergroup\n"
+        "from tycat.groups import FinAbGroup\n"
+        "try:\n"
+        "    ty_hypergroup(FinAbGroup.of(256))\n"
+        "except CapacityError as exc:\n"
+        "    print('raised', exc)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(tycat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -400,6 +408,8 @@ def test_capacity_guard_survives_python_O():
         "raised", "raised Smith normal form transform is not unimodular",
         "raised g has an unexpected multi-edge",
         "raised CRT moduli 3 and 3 are not coprime",
+        "raised hypergroup of rank 257 exceeds 16777216 cells, "
+        "the size limit for rule tables and hypergroups",
     ]
 
 
@@ -428,13 +438,13 @@ def _ty5():
 
 def _verlinde(md, tensor):
     prover = MatProver(md.conductor)
-    prover.verify_verlinde(_proven(prover, md.S), tensor)
+    prover.verify_verlinde(_proven(prover, md.S), channels_of(tensor))
 
 
 def _bad_tensors(md):
     """(tensor, named pair) for a symmetric change of one coefficient and
     for pairs with no fusion channel at all, including the last pair."""
-    base = np.array(md.fusion_ring().tensor, dtype=np.int64)
+    base = dense(md.fusion_ring())
     r = md.rank
     for i, j, k in [(3, 7, 2), (1, 1, 0)]:
         t = base.copy()
@@ -449,7 +459,7 @@ def _bad_tensors(md):
 
 
 def _check_streamed_verdicts(md):
-    _verlinde(md, np.array(md.fusion_ring().tensor, dtype=np.int64))
+    _verlinde(md, dense(md.fusion_ring()))
     for tensor, (i, j) in _bad_tensors(md):
         with pytest.raises(ModularityError, match=rf"near \(i={i}, j={j}\)$"):
             _verlinde(md, tensor)
@@ -494,7 +504,7 @@ def test_one_point_verlinde_agrees_with_the_all_points_oracle(build):
     # the same verdict and name the same pair; the oracle runs with one
     # pair a chunk and with its old 2 MB chunks
     md = build()
-    base = np.array(md.fusion_ring().tensor, dtype=np.int64)
+    base = dense(md.fusion_ring())
     ours, theirs = MatProver(md.conductor), MatProver(md.conductor)
     s, s_all = _proven(ours, md.S), theirs.pack(md.S)
     tensors = [base] + [t for t, _ in _bad_tensors(md)]
@@ -502,7 +512,7 @@ def test_one_point_verlinde_agrees_with_the_all_points_oracle(build):
     failed = 0
     for k, tensor in enumerate(tensors):
         want = _verdict(all_points_verlinde, theirs, s_all, tensor, 1 if k % 2 else 2 << 20)
-        assert _verdict(ours.verify_verlinde, s, tensor) == want
+        assert _verdict(ours.verify_verlinde, s, channels_of(tensor)) == want
         failed += want is not None
     assert failed == len(tensors) - 1  # only the proven tensor passes
 
@@ -587,7 +597,6 @@ def test_verlinde_refuses_a_galois_asymmetric_s():
     # here, the change keeps conj(S) = CS)
     md = _ty5()
     n = md.conductor
-    tensor = np.array(md.fusion_ring().tensor, dtype=np.int64)
     valid = _proven(MatProver(n), md.S)["galois"]
     for (i, l), want in [((2, 4), r"^S is not unitary \(conj\(S\) != CS\)$"),
                          ((10, 12), r"^S is not unitary \(conj\(S\) != CS\)$"),
@@ -605,9 +614,10 @@ def test_verlinde_refuses_a_galois_asymmetric_s():
     # symmetry is proven and the Verlinde relation fails, at every point too
     prover, oracle = MatProver(n), MatProver(n)
     rows = _sigma7_at(md, 10, 10)
-    want = _verdict(all_points_verlinde, oracle, oracle.pack(rows), tensor)
+    want = _verdict(all_points_verlinde, oracle, oracle.pack(rows), dense(md.fusion_ring()))
     assert want == "Verlinde eigen-relation fails near (i=1, j=10)"
-    assert _verdict(prover.verify_verlinde, _proven(prover, rows), tensor) == want
+    channels = md.fusion_ring().channels
+    assert _verdict(prover.verify_verlinde, _proven(prover, rows), channels) == want
 
 
 def test_verlinde_refuses_an_s_without_a_galois_proof():
@@ -615,7 +625,7 @@ def test_verlinde_refuses_an_s_without_a_galois_proof():
     # alone, or with -1 proven only, is refused before any evaluation
     md = _ty5()
     n = md.conductor
-    tensor = np.array(md.fusion_ring().tensor, dtype=np.int64)
+    tensor = md.fusion_ring().channels
     prover = MatProver(n)
     s = prover.pack(md.S)
     a = galois_generators(n)[1]
@@ -805,15 +815,15 @@ def test_residue_guess_agrees_with_the_float_guess_and_the_proven_ring(build):
     prover = MatProver(md.conductor)
     s = prover.pack(md.S)
     guess = prover.guess_verlinde(s)
-    assert np.array_equal(guess, float_guess(prover, s))
-    assert np.array_equal(guess, md.fusion_ring().tensor)
+    assert np.array_equal(guess, channels_of(float_guess(prover, s)))
+    assert np.array_equal(guess, md.fusion_ring().channels)
 
 
 def test_residue_guess_moves_past_a_prime_where_a_row_0_residue_vanishes(monkeypatch):
     # S_03 read as 0 at the first prime: 1 / S_03 is not defined there, so
     # the guess is made at the second prime, and it is the same tensor
     md = _ty5()
-    want = md.fusion_ring().tensor
+    want = md.fusion_ring().channels
     prover = MatProver(md.conductor)
     s = prover.pack(md.S)
     first, second = itertools.islice(prover._prime_pool(), 2)
@@ -905,6 +915,23 @@ def test_validate_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20, f"validate() peaked at {peak / 2**20:.0f} MB"
+
+
+def test_construction_makes_no_dense_fusion_tensor():
+    # the Verlinde guess, its proof and the ring hold only the channels:
+    # proving TY(Z11), rank 99 and 18,271 channels, peaks below half of
+    # the 7.4 MiB that one int64 r x r x r array would take
+    z11 = FinAbGroup.of(11)
+    md = ty_center_md(z11, bichar_from_qform(classify_metric_groups(z11)[0].quad), 1)
+    cube = md.rank**3 * 8
+    tracemalloc.start()
+    try:
+        ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(md.fusion_ring().channels) == 18271
+    assert peak < cube / 2, f"construction peaked at {peak / 2**20:.2f} MB"
 
 
 def test_blocked_matmul_mod_is_exact_past_the_block_size():

@@ -167,7 +167,7 @@ def test_mp_fusion_matches_rule_table():
                 ring = mp_md(g, m.bichar, sign).fusion_ring()
                 expected = gen_mp_fusion_ring(g)
                 assert ring.labels == expected.labels
-                assert np.array_equal(ring.tensor, expected.tensor)
+                assert np.array_equal(ring.channels, expected.channels)
 
 
 def test_ty_center_fusion_contains_mp_rules():
@@ -303,8 +303,8 @@ def test_fusion_ring_is_the_proven_tensor(monkeypatch):
     md = ModularData(src.labels, src.S, src.thetas, src.c_top, src.conductor)
     ring = md.fusion_ring()
     assert ring is md.fusion_ring()
-    assert len(proven) == 1 and np.shares_memory(ring.tensor, proven[0])
-    assert np.array_equal(ring.tensor, src.fusion_ring().tensor)
+    assert len(proven) == 1 and np.shares_memory(ring.channels, proven[0])
+    assert np.array_equal(ring.channels, src.fusion_ring().channels)
 
 
 def test_condensation_search_is_bounded(monkeypatch):
@@ -392,12 +392,12 @@ def test_a_proven_ring_passes_the_full_check():
                ty_center_md(Z3, B3, 1), pointed_md(metric_group(Q_A2))):
         ring = md.fusion_ring()
         assert check_fusion_ring(ring) == []
-        table = FusionRing(ring.labels, ring.tensor.tolist())
+        table = FusionRing(ring.labels, ring.channels.tolist())
         assert (ring.fp_dims, ring.global_dim) == (table.fp_dims, table.global_dim)
     for group, sign in ((Z3, 1), (Z5, -1)):
         ring = mp_md(group, classify_metric_groups(group)[0].bichar, sign).fusion_ring()
         rules = gen_mp_fusion_ring(group)
-        assert rules.labels == ring.labels and np.array_equal(rules.tensor, ring.tensor)
+        assert rules.labels == ring.labels and np.array_equal(rules.channels, ring.channels)
         assert (ring.fp_dims, ring.global_dim) == (rules.fp_dims, rules.global_dim)
 
 
@@ -890,7 +890,7 @@ def test_the_proof_does_no_cyclotomic_arithmetic(monkeypatch, build):
         monkeypatch.setattr(CycNum, name, _refused)
     fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
     assert fresh.charge_conjugation() == md.charge_conjugation()
-    assert np.array_equal(fresh.fusion_ring().tensor, md.fusion_ring().tensor)
+    assert np.array_equal(fresh.fusion_ring().channels, md.fusion_ring().channels)
 
 
 @pytest.mark.parametrize("build", [
@@ -912,7 +912,7 @@ def test_a_datum_is_proven_before_any_method_is_called():
     fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
     assert fresh._charge_conj == md.charge_conjugation()
     assert fresh._fusion is not None
-    assert np.array_equal(fresh._fusion.tensor, md.fusion_ring().tensor)
+    assert np.array_equal(fresh._fusion.channels, md.fusion_ring().channels)
 
 
 def test_each_builder_proves_each_new_datum_once(monkeypatch):
