@@ -29,7 +29,7 @@ from functools import lru_cache, total_ordering
 from .errors import CapacityError, InvalidArgumentError, ModularityError
 
 # largest conductor read from outside input: bounds factorize and the
-# O(N phi(N)) reduction table before either runs (TY(Z_n) needs 48n)
+# N-row reduction table before either runs (TY(Z_n) needs 48n)
 MAX_CONDUCTOR = 2520
 
 __all__ = [
@@ -62,6 +62,7 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n).items():
@@ -88,13 +89,6 @@ def galois_generators(n: int) -> list[int]:
     return list(dict.fromkeys(gens))
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     # Exact division of integer polynomials, divisor monic.
     num = list(num)
@@ -113,19 +107,24 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d < n:
-            poly = _poly_divexact(poly, list(cyclotomic_poly(d)))
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
 def _reduction_table(n: int) -> tuple[dict[int, int], ...]:
-    """x^m mod Phi_n as sparse integer dicts, for m in [0, n)."""
-    phi_poly = cyclotomic_poly(n)
+    """x^m mod Phi_n as sparse integer dicts, for m in [0, n).
+
+    With r the radical of n and s = n / r > 1, Phi_n(x) = Phi_r(x^s), so
+    x^(qs+t) = x^t (y^q mod Phi_r(y)) at y = x^s: row m is row m // s of
+    r's table with its exponents spread by s.  For squarefree n, Phi_n is
+    built one prime at a time, Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for p
+    prime to m, and the rows come from a shift register."""
+    primes = list(factorize(n))
+    s = n // math.prod(primes)
+    if s > 1:
+        base = _reduction_table(n // s)
+        return tuple({e * s + m % s: c for e, c in base[m // s].items()} for m in range(n))
+    phi_poly = [-1, 1]  # Phi_1
+    for p in primes:
+        spread = [0] * ((len(phi_poly) - 1) * p + 1)
+        spread[::p] = phi_poly
+        phi_poly = _poly_divexact(spread, phi_poly)
     deg = len(phi_poly) - 1
     head = [-c for c in phi_poly[:deg]]  # x^deg = head (mod Phi_n)
     rows: list[dict[int, int]] = [{m: 1} for m in range(deg)]
@@ -140,13 +139,9 @@ def _reduction_table(n: int) -> tuple[dict[int, int], ...]:
     return tuple(rows)
 
 
-def _phi_deg(n: int) -> int:
-    return len(cyclotomic_poly(n)) - 1
-
-
 def _reduce_terms(n: int, terms) -> dict[int, int]:
     """sum c x^e mod Phi_n as a sparse dict, for pairs (e, c) with 0 <= e < n."""
-    deg = _phi_deg(n)
+    deg = euler_phi(n)
     table = _reduction_table(n)
     num: dict[int, int] = {}
     for e, c in terms:

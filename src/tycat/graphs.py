@@ -10,6 +10,7 @@ deterministic DOT and a JSON adjacency form.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ModularityError, UnsupportedError
@@ -26,7 +27,8 @@ __all__ = [
 def _check_shape(graph: "BipartiteGraph", counts: tuple, degrees: dict) -> None:
     """The (even, odd, edge) counts and the degrees the construction promises."""
     got = (len(graph.even), len(graph.odd), len(graph.edges))
-    wrong = [v for v, d in degrees.items() if graph.degree(v) != d]
+    have = Counter(v for edge in graph.edges for v in edge)
+    wrong = [v for v, d in degrees.items() if have[v] != d]
     if got != counts or wrong:
         raise ModularityError(
             f"{graph.name} has counts {got} (expected {counts}), degrees off at {wrong}"

@@ -386,19 +386,9 @@ def subgroups(group: FinAbGroup) -> list[frozenset[GroupElement]]:
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    g, x, _ = _xgcd(m1, m2)
-    if g != 1:
+    if math.gcd(m1, m2) != 1:
         raise ModularityError(f"CRT moduli {m1} and {m2} are not coprime")
-    return (r1 + (r2 - r1) * x % m2 * m1) % (m1 * m2)
-
-
-def _xgcd(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+    return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % (m1 * m2)
 
 
 def product_group(orders):

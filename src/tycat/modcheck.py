@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .cyclo import _phi_deg, _reduction_table, factorize, galois_generators
+from .cyclo import _reduction_table, euler_phi, factorize, galois_generators
 from .errors import CapacityError, ModularityError
 
 _PRIME_CAP = 1 << 22  # keeps every float64 intermediate below 2^53
@@ -138,7 +138,7 @@ class MatProver:
 
     def __init__(self, conductor: int):
         self.n = conductor
-        self.phi = _phi_deg(conductor)
+        self.phi = euler_phi(conductor)
         self.points = [j for j in range(conductor) if math.gcd(j, conductor) == 1]
         self._pt_index = {j: k for k, j in enumerate(self.points)}
         # growth factor of reduction mod Phi_N, for coefficient bounds

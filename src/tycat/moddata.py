@@ -274,9 +274,10 @@ def pointed_md(m: MetricGroup) -> ModularData:
     q = m.quad
     if not q.is_nondegenerate():
         raise InvalidArgumentError("the quadratic form must be nondegenerate")
-    c = gauss_central_charge(q)
     n = max(group.order, 1)
     conductor = _pointed_conductor(group)
+    check_cells(n, n, euler_phi(conductor))
+    c = gauss_central_charge(q)
     if conductor % q.modulus:
         raise InvalidArgumentError(f"cannot promote conductor {q.modulus} to {conductor}")
     scale = sqrt_int(n).promoted(conductor) * Fraction(1, n)
@@ -287,13 +288,16 @@ def pointed_md(m: MetricGroup) -> ModularData:
     return ModularData(labels, rows, q.values, c, conductor)
 
 
-def _ty_prep(group: FinAbGroup, b: Bichar, sign: int):
-    """Shared setup: q, the Fourier companion a, its charge, and omega (one
-    root of unity per element index), all checked on integer tables."""
+def _ty_prep(group: FinAbGroup, b: Bichar, sign: int, rank: int):
+    """Shared setup: the size check of a datum of this rank, then q, the
+    Fourier companion a, its charge, and omega (one root of unity per
+    element index), all checked on integer tables."""
     if group.order % 2 == 0:
         raise UnsupportedError("these doubles are implemented for odd groups")
     if sign not in (1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
+    conductor = _md_conductor(group)
+    check_cells(rank, rank, euler_phi(conductor))
     q = qform_from_bichar(b)
     a_form = q ** ((group.exponent + 1) // 2)
     mod = math.lcm(b.modulus, a_form.modulus)
@@ -309,7 +313,6 @@ def _ty_prep(group: FinAbGroup, b: Bichar, sign: int):
     # e^{pi i c_a/4} / a(g); the closed form is cross-checked below
     a_hat = [RootOfUnity(Fraction(c_a, 8)) * v.inverse() for v in a_form.values]
     n = group.order
-    conductor = _md_conductor(group)
     root_n = sqrt_int(n).promoted(conductor)
     step = conductor // mod
     for g, row in enumerate(((a[None, :] - bt) % mod).tolist()):
@@ -326,9 +329,10 @@ def ty_center_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     """Modular data of the double of the Tambara-Yamagami category
     TY(G, b, sign) for G of odd order: 2|G| invertibles, 2|G| objects of
     dimension sqrt(|G|), and |G|(|G|-1)/2 of dimension 2."""
-    q, omega, conductor = _ty_prep(group, b, sign)
-    els = group.elements()
     n = group.order
+    rank = 4 * n + n * (n - 1) // 2
+    q, omega, conductor = _ty_prep(group, b, sign, rank)
+    els = group.elements()
     root_n = sqrt_int(n).promoted(conductor)
 
     pt = [TYPt(g, i) for g in els for i in (0, 1)]
@@ -336,7 +340,7 @@ def ty_center_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     sigma = [TYSigma.of(els[i], els[j]) for i, j in pairs]
     labels = pt + rho + sigma
-    if len(labels) != 4 * n + n * (n - 1) // 2:
+    if len(labels) != rank:
         raise ModularityError(f"TY double of {group} has rank {len(labels)}")
 
     # b(g, h) as exponents over the conductor, the index of g + h and of -g
@@ -412,8 +416,9 @@ def _check_total_dim(md: ModularData, expected: int) -> None:
 def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     """Generalized metaplectic modular data on {1, alpha, rho_0, rho_1}
     u {sigma_h : h in G_+}, of rank (|G|+7)/2, for G of odd order."""
-    q, omega, conductor = _ty_prep(group, b, sign)
     n = group.order
+    rank = (n + 7) // 2
+    q, omega, conductor = _ty_prep(group, b, sign, rank)
     pos = positive_set(group)
     root_n = sqrt_int(n).promoted(conductor)
     c = gauss_central_charge(q)
@@ -421,7 +426,7 @@ def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     labels = [MPUnit(), MPAlpha(), MPRho(0), MPRho(1)] + [
         MPSigma(h) for h in pos.members
     ]
-    if len(labels) != (n + 7) // 2:
+    if len(labels) != rank:
         raise ModularityError(f"metaplectic data of {group} has rank {len(labels)}")
 
     step = conductor // b.modulus
@@ -463,6 +468,7 @@ def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
 def tensor_md(a: ModularData, b: ModularData) -> ModularData:
     """The Deligne product: Kronecker S and T, additive central charge."""
     conductor = math.lcm(a.conductor, b.conductor)
+    check_cells(a.rank * b.rank, a.rank * b.rank, euler_phi(conductor))
     sa = [[x.promoted(conductor) for x in row] for row in a.S]
     sb = [[x.promoted(conductor) for x in row] for row in b.S]
     labels = [ProductLabel(x, y) for x in a.labels for y in b.labels]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tycat
-from tycat import cli, fusionrings
+from tycat import cli, fusionrings, modcheck
 from tycat.cli import main
 from tycat.cyclo import euler_phi, factorize
 from tycat.groups import FinAbGroup
@@ -491,14 +491,9 @@ def test_malformed_argument_ends_without_a_traceback(argv):
         assert "error" in json.loads(out.stdout)
 
 
-@pytest.mark.parametrize("argv, rank", [
-    (("fusion", "--rules", "ty", "--group", "1001"), 1002),
-    (("fusion", "--rules", "genty", "--group", "999"), 2000),
-    (("hypergroup", "--group", "1001"), 1002),
-])
-def test_oversized_rule_tables_are_refused_at_once(argv, rank):
-    # their cubes would take 7.5 GiB, 59.6 GiB and 7.5 GiB; under a 3 GiB
-    # address-space cap they are refused before any product or weight
+def _refused_under_a_3_gib_cap(argv) -> str:
+    """The JSON error of a CLI run under a 3 GiB address-space cap, which
+    must exit 1 without a traceback in under 20 s."""
     import resource
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(tycat.__file__)))
@@ -511,9 +506,28 @@ def test_oversized_rule_tables_are_refused_at_once(argv, rank):
     )
     assert time.perf_counter() - start < 20
     assert out.returncode == 1 and "Traceback" not in out.stderr, out.stderr
-    error = json.loads(out.stdout)["error"]
+    return json.loads(out.stdout)["error"]
+
+
+@pytest.mark.parametrize("argv, rank", [
+    (("fusion", "--rules", "ty", "--group", "1001"), 1002),
+    (("fusion", "--rules", "genty", "--group", "999"), 2000),
+    (("hypergroup", "--group", "1001"), 1002),
+])
+def test_oversized_rule_tables_are_refused_at_once(argv, rank):
+    # their cubes would take 7.5 GiB, 59.6 GiB and 7.5 GiB; they are
+    # refused before any product or weight
+    error = _refused_under_a_3_gib_cap(argv)
     assert error.endswith(f"of rank {rank} exceeds {fusionrings.MAX_RULE_CELLS} cells, "
                           "the size limit for rule tables and hypergroups")
+
+
+@pytest.mark.parametrize("kind, order", [("ty-center", 201), ("mp", 2047), ("pointed", 2047)])
+def test_oversized_modular_data_is_refused_before_it_is_built(kind, order):
+    # each builder checks the cells of its rank and conductor before it
+    # makes an entry or a field at that conductor
+    error = _refused_under_a_3_gib_cap(("md", kind, "--group", str(order)))
+    assert error.endswith(f"exceed {modcheck.MAX_CELLS} cells, the size limit for modular data")
 
 
 def test_custom_gram_file(tmp_path, capsys):

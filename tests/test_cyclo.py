@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclo_oracle import reduction_table
 from tycat import cyclo
 from tycat.cyclo import CycNum, RootOfUnity, cyc, euler_phi, sqrt_int, zeta
 from tycat.errors import CapacityError, InvalidArgumentError
+from tycat.groups import FinAbGroup
+from tycat.modcheck import MatProver
+from tycat.moddata import _md_conductor, _pointed_conductor
 
 
 def test_zeta_basics():
@@ -338,3 +342,33 @@ def test_inverse_walks_the_orbit_of_its_argument(monkeypatch):
     monkeypatch.setattr(CycNum, "galois", lambda self, a: calls.append(a) or galois(self, a))
     assert x.inverse() * x == 1
     assert 0 < len(calls) <= 4 * len(cyclo.galois_generators(2520))
+
+
+def _md_conductors_to_45() -> set[int]:
+    """The conductors of the modular data built on groups of order n <= 45:
+    each depends on n and the exponent e, any rad(n) | e | n, which
+    Z_e x prod Z_p over the primes of n / e realises."""
+    out = set()
+    for n in range(1, 46):
+        primes = cyclo.factorize(n)
+        for e in range(1, n + 1):
+            if n % e or any(e % p for p in primes):
+                continue
+            rest = [p for p, k in cyclo.factorize(n // e).items() for _ in range(k)]
+            group = FinAbGroup.of(e, *rest)
+            out.add(_pointed_conductor(group))
+            if n % 2:
+                out.add(_md_conductor(group))
+    return out
+
+
+def test_reduction_table_matches_the_divisor_product_oracle():
+    # the tables scaled from each radical equal the full shift register on
+    # Phi_n from every divisor, so the bounds read off them are unchanged
+    conductors = _md_conductors_to_45()
+    assert {144, 300, 528, 720, 2064} <= conductors
+    for n in sorted({*range(1, 257), *conductors, 2520}):
+        want = reduction_table(n)
+        assert cyclo._reduction_table(n) == want, n
+        growth = max(sum(abs(c) for c in row.values()) for row in want)
+        assert MatProver(n).red_growth == growth, n

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from tycat.cli import main
-from tycat.errors import UnsupportedError
-from tycat.graphs import dual_principal_graph, emit_dot, principal_graph
+from tycat.errors import ModularityError, UnsupportedError
+from tycat.graphs import (
+    BipartiteGraph,
+    _check_shape,
+    dual_principal_graph,
+    emit_dot,
+    principal_graph,
+)
 from tycat.groups import FinAbGroup, positive_set
 from tycat.labels import TYPt, TYSigma
 from tycat.moddata import ty_center_md
@@ -20,6 +26,19 @@ def test_n3_counts():
     d = dual_principal_graph(FinAbGroup.of(3))
     assert len(d.even) == 9 and len(d.odd) == 3 and len(d.edges) == 12
     assert all(d.degree(v) == 4 for v in d.odd)
+
+
+def test_a_graph_with_one_edge_moved_is_refused():
+    n = 5
+    g = principal_graph(FinAbGroup.of(n))
+    (even, odd), rest = g.edges[0], g.edges[1:]
+    assert odd == g.odd[0]
+    moved = BipartiteGraph(g.name, g.even, g.odd, ((even, g.odd[1]),) + rest, g.star)
+    counts = (n * n + 1, n, n * (n + 1))
+    degrees = {v: n + 1 for v in g.odd} | {"(rho,rho)": n}
+    _check_shape(g, counts, degrees)
+    with pytest.raises(ModularityError, match=r"degrees off at \['iota\(0\)', 'iota\(1\)'\]"):
+        _check_shape(moved, counts, degrees)
 
 
 def test_n1_degenerate():

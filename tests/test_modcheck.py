@@ -364,8 +364,8 @@ def test_capacity_guard_survives_python_O():
     # asserts are stripped under -O; the guards must not be ones: the
     # prover's coefficient bound, the Smith normal form certificate
     # (checked here against a determinant that lies), a principal graph's
-    # shape certificate, the CRT step of product_group and the rank bound
-    # of rule tables and hypergroups
+    # shape certificate, the CRT step of product_group, the rank bound
+    # of rule tables and hypergroups and a builder's size check
     code = (
         "from tycat import intmat\n"
         "from tycat.cyclo import CycNum\n"
@@ -396,6 +396,13 @@ def test_capacity_guard_survives_python_O():
         "    ty_hypergroup(FinAbGroup.of(256))\n"
         "except CapacityError as exc:\n"
         "    print('raised', exc)\n"
+        "from tycat.moddata import ty_center_md\n"
+        "from tycat.quadforms import bichar_from_qform, standard_qform\n"
+        "group = FinAbGroup.of(201)\n"
+        "try:\n"
+        "    ty_center_md(group, bichar_from_qform(standard_qform(group)), 1)\n"
+        "except CapacityError as exc:\n"
+        "    print('raised', exc)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(tycat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -410,6 +417,8 @@ def test_capacity_guard_survives_python_O():
         "raised CRT moduli 3 and 3 are not coprime",
         "raised hypergroup of rank 257 exceeds 16777216 cells, "
         "the size limit for rule tables and hypergroups",
+        "raised 20904 x 20904 entries of 1056 coefficients exceed 16777216 cells, "
+        "the size limit for modular data",
     ]
 
 
