@@ -21,11 +21,11 @@ evaluated one way only; its channel rows (i, j, k, N_ij^k) become those of
 (rank, total dimension) and the pairwise inequivalence of a
 classification raise ``ModularityError``, not ``assert``.
 
-Builders cover pointed data of a metric group, the double of a
-Tambara-Yamagami category for odd groups, the generalized metaplectic
-data, Deligne products, reverses, the grading twist that flips
-Frobenius-Schur indicators, equivalence search, and condensation
-certificates.
+Builders cover pointed data of a metric group, the generalized
+metaplectic data, Deligne products, the double of a Tambara-Yamagami
+category for odd groups as the product of the two, reverses, the
+grading twist that flips Frobenius-Schur indicators, equivalence search,
+and condensation certificates.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ from .quadforms import (
     MetricGroup,
     classify_metric_groups,
     gauss_central_charge,
+    metric_group,
     qform_from_bichar,
 )
 
@@ -328,79 +329,40 @@ def _ty_prep(group: FinAbGroup, b: Bichar, sign: int, rank: int):
 def ty_center_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     """Modular data of the double of the Tambara-Yamagami category
     TY(G, b, sign) for G of odd order: 2|G| invertibles, 2|G| objects of
-    dimension sqrt(|G|), and |G|(|G|-1)/2 of dimension 2."""
+    dimension sqrt(|G|), and |G|(|G|-1)/2 of dimension 2.
+
+    The double is the product of the metaplectic data mp(G, b, sign) and
+    the pointed data of q-bar(g) = b(g, g), a modular subcategory, which
+    therefore splits off (Mueger, Proc. LMS 87, 2003).  Each label is a pair
+    of factor labels, with g/2 = g (Exp(G) + 1)/2: (g, i) is alpha^i x g,
+    sigma{h, k} is sigma_|(h-k)/2| x (h+k)/2, and rho(g, i) is rho_j x g/2,
+    where j = i if omega_g = omega_0 b(g/2, g/2) and j = 1 - i otherwise."""
     n = group.order
-    rank = 4 * n + n * (n - 1) // 2
-    q, omega, conductor = _ty_prep(group, b, sign, rank)
+    q, omega, _ = _ty_prep(group, b, sign, 4 * n + n * (n - 1) // 2)
+    mp = mp_md(group, b, sign)
+    pt = pointed_md(metric_group(q.conj()))
+    mp_index = {x: i for i, x in enumerate(mp.labels)}
+    half = (group.exponent + 1) // 2
+    fold = positive_set(group).fold
     els = group.elements()
-    root_n = sqrt_int(n).promoted(conductor)
+    labels, pairs = [], []
 
-    pt = [TYPt(g, i) for g in els for i in (0, 1)]
-    rho = [TYRho(g, i) for g in els for i in (0, 1)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    sigma = [TYSigma.of(els[i], els[j]) for i, j in pairs]
-    labels = pt + rho + sigma
-    if len(labels) != rank:
-        raise ModularityError(f"TY double of {group} has rank {len(labels)}")
+    def put(label, x, g) -> None:
+        labels.append(label)
+        pairs.append((mp_index[x], group.index_of(g)))
 
-    # b(g, h) as exponents over the conductor, the index of g + h and of -g
-    c = conductor
-    bt = (b.table() * (c // b.modulus)).tolist()
-    add = add_table(group).tolist()
-    neg = [row.index(0) for row in add]
-    w = [v.k * (c // v.n) for v in omega]
-    scale = Fraction(1, 2 * n)
-    zero = CycNum.zero().promoted(c)
-    # Gauss-type sums sum_k b(k - s, k), one per value of s = g + h
-    gsum = [
-        zeta_sum(c, Counter(bt[add[k][neg[s]]][k] for k in range(n)).items()) * scale
-        for s in range(n)
-    ]
-    # one exact value per block and integer key; sign s is 0 or 1
-    pt_pt = cache(lambda e: zeta(c, e) * scale)
-    pt_rho = cache(lambda e, s: zeta(c, e) * root_n * scale * (-1) ** s)
-    pt_sigma = cache(lambda e: zeta(c, e) * (2 * scale))
-    rho_rho = cache(lambda e, t, s: zeta(c, e) * gsum[t] * (-1) ** s)
-    sigma_sigma = cache(lambda e1, e2: zeta_sum(c, ((e1, 1), (e2, 1))) * (2 * scale))
-
-    def entry(x: int, y: int) -> CycNum:
-        # S is symmetric and the blocks come in the order pt, rho, sigma
-        x, y = min(x, y), max(x, y)
-        if y < 2 * n:
-            return pt_pt(-2 * bt[x // 2][y // 2] % c)
-        if x < 2 * n:
-            if y < 4 * n:
-                return pt_rho(-bt[x // 2][y // 2 - n] % c, x % 2)
-            h, k = pairs[y - 4 * n]
-            return pt_sigma(-bt[x // 2][add[h][k]] % c)
-        if x < 4 * n:
-            if y >= 4 * n:
-                return zero
-            g, h = x // 2 - n, y // 2 - n
-            return rho_rho((w[g] + w[h]) % c, add[g][h], (x + y) % 2)
-        # the sigma-sigma block carries the opposite phase convention from
-        # the invertible blocks: only the conjugate passes S-unitarity and
-        # TSTST = S (checked for every nondegenerate bicharacter); for the
-        # pairs (h, -h) both readings coincide
-        h1, k1 = pairs[x - 4 * n]
-        h, k = pairs[y - 4 * n]
-        e1 = -(bt[k][h1] + bt[h][k1]) % c
-        e2 = -(bt[k][k1] + bt[h][h1]) % c
-        return sigma_sigma(min(e1, e2), max(e1, e2))
-
-    rows = [[entry(x, y) for y in range(len(labels))] for x in range(len(labels))]
-
-    def theta(x) -> RootOfUnity:
-        if isinstance(x, TYPt):
-            return b(x.g, x.g)
-        if isinstance(x, TYRho):
-            return omega[group.index_of(x.g)] * RootOfUnity(x.i, 2)
-        h, k = x.pair
-        return b(h, k)
-
-    thetas = [theta(x) for x in labels]
-    grading = [1 if isinstance(x, TYRho) else 0 for x in labels]
-    md = ModularData(labels, rows, thetas, 0, conductor, grading)
+    for g in els:
+        for i in (0, 1):
+            put(TYPt(g, i), MPAlpha() if i else MPUnit(), g)
+    for g in els:
+        g2 = g * half
+        flip = omega[group.index_of(g)] != omega[0] * b(g2, g2)
+        for i in (0, 1):
+            put(TYRho(g, i), MPRho(i ^ flip), g2)
+    for idx, h in enumerate(els):
+        for k in els[idx + 1 :]:
+            put(TYSigma.of(h, k), MPSigma(fold((h - k) * half)), (h + k) * half)
+    md = _product(mp, pt, labels, pairs)
     _check_total_dim(md, 4 * n * n)
     return md
 
@@ -465,23 +427,41 @@ def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
     return md
 
 
-def tensor_md(a: ModularData, b: ModularData) -> ModularData:
-    """The Deligne product: Kronecker S and T, additive central charge."""
+def _product(a: ModularData, b: ModularData, labels, pairs) -> ModularData:
+    """The Deligne product of a and b on the given labels, label p being the
+    pair of factor labels pairs[p] = (i, j): Kronecker S and T, added
+    gradings and central charges.  Each distinct pair of entry objects is
+    multiplied once, so the product shares one ``CycNum`` per pair."""
     conductor = math.lcm(a.conductor, b.conductor)
-    check_cells(a.rank * b.rank, a.rank * b.rank, euler_phi(conductor))
-    sa = [[x.promoted(conductor) for x in row] for row in a.S]
-    sb = [[x.promoted(conductor) for x in row] for row in b.S]
-    labels = [ProductLabel(x, y) for x in a.labels for y in b.labels]
-    rows = [
-        [x * y for x in sa[i1] for y in sb[j1]] for i1 in range(a.rank) for j1 in range(b.rank)
-    ]
-    thetas = [ta * tb for ta in a.thetas for tb in b.thetas]
+    check_cells(len(pairs), len(pairs), euler_phi(conductor))
+
+    def lift(rows):  # one promotion per entry object
+        up = {id(x): x for row in rows for x in row}
+        up = {key: x.promoted(conductor) for key, x in up.items()}
+        return [[up[id(x)] for x in row] for row in rows]
+
+    sa, sb = lift(a.S), lift(b.S)
+    products = {}
+
+    def mul(x: CycNum, y: CycNum) -> CycNum:
+        if (v := products.get(key := (id(x), id(y)))) is None:
+            v = products[key] = x * y
+        return v
+
+    rows = [[mul(sa[i][k], sb[j][l]) for k, l in pairs] for i, j in pairs]
+    thetas = [a.thetas[i] * b.thetas[j] for i, j in pairs]
     grading = None
     if a.grading is not None or b.grading is not None:
         ga = a.grading or (0,) * a.rank
         gb = b.grading or (0,) * b.rank
-        grading = [(x + y) % 2 for x in ga for y in gb]
+        grading = [(ga[i] + gb[j]) % 2 for i, j in pairs]
     return ModularData(labels, rows, thetas, (a.c_top + b.c_top) % 8, conductor, grading)
+
+
+def tensor_md(a: ModularData, b: ModularData) -> ModularData:
+    """The Deligne product: Kronecker S and T, additive central charge."""
+    labels = [ProductLabel(x, y) for x in a.labels for y in b.labels]
+    return _product(a, b, labels, [(i, j) for i in range(a.rank) for j in range(b.rank)])
 
 
 def reverse_md(a: ModularData) -> ModularData:
@@ -800,8 +780,9 @@ def _md_shape(obj) -> None:
         if not isinstance(row, list) or len(row) != r:
             size = len(row) if isinstance(row, list) else type(row).__name__
             raise InvalidArgumentError(f"S row {i} has {size} entries, expected {r}")
-    if obj.get("grading") is not None and any(type(g) is not int for g in obj["grading"]):
-        raise InvalidArgumentError("grading entries must be integers")
+    grading = obj.get("grading")
+    if grading is not None and any(type(g) is not int or g not in (0, 1) for g in grading):
+        raise InvalidArgumentError("grading entries must be 0 or 1")
 
 
 def md_from_json(obj: dict) -> ModularData:

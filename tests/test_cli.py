@@ -304,6 +304,19 @@ def test_fusion_from_malformed_md_is_domain_error(tmp_path, capsys, key, index, 
     assert message in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("factor", [3, -1])
+def test_fusion_from_md_refuses_a_grading_entry_other_than_0_or_1(tmp_path, capsys, factor):
+    _, out, _ = run_cli(capsys, "md", "mp", "--group", "3")
+    blob = json.loads(out)
+    blob["grading"] = [factor * g for g in blob["grading"]]
+    p = tmp_path / "md.json"
+    p.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "fusion", "--from-md", str(p))
+    assert code == 1
+    assert json.loads(out)["error"] == "grading entries must be 0 or 1"
+    assert "Traceback" not in err
+
+
 def test_fusion_from_md_refuses_a_huge_conductor(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "md", "mp", "--group", "3")
     blob = json.loads(out)

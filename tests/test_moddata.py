@@ -49,6 +49,7 @@ from tycat.quadforms import (
     metric_group,
     standard_qform,
 )
+from ty_center_oracle import ty_center_oracle
 
 Z3 = FinAbGroup.of(3)
 Z5 = FinAbGroup.of(5)
@@ -244,6 +245,79 @@ def test_factorization_z3_both_signs():
         z = ty_center_md(Z3, B3, sign)
         prod = tensor_md(mp_md(Z3, B3, sign), pt)
         assert md_equivalent(z, prod) is not None
+
+
+def _oracle_mismatch(md, group, b, sign) -> set[str]:
+    """What of a TY double differs from the four-block formulas."""
+    labels, rows, thetas, grading, conductor = ty_center_oracle(group, b, sign)
+    out = set()
+    if list(md.labels) != labels or md.conductor != conductor or md.c_top != 0:
+        out.add("labels")
+    if any(x != y for r1, r2 in zip(md.S, rows) for x, y in zip(r1, r2)):
+        out.add("S")
+    if list(md.thetas) != thetas:
+        out.add("T")
+    if list(md.grading) != grading:
+        out.add("grading")
+    return out
+
+
+@pytest.mark.parametrize("facs", [(1,), (3,), (5,), (7,), (9,), (3, 3)], ids=str)
+def test_ty_center_matches_the_four_block_formulas(facs):
+    # the label map onto mp x pointed makes every S entry, twist and grade
+    # of the formulas at the same position; 22 data over the six groups
+    group = FinAbGroup.of(*facs)
+    for m in classify_metric_groups(group):
+        for sign in (1, -1):
+            md = ty_center_md(group, m.bichar, sign)
+            assert _oracle_mismatch(md, group, m.bichar, sign) == set(), (m, sign)
+
+
+def _no_rho_flip(a, x, pair):
+    return (a.labels.index(MPRho(x.i)), pair[1]) if isinstance(x, TYRho) else pair
+
+
+def _sigma_at_sum(a, x, pair):
+    return (pair[0], Z3.index_of(x.pair[0] + x.pair[1])) if isinstance(x, TYSigma) else pair
+
+
+@pytest.mark.parametrize("edit, signs, differs", [
+    (_no_rho_flip, (-1,), {"S", "T"}),
+    (_sigma_at_sum, (1, -1), {"S"}),
+], ids=["no-rho-flip", "sigma-at-sum"])
+def test_the_oracle_pins_the_label_map(monkeypatch, edit, signs, differs):
+    # a wrong label map is a relabeled product, which the proof accepts;
+    # only the formulas tell it from the double
+    product = moddata._product
+    monkeypatch.setattr(moddata, "_product", lambda a, b, labels, pairs: product(
+        a, b, labels, [edit(a, x, pair) for x, pair in zip(labels, pairs)]))
+    for sign in signs:
+        md = ty_center_md.__wrapped__(Z3, B3, sign)  # proven: no error
+        assert _oracle_mismatch(md, Z3, B3, sign) == differs
+
+
+def test_tensor_md_multiplies_each_pair_of_entry_objects_once(monkeypatch):
+    a, b = mp_md(Z3, B3, 1), mp_md(Z5, classify_metric_groups(Z5)[0].bichar, 1)
+    objects = [len({id(x) for row in md.S for x in row}) for md in (a, b)]
+    assert objects == [12, 14]
+    calls = []
+    mul = CycNum.__mul__
+    monkeypatch.setattr(CycNum, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    prod = tensor_md(a, b)
+    monkeypatch.undo()
+    assert len(calls) <= 12 * 14 < (a.rank * b.rank) ** 2
+    # the Kronecker comprehension tensor_md used to run, one product per entry
+    n = math.lcm(a.conductor, b.conductor)
+    sa = [[x.promoted(n) for x in row] for row in a.S]
+    sb = [[x.promoted(n) for x in row] for row in b.S]
+    rows = [
+        [x * y for x in sa[i1] for y in sb[j1]] for i1 in range(a.rank) for j1 in range(b.rank)
+    ]
+    assert prod.conductor == n
+    assert all(x == y for r1, r2 in zip(prod.S, rows) for x, y in zip(r1, r2))
+    assert prod.thetas == tuple(ta * tb for ta in a.thetas for tb in b.thetas)
+    assert prod.grading == tuple((x + y) % 2 for x in a.grading for y in b.grading)
+    assert prod.c_top == (a.c_top + b.c_top) % 8
 
 
 def test_placement_bound(monkeypatch):
@@ -668,6 +742,16 @@ def _corruptions():
     def bad_grading(b):
         b["grading"] = [0]
 
+    # hat_twist would refuse these as "not fusion-compatible"
+    def grading_three(b):
+        b["grading"] = [3 * g for g in b["grading"]]
+
+    def grading_negative(b):
+        b["grading"][2] = -1
+
+    def grading_float(b):
+        b["grading"][0] = 0.0
+
     def bad_label(b):
         b["labels"][0] = {"kind": "mp_sigma"}
 
@@ -709,6 +793,9 @@ def _corruptions():
         (c_top_double_minus, "c_top must be an integer"),
         (c_top_non_ascii_digit, "c_top must be an integer"),
         (bad_grading, "grading has 1 entries, labels has 5"),
+        (grading_three, "grading entries must be 0 or 1"),
+        (grading_negative, "grading entries must be 0 or 1"),
+        (grading_float, "grading entries must be 0 or 1"),
         (bad_label, "labels[0] is malformed"),
         (repeated_label, "labels[1] repeats labels[0]"),
         (float_label_index, "labels[2] is malformed"),
@@ -918,6 +1005,7 @@ def test_a_datum_is_proven_before_any_method_is_called():
 def test_each_builder_proves_each_new_datum_once(monkeypatch):
     a = mp_md(Z3, B3, 1)
     pt = pointed_md(metric_group(Q_A2))
+    pointed_md(metric_group(Q_A2.conj()))  # with a, the factors of TY(Z3, B3, +)
     blob = md_to_json(a)
     calls = []
     validate, pack = ModularData.validate, modcheck.MatProver.pack
