@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ModularityError, UnsupportedError
+from .errors import CapacityError, ModularityError, UnsupportedError
 from .groups import FinAbGroup, GroupElement, positive_set
 
 __all__ = [
@@ -22,6 +22,17 @@ __all__ = [
     "dual_principal_graph",
     "emit_dot",
 ]
+
+# most edges a graph may have; both graphs have |A|(|A|+1), so |A| <= 511
+MAX_GRAPH_EDGES = 1 << 18
+
+
+def _check_order(n: int) -> None:
+    if n % 2 == 0:
+        raise UnsupportedError("these graphs are defined for odd group order")
+    if n * (n + 1) > MAX_GRAPH_EDGES:  # before any vertex is named
+        raise CapacityError(f"|A| = {n} gives {n * (n + 1)} edges, which exceed "
+                            f"{MAX_GRAPH_EDGES}, the size limit for graphs")
 
 
 def _check_shape(graph: "BipartiteGraph", counts: tuple, degrees: dict) -> None:
@@ -92,8 +103,7 @@ def dual_principal_graph(A: FinAbGroup) -> BipartiteGraph:
     """Even vertices (id,g), (alpha,g), (sigma_d,g); odd vertices iota(g);
     iota(g) joins (id,g), (alpha,g), and (sigma_{|g-h|}, h) for h != g."""
     n = A.order
-    if n % 2 == 0:
-        raise UnsupportedError("these graphs are defined for odd group order")
+    _check_order(n)
     pos = positive_set(A)
     els = A.elements()
     even = (
@@ -126,8 +136,7 @@ def principal_graph(A: FinAbGroup) -> BipartiteGraph:
     odd vertices iota(g); iota(g) joins (h, h+g) for every h, and the
     extra vertex."""
     n = A.order
-    if n % 2 == 0:
-        raise UnsupportedError("these graphs are defined for odd group order")
+    _check_order(n)
     els = A.elements()
     even = [f"({_tag(g)},{_tag(h)})" for g in els for h in els] + ["(rho,rho)"]
     odd = [f"iota({_tag(g)})" for g in els]

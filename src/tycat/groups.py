@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,24 +42,30 @@ MAX_TABLE_ORDER = 2048
 MAX_AUT_CANDIDATES = 200_000
 
 
-def _canonical_invariant_factors(factors) -> tuple[int, ...]:
-    """Normalize an arbitrary list of cyclic orders to the divisibility chain."""
-    primary: dict[int, list[int]] = {}
-    for d in factors:
+def primary_pieces(orders) -> list[tuple[int, int, int]]:
+    """The prime-power pieces of a list of cyclic orders, as (p, q, slot)
+    with q = p^e exactly dividing ``orders[slot]``: Z_q is the piece of
+    Z_{orders[slot]} read off by x mod q.  Sorted by prime, then largest
+    piece first, then slot; this is the one place orders are split."""
+    pieces = []
+    for slot, d in enumerate(orders):
         d = int(d)
         if d < 1:
             raise InvalidArgumentError(f"cyclic factor {d} is not positive")
-        for p, e in factorize(d).items():
-            primary.setdefault(p, []).append(e)
-    slots = max((len(v) for v in primary.values()), default=0)
-    chain = []
-    for j in range(slots):  # j = 0 collects the largest prime powers
-        d = 1
-        for p, es in primary.items():
-            es_sorted = sorted(es, reverse=True)
-            if j < len(es_sorted):
-                d *= p ** es_sorted[j]
-        chain.append(d)
+        pieces += [(p, p**e, slot) for p, e in factorize(d).items()]
+    return sorted(pieces, key=lambda t: (t[0], -t[1], t[2]))
+
+
+def _canonical_invariant_factors(factors) -> tuple[int, ...]:
+    """Normalize an arbitrary list of cyclic orders to the divisibility
+    chain: chain slot j (from the top) multiplies the j-th largest piece of
+    each prime."""
+    chain: list[int] = []
+    for _, run in groupby(primary_pieces(factors), key=itemgetter(0)):
+        for j, (_, q, _) in enumerate(run):
+            if j == len(chain):
+                chain.append(1)
+            chain[j] *= q
     return tuple(reversed(chain))
 
 
@@ -228,9 +235,6 @@ class PositiveSet:
     group: FinAbGroup
     members: tuple[GroupElement, ...]
 
-    def __contains__(self, g: GroupElement) -> bool:
-        return self._is_positive(g)
-
     @staticmethod
     def _is_positive(g: GroupElement) -> bool:
         for c, d in zip(g.coords, g.group.invariant_factors):
@@ -397,58 +401,26 @@ def product_group(orders):
 
     Returns (group, to_canonical, from_canonical) where to_canonical maps a
     coordinate tuple over ``orders`` to a GroupElement and from_canonical
-    inverts it.
+    inverts it.  The chain is made of the pieces of ``orders``, so the k-th
+    piece of each sorted list is the same Z_q; CRT joins them.
     """
     orders = [int(d) for d in orders]
-    group = FinAbGroup.of([d for d in orders if d > 1])
-    # primary pieces of each source slot, and of each canonical slot
-    src_pieces = []  # (slot, p, p^e)
-    for i, d in enumerate(orders):
-        for p, e in factorize(d).items():
-            src_pieces.append((i, p, p**e))
-    dst_pieces = []
-    for j, d in enumerate(group.invariant_factors):
-        for p, e in factorize(d).items():
-            dst_pieces.append((j, p, p**e))
-    # match source to destination pieces per prime, largest first
-    assignment = {}  # (src_idx in src_pieces) -> dst index
-    for p in {p for _, p, _ in src_pieces}:
-        src_idx = sorted(
-            (k for k, (_, q, _) in enumerate(src_pieces) if q == p),
-            key=lambda k: -src_pieces[k][2],
-        )
-        dst_idx = sorted(
-            (k for k, (_, q, _) in enumerate(dst_pieces) if q == p),
-            key=lambda k: -dst_pieces[k][2],
-        )
-        if len(src_idx) != len(dst_idx):
-            raise ModularityError(f"{p}-pieces of {orders} do not match those of {group}")
-        for s, t in zip(src_idx, dst_idx):
-            if src_pieces[s][2] != dst_pieces[t][2]:
-                raise ModularityError(f"{p}-pieces of {orders} do not match those of {group}")
-            assignment[s] = t
+    group = FinAbGroup.of(orders)
+    src, dst = primary_pieces(orders), primary_pieces(group.invariant_factors)
+    fwd = [(i, j, q) for (_, q, i), (_, _, j) in zip(src, dst)]
+    back = [(j, i, q) for i, j, q in fwd]
+
+    def crt(coords, size: int, moves) -> tuple[int, ...]:
+        out, mod = [0] * size, [1] * size
+        for a, b, q in moves:
+            out[b] = _crt_pair(out[b], mod[b], int(coords[a]) % q, q)
+            mod[b] *= q
+        return tuple(out)
 
     def to_canonical(coords) -> GroupElement:
-        coords = [int(c) % d if d > 0 else 0 for c, d in zip(coords, orders)]
-        out = [0] * group.rank
-        mod = [1] * group.rank
-        for s, (i, _, q) in enumerate(src_pieces):
-            t = assignment[s]
-            j = dst_pieces[t][0]
-            out[j] = _crt_pair(out[j], mod[j], coords[i] % q, q)
-            mod[j] *= q
-        if tuple(mod) != group.invariant_factors and not group.is_trivial():
-            raise ModularityError(f"CRT moduli {mod} do not rebuild {group}")
-        return group.element(out)
+        return GroupElement(group, crt(coords, group.rank, fwd))
 
     def from_canonical(g: GroupElement):
-        coords = [0] * len(orders)
-        mod = [1] * len(orders)
-        for s, (i, _, q) in enumerate(src_pieces):
-            t = assignment[s]
-            j = dst_pieces[t][0]
-            coords[i] = _crt_pair(coords[i], mod[i], g.coords[j] % q, q)
-            mod[i] *= q
-        return tuple(c % d if d > 0 else 0 for c, d in zip(coords, orders))
+        return crt(g.coords, len(orders), back)
 
     return group, to_canonical, from_canonical

@@ -121,6 +121,22 @@ def _pointed_conductor(group: FinAbGroup) -> int:
     return math.lcm(pref, 2 * group.exponent, sqrt_int_conductor(n))
 
 
+def _real_sign(x: CycNum) -> int:
+    """The sign of the real part of x, proven from its float view: complex(x)
+    sums k terms c zeta^e / den, each off by under 2^-47 |c| / den, each sum
+    by under 2^-52 sum|c| / den, so it lies within (k + 1) 2^-47 sum|c| / den
+    of x.  A view within 2^7 times that raises ``ModularityError``."""
+    if x.is_zero():
+        return 0
+    view = complex(x).real
+    bound = math.ldexp((len(x.num) + 1) * sum(map(abs, x.num.values())) / x.den, -40)
+    if abs(view) <= bound:
+        raise ModularityError(
+            f"the sign of a value within {bound:.3g} of 0 is beyond its float view"
+        )
+    return 1 if view > 0 else -1
+
+
 class ModularData:
     """Labeled modular data with exact entries at one common conductor."""
 
@@ -211,18 +227,19 @@ class ModularData:
         # column 0 of S decides the dimensions d_i = S_i0 / S_00 and c:
         # conj(S_i0) = S_C(i),0 (conj(S) = CS), so S_i0 is real iff the two
         # share a value, and S_00 is real as C(0) = 0; d_i > 0 iff
-        # S_i0 S_00 > 0.  Entry (0, 0) of STS = T^-1 S T^-1, which is
-        # TSTST = S as proven above, reads sum_l S_l0^2 theta_l =
-        # e^{2 pi i c/8} S_00, so the Gauss sum sum_l d_l^2 theta_l =
-        # e^{2 pi i c/8} / S_00 matches c iff S_00 > 0
-        col = s["index"][:, 0]
-        s00 = complex(self.S[0][0]).real
+        # S_i0 S_00 > 0, with each sign proven once per distinct value.
+        # Entry (0, 0) of STS = T^-1 S T^-1, which is TSTST = S as proven
+        # above, reads sum_l S_l0^2 theta_l = e^{2 pi i c/8} S_00, so the
+        # Gauss sum sum_l d_l^2 theta_l = e^{2 pi i c/8} / S_00 matches c
+        # iff S_00 > 0
+        col = s["index"][:, 0].tolist()
+        sign = cache(lambda k: _real_sign(self.S[col.index(k)][0]))
         for i in range(r):
             if col[cperm[i]] != col[i]:
                 raise ModularityError(f"dimension of label {i} is not real")
-            if complex(self.S[i][0]).real * s00 <= 0:
+            if sign(col[i]) * sign(col[0]) <= 0:
                 raise ModularityError(f"dimension of label {i} is not positive")
-        if s00 <= 0:
+        if sign(col[0]) <= 0:
             raise ModularityError("Gauss sum does not match the stated central charge")
 
         # the proven ring passes check_fusion_ring, so it is not rerun:

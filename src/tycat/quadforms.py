@@ -29,6 +29,7 @@ from .cyclo import CycNum, RootOfUnity, factorize, sqrt_int, zeta_sum
 from .errors import DegeneracyError, InvalidArgumentError, ModularityError, UnsupportedError
 from .groups import FinAbGroup, GroupAut, GroupElement, automorphisms, product_group, subgroups
 from .groups import add_table, automorphism_perms, check_table_order, coords_array, index_of_coords
+from .groups import primary_pieces
 
 __all__ = [
     "QuadForm",
@@ -227,10 +228,6 @@ class MetricGroup:
             if ((q + self.bichar.diag() * (m // self.bichar.modulus)) % m).any():
                 raise InvalidArgumentError("q(g) * b(g,g) != 1")
 
-    def conj(self) -> "MetricGroup":
-        bichar = self.bichar.conj() if self.bichar else None
-        return MetricGroup(self.group, self.quad.conj(), bichar)
-
 
 def metric_group(q: QuadForm) -> MetricGroup:
     """Package a nondegenerate form, deriving the bicharacter when |G| is odd."""
@@ -375,24 +372,23 @@ def standard_qform(G: FinAbGroup, minus=()) -> QuadForm:
     """The diagonal form q(x) = e^{2 pi i sum_i a_i x_i^2 / p_i^{k_i}} over
     the primary cyclic pieces of G (|G| odd): a_i = 1, except on the first
     piece of each prime-power type in ``minus``, where a_i is the least
-    quadratic nonresidue mod p.  ``standard_qform(G)`` is the first
-    representative of ``classify_metric_groups(G)``."""
+    quadratic nonresidue mod p.  The coordinate on the piece Z_q of slot j
+    is g_j mod q, and a x^2 / q mod 1 depends on x mod q only, so q(g) sums
+    w_j g_j^2 with w_j the slot's a_i M / q_i over the exponent M.
+    ``standard_qform(G)`` is the first representative of
+    ``classify_metric_groups(G)``."""
     if G.order % 2 == 0:
         raise UnsupportedError("classification implemented for odd order only")
-    pieces = sorted(p**e for d in G.invariant_factors for p, e in factorize(d).items())
-    group, _, back = product_group(pieces)
-    if group != G:
-        raise ModularityError(f"primary decomposition of {G} rebuilt {group}")
-    coeffs = [
-        _least_nonresidue(min(factorize(t))) if t in minus and t not in pieces[:i] else 1
-        for i, t in enumerate(pieces)
-    ]
     m = G.exponent  # the lcm of the pieces
-    exps = [
-        sum(a * x * x * (m // t) for x, a, t in zip(back(g), coeffs, pieces))
-        for g in G.elements()
-    ]
-    q = QuadForm(G, modulus=m, exps=exps)
+    weights = [0] * G.rank
+    last = None
+    for p, t, j in primary_pieces(G.invariant_factors):
+        a = _least_nonresidue(p) if t in minus and t != last else 1
+        weights[j] = (weights[j] + a * (m // t)) % m
+        last = t
+    c = coords_array(G)
+    exps = (c * c % m) @ np.array(weights, dtype=np.int64) % m
+    q = QuadForm(G, modulus=m, exps=exps.tolist())
     q.validate()
     return q
 
@@ -407,7 +403,7 @@ def classify_metric_groups(G: FinAbGroup):
     types this yields 2^k classes (``standard_qform``), proven pairwise
     inequivalent by their distinct ``gauss_invariants``.
     """
-    types = sorted({p**e for d in G.invariant_factors for p, e in factorize(d).items()})
+    types = sorted({t for _, t, _ in primary_pieces(G.invariant_factors)})
     reps = [
         metric_group(standard_qform(G, {t for i, t in enumerate(types) if mask >> i & 1}))
         for mask in range(1 << len(types))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tycat
-from tycat import cli, fusionrings, modcheck
+from tycat import cli, fusionrings, graphs, modcheck
 from tycat.cli import main
 from tycat.cyclo import euler_phi, factorize
 from tycat.groups import FinAbGroup
@@ -541,6 +541,14 @@ def test_oversized_modular_data_is_refused_before_it_is_built(kind, order):
     # makes an entry or a field at that conductor
     error = _refused_under_a_3_gib_cap(("md", kind, "--group", str(order)))
     assert error.endswith(f"exceed {modcheck.MAX_CELLS} cells, the size limit for modular data")
+
+
+@pytest.mark.parametrize("which", ["lr-principal", "lr-dual"])
+def test_oversized_graphs_are_refused_before_a_vertex_is_named(which):
+    # 2047 * 2048 edges: lr-principal used to write 290 MB of JSON in 41.6 s
+    error = _refused_under_a_3_gib_cap(("graph", which, "--group", "2047"))
+    assert error == (f"|A| = 2047 gives 4192256 edges, which exceed {graphs.MAX_GRAPH_EDGES}, "
+                     "the size limit for graphs")
 
 
 def test_custom_gram_file(tmp_path, capsys):

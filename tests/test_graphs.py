@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tycat.cli import main
-from tycat.errors import ModularityError, UnsupportedError
+from tycat.errors import CapacityError, ModularityError, UnsupportedError
 from tycat.graphs import (
+    MAX_GRAPH_EDGES,
     BipartiteGraph,
     _check_shape,
     dual_principal_graph,
@@ -68,6 +69,15 @@ def test_formulas_all_odd(n):
     assert sum(g.degree(v) for v in g.even) == len(g.edges)
     assert sum(g.degree(v) for v in g.odd) == len(g.edges)
     assert g.is_connected() and d.is_connected()
+
+
+def test_the_edge_bound_admits_order_511_and_no_larger_odd_order():
+    # both graphs have |A|(|A|+1) edges
+    assert 511 * 512 <= MAX_GRAPH_EDGES < 513 * 514
+    for build in (principal_graph, dual_principal_graph):
+        assert len(build(FinAbGroup.of(511)).edges) == 511 * 512
+        with pytest.raises(CapacityError, match="^[|]A[|] = 513 gives 263682 edges, which exceed"):
+            build(FinAbGroup.of(513))
 
 
 def test_nonabelian_grid_group():

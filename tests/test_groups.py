@@ -35,6 +35,21 @@ def test_canonical_form():
         FinAbGroup((4, 6))  # not a divisibility chain
 
 
+def test_canonical_chain_is_the_smith_form_of_the_orders():
+    # the chain from the piece list against the Smith normal form of
+    # diag(orders), its entries above 1; orders of 1 and even orders included
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(300):
+        orders = [rng.randint(1, 36) for _ in range(rng.randint(1, 5))]
+        seen.update(orders)
+        n = len(orders)
+        d, _, _ = smith_normal_form([[orders[i] * (i == j) for j in range(n)] for i in range(n)])
+        chain = tuple(abs(d[i][i]) for i in range(n) if abs(d[i][i]) > 1)
+        assert FinAbGroup.of(orders).invariant_factors == chain, orders
+    assert 1 in seen and 2 in seen
+
+
 def test_elements_and_arithmetic():
     g = FinAbGroup.of(3, 9)
     els = g.elements()
@@ -162,7 +177,8 @@ def test_subgroups():
 
 
 def test_product_group_iso():
-    for orders in [(3, 5), (6, 4), (9, 3), (2, 2, 2), (1, 7)]:
+    # repeated prime powers across slots: (3, 9, 3, 5, 25) and (4, 2, 6)
+    for orders in [(3, 5), (6, 4), (9, 3), (2, 2, 2), (1, 7), (3, 9, 3, 5, 25), (4, 2, 6)]:
         g, fwd, back = product_group(orders)
         seen = set()
         for coords in product(*(range(d) for d in orders)):

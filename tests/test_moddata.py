@@ -994,6 +994,19 @@ def test_the_negated_datum_fails_only_the_gauss_sum(build):
         ModularData(md.labels, rows, md.thetas, md.c_top + 4, md.conductor, md.grading)
 
 
+def test_a_sign_below_the_float_error_bound_is_refused():
+    # y = (sqrt 5 - 1)/2 - fl((sqrt 5 - 1)/2) is about -1e-17: its float
+    # view has real part 0.0, so no sign may be read off it
+    golden, fl = (sqrt_int(5) - 1) / 2, Fraction(0.6180339887498949)
+    y = golden - fl
+    assert complex(y).real == 0.0 and (2 * fl + 1) ** 2 > 5  # y < 0 exactly
+    with pytest.raises(ModularityError, match="^the sign of a value within .* of 0 is beyond"):
+        moddata._real_sign(y)
+    assert moddata._real_sign(golden) == 1
+    assert moddata._real_sign(-golden) == -1
+    assert moddata._real_sign(golden - golden) == 0
+
+
 def test_a_datum_is_proven_before_any_method_is_called():
     md = mp_md(Z3, B3, 1)
     fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)

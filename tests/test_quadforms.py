@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from test_integer_core import ODD_GROUPS
+from standard_form_oracle import crt_standard_qform
+from test_integer_core import ODD_GROUPS, _odd_chains
 from tycat import cyclo, quadforms
 from tycat.cyclo import RootOfUnity, factorize, sqrt_int, zeta
 from tycat.errors import DegeneracyError, UnsupportedError
@@ -230,6 +231,32 @@ def brute_force_equiv(m1, m2):
     automorphism search."""
     with mock.patch.object(quadforms, "gauss_invariants", lambda q: ()):
         return metric_equiv(m1, m2)
+
+
+def test_standard_forms_match_the_crt_oracle():
+    # every odd group of order <= 243, every set of prime-power types given
+    # the nonresidue: the piece coordinates g_j mod q give the forms the
+    # pull-back through product_group gave
+    groups = sorted({FinAbGroup.of(c).invariant_factors for c in _odd_chains(243)})
+    assert len(groups) == 158
+    count = 0
+    for facs in groups:
+        group = FinAbGroup(facs)
+        types = sorted({p**e for d in facs for p, e in factorize(d).items()})
+        for k in range(len(types) + 1):
+            for minus in combinations(types, k):
+                assert standard_qform(group, set(minus)) == crt_standard_qform(group, minus), (
+                    facs, minus)
+                count += 1
+    assert count == 511
+
+
+def test_the_crt_oracle_sees_the_nonresidue_move():
+    # negative control: the nonresidue on the last piece of a repeated type
+    # is an isometric form with another table
+    z33 = FinAbGroup.of(3, 3)
+    assert standard_qform(z33, {3}) == crt_standard_qform(z33, {3})
+    assert standard_qform(z33, {3}) != crt_standard_qform(z33, {3}, on_last=True)
 
 
 def test_standard_forms_have_distinct_invariants():
