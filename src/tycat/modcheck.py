@@ -52,8 +52,12 @@ from .errors import CapacityError, ModularityError
 _PRIME_CAP = 1 << 22  # keeps every float64 intermediate below 2^53
 # most r x r x phi(N) cells of a matrix to prove.  No evaluation of every
 # entry is kept (coefficients are K x phi(N), each prime's evaluation
-# phi(N) x K), so the bound limits the size of the input read and the work
-# of TSTST = S, an r x r product at each of the phi(N) points per prime
+# phi(N) x K), so the bound limits the size of an S built or read.  Where
+# ``validate`` runs, on a builder's own S or a datum read from JSON, it also
+# limits the work of TSTST = S, an r x r product at each of the phi(N)
+# points per prime.  A Deligne product is proven by its factors and runs no
+# TSTST, but it is held to the same bound, so its JSON can be read back
+# and proven
 MAX_CELLS = 1 << 24
 
 

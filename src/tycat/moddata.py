@@ -1,13 +1,15 @@
 """Construction and exact verification of modular data.
 
 A ``ModularData`` holds a labeled S matrix, a diagonal T with the global
-e^{-pi i c/12} prefactor, and the topological central charge mod 8.  The
-constructor proves the full axiom suite exactly, so no unproven datum
-exists: S symmetric, conj(S) = CS for a unit-fixing involution C with
-CTC = T, S^2 = C, TSTST = S, positive real dimensions, Gauss-sum
-consistency of c, and integrality of all Verlinde coefficients; unitarity,
-CSC = S and (ST)^3 = C follow from these, and the dimensions and c are
-read off column 0 of S once TSTST = S holds.
+e^{-pi i c/12} prefactor, and the topological central charge mod 8.  No
+unproven datum exists: the constructor proves the full axiom suite
+exactly, and a Deligne product or a reverse of proven data is proven by
+them (``ModularData._implied``).  The suite is S symmetric, conj(S) = CS
+for a unit-fixing involution C with CTC = T, S^2 = C, TSTST = S,
+positive real dimensions, Gauss-sum consistency of c, and integrality of
+all Verlinde coefficients; unitarity, CSC = S and (ST)^3 = C follow from
+these, and the dimensions and c are read off column 0 of S once TSTST = S
+holds.
 Each matrix identity is proven once, by the deterministic prover in
 :mod:`tycat.modcheck`: symmetry on the index table of S's distinct values,
 the others by modular evaluation; only S is packed, T enters as exponents.
@@ -72,7 +74,7 @@ from .labels import (
     label_from_json,
     label_to_json,
 )
-from .modcheck import MatProver, check_cells, distinct_values
+from .modcheck import MatProver, _c_order, check_cells, distinct_values
 from .quadforms import (
     Bichar,
     MetricGroup,
@@ -138,9 +140,32 @@ def _real_sign(x: CycNum) -> int:
 
 
 class ModularData:
-    """Labeled modular data with exact entries at one common conductor."""
+    """Labeled modular data with exact entries at one common conductor.
+
+    A datum is proven by one of two routes.  The constructor runs the full
+    ``validate`` on its S and T.  ``_implied`` is the other, reached only
+    from ``_product`` and ``reverse_md``: the Deligne product of two proven
+    factors under a checked bijection of its labels onto pairs of factor
+    labels, or the reverse of a proven datum, is given the channels and
+    the charge conjugation that the proven data imply, and nothing is
+    proven again."""
 
     def __init__(self, labels, s_matrix, thetas, c_top, conductor, grading=None):
+        self._store(labels, s_matrix, thetas, c_top, conductor, grading)
+        self.validate()
+
+    @classmethod
+    def _implied(cls, channels, cperm, labels, s_matrix, thetas, c_top, conductor,
+                 grading=None) -> "ModularData":
+        """A datum whose channel rows (in C order) and charge conjugation
+        follow from proven data, which the caller has checked."""
+        md = cls.__new__(cls)
+        md._store(labels, s_matrix, thetas, c_top, conductor, grading)
+        md._fusion = FusionRing(md.labels, channels)
+        md._charge_conj = tuple(cperm)
+        return md
+
+    def _store(self, labels, s_matrix, thetas, c_top, conductor, grading) -> None:
         self.labels = tuple(labels)
         self.S = tuple(tuple(row) for row in s_matrix)
         self.thetas = tuple(thetas)
@@ -156,7 +181,6 @@ class ModularData:
         self._charge_conj: tuple[int, ...] | None = None
         self._dims: tuple[CycNum, ...] | None = None
         self._fusion: FusionRing | None = None  # set once validate() succeeds
-        self.validate()
 
     @property
     def rank(self) -> int:
@@ -196,8 +220,9 @@ class ModularData:
 
     def validate(self) -> None:
         """Prove the axiom suite exactly, each identity once, and keep the
-        proven Verlinde tensor as the fusion ring.  The constructor runs it,
-        so every datum is proven; a second run returns at once."""
+        proven Verlinde tensor as the fusion ring.  The constructor runs it;
+        a second run returns at once, and so does a run on a datum of
+        ``_implied``, which holds what its proven data imply."""
         if self._fusion is not None:  # immutable data: a second run cannot differ
             return
         r = self.rank
@@ -448,31 +473,63 @@ def _product(a: ModularData, b: ModularData, labels, pairs) -> ModularData:
     """The Deligne product of a and b on the given labels, label p being the
     pair of factor labels pairs[p] = (i, j): Kronecker S and T, added
     gradings and central charges.  Each distinct pair of entry objects is
-    multiplied once, so the product shares one ``CycNum`` per pair."""
+    multiplied once, so the product shares one ``CycNum`` per pair.
+
+    The product is proven by its factors, not by ``validate``: both are
+    proven, and S and T are S_a x S_b and T_a x T_b read through the pair
+    map, so every identity holds for the product, with the channels
+    N_pq^r = N_ii'^i'' N_jj'^j'' of the pairs, C = C_a x C_b, positive
+    dimensions d_i d_j and the sum of the central charges.  The pair map
+    must first be one pair per label, the unit (0, 0) first, and a
+    bijection onto range(a.rank) x range(b.rank); else ``ModularityError``."""
+    if len(pairs) != len(labels):
+        raise ModularityError(f"{len(pairs)} label pairs for {len(labels)} labels")
+    if not pairs or tuple(pairs[0]) != (0, 0):
+        raise ModularityError("the unit label is not the pair of the factors' units")
+    seen = {}
+    for p, (i, j) in enumerate(pairs):
+        if not (0 <= i < a.rank and 0 <= j < b.rank):
+            raise ModularityError(f"label {p} is the pair ({i}, {j}), outside "
+                                  f"{a.rank} x {b.rank}")
+        if (q := seen.setdefault((i, j), p)) != p:
+            raise ModularityError(f"labels {q} and {p} are both the pair ({i}, {j})")
+    if len(seen) != a.rank * b.rank:
+        raise ModularityError(f"{len(seen)} label pairs do not cover the "
+                              f"{a.rank} x {b.rank} pairs of factor labels")
     conductor = math.lcm(a.conductor, b.conductor)
     check_cells(len(pairs), len(pairs), euler_phi(conductor))
 
-    def lift(rows):  # one promotion per entry object
-        up = {id(x): x for row in rows for x in row}
-        up = {key: x.promoted(conductor) for key, x in up.items()}
-        return [[up[id(x)] for x in row] for row in rows]
+    def distinct(rows):  # the entry objects, each promoted once, and their table
+        objs = {id(x): x for row in rows for x in row}
+        at = {key: k for k, key in enumerate(objs)}
+        table = np.array([[at[id(x)] for x in row] for row in rows], dtype=np.int64)
+        return [x.promoted(conductor) for x in objs.values()], table
 
-    sa, sb = lift(a.S), lift(b.S)
-    products = {}
-
-    def mul(x: CycNum, y: CycNum) -> CycNum:
-        if (v := products.get(key := (id(x), id(y)))) is None:
-            v = products[key] = x * y
-        return v
-
-    rows = [[mul(sa[i][k], sb[j][l]) for k, l in pairs] for i, j in pairs]
+    # the pair map is onto, so every pair of entry objects occurs: each is
+    # multiplied once, and entry (p, q) is looked up by its two positions
+    xa, ka = distinct(a.S)
+    xb, kb = distinct(b.S)
+    ia, ib = np.asarray(pairs, dtype=np.int64).T
+    products = [x * y for x in xa for y in xb]
+    key = ka[np.ix_(ia, ia)] * len(xb) + kb[np.ix_(ib, ib)]
+    rows = [[products[k] for k in row] for row in key.tolist()]
     thetas = [a.thetas[i] * b.thetas[j] for i, j in pairs]
     grading = None
     if a.grading is not None or b.grading is not None:
         ga = a.grading or (0,) * a.rank
         gb = b.grading or (0,) * b.rank
         grading = [(ga[i] + gb[j]) % 2 for i, j in pairs]
-    return ModularData(labels, rows, thetas, (a.c_top + b.c_top) % 8, conductor, grading)
+    # the label at each pair, then one channel per two factor channels
+    at = np.empty((a.rank, b.rank), dtype=np.int64)
+    at[ia, ib] = np.arange(len(pairs))
+    ca = a.fusion_ring().channels[:, None, :]
+    cb = b.fusion_ring().channels[None, :, :]
+    channels = np.empty((ca.shape[0], cb.shape[1], 4), dtype=np.int64)
+    channels[..., :3] = at[ca[..., :3], cb[..., :3]]
+    channels[..., 3] = ca[..., 3] * cb[..., 3]
+    cperm = at[np.take(a.charge_conjugation(), ia), np.take(b.charge_conjugation(), ib)]
+    return ModularData._implied(_c_order(channels.reshape(-1, 4)), cperm.tolist(), labels,
+                                rows, thetas, (a.c_top + b.c_top) % 8, conductor, grading)
 
 
 def tensor_md(a: ModularData, b: ModularData) -> ModularData:
@@ -483,10 +540,15 @@ def tensor_md(a: ModularData, b: ModularData) -> ModularData:
 
 def reverse_md(a: ModularData) -> ModularData:
     """The same data with the opposite braiding: S and the twists conjugate,
-    c changes sign mod 8."""
-    rows = [[x.conj() for x in row] for row in a.S]
+    c changes sign mod 8.  conj(S) and T^-1 = conj(T) are the images of S
+    and T under the field automorphism sigma_-1, which keeps every proven
+    identity, the integer channels and the permutation C, so they are a's;
+    one conjugate is taken per entry object."""
+    conj = {id(x): x.conj() for row in a.S for x in row}
+    rows = [[conj[id(x)] for x in row] for row in a.S]
     thetas = [t.inverse() for t in a.thetas]
-    return ModularData(a.labels, rows, thetas, (-a.c_top) % 8, a.conductor, a.grading)
+    return ModularData._implied(a.fusion_ring().channels, a.charge_conjugation(), a.labels,
+                                rows, thetas, (-a.c_top) % 8, a.conductor, a.grading)
 
 
 def bantay_fs(md: ModularData, label) -> int:

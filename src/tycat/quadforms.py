@@ -150,7 +150,12 @@ class QuadForm:
                     raise InvalidArgumentError("dq is not bimultiplicative")
 
     def is_nondegenerate(self) -> bool:
-        return not (self.dq()[1:] == 0).all(axis=1).any()
+        return _nondegenerate(self.dq())
+
+
+def _nondegenerate(dq: np.ndarray) -> bool:
+    """Whether no g != 0 has dq(g, h) = 1 for every h, on a dq table."""
+    return not (dq[1:] == 0).all(axis=1).any()
 
 
 @dataclass(frozen=True, init=False)
@@ -230,10 +235,12 @@ class MetricGroup:
 
 
 def metric_group(q: QuadForm) -> MetricGroup:
-    """Package a nondegenerate form, deriving the bicharacter when |G| is odd."""
-    if not q.is_nondegenerate():
+    """Package a nondegenerate form, deriving the bicharacter when |G| is odd;
+    one dq table serves both."""
+    dq = q.dq()
+    if not _nondegenerate(dq):
         raise DegeneracyError("quadratic form is degenerate")
-    b = bichar_from_qform(q) if q.group.order % 2 else None
+    b = _bichar_from_dq(q, dq) if q.group.order % 2 else None
     return MetricGroup(q.group, q, b)
 
 
@@ -242,10 +249,17 @@ def bichar_from_qform(q: QuadForm) -> Bichar:
     group = q.group
     if group.order % 2 == 0:
         raise UnsupportedError("bicharacter extraction needs odd group order")
-    if not q.is_nondegenerate():
-        raise InvalidArgumentError("quadratic form is degenerate")
-    m, mod = (group.exponent + 1) // 2, q.modulus
     dq = q.dq()
+    if not _nondegenerate(dq):
+        raise InvalidArgumentError("quadratic form is degenerate")
+    return _bichar_from_dq(q, dq)
+
+
+def _bichar_from_dq(q: QuadForm, dq: np.ndarray) -> Bichar:
+    """``bichar_from_qform`` of a nondegenerate form of odd order, from its
+    dq table."""
+    group = q.group
+    m, mod = (group.exponent + 1) // 2, q.modulus
     gens = index_of_coords(group, np.eye(group.rank, dtype=np.int64))
     b = Bichar(group, modulus=mod, mat=dq[np.ix_(gens, gens)] * m)
     b.validate()

@@ -535,7 +535,9 @@ def test_oversized_rule_tables_are_refused_at_once(argv, rank):
                           "the size limit for rule tables and hypergroups")
 
 
-@pytest.mark.parametrize("kind, order", [("ty-center", 201), ("mp", 2047), ("pointed", 2047)])
+@pytest.mark.parametrize("kind, order", [
+    ("ty-center", 19), ("ty-center", 201), ("mp", 2047), ("pointed", 2047),
+])
 def test_oversized_modular_data_is_refused_before_it_is_built(kind, order):
     # each builder checks the cells of its rank and conductor before it
     # makes an entry or a field at that conductor
@@ -617,6 +619,11 @@ GOLDEN_STDOUT = {
         "b2b59308e8268500abf556812224f08e8daf80a6f1bf92470671a7f78d5f9715",
     ("md", "pointed", "--group", "45"):
         "047c3ee22495bdaf94646b7f3812ad188499b72797d308f50cfae9fa3c72352a",
+    # the larger doubles, which the product of the proven factors makes cheap
+    ("md", "ty-center", "--group", "11"):
+        "525db64c26622b40bf6d9fe4e08264a700be18873ce28c99d7e0e650df991cee",
+    ("md", "ty-center", "--group", "13"):
+        "ae4cd6d1f0f7511fd2f782b76b8541369aa1db72f5bc1f88aa8f01e58f5841f7",
     ("disc", "--lattice", "A4+A4"):
         "796ec28c0067124856777fdd96fc75fd1a49142b0ecd1803fc2a52dc55923b0e",
     ("disc", "--lattice", "E7"):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ from tycat.labels import (
     MPRho,
     MPSigma,
     Pointed,
+    ProductLabel,
     TYPt,
     TYRho,
     TYSigma,
@@ -1016,29 +1020,129 @@ def test_a_datum_is_proven_before_any_method_is_called():
 
 
 def test_each_builder_proves_each_new_datum_once(monkeypatch):
+    # a datum of its own S is proven once, by validate; a product or a
+    # reverse of proven data is proven by them and runs no prover at all
     a = mp_md(Z3, B3, 1)
     pt = pointed_md(metric_group(Q_A2))
     pointed_md(metric_group(Q_A2.conj()))  # with a, the factors of TY(Z3, B3, +)
     blob = md_to_json(a)
-    calls = []
+    calls, provers = [], []
     validate, pack = ModularData.validate, modcheck.MatProver.pack
+    prover_init = modcheck.MatProver.__init__
     monkeypatch.setattr(ModularData, "validate",
                         lambda self: calls.append("validate") or validate(self))
     monkeypatch.setattr(modcheck.MatProver, "pack",
                         lambda self, rows: calls.append("pack") or pack(self, rows))
-    for build in (
-        lambda: pointed_md.__wrapped__(metric_group(Q_A2)),  # past the cache
-        lambda: ty_center_md.__wrapped__(Z3, B3, 1),
-        lambda: mp_md.__wrapped__(Z3, B3, 1),
-        lambda: tensor_md(a, pt),
-        lambda: reverse_md(a),
-        lambda: hat_twist(a),
-        lambda: md_from_json(blob),
+    monkeypatch.setattr(modcheck.MatProver, "__init__",
+                        lambda self, n: provers.append(n) or prover_init(self, n))
+    for build, proven in (
+        (lambda: pointed_md.__wrapped__(metric_group(Q_A2)), ["validate", "pack"]),  # past the cache
+        (lambda: ty_center_md.__wrapped__(Z3, B3, 1), []),  # factors from the caches
+        (lambda: mp_md.__wrapped__(Z3, B3, 1), ["validate", "pack"]),
+        (lambda: tensor_md(a, pt), []),
+        (lambda: reverse_md(a), []),
+        (lambda: hat_twist(a), ["validate", "pack"]),
+        (lambda: md_from_json(blob), ["validate", "pack"]),
     ):
         calls.clear()
+        provers.clear()
         md = build()
-        assert calls == ["validate", "pack"]
+        assert calls == proven
+        assert len(provers) == len(proven) // 2
         md.validate()  # a second run returns at once
         md.fusion_ring()
         md.charge_conjugation()
-        assert calls == ["validate", "pack", "validate"]
+        assert calls == proven + ["validate"]
+
+
+# -- the product route against the full validate -------------------------------
+
+
+def _same_as_validate(md: ModularData) -> None:
+    """The oracle: a fresh datum on the same S and T, proven by validate,
+    has the channels, C, dimensions and T exponents of md."""
+    fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
+    assert np.array_equal(md.fusion_ring().channels, fresh.fusion_ring().channels)
+    assert not md.fusion_ring().channels.flags.writeable
+    assert md.charge_conjugation() == fresh.charge_conjugation()
+    assert md.dims() == fresh.dims()
+    assert md.t_exps == fresh.t_exps
+
+
+def _ty_data():
+    # every class of the small groups; the first class of the larger ones
+    for orders in ((1,), (3,), (5,), (7,), (9,), (3, 3), (11,), (13,), (15,)):
+        group = FinAbGroup.of(*orders)
+        classes = classify_metric_groups(group)
+        for m in classes if group.order < 13 else classes[:1]:
+            for sign in (1, -1):
+                name = "x".join(map(str, orders))
+                yield pytest.param(group, m.bichar, sign, id=f"{name}-{classes.index(m)}-{sign:+d}")
+
+
+@pytest.mark.parametrize("group, b, sign", list(_ty_data()))
+def test_ty_products_match_the_full_validate(group, b, sign):
+    _same_as_validate(ty_center_md(group, b, sign))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tensor_md(mp_md(Z3, B3, 1), pointed_md(metric_group(Q_A2))),
+    lambda: tensor_md(pointed_md(classify_metric_groups(Z5)[1]), mp_md(Z3, B3, -1)),
+    lambda: tensor_md(mp_md(Z3, B3, -1), mp_md(Z5, classify_metric_groups(Z5)[1].bichar, 1)),
+    lambda: tensor_md(semion_md(), pointed_md(metric_group(Q_A2.conj()))),
+    lambda: reverse_md(mp_md(Z5, classify_metric_groups(Z5)[0].bichar, -1)),
+    lambda: reverse_md(ty_center_md(Z3, B3, -1)),
+    lambda: reverse_md(tensor_md(semion_md(), mp_md(Z3, B3, 1))),
+], ids=["mp3-pt3", "pt5-mp3-", "mp3--mp5", "semion-pt3", "rev-mp5-", "rev-ty3-",
+        "rev-semion-mp3"])
+def test_tensor_and_reverse_match_the_full_validate(build):
+    _same_as_validate(build())
+
+
+@pytest.mark.parametrize("edit, cut, message", [
+    (lambda p: p[:-1] + [p[-2]], 0, r"^labels 13 and 14 are both the pair \(4, 1\)$"),
+    (lambda p: p[:-1] + [(5, 2)], 0, r"^label 14 is the pair \(5, 2\), outside 5 x 3$"),
+    (lambda p: p[:-1] + [(4, -1)], 0, r"^label 14 is the pair \(4, -1\), outside 5 x 3$"),
+    (lambda p: [p[1], p[0]] + p[2:], 0, "^the unit label is not the pair of the factors' units$"),
+    (lambda p: p[:-1], 0, "^14 label pairs for 15 labels$"),
+    # one pair per label, in range and none repeated, but not onto
+    (lambda p: p[:-1], 1, r"^14 label pairs do not cover the 5 x 3 pairs of factor labels$"),
+], ids=["repeated", "out-of-range", "negative", "unit-moved", "short", "not-onto"])
+def test_a_bad_pair_map_is_refused_before_the_product_is_built(monkeypatch, edit, cut, message):
+    a, b = mp_md(Z3, B3, 1), pointed_md(metric_group(Q_A2))
+    pairs = [(i, j) for i in range(a.rank) for j in range(b.rank)]
+    labels = [ProductLabel(a.labels[i], b.labels[j]) for i, j in pairs[: len(pairs) - cut]]
+    for name in CYCNUM_ARITHMETIC + ("promoted",):
+        monkeypatch.setattr(CycNum, name, _refused)
+    with pytest.raises(ModularityError, match=message):
+        moddata._product(a, b, labels, edit(pairs))
+
+
+def test_a_bad_pair_map_is_refused_under_python_O():
+    # the pair map is checked by raising, not by assert, which -O strips
+    code = (
+        "from tycat import moddata\n"
+        "from tycat.errors import ModularityError\n"
+        "from tycat.groups import FinAbGroup\n"
+        "from tycat.quadforms import classify_metric_groups\n"
+        "z3 = FinAbGroup.of(3)\n"
+        "m = classify_metric_groups(z3)[0]\n"
+        "a, b = moddata.mp_md(z3, m.bichar, 1), moddata.pointed_md(m)\n"
+        "pairs = [(i, j) for i in range(a.rank) for j in range(b.rank)]\n"
+        "for bad in (pairs[:-1] + [pairs[-2]], pairs[:-1] + [(5, 0)], pairs[1::-1] + pairs[2:]):\n"
+        "    try:\n"
+        "        moddata._product(a, b, list(range(len(bad))), bad)\n"
+        "    except ModularityError as exc:\n"
+        "        print('raised', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(moddata.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "raised labels 13 and 14 are both the pair (4, 1)",
+        "raised label 14 is the pair (5, 0), outside 5 x 3",
+        "raised the unit label is not the pair of the factors' units",
+    ]

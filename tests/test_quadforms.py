@@ -335,3 +335,22 @@ def test_invariants_decide_isometry(pair):
     assert (phi is not None) == same
     if phi is not None:
         assert all(m1.quad(g) == m2.quad(phi(g)) for g in m1.group.elements())
+
+
+@pytest.mark.parametrize("orders", [(45,), (3, 9), (2,)], ids=["45", "3x9", "2"])
+def test_metric_group_builds_one_dq_table(monkeypatch, orders):
+    # the nondegeneracy check and the bicharacter read the same table
+    group = FinAbGroup.of(*orders)
+    if group.order % 2:
+        q = standard_qform(group)
+    else:  # the semion form i^(g^2)
+        q = QuadForm.from_callable(group, lambda g: RootOfUnity(Fraction(g.coords[0] ** 2, 4)))
+    calls = []
+    dq = QuadForm.dq
+    monkeypatch.setattr(QuadForm, "dq", lambda self: calls.append(self) or dq(self))
+    m = metric_group(q)
+    assert calls == [q]
+    if group.order % 2:
+        calls.clear()
+        assert bichar_from_qform(q) == m.bichar
+        assert calls == [q]
