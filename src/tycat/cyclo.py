@@ -37,7 +37,6 @@ __all__ = [
     "RootOfUnity",
     "zeta",
     "zeta_sum",
-    "cyc",
     "sqrt_int",
     "euler_phi",
     "factorize",
@@ -471,11 +470,6 @@ def zeta_sum(n: int, weights) -> CycNum:
     return CycNum(n, _reduce_terms(n, ((e % n, w) for e, w in weights)))
 
 
-def cyc(x) -> CycNum:
-    """Embed an int or Fraction as a CycNum."""
-    return CycNum.from_fraction(x)
-
-
 @lru_cache(maxsize=None)
 def _sqrt_prime(p: int) -> CycNum:
     """sqrt(p) for a prime p via the quadratic Gauss sum, at its natural
@@ -545,16 +539,8 @@ class RootOfUnity:
         return Fraction(self.k, self.n)
 
     @staticmethod
-    def of(num, den=1) -> "RootOfUnity":
-        return RootOfUnity(num, den)
-
-    @staticmethod
     def one() -> "RootOfUnity":
         return RootOfUnity(0)
-
-    @property
-    def order(self) -> int:
-        return self.n
 
     def __lt__(self, other: "RootOfUnity") -> bool:
         if not isinstance(other, RootOfUnity):

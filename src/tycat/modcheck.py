@@ -29,14 +29,14 @@ argument.  The Verlinde tensor that ``verify_verlinde`` proves is guessed
 from the residues of S at one prime (``guess_verlinde``), so no float
 approximation of S is made; both hold it as channel rows (i, j, k, N_ij^k).
 
-A matrix is packed as its K distinct values, one canonical coefficient
-row each over one denominator, and an integer table of every entry's
-value (``distinct_values``).  The one evaluation, ``MatProver._values``,
-reads the K rows, and a proof gathers entries through the table one point
-at a time, so no evaluation of every entry is kept.  Symmetry only
-permutes entries, so it is decided on the index table alone: index
-equality is value equality.  S^2 = C is proven against the permutation C
-directly, whose evaluation needs no pack.
+A matrix is given as its K distinct values and an integer table of every
+entry's value (``distinct_values``; ``ModularData`` stores S so), and
+packed as one canonical coefficient row per value over one denominator.
+The one evaluation, ``MatProver._values``, reads the K rows, and a proof
+gathers entries through the table one point at a time, so no evaluation
+of every entry is kept.  Symmetry only permutes entries, so it is decided
+on the index table alone: index equality is value equality.  S^2 = C is
+proven against the permutation C directly, whose evaluation needs no pack.
 """
 
 from __future__ import annotations
@@ -73,11 +73,12 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))  # n < 2^22
 
 
-def distinct_values(rows) -> tuple[list, np.ndarray]:
+def distinct_values(rows) -> tuple[tuple, np.ndarray]:
     """The distinct values of a CycNum matrix, first seen first, told apart
     by the canonical key of each entry at its own conductor, and the
-    read-only table of each entry's position among them.  Entries that are
-    one object share a value, so the key is computed once per object."""
+    read-only table of each entry's position among them: the packed form
+    ``ModularData`` stores S in.  Entries that are one object share a value,
+    so the key is computed once per object."""
     pos: dict[tuple, int] = {}  # a new key is given len(pos) before it is added
     values = []
     at: dict[int, int] = {}  # id of an entry object -> its position
@@ -87,7 +88,7 @@ def distinct_values(rows) -> tuple[list, np.ndarray]:
             values.append(x)
     index = np.array([[at[id(x)] for x in row] for row in rows], dtype=np.intp)
     index.flags.writeable = False
-    return values, index
+    return tuple(values), index
 
 
 def _root_powers(p: int, n: int) -> np.ndarray:
@@ -158,14 +159,14 @@ class MatProver:
 
     # -- matrix registration ------------------------------------------------
 
-    def pack(self, rows) -> dict:
-        """Reduce a CycNum matrix to its K distinct values over one cleared
-        denominator: their integer coefficients as a K x phi float64 array
-        (exact: the cap keeps each dot product with residues below
-        ``_PRIME_CAP`` under 2^53), the read-only ``index`` of every entry
-        among them, the denominator, the largest L1 norm and the rank."""
-        check_cells(len(rows), len(rows[0]), self.phi)
-        values, index = distinct_values(rows)
+    def pack(self, values, index) -> dict:
+        """Reduce a CycNum matrix packed as its K pairwise-distinct values and
+        the read-only r x r ``index`` of each entry among them (as from
+        ``distinct_values``) to one cleared denominator: the values' integer
+        coefficients as a K x phi float64 array (exact: the cap keeps each
+        dot product with residues below ``_PRIME_CAP`` under 2^53), the
+        index, the denominator, the largest L1 norm and the rank."""
+        check_cells(*index.shape, self.phi)
         den = math.lcm(*(x.den for x in values))
         coeffs = np.zeros((len(values), self.phi))
         l1_max = 0
@@ -181,7 +182,7 @@ class MatProver:
                 row[e] = v
             l1_max = max(l1_max, scale * sum(map(abs, x.num.values())))
         return {"coeffs": coeffs, "index": index, "den": den, "l1": l1_max,
-                "rank": len(rows)}
+                "rank": len(index)}
 
     # -- primes and evaluation ----------------------------------------------
 

@@ -1,10 +1,14 @@
 """Construction and exact verification of modular data.
 
 A ``ModularData`` holds a labeled S matrix, a diagonal T with the global
-e^{-pi i c/12} prefactor, and the topological central charge mod 8.  No
-unproven datum exists: the constructor proves the full axiom suite
-exactly, and a Deligne product or a reverse of proven data is proven by
-them (``ModularData._implied``).  The suite is S symmetric, conj(S) = CS
+e^{-pi i c/12} prefactor, and the topological central charge mod 8.  S is
+stored packed, as its K pairwise-distinct values and the read-only r x r
+table of each entry's position among them; the constructor packs its rows
+once, a product or a reverse is given its packed S, and ``S`` is a cached
+view of the rows for callers outside the package.  No unproven datum
+exists: the constructor proves the full axiom suite exactly, and a Deligne
+product or a reverse of proven data is proven by them
+(``ModularData._implied``).  The suite is S symmetric, conj(S) = CS
 for a unit-fixing involution C with CTC = T, S^2 = C, TSTST = S,
 positive real dimensions, Gauss-sum consistency of c, and integrality of
 all Verlinde coefficients; unitarity, CSC = S and (ST)^3 = C follow from
@@ -37,7 +41,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import permutations, product
 
 import numpy as np
@@ -78,6 +82,7 @@ from .modcheck import MatProver, _c_order, check_cells, distinct_values
 from .quadforms import (
     Bichar,
     MetricGroup,
+    _nondegenerate,
     classify_metric_groups,
     gauss_central_charge,
     metric_group,
@@ -123,6 +128,11 @@ def _pointed_conductor(group: FinAbGroup) -> int:
     return math.lcm(pref, 2 * group.exponent, sqrt_int_conductor(n))
 
 
+def _rows(values, index) -> list[list]:
+    """The rows of a matrix packed as its values and their index table."""
+    return [[values[k] for k in row] for row in index.tolist()]
+
+
 def _real_sign(x: CycNum) -> int:
     """The sign of the real part of x, proven from its float view: complex(x)
     sums k terms c zeta^e / den, each off by under 2^-47 |c| / den, each sum
@@ -148,26 +158,28 @@ class ModularData:
     factors under a checked bijection of its labels onto pairs of factor
     labels, or the reverse of a proven datum, is given the channels and
     the charge conjugation that the proven data imply, and nothing is
-    proven again."""
+    proven again.  S is held as ``values``, its K pairwise-distinct entries,
+    and ``index``, so S[i][j] is values[index[i, j]]; no rows are kept."""
 
     def __init__(self, labels, s_matrix, thetas, c_top, conductor, grading=None):
-        self._store(labels, s_matrix, thetas, c_top, conductor, grading)
+        self._store(labels, thetas, c_top, conductor, grading)
+        self.values, self.index = distinct_values(s_matrix)
         self.validate()
 
     @classmethod
-    def _implied(cls, channels, cperm, labels, s_matrix, thetas, c_top, conductor,
+    def _implied(cls, channels, cperm, labels, values, index, thetas, c_top, conductor,
                  grading=None) -> "ModularData":
-        """A datum whose channel rows (in C order) and charge conjugation
-        follow from proven data, which the caller has checked."""
+        """A datum whose packed S, channel rows (in C order) and charge
+        conjugation follow from proven data, which the caller has checked."""
         md = cls.__new__(cls)
-        md._store(labels, s_matrix, thetas, c_top, conductor, grading)
+        md._store(labels, thetas, c_top, conductor, grading)
+        md.values, md.index = values, index
         md._fusion = FusionRing(md.labels, channels)
         md._charge_conj = tuple(cperm)
         return md
 
-    def _store(self, labels, s_matrix, thetas, c_top, conductor, grading) -> None:
+    def _store(self, labels, thetas, c_top, conductor, grading) -> None:
         self.labels = tuple(labels)
-        self.S = tuple(tuple(row) for row in s_matrix)
         self.thetas = tuple(thetas)
         self.c_top = int(c_top) % 8
         self.conductor = conductor
@@ -186,12 +198,17 @@ class ModularData:
     def rank(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def S(self) -> tuple[tuple[CycNum, ...], ...]:
+        """The rows of S, read-only, built once for callers outside the package."""
+        return tuple(map(tuple, _rows(self.values, self.index)))
+
     # -- derived data --------------------------------------------------------
 
     def dims(self) -> tuple[CycNum, ...]:
         if self._dims is None:
-            inv00 = self.S[0][0].inverse()
-            self._dims = tuple(row[0] * inv00 for row in self.S)
+            inv00 = self.values[self.index[0, 0]].inverse()
+            self._dims = tuple(self.values[k] * inv00 for k in self.index[:, 0].tolist())
         return self._dims
 
     def charge_conjugation(self) -> tuple[int, ...]:
@@ -230,7 +247,7 @@ class ModularData:
             raise ModularityError("the unit label must have trivial twist")
         n = self.conductor
         prover = MatProver(n)
-        s = prover.pack(self.S)
+        s = prover.pack(self.values, self.index)
         # symmetry, then one exact step finds and proves the signed
         # permutation Q_a of every Galois generator, -1 first: conj(S) = CS,
         # so C = pi_-1; with C^2 = I it gives CSC = S (conj(S) = conj(S)^T
@@ -258,7 +275,7 @@ class ModularData:
         # Gauss sum sum_l d_l^2 theta_l = e^{2 pi i c/8} / S_00 matches c
         # iff S_00 > 0
         col = s["index"][:, 0].tolist()
-        sign = cache(lambda k: _real_sign(self.S[col.index(k)][0]))
+        sign = cache(lambda k: _real_sign(self.values[k]))
         for i in range(r):
             if col[cperm[i]] != col[i]:
                 raise ModularityError(f"dimension of label {i} is not real")
@@ -315,7 +332,8 @@ def pointed_md(m: MetricGroup) -> ModularData:
     """
     group = m.group
     q = m.quad
-    if not q.is_nondegenerate():
+    dq = q.dq()
+    if not _nondegenerate(dq):
         raise InvalidArgumentError("the quadratic form must be nondegenerate")
     n = max(group.order, 1)
     conductor = _pointed_conductor(group)
@@ -325,9 +343,8 @@ def pointed_md(m: MetricGroup) -> ModularData:
         raise InvalidArgumentError(f"cannot promote conductor {q.modulus} to {conductor}")
     scale = sqrt_int(n).promoted(conductor) * Fraction(1, n)
     entry = cache(lambda e: zeta(conductor, e) * scale)
-    dq = q.dq() * (conductor // q.modulus)
     labels = [Pointed(g) for g in group.elements()]
-    rows = [[entry(e) for e in row] for row in dq.tolist()]
+    rows = [[entry(e) for e in row] for row in (dq * (conductor // q.modulus)).tolist()]
     return ModularData(labels, rows, q.values, c, conductor)
 
 
@@ -411,7 +428,8 @@ def ty_center_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
 
 def _check_total_dim(md: ModularData, expected: int) -> None:
     # for proven data sum_i d_i^2 = (S^2)_00 / S_00^2 = 1 / S_00^2
-    s00_sq = md.S[0][0] * md.S[0][0]
+    s00 = md.values[md.index[0, 0]]
+    s00_sq = s00 * s00
     if s00_sq * expected != 1:
         raise ModularityError(f"total dimension is {s00_sq.inverse()}, expected {expected}")
 
@@ -472,8 +490,10 @@ def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
 def _product(a: ModularData, b: ModularData, labels, pairs) -> ModularData:
     """The Deligne product of a and b on the given labels, label p being the
     pair of factor labels pairs[p] = (i, j): Kronecker S and T, added
-    gradings and central charges.  Each distinct pair of entry objects is
-    multiplied once, so the product shares one ``CycNum`` per pair.
+    gradings and central charges.  S is built packed: its values are the
+    Ka Kb products of the factors' values, each multiplied once and
+    deduplicated by their canonical key, and entry (p, q) is read from
+    a.index and b.index through the pair map.
 
     The product is proven by its factors, not by ``validate``: both are
     proven, and S and T are S_a x S_b and T_a x T_b read through the pair
@@ -499,20 +519,13 @@ def _product(a: ModularData, b: ModularData, labels, pairs) -> ModularData:
     conductor = math.lcm(a.conductor, b.conductor)
     check_cells(len(pairs), len(pairs), euler_phi(conductor))
 
-    def distinct(rows):  # the entry objects, each promoted once, and their table
-        objs = {id(x): x for row in rows for x in row}
-        at = {key: k for k, key in enumerate(objs)}
-        table = np.array([[at[id(x)] for x in row] for row in rows], dtype=np.int64)
-        return [x.promoted(conductor) for x in objs.values()], table
-
-    # the pair map is onto, so every pair of entry objects occurs: each is
+    # the pair map is onto, so every pair of factor values occurs: each is
     # multiplied once, and entry (p, q) is looked up by its two positions
-    xa, ka = distinct(a.S)
-    xb, kb = distinct(b.S)
+    xa, xb = ([x.promoted(conductor) for x in md.values] for md in (a, b))
+    values, of_pair = distinct_values([[x * y for x in xa for y in xb]])
     ia, ib = np.asarray(pairs, dtype=np.int64).T
-    products = [x * y for x in xa for y in xb]
-    key = ka[np.ix_(ia, ia)] * len(xb) + kb[np.ix_(ib, ib)]
-    rows = [[products[k] for k in row] for row in key.tolist()]
+    index = of_pair[0][a.index[np.ix_(ia, ia)] * len(xb) + b.index[np.ix_(ib, ib)]]
+    index.flags.writeable = False
     thetas = [a.thetas[i] * b.thetas[j] for i, j in pairs]
     grading = None
     if a.grading is not None or b.grading is not None:
@@ -529,7 +542,8 @@ def _product(a: ModularData, b: ModularData, labels, pairs) -> ModularData:
     channels[..., 3] = ca[..., 3] * cb[..., 3]
     cperm = at[np.take(a.charge_conjugation(), ia), np.take(b.charge_conjugation(), ib)]
     return ModularData._implied(_c_order(channels.reshape(-1, 4)), cperm.tolist(), labels,
-                                rows, thetas, (a.c_top + b.c_top) % 8, conductor, grading)
+                                values, index, thetas, (a.c_top + b.c_top) % 8, conductor,
+                                grading)
 
 
 def tensor_md(a: ModularData, b: ModularData) -> ModularData:
@@ -543,12 +557,11 @@ def reverse_md(a: ModularData) -> ModularData:
     c changes sign mod 8.  conj(S) and T^-1 = conj(T) are the images of S
     and T under the field automorphism sigma_-1, which keeps every proven
     identity, the integer channels and the permutation C, so they are a's;
-    one conjugate is taken per entry object."""
-    conj = {id(x): x.conj() for row in a.S for x in row}
-    rows = [[conj[id(x)] for x in row] for row in a.S]
+    one conjugate is taken per value, under a's index table."""
     thetas = [t.inverse() for t in a.thetas]
     return ModularData._implied(a.fusion_ring().channels, a.charge_conjugation(), a.labels,
-                                rows, thetas, (-a.c_top) % 8, a.conductor, a.grading)
+                                tuple(x.conj() for x in a.values), a.index, thetas, (-a.c_top) % 8,
+                                a.conductor, a.grading)
 
 
 def bantay_fs(md: ModularData, label) -> int:
@@ -559,7 +572,7 @@ def bantay_fs(md: ModularData, label) -> int:
     channels = md.fusion_ring().channels
     total = CycNum.zero().promoted(md.conductor)
     rot = cache(lambda e: zeta(md.conductor, e))
-    t, s0 = md.t_exps, md.S[0]
+    t, s0 = md.t_exps, [md.values[k] for k in md.index[0].tolist()]
     for x, y, _, nxy in channels[channels[:, 2] == idx].tolist():
         z = rot(2 * (t[x] - t[y]) % md.conductor)
         total = total + s0[x] * s0[y] * z * nxy
@@ -590,10 +603,12 @@ def md_equivalent(a: ModularData, b: ModularData) -> MDEquivalence | None:
     if a.rank != b.rank or a.c_top != b.c_top:
         return None
 
-    # one integer per distinct value of both S, promoted to one conductor
+    # one integer per distinct value of both S: each value is promoted to
+    # one conductor, and the two index tables are read through the joint map
     conductor = math.lcm(a.conductor, b.conductor)
-    _, index = distinct_values([[x.promoted(conductor) for x in row] for row in a.S + b.S])
-    ka, kb = index[: a.rank].tolist(), index[a.rank :].tolist()
+    _, joint = distinct_values([[x.promoted(conductor) for x in a.values + b.values]])
+    index_a, index_b = joint[0][: len(a.values)][a.index], joint[0][len(a.values) :][b.index]
+    ka, kb = index_a.tolist(), index_b.tolist()
     # classes of (S_0i value, twist); S is symmetric
     ca = [(ka[i][0], a.thetas[i]) for i in range(a.rank)]
     cb = [(kb[i][0], b.thetas[i]) for i in range(b.rank)]
@@ -636,7 +651,7 @@ def md_equivalent(a: ModularData, b: ModularData) -> MDEquivalence | None:
     # full verification of the witness
     if any(b.thetas[mapping[i]] != a.thetas[i] for i in range(a.rank)):
         raise ModularityError("equivalence witness fails on T")
-    if not np.array_equal(index[a.rank :][np.ix_(mapping, mapping)], index[: a.rank]):
+    if not np.array_equal(index_b[np.ix_(mapping, mapping)], index_a):
         raise ModularityError("equivalence witness fails on S")
     return MDEquivalence(tuple(mapping))
 
@@ -652,10 +667,8 @@ def hat_twist(md: ModularData) -> ModularData:
     i, j, k, _ = md.fusion_ring().channels.T  # every N_ij^k != 0
     if (grade[k] != (grade[i] + grade[j]) % 2).any():
         raise InvalidArgumentError("grading is not fusion-compatible")
-    rows = [
-        [-x if eps[i] and eps[j] else x for j, x in enumerate(row)]
-        for i, row in enumerate(md.S)
-    ]
+    rows = _rows(md.values + tuple(-x for x in md.values),
+                 md.index + len(md.values) * np.outer(grade, grade))
     thetas = [t * RootOfUnity(eps[i], 4) for i, t in enumerate(md.thetas)]
     return ModularData(md.labels, rows, thetas, md.c_top, md.conductor, eps)
 
@@ -723,8 +736,8 @@ def verify_condensation(
     # S_p B = B S_c, sum_{p in slot} S_p[0][p] = S_c[0][c], and of the twist
     conductor = math.lcm(parent.conductor, child.conductor)
     zero = CycNum.zero().promoted(conductor)
-    sp = [[x.promoted(conductor) for x in row] for row in parent.S]
-    sc = [[x.promoted(conductor) for x in row] for row in child.S]
+    sp = _rows([x.promoted(conductor) for x in parent.values], parent.index)
+    sc = _rows([x.promoted(conductor) for x in child.values], child.index)
 
     slot_classes = defaultdict(list)
     for s_i, orbit in enumerate(slots):
@@ -792,25 +805,24 @@ def classify_mp(group: FinAbGroup) -> list[ModularData]:
 
 
 def md_to_json(md: ModularData) -> dict:
-    """The JSON document of modular data.  Each distinct S entry object is
+    """The JSON document of modular data.  Each of S's distinct values is
     converted once, and its dict and float pair stand at every position
-    that holds it (the builders and ``md_from_json`` share one ``CycNum``
-    per value), which lets ``cli._emit`` write each from cached text; so
-    editing one entry in place edits every copy of its value."""
+    that ``md.index`` gives it, which lets ``cli._emit`` write each from
+    cached text; so editing one entry in place edits every copy of its
+    value."""
     t = [zeta(md.conductor, k) for k in md.t_exps]  # T_i = zeta_N^k_i, canonical
-    distinct = {id(x): x for row in md.S for x in row}  # md.S keeps every id alive
-    exact = {i: x.to_json() for i, x in distinct.items()}
-    approx = {i: [z.real, z.imag] for i, z in zip(distinct, map(complex, distinct.values()))}
+    exact = [x.to_json() for x in md.values]
+    approx = [[z.real, z.imag] for z in map(complex, md.values)]
     return {
         "conductor": md.conductor,
         "c_top": str(md.c_top),
         "labels": [label_to_json(l) for l in md.labels],
         "label_names": [str(l) for l in md.labels],
-        "S": [[exact[id(x)] for x in row] for row in md.S],
+        "S": _rows(exact, md.index),
         "T": [x.to_json() for x in t],
         "grading": list(md.grading) if md.grading is not None else None,
         "float_view": {
-            "S": [[approx[id(x)] for x in row] for row in md.S],
+            "S": _rows(approx, md.index),
             "T": [[z.real, z.imag] for z in map(complex, t)],
         },
     }

@@ -158,7 +158,7 @@ def test_character_pairing():
     dual, pairing = character_group(g)
     assert dual == g
     chi1 = pairing(g.element([1]), g.element([1]))
-    assert chi1 == RootOfUnity.of(1, 3)
+    assert chi1 == RootOfUnity(1, 3)
 
     g15 = FinAbGroup.of(3, 5)
     _, pair15 = character_group(g15)

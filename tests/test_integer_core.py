@@ -157,7 +157,7 @@ def test_root_of_unity_matches_fraction_arithmetic_mod_1(a, b, k):
     assert (r**k).exponent == a * k % 1
     assert r.inverse().exponent == -a % 1
     assert r.sqrt().exponent == (a % 1) / 2
-    assert r.order == (a % 1).denominator
+    assert r.n == (a % 1).denominator
     assert r.is_one() == (a % 1 == 0)
     assert r.to_complex() == cmath.exp(2j * cmath.pi * float(a % 1))
     assert repr(r) == f"RootOfUnity({a % 1})"

@@ -21,7 +21,7 @@ from tycat import modcheck
 from tycat.cyclo import CycNum, RootOfUnity, euler_phi, zeta, zeta_sum
 from tycat.errors import CapacityError, ModularityError
 from tycat.groups import FinAbGroup
-from tycat.modcheck import MatProver, galois_generators
+from tycat.modcheck import MatProver, distinct_values, galois_generators
 from tycat.moddata import (
     ModularData,
     md_from_json,
@@ -110,7 +110,7 @@ def test_prover_rejects_corruption():
     prover = MatProver(md.conductor)
     rows = [list(row) for row in md.S]
     rows[2][3] = rows[2][3] + 1
-    s = prover.pack(rows)
+    s = prover.pack(*distinct_values(rows))
     with pytest.raises(ModularityError, match=r"S\^2 = C identity fails"):
         all_points_product(prover, s, md.charge_conjugation())
     with pytest.raises(ModularityError, match=r"not proven Galois-symmetric under zeta -> "
@@ -132,7 +132,7 @@ def test_prover_product_random_negative_control(build):
     cperm = md.charge_conjugation()
     prover = MatProver(md.conductor)
     prover.verify_product(_proven(prover, md.S), cperm)
-    all_points_product(prover, prover.pack(md.S), cperm)
+    all_points_product(prover, prover.pack(md.values, md.index), cperm)
     rng = random.Random(23)
     for _ in range(3):
         i, j = rng.sample(range(md.rank), 2)
@@ -143,7 +143,7 @@ def test_prover_product_random_negative_control(build):
         rows[i][j] = rows[i][j] + delta
         rows[j][i] = rows[j][i] + delta
         with pytest.raises(ModularityError, match=r"S\^2 = C identity fails"):
-            all_points_product(prover, prover.pack(rows), cperm)
+            all_points_product(prover, prover.pack(*distinct_values(rows)), cperm)
         with pytest.raises(ModularityError):
             prover.verify_product(_proven(prover, rows), cperm)
 
@@ -169,7 +169,7 @@ def test_verlinde_guess_rejects_negative_coefficients():
     prover = MatProver(md.conductor)
     rows = [[-x for x in md.S[0]]] + [list(row) for row in md.S[1:]]
     with pytest.raises(ModularityError, match=r"at \(1, 1, 2\) is not a nonnegative"):
-        md._verlinde_tensor(prover, prover.pack(rows))
+        md._verlinde_tensor(prover, prover.pack(*distinct_values(rows)))
 
 
 def _corrupted(md, i, j, delta):
@@ -208,9 +208,9 @@ def test_validate_rejects_each_product_identity(monkeypatch):
     packs = []
     pack = MatProver.pack
 
-    def counted(self, rows):
-        packs.append(len(rows))
-        return pack(self, rows)
+    def counted(self, values, index):
+        packs.append(len(index))
+        return pack(self, values, index)
 
     monkeypatch.setattr(MatProver, "pack", counted)
     # a real scale keeps S symmetric, C-invariant and conj(S) = CS
@@ -228,7 +228,7 @@ def test_pack_rejects_oversized_coefficient():
     prover = MatProver(3)
     big = CycNum(3, {0: 2**40})
     with pytest.raises(CapacityError, match="coefficients too large"):
-        prover.pack([[big]])
+        prover.pack(*distinct_values([[big]]))
 
 
 def test_packed_coefficients_are_exact_at_the_cap():
@@ -240,7 +240,7 @@ def test_packed_coefficients_are_exact_at_the_cap():
     rng = random.Random(7)
     num = {e: rng.choice([-1, 1]) * (cap - rng.randrange(8)) for e in range(prover.phi)}
     x = CycNum(n, num)
-    s = prover.pack([[x]])
+    s = prover.pack(*distinct_values([[x]]))
     assert s["coeffs"].dtype == np.float64 and x.den == 1
     p = prover._primes(2)[0]
     w = modcheck._root_powers(p, n).astype(np.int64).tolist()
@@ -259,12 +259,12 @@ def test_equal_values_pack_to_one_index_whatever_their_objects():
     assert x is not y and list(x.num) != list(y.num) and x == y
     z = CycNum(12, {1: 2})
     prover = MatProver(12)
-    s = prover.pack([[x, z, z], [z, y, x], [z, x, y]])
+    s = prover.pack(*distinct_values([[x, z, z], [z, y, x], [z, x, y]]))
     assert s["index"].tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
     assert s["coeffs"].shape == (2, prover.phi) and not s["index"].flags.writeable
     s["coeffs"] = None
     prover.verify_symmetric(s)
-    s = prover.pack([[x, z, z], [y, y, x], [z, x, y]])
+    s = prover.pack(*distinct_values([[x, z, z], [y, y, x], [z, x, y]]))
     s["coeffs"] = None
     with pytest.raises(ModularityError, match=r"not symmetric at \(1, 0\)"):
         prover.verify_symmetric(s)
@@ -274,7 +274,7 @@ def test_an_entry_at_a_divisor_conductor_is_refused_after_an_equal_value():
     # zeta_3 at conductor 12 and at 3 are equal, but the prover works at 12
     w = CycNum(3, {1: 1})
     with pytest.raises(ModularityError, match="matrix entry at a foreign conductor"):
-        MatProver(12).pack([[w.promoted(12), w], [w, w.promoted(12)]])
+        MatProver(12).pack(*distinct_values([[w.promoted(12), w], [w, w.promoted(12)]]))
 
 
 def _distinct_values_per_entry(rows):
@@ -327,7 +327,7 @@ def _ty11():
 def test_ty11_packs_its_distinct_values_and_evaluates_each_entry():
     md = _ty11()
     prover = MatProver(md.conductor)
-    s = prover.pack(md.S)
+    s = prover.pack(md.values, md.index)
     assert s["coeffs"].shape == (100, prover.phi) and s["index"].shape == (md.rank,) * 2
     p = prover._primes(2)[0]
     values = prover._values(s, p)
@@ -370,9 +370,9 @@ def test_capacity_guard_survives_python_O():
         "from tycat import intmat\n"
         "from tycat.cyclo import CycNum\n"
         "from tycat.errors import CapacityError, ModularityError\n"
-        "from tycat.modcheck import MatProver\n"
+        "from tycat.modcheck import MatProver, distinct_values\n"
         "try:\n"
-        "    MatProver(3).pack([[CycNum(3, {0: 2**40})]])\n"
+        "    MatProver(3).pack(*distinct_values([[CycNum(3, {0: 2**40})]]))\n"
         "except CapacityError:\n"
         "    print('raised')\n"
         "intmat.det = lambda a: 2\n"
@@ -515,7 +515,7 @@ def test_one_point_verlinde_agrees_with_the_all_points_oracle(build):
     md = build()
     base = dense(md.fusion_ring())
     ours, theirs = MatProver(md.conductor), MatProver(md.conductor)
-    s, s_all = _proven(ours, md.S), theirs.pack(md.S)
+    s, s_all = _proven(ours, md.S), theirs.pack(md.values, md.index)
     tensors = [base] + [t for t, _ in _bad_tensors(md)]
     tensors += list(_perturbed(base, np.random.default_rng(md.rank), 20))
     failed = 0
@@ -554,7 +554,7 @@ def test_wrong_galois_permutation_or_sign_is_refused():
     prover = MatProver(md.conductor)
     a = galois_generators(md.conductor)[1]
     perm, eps = _proven(prover, md.S)["galois"][a]
-    s = prover.pack(md.S)
+    s = prover.pack(md.values, md.index)
     flipped = eps.copy()
     flipped[3] *= -1
     swapped = perm.copy()
@@ -579,7 +579,7 @@ def test_galois_proof_compares_every_point(monkeypatch):
     a = galois_generators(n)[1]
     w = modcheck._root_powers(p, n).astype(np.int64).tolist()  # w[k] = w^k mod p
     c = -(w[1] - w[a]) * pow(w[2] - w[2 * a % n], -1, p) % p
-    s = prover.pack([[CycNum(n, {1: 1, 2: c})]])
+    s = prover.pack(*distinct_values([[CycNum(n, {1: 1, 2: c})]]))
     with pytest.raises(ModularityError, match=rf"not Galois-symmetric under zeta -> zeta\^{a}$"):
         prover.verify_galois(s, [a])
     with pytest.raises(ModularityError, match=rf"not Galois-symmetric under zeta -> zeta\^{a}$"):
@@ -618,12 +618,13 @@ def test_verlinde_refuses_a_galois_asymmetric_s():
         with pytest.raises(ModularityError, match=want):
             _proven(prover, rows)
         with pytest.raises(ModularityError, match=want):
-            all_points_galois(prover, prover.pack(rows), valid)
+            all_points_galois(prover, prover.pack(*distinct_values(rows)), valid)
     # sigma_7 on the rho_0 rho_0 entry stays inside its Galois orbit: the
     # symmetry is proven and the Verlinde relation fails, at every point too
     prover, oracle = MatProver(n), MatProver(n)
     rows = _sigma7_at(md, 10, 10)
-    want = _verdict(all_points_verlinde, oracle, oracle.pack(rows), dense(md.fusion_ring()))
+    want = _verdict(all_points_verlinde, oracle, oracle.pack(*distinct_values(rows)),
+                    dense(md.fusion_ring()))
     assert want == "Verlinde eigen-relation fails near (i=1, j=10)"
     channels = md.fusion_ring().channels
     assert _verdict(prover.verify_verlinde, _proven(prover, rows), channels) == want
@@ -636,7 +637,7 @@ def test_verlinde_refuses_an_s_without_a_galois_proof():
     n = md.conductor
     tensor = md.fusion_ring().channels
     prover = MatProver(n)
-    s = prover.pack(md.S)
+    s = prover.pack(md.values, md.index)
     a = galois_generators(n)[1]
     with pytest.raises(ModularityError, match=rf"not proven Galois-symmetric under zeta -> zeta\^{n - 1},"):
         prover.verify_verlinde(s, tensor)
@@ -754,7 +755,7 @@ def test_a_singular_s_whose_pi_a_is_not_a_bijection_is_refused():
     # two equal rows: sigma_a(S) = S, and both rows are matched to the first
     one = CycNum(5, {0: 1})
     prover = MatProver(5)
-    s = prover.pack([[one, one], [one, one]])
+    s = prover.pack(*distinct_values([[one, one], [one, one]]))
     a = galois_generators(5)[1]
     with pytest.raises(ModularityError, match=rf"^S is singular: two rows of its conjugate under "
                                               rf"zeta -> zeta\^{a} are equal up to sign$"):
@@ -770,7 +771,7 @@ def test_conj_s_equal_to_minus_cs_is_refused():
     gens = galois_generators(n)
     rows = [[x * zeta(n, n // 4) for x in row] for row in md.S]
     prover = MatProver(n)
-    s = prover.pack(rows)
+    s = prover.pack(*distinct_values(rows))
     with pytest.raises(ModularityError, match=r"^S is not unitary \(conj\(S\) != CS\)$"):
         prover.verify_galois(s, gens)
     prover.verify_galois(s, gens[1:])
@@ -822,7 +823,7 @@ Z3xZ3 = FinAbGroup.of(3, 3)
 def test_residue_guess_agrees_with_the_float_guess_and_the_proven_ring(build):
     md = build()
     prover = MatProver(md.conductor)
-    s = prover.pack(md.S)
+    s = prover.pack(md.values, md.index)
     guess = prover.guess_verlinde(s)
     assert np.array_equal(guess, channels_of(float_guess(prover, s)))
     assert np.array_equal(guess, md.fusion_ring().channels)
@@ -834,7 +835,7 @@ def test_residue_guess_moves_past_a_prime_where_a_row_0_residue_vanishes(monkeyp
     md = _ty5()
     want = md.fusion_ring().channels
     prover = MatProver(md.conductor)
-    s = prover.pack(md.S)
+    s = prover.pack(md.values, md.index)
     first, second = itertools.islice(prover._prime_pool(), 2)
     k = s["index"][0, 3]
     values, reads = MatProver._values, []
@@ -910,7 +911,7 @@ def test_the_names_the_benchmark_wraps_stay():
         assert inspect.isfunction(inspect.unwrap(owner)), (module, attr)
     assert MatProver(12).points == [1, 5, 7, 11]
     md = _ty5()
-    s = MatProver(md.conductor).pack(md.S)
+    s = MatProver(md.conductor).pack(md.values, md.index)
     assert s["rank"] == md.rank and s["coeffs"].shape[1] == euler_phi(md.conductor)
 
 

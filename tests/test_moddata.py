@@ -88,7 +88,7 @@ def test_pointed_semion():
     root2 = sqrt_int(2)
     assert md.S[0][0] * root2 == 1
     assert md.S[1][1] * root2 == -1
-    assert md.thetas[1] == RootOfUnity.of(1, 4)
+    assert md.thetas[1] == RootOfUnity(1, 4)
 
 
 def test_pointed_z3():
@@ -301,15 +301,17 @@ def test_the_oracle_pins_the_label_map(monkeypatch, edit, signs, differs):
 
 
 def test_tensor_md_multiplies_each_pair_of_entry_objects_once(monkeypatch):
+    # each datum holds one object per distinct value of S, so the product
+    # multiplies each pair of the factors' values once
     a, b = mp_md(Z3, B3, 1), mp_md(Z5, classify_metric_groups(Z5)[0].bichar, 1)
     objects = [len({id(x) for row in md.S for x in row}) for md in (a, b)]
-    assert objects == [12, 14]
+    assert objects == [len(a.values), len(b.values)] == [6, 7]
     calls = []
     mul = CycNum.__mul__
     monkeypatch.setattr(CycNum, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
     prod = tensor_md(a, b)
     monkeypatch.undo()
-    assert len(calls) <= 12 * 14 < (a.rank * b.rank) ** 2
+    assert len(calls) <= 6 * 7 < (a.rank * b.rank) ** 2
     # the Kronecker comprehension tensor_md used to run, one product per entry
     n = math.lcm(a.conductor, b.conductor)
     sa = [[x.promoted(n) for x in row] for row in a.S]
@@ -322,6 +324,69 @@ def test_tensor_md_multiplies_each_pair_of_entry_objects_once(monkeypatch):
     assert prod.thetas == tuple(ta * tb for ta in a.thetas for tb in b.thetas)
     assert prod.grading == tuple((x + y) % 2 for x in a.grading for y in b.grading)
     assert prod.c_top == (a.c_top + b.c_top) % 8
+
+
+# -- S stored as its distinct values and one index table --------------------------
+
+
+def _ty3():
+    return ty_center_md(Z3, B3, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pointed_md(metric_group(Q_A2)),
+    lambda: mp_md(Z5, classify_metric_groups(Z5)[0].bichar, -1),
+    _ty3,
+    lambda: tensor_md(mp_md(Z3, B3, 1), pointed_md(metric_group(Q_A2))),
+    lambda: reverse_md(_ty3()),
+    lambda: hat_twist(mp_md(Z3, B3, 1)),
+    lambda: md_from_json(json.loads(json.dumps(md_to_json(_ty3())))),
+], ids=["pointed", "mp", "ty-center", "tensor", "reverse", "hat-twist", "from-json"])
+def test_s_is_held_as_distinct_values_and_a_read_only_index(build):
+    md = build()
+    values, _ = modcheck.distinct_values([md.values])
+    assert len(values) == len(md.values)  # pairwise distinct
+    assert md.index.shape == (md.rank, md.rank) and not md.index.flags.writeable
+    with pytest.raises(ValueError):
+        md.index[0, 0] = 1
+    assert np.array_equal(np.unique(md.index), np.arange(len(md.values)))  # each value is used
+    assert all(md.S[i][j] is md.values[k]
+               for i, row in enumerate(md.index.tolist()) for j, k in enumerate(row))
+    assert md.S is md.S  # the view is built once
+
+
+def test_md_to_json_converts_each_value_once(monkeypatch):
+    md = _ty3()
+    calls = []
+    to_json = CycNum.to_json
+    monkeypatch.setattr(CycNum, "to_json", lambda x: calls.append(id(x)) or to_json(x))
+    blob = md_to_json(md)
+    assert len(calls) == len(md.values) + md.rank  # each S value once, each T entry once
+    assert sorted(calls[: len(md.values)]) == sorted(map(id, md.values))
+    assert blob["S"] == [[x.to_json() for x in row] for row in md.S]
+
+
+def test_md_equivalent_promotes_each_value_once(monkeypatch):
+    a = _ty3()
+    b = tensor_md(mp_md(Z3, B3, 1), pointed_md(metric_group(Q_A2.conj())))  # a, relabeled
+    calls = []
+    promoted, key_at = CycNum.promoted, CycNum.key_at
+    monkeypatch.setattr(CycNum, "promoted", lambda x, m: calls.append(1) or promoted(x, m))
+    # a key at the value's own conductor is its canonical form, no promotion
+    monkeypatch.setattr(CycNum, "key_at", lambda x, m: (m, tuple(sorted(x.num.items())), x.den)
+                        if m == x.n else key_at(x, m))
+    assert md_equivalent(a, b) is not None
+    assert len(calls) <= len(a.values) + len(b.values) < a.rank**2
+
+
+def test_pointed_md_builds_one_dq_table(monkeypatch):
+    calls = []
+    dq = QuadForm.dq
+    monkeypatch.setattr(QuadForm, "dq", lambda q: calls.append(1) or dq(q))
+    for m in (metric_group(Q_A2), classify_metric_groups(FinAbGroup.of(45))[0]):
+        calls.clear()
+        pointed_md.__wrapped__(m)
+        assert len(calls) == 1
 
 
 def test_placement_bound(monkeypatch):
@@ -669,7 +734,7 @@ def test_prover_limits_the_size_before_packing(monkeypatch):
     monkeypatch.setattr(modcheck, "MAX_CELLS", 399)
     monkeypatch.setattr(modcheck.np, "zeros", None)  # nothing may be allocated
     with pytest.raises(CapacityError, match="exceed 399 cells"):
-        modcheck.MatProver(md.conductor).pack(md.S)
+        modcheck.MatProver(md.conductor).pack(md.values, md.index)
 
 
 def _galois(x: CycNum, a: int) -> CycNum:
@@ -1032,7 +1097,7 @@ def test_each_builder_proves_each_new_datum_once(monkeypatch):
     monkeypatch.setattr(ModularData, "validate",
                         lambda self: calls.append("validate") or validate(self))
     monkeypatch.setattr(modcheck.MatProver, "pack",
-                        lambda self, rows: calls.append("pack") or pack(self, rows))
+                        lambda self, *s: calls.append("pack") or pack(self, *s))
     monkeypatch.setattr(modcheck.MatProver, "__init__",
                         lambda self, n: provers.append(n) or prover_init(self, n))
     for build, proven in (

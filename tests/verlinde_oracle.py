@@ -12,7 +12,7 @@ residues."""
 import numpy as np
 
 from tycat.errors import ModularityError
-from tycat.modcheck import galois_generators
+from tycat.modcheck import distinct_values, galois_generators
 
 from galois_oracle import all_points
 
@@ -20,7 +20,7 @@ from galois_oracle import all_points
 def _proven(prover, rows) -> dict:
     """The packed S of ``rows``, proven symmetric and Galois-symmetric for
     every generator (-1 as conj(S) = CS)."""
-    s = prover.pack(rows)
+    s = prover.pack(*distinct_values(rows))
     prover.verify_galois(s, galois_generators(prover.n))
     return s
 
