@@ -350,14 +350,10 @@ class CycNum:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycNum.one().promoted(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k <= 1:  # x itself, not 1 * x: x^2 is one product
+            return self if k else CycNum.one().promoted(self.n)
+        half = self ** (k // 2)
+        return half * half * self if k % 2 else half * half
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -441,6 +437,22 @@ class CycNum:
                 raise InvalidArgumentError(f"term exponent {e} repeated")
             num[e] = _json_int(term[1], "term coefficient")
         return CycNum(n, num, den)
+
+
+def _real_sign(x: CycNum) -> int:
+    """The sign of the real part of x, proven from its float view: complex(x)
+    sums k terms c zeta^e / den, each off by under 2^-47 |c| / den, each sum
+    by under 2^-52 sum|c| / den, so it lies within (k + 1) 2^-47 sum|c| / den
+    of x.  A view within 2^7 times that raises ``ModularityError``."""
+    if x.is_zero():
+        return 0
+    view = complex(x).real
+    bound = math.ldexp((len(x.num) + 1) * sum(map(abs, x.num.values())) / x.den, -40)
+    if abs(view) <= bound:
+        raise ModularityError(
+            f"the sign of a value within {bound:.3g} of 0 is beyond its float view"
+        )
+    return 1 if view > 0 else -1
 
 
 def check_conductor(n: int) -> None:

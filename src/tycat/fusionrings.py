@@ -1,8 +1,8 @@
 """Fusion rings, hypergroups, and character tables from explicit rule tables.
 
 Rings store one read-only int64 array of channel rows (i, j, k, N_{ij}^k),
-the nonzero structure constants in C order: rule tables emit the rows, and
-the proven Verlinde channels are kept without a copy.  Hypergroups hold
+the nonzero structure constants in C order, and exact dimensions: rule tables
+emit both, and the proven Verlinde channels are kept without a copy.  Hypergroups hold
 exact rational convex structure constants as one dense read-only int64
 array over a common denominator; the Tambara-Yamagami hypergroup and its
 dual come with the character table and Haar weights that make the rows
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CycNum
+from .cyclo import CycNum, _real_sign, sqrt_int
 from .errors import (
     CapacityError,
     InvalidArgumentError,
@@ -44,8 +44,6 @@ __all__ = [
 ]
 
 
-# Frobenius-Perron dimensions this close to an integer are tried exactly
-_FP_TOL = 1e-9
 # most label triples a rule table or hypergroup may have: the dense r x r x r
 # cube that ``_nonassociative`` reads, up to rank 256
 MAX_RULE_CELLS = 1 << 24
@@ -66,11 +64,13 @@ class FusionRing:
     ``channels`` has a row (i, j, k, N_ij^k) per nonzero N_ij^k, i and j
     ordered, strictly increasing in (i, j, k): one read-only int64 (nnz, 4)
     array, kept as a view of an int64 input, whose rows of a label or pair
-    are slices.  The package hands out checked rings only: the rule-table
-    builders run ``check_fusion_ring``, and a Verlinde ring is proven."""
+    are slices.  ``dims`` has each label's exact dimension, a ``CycNum``.
+    The package hands out checked rings only: the rule-table builders run
+    ``check_fusion_ring``, dimensions included, and a Verlinde ring is proven."""
 
     labels: tuple
     channels: np.ndarray
+    dims: tuple
 
     def __post_init__(self):
         arr = np.asarray(self.channels, dtype=np.int64).view()
@@ -83,8 +83,11 @@ class FusionRing:
             raise InvalidArgumentError("channel coefficients must be positive")
         if (np.diff((arr[:, 0] * r + arr[:, 1]) * r + arr[:, 2]) <= 0).any():
             raise InvalidArgumentError("channels are not strictly increasing in (i, j, k)")
+        if len(self.dims) != r:
+            raise InvalidArgumentError(f"{len(self.dims)} dimensions for {r} labels")
         arr.flags.writeable = False
         object.__setattr__(self, "channels", arr)
+        object.__setattr__(self, "dims", tuple(self.dims))
 
     @property
     def rank(self) -> int:
@@ -116,26 +119,14 @@ class FusionRing:
         except ValueError:
             raise InvalidArgumentError(f"{label} is not a label of this ring") from None
 
-    @cached_property
-    def fp_dims(self) -> list:  # floats, advisory, computed when first read
-        out = []
-        for i in range(self.rank):
-            _, j, k, n = self.row(i).T
-            n_i = np.zeros((self.rank, self.rank))  # N_i[j, k] = N_ij^k
-            n_i[j, k] = n
-            out.append(float(max(np.linalg.eigvals(n_i).real)))
-        return out
+    @property
+    def fp_dims(self) -> list:  # the float view of the exact dimensions
+        return [complex(d).real for d in self.dims]
 
-    @cached_property
-    def global_dim(self) -> int | None:  # exact, only when all dims are integers
-        int_dims = [round(d) for d in self.fp_dims]
-        if all(abs(d - i) < _FP_TOL for d, i in zip(self.fp_dims, int_dims)):
-            # verify the rounded dimensions exactly: sum_k N_ij^k d_k = d_i d_j
-            dvec = np.array(int_dims, dtype=np.int64)
-            sums = np.cumsum(np.append(0, self.channels[:, 3] * dvec[self.channels[:, 2]]))
-            if np.array_equal(np.diff(sums[self._offsets]), np.outer(dvec, dvec).ravel()):
-                return int(sum(d * d for d in int_dims))
-        return None
+    @property
+    def global_dim(self) -> int | None:  # sum d^2 when every d is rational, so an integer
+        rational = all(d.is_rational() for d in self.dims)
+        return int(sum(d.rational_value() ** 2 for d in self.dims)) if rational else None
 
     def to_json(self) -> dict:
         return {
@@ -146,14 +137,14 @@ class FusionRing:
         }
 
 
-def _ring_from_products(labels, prod) -> FusionRing:
-    """The ring of a map (i, j) -> {k: coeff}, once ``_check_rank`` passes,
-    checked by ``check_fusion_ring``."""
+def _ring_from_products(labels, prod, dims) -> FusionRing:
+    """The ring of a map (i, j) -> {k: coeff} and its dimensions, once
+    ``_check_rank`` passes, checked by ``check_fusion_ring``."""
     r = len(labels)
     _check_rank(r, "fusion ring")
     rows = [(i, j, k, c) for i in range(r) for j in range(r)
             for k, c in sorted(prod(i, j).items()) if c]
-    ring = FusionRing(tuple(labels), np.array(rows, dtype=np.int64).reshape(-1, 4))
+    ring = FusionRing(tuple(labels), np.array(rows, dtype=np.int64).reshape(-1, 4), dims)
     violations = check_fusion_ring(ring)
     if violations:
         raise ModularityError(f"rule table fails its checks: {violations[:5]}")
@@ -188,8 +179,8 @@ def _nonassociative(arr: np.ndarray) -> list[tuple[int, int, int, int]]:
 
 
 def check_fusion_ring(ring: FusionRing) -> list[tuple[str, tuple]]:
-    """Verify unit, duality, associativity, and the Frobenius symmetries on
-    the cube of the channels: the (kind, index) of every violation."""
+    """Verify unit, duality, associativity, the Frobenius symmetries and the
+    dimensions on the cube of the channels: the (kind, index) of every violation."""
     r = ring.rank
     _check_rank(r, "fusion ring")
     arr = np.zeros((r, r, r), dtype=np.int64)
@@ -224,6 +215,22 @@ def check_fusion_ring(ring: FusionRing) -> list[tuple[str, tuple]]:
         for idx in np.argwhere(bad).tolist():
             violations.append(("frobenius", tuple(idx)))
 
+    # d = ring.dims is exact iff d_0 = 1, each d_j is real and positive, and
+    # (M d)_j = (sum_i d_i) d_j for M[j, k] = sum_i N_ij^k: M is entrywise
+    # positive (k lies in (k j*) j), so by Perron-Frobenius such a d is its
+    # Perron vector, as the Frobenius-Perron dimensions are.  Each distinct
+    # row (class of d_j, class counts of M[j, :]) is summed once in CycNum
+    keys = [d.key_at(d.n) for d in ring.dims]
+    at = {key: c for c, key in enumerate(dict.fromkeys(keys))}
+    values, cls = [ring.dims[keys.index(key)] for key in at], np.array([at[key] for key in keys])
+    total = sum(x * n for x, n in zip(values, np.bincount(cls).tolist()))
+    counts = arr.sum(axis=0) @ (cls[:, None] == np.arange(len(values)))
+    rows, of_row = np.unique(np.column_stack([cls, counts]), axis=0, return_inverse=True)
+    holds = [values[c] == values[c].conj() and _real_sign(values[c]) > 0
+             and sum(values[k] * n for k, n in enumerate(row) if n) == total * values[c]
+             for c, *row in rows.tolist()]
+    violations += [("dimension", (j,)) for j, u in enumerate(of_row.ravel().tolist())
+                   if not holds[u] or (j == 0 and ring.dims[0] != 1)]
     return violations
 
 
@@ -244,7 +251,7 @@ def ty_fusion_ring(group: FinAbGroup) -> FusionRing:
             return {k: 1 for k in range(n)}
         return {n: 1}
 
-    return _ring_from_products(labels, prod)
+    return _ring_from_products(labels, prod, [CycNum.one()] * n + [sqrt_int(n)])
 
 
 def gen_ty_fusion_ring(A: FinAbGroup) -> FusionRing:
@@ -283,7 +290,7 @@ def gen_ty_fusion_ring(A: FinAbGroup) -> FusionRing:
             return {idx[(a, 0)]: 1 for a in els}
         return {idx[(a, 1)]: 1 for a in els}
 
-    return _ring_from_products(labels, prod)
+    return _ring_from_products(labels, prod, [CycNum.one()] * (2 * n) + [sqrt_int(n)] * 2)
 
 
 def gen_mp_fusion_ring(G: FinAbGroup) -> FusionRing:
@@ -327,7 +334,8 @@ def gen_mp_fusion_ring(G: FinAbGroup) -> FusionRing:
             out[sidx[target]] = out.get(sidx[target], 0) + 1
         return out
 
-    return _ring_from_products(labels, prod)
+    one, root = CycNum.one(), sqrt_int(G.order)
+    return _ring_from_products(labels, prod, [one, one, root, root] + [one + one] * len(sig))
 
 
 # -- hypergroups ---------------------------------------------------------------
@@ -419,14 +427,14 @@ def ty_hypergroup(group: FinAbGroup) -> Hypergroup:
     return _hypergroup(labels, weights, [idx[-g] for g in els] + [n])
 
 
-def hypergroup_from_fusion_ring(ring: FusionRing, dims) -> Hypergroup:
-    """Renormalize a fusion ring by exact dimensions: on the basis
+def hypergroup_from_fusion_ring(ring: FusionRing) -> Hypergroup:
+    """Renormalize a fusion ring by its exact dimensions: on the basis
     [x]/d(x) the structure constants become N_ij^k d_k / (d_i d_j)."""
     _check_rank(ring.rank, "hypergroup")
-    inv = [d.inverse() for d in dims]
+    inv = [d.inverse() for d in ring.dims]
     weights = {}
     for i, j, k, c in ring.channels.tolist():
-        val = dims[k] * inv[i] * inv[j] * c
+        val = ring.dims[k] * inv[i] * inv[j] * c
         if not val.is_rational():
             raise InvalidArgumentError("renormalized structure constants are not rational")
         weights[i, j, k] = val.rational_value()

@@ -121,8 +121,9 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _c_order(rows: np.ndarray) -> np.ndarray:
-    """Rows (i, j, k, N) sorted by i, then j, then k."""
-    return rows[np.lexsort(rows[:, 2::-1].T)]
+    """Rows (i, j, k, N) stably sorted by (i r + j) r + k, r = 1 + the largest index."""
+    r = int(rows[:, :3].max(initial=0)) + 1
+    return rows[np.argsort((rows[:, 0] * r + rows[:, 1]) * r + rows[:, 2], kind="stable")]
 
 
 def _signed_match(rows: np.ndarray, where: dict, negate) -> tuple[np.ndarray, np.ndarray]:

@@ -22,8 +22,8 @@ of (Z/N)^x are found and proven exactly in one ``verify_galois`` call
 (conj(S) = CS is the generator -1), which lets S^2 = C and the Verlinde
 relation be decided at one point per prime.  The Verlinde tensor is guessed
 by the prover from the residues of S at one prime, then proven, so S is
-evaluated one way only; its channel rows (i, j, k, N_ij^k) become those of
-``fusion_ring``, without a copy.  Structural invariants of the builders
+evaluated one way only; its channel rows (i, j, k, N_ij^k) and the dimensions
+become ``fusion_ring``, without a copy.  Structural invariants of the builders
 (rank, total dimension) and the pairwise inequivalence of a
 classification raise ``ModularityError``, not ``assert``.
 
@@ -49,6 +49,7 @@ import numpy as np
 from .cyclo import (
     CycNum,
     RootOfUnity,
+    _real_sign,
     check_conductor,
     euler_phi,
     galois_generators,
@@ -133,22 +134,6 @@ def _rows(values, index) -> list[list]:
     return [[values[k] for k in row] for row in index.tolist()]
 
 
-def _real_sign(x: CycNum) -> int:
-    """The sign of the real part of x, proven from its float view: complex(x)
-    sums k terms c zeta^e / den, each off by under 2^-47 |c| / den, each sum
-    by under 2^-52 sum|c| / den, so it lies within (k + 1) 2^-47 sum|c| / den
-    of x.  A view within 2^7 times that raises ``ModularityError``."""
-    if x.is_zero():
-        return 0
-    view = complex(x).real
-    bound = math.ldexp((len(x.num) + 1) * sum(map(abs, x.num.values())) / x.den, -40)
-    if abs(view) <= bound:
-        raise ModularityError(
-            f"the sign of a value within {bound:.3g} of 0 is beyond its float view"
-        )
-    return 1 if view > 0 else -1
-
-
 class ModularData:
     """Labeled modular data with exact entries at one common conductor.
 
@@ -174,7 +159,7 @@ class ModularData:
         md = cls.__new__(cls)
         md._store(labels, thetas, c_top, conductor, grading)
         md.values, md.index = values, index
-        md._fusion = FusionRing(md.labels, channels)
+        md._channels = channels
         md._charge_conj = tuple(cperm)
         return md
 
@@ -192,7 +177,8 @@ class ModularData:
         self.t_exps = tuple(x.k * (conductor // x.n) for x in roots)  # T_i = zeta_N^k_i
         self._charge_conj: tuple[int, ...] | None = None
         self._dims: tuple[CycNum, ...] | None = None
-        self._fusion: FusionRing | None = None  # set once validate() succeeds
+        self._channels: np.ndarray | None = None  # set once validate() succeeds
+        self._fusion: FusionRing | None = None
 
     @property
     def rank(self) -> int:
@@ -237,10 +223,10 @@ class ModularData:
 
     def validate(self) -> None:
         """Prove the axiom suite exactly, each identity once, and keep the
-        proven Verlinde tensor as the fusion ring.  The constructor runs it;
+        channel rows of the proven Verlinde tensor.  The constructor runs it;
         a second run returns at once, and so does a run on a datum of
         ``_implied``, which holds what its proven data imply."""
-        if self._fusion is not None:  # immutable data: a second run cannot differ
+        if self._channels is not None:  # immutable data: a second run cannot differ
             return
         r = self.rank
         if not self.thetas[0].is_one():
@@ -288,8 +274,9 @@ class ModularData:
         # N_i = S diag(S_il / S_0l) S^-1 commute (commutative, associative)
         # and N_0 = I; S_0l = d_l S_00 with d_l > 0 makes N_ij^0 a constant
         # times (S^2)_ij = C_ij, and N_00^0 = 1 the dual C; conj(S_kl) =
-        # S_C(k),l and real N give the Frobenius symmetries
-        self._fusion = FusionRing(self.labels, self._verlinde_tensor(prover, s))
+        # S_C(k),l and real N give the Frobenius symmetries; N_i d = d_i d
+        # with d = S_.0 / S_00 > 0 makes d the Frobenius-Perron dimensions
+        self._channels = self._verlinde_tensor(prover, s)
         self._charge_conj = cperm
 
     # -- fusion ---------------------------------------------------------------
@@ -312,6 +299,8 @@ class ModularData:
         return tensor
 
     def fusion_ring(self) -> FusionRing:
+        if self._fusion is None:  # built once, with the proven dimensions
+            self._fusion = FusionRing(self.labels, self._channels, self.dims())
         return self._fusion
 
     def __repr__(self):
@@ -535,8 +524,8 @@ def _product(a: ModularData, b: ModularData, labels, pairs) -> ModularData:
     # the label at each pair, then one channel per two factor channels
     at = np.empty((a.rank, b.rank), dtype=np.int64)
     at[ia, ib] = np.arange(len(pairs))
-    ca = a.fusion_ring().channels[:, None, :]
-    cb = b.fusion_ring().channels[None, :, :]
+    ca = a._channels[:, None, :]
+    cb = b._channels[None, :, :]
     channels = np.empty((ca.shape[0], cb.shape[1], 4), dtype=np.int64)
     channels[..., :3] = at[ca[..., :3], cb[..., :3]]
     channels[..., 3] = ca[..., 3] * cb[..., 3]
@@ -559,7 +548,7 @@ def reverse_md(a: ModularData) -> ModularData:
     identity, the integer channels and the permutation C, so they are a's;
     one conjugate is taken per value, under a's index table."""
     thetas = [t.inverse() for t in a.thetas]
-    return ModularData._implied(a.fusion_ring().channels, a.charge_conjugation(), a.labels,
+    return ModularData._implied(a._channels, a.charge_conjugation(), a.labels,
                                 tuple(x.conj() for x in a.values), a.index, thetas, (-a.c_top) % 8,
                                 a.conductor, a.grading)
 
@@ -569,7 +558,7 @@ def bantay_fs(md: ModularData, label) -> int:
     nu = sum_{x,y} S_{0,x} S_{0,y} N_{xy}^label (theta_x / theta_y)^2;
     theta_x / theta_y = T_x / T_y, so the twists are read as ``t_exps``."""
     idx = md.index_of(label)
-    channels = md.fusion_ring().channels
+    channels = md._channels
     total = CycNum.zero().promoted(md.conductor)
     rot = cache(lambda e: zeta(md.conductor, e))
     t, s0 = md.t_exps, [md.values[k] for k in md.index[0].tolist()]
@@ -664,7 +653,7 @@ def hat_twist(md: ModularData) -> ModularData:
         raise InvalidArgumentError("hat twist needs a Z2 grading")
     eps = md.grading
     grade = np.array(eps)
-    i, j, k, _ = md.fusion_ring().channels.T  # every N_ij^k != 0
+    i, j, k, _ = md._channels.T  # every N_ij^k != 0
     if (grade[k] != (grade[i] + grade[j]) % 2).any():
         raise InvalidArgumentError("grading is not fusion-compatible")
     rows = _rows(md.values + tuple(-x for x in md.values),

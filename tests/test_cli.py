@@ -639,8 +639,10 @@ GOLDEN_STDOUT = {
         "1b8f682977c61f63217d4c150214efde0d10d3c7eea28e6d1cd4a01d06c5e46a",
     ("hypergroup", "--group", "5", "--table"):
         "4f3d86170fb36408ddfdc269999ef03b42a08b4444a2ffa89354975578e52dce",
+    # re-pinned when fp_dims became the float view of the exact dimensions:
+    # only fp_dims digits changed, the ring and global_dim did not
     ("fusion", "--rules", "genmp", "--group", "9"):
-        "1eeb6d605b8148f7aa94d22f19184f404312b28f99b20b9ef9d3b3e781164519",
+        "57e41d903c6fbbcdb82ee560a04d416ad02e9dda63add3676b49fe7ba95ce958",
 }
 
 
@@ -651,14 +653,16 @@ def test_stdout_is_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
-# SHA-256 of `fusion --from-md` on the output of each build, taken while the
-# Verlinde tensor was still guessed from S in float; the fp_dims digits come
-# from the platform's LAPACK
+# SHA-256 of `fusion --from-md` on the output of each build, re-pinned when
+# fp_dims became the float view of the proven dimensions S_i0 / S_00: the
+# ring and global_dim are those printed while the Verlinde tensor was still
+# guessed from S in float; the fp_dims digits come from complex() of each
+# exact dimension, so from the platform's libm
 GOLDEN_FUSION_FROM_MD = {
     ("md", "ty-center", "--group", "9"):
-        "f4436e72a1209b422c5fb647aa2d5a03b930d3183fa1c2f25214b25f21e54132",
+        "7f6f9ec07d01f79f5624467784e6669ce9740dc8a7de16c5146e83eb775ec46f",
     ("md", "mp", "--group", "15", "--sign", "-"):
-        "49470b04f586217a470ec9764960df67a4080d30f1275fc8c19bbca2c33ca722",
+        "b266c79e4d9e3110310fee9241be3d615c86c1dc7dddfe353cb8c3481676e3ba",
 }
 
 
@@ -671,6 +675,39 @@ def test_fusion_from_md_stdout_is_byte_identical(tmp_path, capsys, build):
     code, out, _ = run_cli(capsys, "fusion", "--from-md", str(path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FUSION_FROM_MD[build]
+
+
+def _eigen_refused(*args, **kwargs):
+    raise AssertionError("an eigenvalue problem")
+
+
+def test_fusion_solves_no_eigenvalue_problem(tmp_path, capsys, monkeypatch):
+    _, out, _ = run_cli(capsys, "md", "ty-center", "--group", "5")
+    path = tmp_path / "md.json"
+    path.write_text(out)
+    monkeypatch.setattr(np.linalg, "eigvals", _eigen_refused)
+    monkeypatch.setattr(np.linalg, "eig", _eigen_refused)
+    for argv in (("--from-md", str(path)), ("--rules", "ty", "--group", "5"),
+                 ("--rules", "genty", "--group", "5"), ("--rules", "genmp", "--group", "9")):
+        code, out, _ = run_cli(capsys, "fusion", *argv)
+        assert code == 0 and json.loads(out)["check"]["ok"] is True, argv
+
+
+def test_every_invertible_of_ty_z5_prints_exactly_one(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "md", "ty-center", "--group", "5")
+    path = tmp_path / "md.json"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "fusion", "--from-md", str(path))
+    payload = json.loads(out)
+    ring = {}  # (i, j) -> {k: N_ij^k}
+    for i, j, k, n in payload["ring"]["nonzero"]:
+        ring.setdefault((i, j), {})[k] = n
+    fp_dims = payload["check"]["fp_dims"]
+    # x is invertible iff x x* = 1, x* being the label j with N_xj^0 != 0
+    invertible = [x for x in range(len(fp_dims))
+                  if any(ring[x, j] == {0: 1} for j in range(len(fp_dims)) if (x, j) in ring)]
+    assert code == 0 and len(invertible) == 10
+    assert [fp_dims[x] for x in invertible] == [1.0] * 10
 
 
 def test_closed_stdout_ends_without_a_traceback():

@@ -177,6 +177,27 @@ def test_division():
     assert (zeta(7) ** -2) * zeta(7, 2) == 1
 
 
+def test_power_takes_its_first_factor_as_it_is(monkeypatch):
+    x = 1 + zeta(7) + 2 * zeta(7, 3)
+    x2, x3, x5 = x * x, x * x * x, x * x * x * x * x
+    calls = []
+    mul = CycNum.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycNum, "__mul__", counted)
+    assert x ** 2 == x2 and len(calls) == 1
+    calls.clear()
+    assert x ** 5 == x5 and len(calls) == 3  # x^2, x^4, x^4 x
+    calls.clear()
+    zero_power = x ** 0
+    assert zero_power == 1 and zero_power.n == 7 and calls == []
+    assert x ** 1 == x and calls == []
+    assert mul(x ** -3, x3) == 1
+
+
 def test_promotion_roundtrip():
     a = zeta(6) + 2
     b = a.promoted(36)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tycat.cyclo import CycNum, sqrt_int
-from tycat.errors import CapacityError, InvalidArgumentError, UnsupportedError
+from tycat import fusionrings
+from tycat.cyclo import CycNum, sqrt_int, zeta
+from tycat.errors import CapacityError, InvalidArgumentError, ModularityError, UnsupportedError
 from tycat.fusionrings import (
     MAX_RULE_CELLS,
     FusionRing,
@@ -22,7 +23,7 @@ from tycat.fusionrings import (
 from tycat.groups import FinAbGroup, positive_set
 from tycat.labels import MPAlpha, MPRho, MPSigma, label_from_json, label_to_json
 
-from fusion_oracle import channels_of, dense
+from fusion_oracle import channels_of, dense, eigen_dims
 
 Z3 = FinAbGroup.of(3)
 Z5 = FinAbGroup.of(5)
@@ -116,7 +117,7 @@ def test_corrupted_tensor_reports_triple():
     ring = ty_fusion_ring(Z3)
     bad = dense(ring)
     bad[2, 1, 3] += 1
-    violations = check_fusion_ring(FusionRing(ring.labels, channels_of(bad)))
+    violations = check_fusion_ring(FusionRing(ring.labels, channels_of(bad), ring.dims))
     assert violations
     kinds = {v[0] for v in violations}
     assert "associativity" in kinds or "frobenius" in kinds or "unit" in kinds
@@ -129,7 +130,7 @@ def test_channels_are_one_read_only_int64_array():
     with pytest.raises(ValueError):
         ch[0, 3] = 5
     # nested tuples are converted once, to the same array
-    from_tuples = FusionRing(ring.labels, tuple(tuple(row) for row in ch.tolist()))
+    from_tuples = FusionRing(ring.labels, tuple(tuple(row) for row in ch.tolist()), ring.dims)
     assert np.array_equal(from_tuples.channels, ch)
     assert from_tuples.to_json() == ring.to_json()
     t, r = dense(ring), ring.rank
@@ -138,16 +139,18 @@ def test_channels_are_one_read_only_int64_array():
     ]
     # an int64 array is kept as a read-only view, not copied
     arr = np.array(ch)
-    assert np.shares_memory(FusionRing(ring.labels, arr).channels, arr)
+    assert np.shares_memory(FusionRing(ring.labels, arr, ring.dims).channels, arr)
     assert arr.flags.writeable
 
 
 def test_channels_must_match_the_labels():
     ring = ty_fusion_ring(Z3)
     with pytest.raises(InvalidArgumentError, match=r"^channels of shape \(\d+, 3\), not"):
-        FusionRing(ring.labels, ring.channels[:, :3])
+        FusionRing(ring.labels, ring.channels[:, :3], ring.dims)
     with pytest.raises(InvalidArgumentError, match=r"^channel indices outside \[0, 3\)$"):
-        FusionRing(ring.labels[:3], ring.channels)
+        FusionRing(ring.labels[:3], ring.channels, ring.dims[:3])
+    with pytest.raises(InvalidArgumentError, match=r"^3 dimensions for 4 labels$"):
+        FusionRing(ring.labels, ring.channels, ring.dims[:3])
 
 
 def _edited(rows, at, row):
@@ -165,7 +168,7 @@ def _edited(rows, at, row):
 def test_constructor_refuses_malformed_channels(edit, message):
     ring = ty_fusion_ring(Z3)
     with pytest.raises(InvalidArgumentError, match=message):
-        FusionRing(ring.labels, edit(np.array(ring.channels)))
+        FusionRing(ring.labels, edit(np.array(ring.channels)), ring.dims)
 
 
 def _verlinde_rings():
@@ -219,17 +222,68 @@ def test_streamed_associativity_matches_dense_oracle():
     lhs = np.einsum("ijm,mkl->ijkl", arr, arr)
     rhs = np.einsum("jkm,iml->ijkl", arr, arr)
     expected = [tuple(int(x) for x in idx) for idx in zip(*np.nonzero(lhs != rhs))]
-    violations = check_fusion_ring(FusionRing(ring.labels, channels_of(arr)))
+    violations = check_fusion_ring(FusionRing(ring.labels, channels_of(arr), ring.dims))
     streamed = [idx for kind, idx in violations if kind == "associativity"]
     assert expected and streamed == expected
 
 
 def test_group_ring_check():
     ring = ty_fusion_ring(Z3)
-    group_ring = FusionRing(ring.labels[:3], channels_of(dense(ring)[:3, :3, :3]))
+    group_ring = FusionRing(ring.labels[:3], channels_of(dense(ring)[:3, :3, :3]), ring.dims[:3])
     assert check_fusion_ring(group_ring) == []
-    assert group_ring.fp_dims == pytest.approx([1, 1, 1])
+    assert group_ring.fp_dims == [1.0, 1.0, 1.0]
     assert group_ring.global_dim == 3
+
+
+@pytest.mark.parametrize("facs", [(1,), (3,), (5,), (7,), (9,), (3, 3), (15,), (25,)])
+def test_rule_table_dims_agree_with_the_eigenvalue_oracle(facs):
+    g = FinAbGroup.of(facs)
+    one, root, two = CycNum.one(), sqrt_int(g.order), CycNum.from_fraction(2)
+    for builder, dims in (
+        (ty_fusion_ring, [one] * g.order + [root]),
+        (gen_ty_fusion_ring, [one] * (2 * g.order) + [root] * 2),
+        (gen_mp_fusion_ring, [one, one, root, root] + [two] * ((g.order - 1) // 2)),
+    ):
+        ring = builder(g)
+        assert ring.dims == tuple(dims), builder.__name__
+        assert np.allclose(ring.fp_dims, eigen_dims(ring), rtol=0, atol=1e-12), builder.__name__
+
+
+def _ty5_character(k):
+    """The character g -> zeta_5^(k g), rho -> 0 of the TY(Z5) ring (k != 0):
+    it solves M d = (sum_i d_i) d, as every character does."""
+    return [zeta(5, k * g.coords[0]) for g in Z5.elements()] + [CycNum.zero()]
+
+
+# dimensions of TY(Z5)'s labels 0-4 (the group) and 5 (rho), and the labels
+# the check reports: only the d_0 check sees label 0 of the sum of two
+# characters, only the sign check sees -sqrt 5, only the reality check sees
+# labels 1 and 4 of a character (their real parts are positive), and only
+# M d = (sum_i d_i) d sees rho = 2 or sqrt 3
+WRONG_DIMS = {
+    "rho-2": ([CycNum.one()] * 5 + [CycNum.from_fraction(2)], [5]),
+    "rho-sqrt3": ([CycNum.one()] * 5 + [sqrt_int(3)], [5]),
+    "unit-2": ([x + y for x, y in zip(_ty5_character(1), _ty5_character(4))], [0, 2, 3, 5]),
+    "negative": ([CycNum.one()] * 5 + [-sqrt_int(5)], [5]),
+    "non-real": (_ty5_character(1), [1, 2, 3, 4, 5]),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_DIMS))
+def test_wrong_dimensions_are_reported(case):
+    dims, labels = WRONG_DIMS[case]
+    ring = ty_fusion_ring(Z5)
+    assert check_fusion_ring(FusionRing(ring.labels, ring.channels, dims)) == [
+        ("dimension", (j,)) for j in labels]
+    with pytest.raises(ModularityError, match=r"^rule table fails its checks: \[\('dimension'"):
+        fusionrings._ring_from_products(ring.labels, ring.product, dims)
+
+
+@pytest.mark.parametrize("root", [CycNum.from_fraction(2), sqrt_int(3)], ids=["2", "sqrt3"])
+def test_a_builder_with_a_wrong_dimension_raises(monkeypatch, root):
+    monkeypatch.setattr(fusionrings, "sqrt_int", lambda n: root)
+    with pytest.raises(ModularityError, match=r"checks: \[\('dimension', \(5,\)\)\]$"):
+        ty_fusion_ring(Z5)
 
 
 def test_rank_past_the_cube_bound_is_refused_before_enumerating():
@@ -238,7 +292,8 @@ def test_rank_past_the_cube_bound_is_refused_before_enumerating():
     assert 256**3 == MAX_RULE_CELLS
     r = 257
     group_ring = FusionRing(tuple(range(r)),
-                            [(i, j, (i + j) % r, 1) for i in range(r) for j in range(r)])
+                            [(i, j, (i + j) % r, 1) for i in range(r) for j in range(r)],
+                            [CycNum.one()] * r)
     for call, what in [
         (lambda: ty_fusion_ring(FinAbGroup.of(256)), "fusion ring of rank 257"),
         (lambda: gen_ty_fusion_ring(FinAbGroup.of(129)), "fusion ring of rank 260"),
@@ -246,7 +301,7 @@ def test_rank_past_the_cube_bound_is_refused_before_enumerating():
         (lambda: check_fusion_ring(group_ring), "fusion ring of rank 257"),
         (lambda: ty_hypergroup(FinAbGroup.of(256)), "hypergroup of rank 257"),
         (lambda: ty_dual_hypergroup_and_table(FinAbGroup.of(257)), "hypergroup of rank 258"),
-        (lambda: hypergroup_from_fusion_ring(group_ring, [CycNum.one()] * r),
+        (lambda: hypergroup_from_fusion_ring(group_ring),
          "hypergroup of rank 257"),
     ]:
         with pytest.raises(CapacityError, match=f"^{what} exceeds {MAX_RULE_CELLS} cells"):
@@ -267,8 +322,8 @@ def test_normalized_ring_reproduces_hypergroup():
     for facs in [(1,), (3,), (5,), (3, 3)]:
         g = FinAbGroup.of(facs)
         ring = ty_fusion_ring(g)
-        dims = [CycNum.one()] * g.order + [sqrt_int(g.order)]
-        hg = hypergroup_from_fusion_ring(ring, dims)
+        assert ring.dims == (CycNum.one(),) * g.order + (sqrt_int(g.order),)
+        hg = hypergroup_from_fusion_ring(ring)
         ref = ty_hypergroup(g)
         assert np.array_equal(hg.table, ref.table) and hg.den == ref.den
         assert hg.star == ref.star

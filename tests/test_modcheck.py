@@ -529,6 +529,18 @@ def test_one_point_verlinde_agrees_with_the_all_points_oracle(build):
 # -- the Galois symmetry of S ------------------------------------------------------
 
 
+def test_c_order_sorts_as_the_three_key_lexsort():
+    # one stable sort of (i r + j) r + k orders the rows as a lexsort on
+    # (k, j, i) does, repeated keys included (their rows keep their order)
+    ring = ty_center_md(FinAbGroup.of(5), classify_metric_groups(FinAbGroup.of(5))[0].bichar,
+                        1).fusion_ring()
+    rows = np.array(ring.channels)
+    np.random.default_rng(5).shuffle(rows)
+    rows = np.concatenate([rows, rows[:50] * [1, 1, 1, 7]])
+    assert np.array_equal(modcheck._c_order(rows), rows[np.lexsort(rows[:, 2::-1].T)])
+    assert np.array_equal(modcheck._c_order(rows[:0]), rows[:0])
+
+
 def test_galois_generators_generate_the_units():
     for n in [*range(1, 601), 720, 816, 912, 1104, 1200, 2310, 2520]:
         gens = galois_generators(n)

@@ -9,14 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tycat import modcheck, moddata
+from tycat import cyclo, modcheck, moddata
 from tycat.cyclo import MAX_CONDUCTOR, CycNum, RootOfUnity, euler_phi, sqrt_int, zeta, zeta_sum
 from tycat.errors import (
     CapacityError,
     InvalidArgumentError,
     ModularityError,
 )
-from tycat.fusionrings import FusionRing, check_fusion_ring, gen_mp_fusion_ring
+from tycat.fusionrings import check_fusion_ring, gen_mp_fusion_ring
 from tycat.groups import FinAbGroup
 from tycat.labels import (
     MPAlpha,
@@ -53,6 +53,7 @@ from tycat.quadforms import (
     metric_group,
     standard_qform,
 )
+from fusion_oracle import eigen_dims
 from ty_center_oracle import ty_center_oracle
 
 Z3 = FinAbGroup.of(3)
@@ -528,20 +529,36 @@ def test_label_indices_are_range_checked_and_foreign_labels_named():
 
 
 def test_a_proven_ring_passes_the_full_check():
-    # the Verlinde ring is not rechecked when it is proven: the full check
-    # finds nothing, and its dimensions are those of the same tensor read
-    # as a rule table, so `fusion --from-md` prints what `--rules` would
+    # the Verlinde ring is not rechecked when it is proven: the full check,
+    # which proves the dimensions exact, finds nothing, and the dimensions
+    # are the proven S_i0 / S_00; an mp ring equals its rule table, exact
+    # dimensions included, so `fusion --from-md` prints what `--rules` would
     for md in (mp_md(Z3, B3, 1), mp_md(Z5, bichar_from_qform(q_cyclic(Z5, 1, 5)), -1),
                ty_center_md(Z3, B3, 1), pointed_md(metric_group(Q_A2))):
         ring = md.fusion_ring()
         assert check_fusion_ring(ring) == []
-        table = FusionRing(ring.labels, ring.channels.tolist())
-        assert (ring.fp_dims, ring.global_dim) == (table.fp_dims, table.global_dim)
+        assert ring.dims == md.dims()
     for group, sign in ((Z3, 1), (Z5, -1)):
         ring = mp_md(group, classify_metric_groups(group)[0].bichar, sign).fusion_ring()
         rules = gen_mp_fusion_ring(group)
         assert rules.labels == ring.labels and np.array_equal(rules.channels, ring.channels)
-        assert (ring.fp_dims, ring.global_dim) == (rules.fp_dims, rules.global_dim)
+        assert ring.dims == rules.dims and ring.global_dim == rules.global_dim
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pointed_md(classify_metric_groups(FinAbGroup.of(45))[0]),
+    lambda: mp_md(FinAbGroup.of(15), classify_metric_groups(FinAbGroup.of(15))[0].bichar, -1),
+    lambda: ty_center_md(Z5, bichar_from_qform(q_cyclic(Z5, 1, 5)), 1),
+    lambda: tensor_md(mp_md(Z3, B3, 1), semion_md()),
+    lambda: reverse_md(ty_center_md(Z3, B3, -1)),
+    lambda: hat_twist(mp_md(Z5, bichar_from_qform(q_cyclic(Z5, 1, 5)), 1)),
+    lambda: md_from_json(json.loads(json.dumps(md_to_json(ty_center_md(Z3, B3, 1))))),
+], ids=["pointed-Z45", "mp-Z15-", "ty-Z5", "tensor", "reverse", "hat-twist", "from-json"])
+def test_verlinde_dims_agree_with_the_eigenvalue_oracle(build):
+    md = build()
+    ring = md.fusion_ring()
+    assert ring.dims == md.dims()
+    assert np.allclose(ring.fp_dims, eigen_dims(ring), rtol=0, atol=1e-12)
 
 
 def test_condensation_counts_each_boson_once():
@@ -1046,7 +1063,7 @@ def test_the_proof_does_no_cyclotomic_arithmetic(monkeypatch, build):
         monkeypatch.setattr(CycNum, name, _refused)
     fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
     assert fresh.charge_conjugation() == md.charge_conjugation()
-    assert np.array_equal(fresh.fusion_ring().channels, md.fusion_ring().channels)
+    assert np.array_equal(fresh._channels, md._channels)
 
 
 @pytest.mark.parametrize("build", [
@@ -1070,18 +1087,18 @@ def test_a_sign_below_the_float_error_bound_is_refused():
     y = golden - fl
     assert complex(y).real == 0.0 and (2 * fl + 1) ** 2 > 5  # y < 0 exactly
     with pytest.raises(ModularityError, match="^the sign of a value within .* of 0 is beyond"):
-        moddata._real_sign(y)
-    assert moddata._real_sign(golden) == 1
-    assert moddata._real_sign(-golden) == -1
-    assert moddata._real_sign(golden - golden) == 0
+        cyclo._real_sign(y)
+    assert cyclo._real_sign(golden) == 1
+    assert cyclo._real_sign(-golden) == -1
+    assert cyclo._real_sign(golden - golden) == 0
 
 
 def test_a_datum_is_proven_before_any_method_is_called():
     md = mp_md(Z3, B3, 1)
     fresh = ModularData(md.labels, md.S, md.thetas, md.c_top, md.conductor, md.grading)
     assert fresh._charge_conj == md.charge_conjugation()
-    assert fresh._fusion is not None
-    assert np.array_equal(fresh._fusion.channels, md.fusion_ring().channels)
+    assert fresh._channels is not None and fresh._fusion is None  # the ring is built when asked
+    assert np.array_equal(fresh._channels, md.fusion_ring().channels)
 
 
 def test_each_builder_proves_each_new_datum_once(monkeypatch):
