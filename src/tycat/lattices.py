@@ -14,6 +14,7 @@ lattice-isomorphism machinery.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -131,8 +132,8 @@ def _cartan_e(n: int) -> Matrix:
 def named_lattice(name: str) -> EvenLattice:
     """Built-in root lattices: A1..A24, E6, E7, E8."""
     name = name.strip().upper()
-    if name.startswith("A"):
-        n = int(name[1:])
+    if m := re.fullmatch(r"A([0-9]+)", name):  # ASCII digits: int() reads A1_0 as A10
+        n = int(m[1])
         if not 1 <= n <= 24:
             raise InvalidArgumentError(f"A-series lattices ship for n <= 24, got {name}")
         return EvenLattice(_cartan_a(n))

@@ -42,7 +42,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import permutations, product
 
 import numpy as np
 
@@ -108,10 +107,8 @@ __all__ = [
     "md_from_json",
 ]
 
-# label placements the equivalence search may try before it gives up
+# label placements a bijection search may try before it gives up
 MAX_PLACEMENTS = 100_000
-# candidate branching matrices a condensation search may try
-MAX_BRANCHINGS = 200_000
 
 
 def _md_conductor(group: FinAbGroup) -> int:
@@ -578,16 +575,46 @@ class MDEquivalence:
     mapping: tuple[int, ...]
 
 
+def _bijection(order, candidates, fits, accept, what: str) -> dict | None:
+    """Place each item of ``order`` (not empty) in turn on an unused one of
+    ``candidates[item]``, tried in list order, that ``fits(item, candidate,
+    placed)`` given the placements before it.  Returns the first complete
+    placement, a dict item -> candidate, that ``accept`` takes, or ``None``
+    once every placement is tried, which proves that there is none; raises
+    CapacityError past ``MAX_PLACEMENTS`` placements.  The stack is its own,
+    so Python's recursion limit does not bound the number of items."""
+    placed, used, budget = {}, set(), iter(range(MAX_PLACEMENTS))  # one item per placement
+    trials = [iter(candidates[order[0]])]  # the candidates left at each level
+    while trials:
+        item = order[len(trials) - 1]
+        cand = next((c for c in trials[-1] if c not in used and fits(item, c, placed)), None)
+        if cand is None:  # this level is exhausted
+            trials.pop()
+        else:
+            if next(budget, None) is None:
+                raise CapacityError(f"{what} search exceeds {MAX_PLACEMENTS} label placements")
+            placed[item] = cand
+            used.add(cand)
+            if len(placed) < len(order):
+                trials.append(iter(candidates[order[len(placed)]]))
+                continue
+            if accept(placed):
+                return placed
+        if placed:  # undo the last placement
+            used.remove(placed.popitem()[1])
+    return None
+
+
 def md_equivalent(a: ModularData, b: ModularData) -> MDEquivalence | None:
     """Search for an equivalence of modular data.
 
     Equivalent data have equal central charge: T' = zeta T with zeta a cube
     root of unity, zeta = e^{2 pi i (c_a - c_b)/24}, forces c_a = c_b mod 8,
     and then zeta = 1.  The bijection is constrained to classes of equal
-    exact (S_0i, twist); within classes the search is exhaustive with
-    incremental S-consistency pruning, so ``None`` is a proof of
-    inequivalence.  The search raises CapacityError past ``MAX_PLACEMENTS``
-    label placements.
+    exact (S_0i, twist); within classes ``_bijection`` searches exhaustively,
+    placing each label only where S agrees with the labels placed before it,
+    so ``None`` is a proof of inequivalence.  The search raises
+    CapacityError past ``MAX_PLACEMENTS`` label placements.
     """
     if a.rank != b.rank or a.c_top != b.c_top:
         return None
@@ -609,33 +636,14 @@ def md_equivalent(a: ModularData, b: ModularData) -> MDEquivalence | None:
     candidates[0] = [0] if cb[0] == ca[0] else []
     order = sorted(range(a.rank), key=lambda i: (len(candidates[i]), i))
 
-    mapping = [-1] * a.rank
-    used = [False] * b.rank
-    budget = iter(range(MAX_PLACEMENTS))  # one item per label placement
+    def fits(i: int, j: int, placed: dict) -> bool:
+        ki, kj = ka[i], kb[j]
+        return ki[i] == kj[j] and all(ki[ip] == kj[jp] for ip, jp in placed.items())
 
-    def backtrack(pos: int) -> bool:
-        if pos == a.rank:
-            return True
-        i = order[pos]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            if ka[i][i] != kb[j][j]:
-                continue
-            if any(ka[i][ip] != kb[j][mapping[ip]] for ip in order[:pos]):
-                continue
-            if next(budget, None) is None:
-                raise CapacityError(f"equivalence search exceeds {MAX_PLACEMENTS} label placements")
-            mapping[i] = j
-            used[j] = True
-            if backtrack(pos + 1):
-                return True
-            mapping[i] = -1
-            used[j] = False
-        return False
-
-    if not backtrack(0):
+    placed = _bijection(order, candidates, fits, lambda _: True, "equivalence")
+    if placed is None:
         return None
+    mapping = [placed[i] for i in range(a.rank)]
 
     # full verification of the witness
     if any(b.thetas[mapping[i]] != a.thetas[i] for i in range(a.rank)):
@@ -677,13 +685,14 @@ def verify_condensation(
 
     The bosons, label indices or labels, form a set (repeats count once)
     and must form a group of invertible labels with trivial twist; an index
-    outside the parent's labels raises ``InvalidArgumentError``.  Candidate
-    branchings are generated from the orbit decomposition of the boson
-    action (orbits of full size restrict to one child each, shorter orbits
-    split), matched to child labels within exact classes of row 0 of
-    S_p B = B S_c and of the twist, and S_p B = B S_c is verified exactly.
-    The parent and child must have equal central charge.  Returns the first
-    verified certificate, or None.
+    outside the parent's labels raises ``InvalidArgumentError``.  The orbits
+    of the boson action give the slots of B (orbits of full size restrict to
+    one child each, shorter orbits split); ``_bijection`` places the child
+    labels on slots within exact classes of row 0 of S_p B = B S_c and of
+    the twist, and takes the first B with S_p B = B S_c exactly.  The parent
+    and child must have equal central charge.  Returns that certificate, or
+    None once every placement is tried; the search raises CapacityError past
+    ``MAX_PLACEMENTS`` label placements.
     """
     ring = parent.fusion_ring()
     r = parent.rank
@@ -739,41 +748,31 @@ def verify_condensation(
         len(slot_classes[k]) != len(child_classes[k]) for k in slot_classes
     ):
         return None
-    unit_orbit = tuple(sorted(bos))
+    # child labels class by class, in the order of each class's least label,
+    # each on a slot of its class; the unit (first) only on the unit orbit
+    keys = sorted(slot_classes, key=lambda k: child_classes[k][0])
+    pool = {c: slot_classes[k] for k in keys for c in child_classes[k]}
+    pool[0] = [s_i for s_i in pool[0] if slots[s_i] == tuple(sorted(bos))]
 
-    def assignments():
-        keys = sorted(slot_classes, key=lambda key: child_classes[key][0])
-        n_comb = math.prod(math.factorial(len(slot_classes[key])) for key in keys)
-        if n_comb > MAX_BRANCHINGS:
-            raise CapacityError(
-                f"{n_comb} candidate branchings exceed the bound {MAX_BRANCHINGS}"
-            )
-        pools = [list(permutations(slot_classes[key])) for key in keys]
-        for combo in product(*pools):
-            assign = {
-                c: s_i
-                for key, perm in zip(keys, combo)
-                for c, s_i in zip(child_classes[key], perm)
-            }
-            if slots[assign[0]] == unit_orbit:
-                yield assign
-
-    # T_p B = B T_c needs no test: each class shares one twist, a slot is a
-    # single-twist orbit, and c_p = c_c, so T_p[p] = T_c[c] wherever B[p][c] = 1
-    cells = [(p, c) for p in range(r) for c in range(child.rank)]
-    for assign in assignments():
+    def branching(assign: dict) -> list[list[int]]:
         bmat = [[0] * child.rank for _ in range(r)]
         for c in range(child.rank):
             for p in slots[assign[c]]:
                 bmat[p][c] = 1
-        # S_p B = B S_c, entry by entry
-        if all(
+        return bmat
+
+    # T_p B = B T_c needs no test: each class shares one twist, a slot is a
+    # single-twist orbit, and c_p = c_c, so T_p[p] = T_c[c] wherever B[p][c] = 1
+    def commutes(assign: dict) -> bool:  # S_p B = B S_c, entry by entry
+        bmat = branching(assign)
+        return all(
             sum((sp[p][p2] for p2 in range(r) if bmat[p2][c]), zero)
             == sum((sc[c2][c] for c2 in range(child.rank) if bmat[p][c2]), zero)
-            for p, c in cells
-        ):
-            return BranchingMatrix(tuple(tuple(row) for row in bmat))
-    return None
+            for p in range(r) for c in range(child.rank)
+        )
+
+    assign = _bijection(list(pool), pool, lambda *_: True, commutes, "condensation")
+    return None if assign is None else BranchingMatrix(tuple(map(tuple, branching(assign))))
 
 
 def classify_mp(group: FinAbGroup) -> list[ModularData]:

@@ -474,6 +474,29 @@ def test_oversize_group_is_refused_before_factoring(argv):
     assert "exceeds 2048" in json.loads(out.stdout)["error"]
 
 
+@pytest.mark.parametrize("bichar, same", [
+    (("--group", "3", "--bichar", "2/3"), ("--group", "3", "--qform", "0,1/3,1/3")),
+    (("--group", "3,3", "--bichar", "2/3,0;0,2/3"), ("--group", "3,3")),
+])
+def test_md_builds_from_an_explicit_bichar_matrix(capsys, bichar, same):
+    # b = dq: the rows 2/3 and 2/3,0;0,2/3 are the bicharacters of the forms
+    # q(x) = zeta_3^{x^2} and of the default form on Z3 x Z3
+    code, out, _ = run_cli(capsys, "md", "mp", *bichar)
+    assert code == 0
+    assert (code, out) == run_cli(capsys, "md", "mp", *same)[:2]
+
+
+@pytest.mark.parametrize("spec, name", [
+    ("A1_0", "A1_0"), ("A\u0661", "A\u0661"), ("A", "A"), ("A+E8", "A"),
+])
+def test_a_series_index_takes_ascii_digits_only(capsys, spec, name):
+    # int() read A1_0 as A10 (Z11) and A\u0661 as A1 (Z2), and failed on A
+    code, out, err = run_cli(capsys, "disc", "--lattice", spec)
+    assert code == 1
+    assert json.loads(out)["error"] == f"unknown lattice name {name!r}"
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -123,6 +123,26 @@ def test_corrupted_tensor_reports_triple():
     assert "associativity" in kinds or "frobenius" in kinds or "unit" in kinds
 
 
+def test_unit_and_dual_involution_violations_are_reported():
+    # the group ring of Z3 (duals 0, 2, 1), edited one entry at a time
+    ring = ty_fusion_ring(Z3)
+    cube = dense(ring)[:3, :3, :3]
+
+    def violations(edit):
+        bad = cube.copy()
+        edit(bad)
+        return check_fusion_ring(FusionRing(ring.labels[:3], channels_of(bad), ring.dims[:3]))
+
+    def extra_channel(bad):  # 0 x 1 = 1 + 1
+        bad[0, 1, 1] += 1
+
+    def self_dual_2(bad):  # 2 x 2 holds the unit, 2 x 1 does not: dual 1 -> 2 -> 2
+        bad[2, 1, 0], bad[2, 2, 0] = 0, 1
+
+    assert ("unit", (0, 1, 1)) in violations(extra_channel)
+    assert ("dual-involution", (1,)) in violations(self_dual_2)
+
+
 def test_channels_are_one_read_only_int64_array():
     ring = gen_mp_fusion_ring(Z5)
     ch = ring.channels

@@ -65,6 +65,18 @@ def test_named_dets():
         named_lattice("B2")
 
 
+@pytest.mark.parametrize("name", ["A1_0", "A\u0661", "A", "A-1", "A 2"])
+def test_a_series_names_take_ascii_digits_only(name):
+    with pytest.raises(InvalidArgumentError, match="^unknown lattice name"):
+        named_lattice(name)
+
+
+def test_a_series_names_keep_case_and_surrounding_space():
+    assert named_lattice(" a24 ").determinant == named_lattice("A24").determinant == 25
+    with pytest.raises(InvalidArgumentError, match="ship for n <= 24, got A25"):
+        named_lattice("A25")
+
+
 def test_discriminant_matches_reference_tables():
     for name in ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "E6", "E7"]:
         disc = discriminant_form(named_lattice(name))

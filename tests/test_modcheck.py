@@ -161,6 +161,16 @@ def test_verlinde_rejects_wrong_tensor():
         prover.verify_verlinde(_proven(prover, md.S), channels_of(tensor))
 
 
+def test_verlinde_refuses_an_asymmetric_tensor():
+    # N_12^2 raised alone: (1, 2, 2) and (2, 1, 2) differ before any prime is tried
+    md = mp_md(Z3, bichar_from_qform(Q_A2), 1)
+    tensor = dense(md.fusion_ring())
+    tensor[1, 2, 2] += 1
+    prover = MatProver(md.conductor)
+    with pytest.raises(ModularityError, match="^fusion coefficients are not symmetric$"):
+        prover.verify_verlinde(_proven(prover, md.S), channels_of(tensor))
+
+
 def test_verlinde_guess_rejects_negative_coefficients():
     # the proof fixes N_ij^k but not its sign; negating row 0 of S negates
     # the guess N_ij^k for i, j, k != 0, and 1 + 1 = 2 in Z3; the guess is

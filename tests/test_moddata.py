@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -398,6 +399,103 @@ def test_placement_bound(monkeypatch):
         md_equivalent(md, md)
 
 
+def _relabeled(md, perm):
+    """md with label perm[i] at index i, proven again by the constructor."""
+    s = md.S
+    return ModularData([md.labels[p] for p in perm], [[s[p][q] for q in perm] for p in perm],
+                       [md.thetas[p] for p in perm], md.c_top, md.conductor)
+
+
+def test_bijection_undoes_a_placement_that_leaves_no_fit():
+    # item 1 fits only on candidate 0, which item 0 takes first
+    fits = lambda item, cand, placed: item == 0 or cand == 0
+    assert moddata._bijection([0, 1], {0: [0, 1], 1: [0, 1]}, fits, lambda _: True, "test") == {
+        0: 1, 1: 0}
+
+
+def test_bijection_undoes_a_placement_that_accept_refuses():
+    order, candidates = [0, 1, 2], [[0, 1, 2]] * 3
+    found = moddata._bijection(order, candidates, lambda *_: True, lambda p: p[0] == 2, "test")
+    assert found == {0: 2, 1: 0, 2: 1}
+
+
+def test_bijection_tries_every_placement_in_order_before_it_returns_none():
+    tried = []
+    found = moddata._bijection([0, 1, 2], [[0, 1, 2]] * 3, lambda *_: True,
+                               lambda p: tried.append(tuple(p.values())), "test")
+    assert found is None
+    assert tried == list(permutations(range(3)))
+    # two items, one candidate: the second level fails, then the first
+    assert moddata._bijection([0, 1], [[0], [0]], lambda *_: True, lambda _: True, "test") is None
+
+
+def test_bijection_counts_placements(monkeypatch):
+    # trying every placement of 3 items takes 3 + 6 + 6 placements
+    args = ([0, 1, 2], [[0, 1, 2]] * 3, lambda *_: True, lambda _: False, "test")
+    monkeypatch.setattr(moddata, "MAX_PLACEMENTS", 15)
+    assert moddata._bijection(*args) is None
+    monkeypatch.setattr(moddata, "MAX_PLACEMENTS", 14)
+    with pytest.raises(CapacityError, match="^test search exceeds 14 label placements$"):
+        moddata._bijection(*args)
+
+
+def test_md_equivalent_of_a_rank_past_the_recursion_limit():
+    # five toric codes, rank 1024: a search one Python frame per label
+    # raised RecursionError here
+    z22 = FinAbGroup.of(2, 2)
+    toric = pointed_md(metric_group(QuadForm.from_callable(
+        z22, lambda g: RootOfUnity(Fraction(g.coords[0] * g.coords[1], 2)))))
+    md = toric
+    for _ in range(4):
+        md = tensor_md(md, toric)
+    assert md.rank == 1024 > sys.getrecursionlimit()
+    assert md_equivalent(md, md).mapping == tuple(range(md.rank))
+
+
+Z33 = FinAbGroup.of(3, 3)
+
+
+def _hyperbolic_z33():
+    """Pointed data of Z3 x Z3 with q(x, y) = zeta_3^{xy}."""
+    return pointed_md(metric_group(QuadForm.from_callable(
+        Z33, lambda g: RootOfUnity(Fraction(g.coords[0] * g.coords[1], 3)))))
+
+
+def test_md_equivalent_returns_none_once_every_placement_is_tried(monkeypatch):
+    # with every complete placement refused, the search lists them all: the
+    # self-equivalences of hyperbolic Z3 x Z3, which are the four isometries
+    # (x, y) -> (ax, y/a) and (y/a, ax) of q
+    md = _hyperbolic_z33()
+    tried = []
+    search = moddata._bijection
+
+    def refusing(order, candidates, fits, accept, what):
+        return search(order, candidates, fits, lambda p: tried.append(dict(p)), what)
+
+    monkeypatch.setattr(moddata, "_bijection", refusing)
+    assert md_equivalent(md, md) is None
+
+    def label(x, y):
+        return md.index_of(Pointed(Z33.element([x % 3, y % 3])))
+
+    isometries = [lambda x, y: (x, y), lambda x, y: (-x, -y),
+                  lambda x, y: (y, x), lambda x, y: (-y, -x)]
+    want = [{label(*g.coords): label(*f(*g.coords)) for g in Z33.elements()} for f in isometries]
+    assert len(tried) == 4 and all(p in want for p in tried)
+
+
+def test_md_equivalent_backtracks_to_a_witness(monkeypatch):
+    mp3 = mp_md(Z3, B3, 1)
+    a = tensor_md(mp3, mp3)
+    b = _relabeled(a, [0, *range(a.rank - 1, 0, -1)])
+    witness = md_equivalent(a, b)  # verified on S and T before it is returned
+    assert witness is not None and sorted(witness.mapping) == list(range(a.rank))
+    # the witness is found after more than one placement per label
+    monkeypatch.setattr(moddata, "MAX_PLACEMENTS", a.rank)
+    with pytest.raises(CapacityError, match=f"^equivalence search exceeds {a.rank} label"):
+        md_equivalent(a, b)
+
+
 def test_classify_mp_counts():
     assert len(classify_mp(TRIV)) == 2
     assert len(classify_mp(Z3)) == 4
@@ -454,11 +552,47 @@ def test_fusion_ring_is_the_proven_tensor(monkeypatch):
 def test_condensation_search_is_bounded(monkeypatch):
     md = mp_md(Z3, B3, 1)
     child = pointed_md(metric_group(QuadForm.from_callable(Z3, lambda g: B3(g, g).inverse())))
-    monkeypatch.setattr(moddata, "MAX_BRANCHINGS", 0)
-    # the bound is checked before any candidate is listed
-    monkeypatch.setattr(moddata, "permutations", lambda _: pytest.fail("listed candidates"))
-    with pytest.raises(CapacityError, match="candidate branchings exceed the bound 0"):
-        verify_condensation(md, child, [0, md.index_of(MPAlpha())])
+    bosons = [0, md.index_of(MPAlpha())]
+    # the first assignment is the certificate: one placement per child label
+    monkeypatch.setattr(moddata, "MAX_PLACEMENTS", child.rank)
+    assert verify_condensation(md, child, bosons) is not None
+    monkeypatch.setattr(moddata, "MAX_PLACEMENTS", child.rank - 1)
+    with pytest.raises(CapacityError,
+                       match=f"^condensation search exceeds {child.rank - 1} label placements$"):
+        verify_condensation(md, child, bosons)
+
+
+def test_condensation_tries_every_assignment_before_it_returns_none(monkeypatch):
+    # TY(Z3)'s double condensed along the Z2 boson onto hyperbolic Z3 x Z3,
+    # with every complete assignment refused
+    parent = _ty3()
+    child = next(md for md in map(pointed_md, classify_metric_groups(FinAbGroup.of(3, 3)))
+                 if md.c_top == parent.c_top)
+    bosons = [parent.index_of(TYPt(Z3.element([0]), 1))]
+    cert = verify_condensation(parent, child, bosons)
+    assert cert is not None
+    tried = []
+    search = moddata._bijection
+
+    def refusing(order, candidates, fits, accept, what):
+        return search(order, candidates, fits, lambda p: tried.append(dict(p)), what)
+
+    monkeypatch.setattr(moddata, "_bijection", refusing)
+    assert verify_condensation(parent, child, bosons) is None
+    # classes of 5 (the unit fixed), 2 and 2 slots: 4! 2! 2! assignments,
+    # each class's slots permuted in order, the first class slowest
+    slots = [tuple(p.values()) for p in tried]
+    assert len(slots) == len(set(slots)) == 96 and slots == sorted(slots)
+    assert all(list(p) == list(tried[0]) and p[0] == tried[0][0] for p in tried)
+    assert next(iter(tried[0])) == 0  # the unit is placed first
+
+
+def test_condensation_with_unmatched_classes_searches_nothing(monkeypatch):
+    # mp(Z3) and its hat twist have equal rank and c, but twists i apart on rho
+    md, other = mp_md(Z3, B3, 1), mp_md(Z3, B3, -1)
+    assert md.c_top == other.c_top
+    monkeypatch.setattr(moddata, "_bijection", lambda *_: pytest.fail("searched"))
+    assert verify_condensation(md, other, [0]) is None
 
 
 def test_condensation_identity():
@@ -704,6 +838,21 @@ def test_from_json_rejects_corrupt():
     blob = md_to_json(mp_md(Z3, B3, 1))
     blob["S"][2][3] = CycNum.one().promoted(int(blob["conductor"])).to_json()
     with pytest.raises((ModularityError, InvalidArgumentError)):
+        md_from_json(blob)
+
+
+def test_from_json_refuses_a_charge_conjugation_that_moves_the_unit():
+    # pointed Z3 x Z3 with q(x, y) = zeta_3^{xy}, pt(0,1) written first:
+    # its twist is 1, so the unit check passes, but its dual is pt(0,2)
+    md = _hyperbolic_z33()
+    first = md.index_of(Pointed(Z33.element([0, 1])))
+    perm = [first] + [i for i in range(md.rank) if i != first]
+    blob = md_to_json(md)
+    for key in ("labels", "label_names", "T"):
+        blob[key] = [blob[key][i] for i in perm]
+    blob["S"] = [[blob["S"][i][j] for j in perm] for i in perm]
+    with pytest.raises(ModularityError,
+                       match="^charge conjugation is not a unit-fixing permutation$"):
         md_from_json(blob)
 
 
