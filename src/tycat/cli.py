@@ -188,9 +188,9 @@ def _group_orders(spec: str) -> list[int]:
 
 
 def _group(orders: list[int]) -> FinAbGroup:
-    """The group of a --group list.  Every subcommand builds |G| x |G| tables
-    or larger, so |G| above ``groups.MAX_TABLE_ORDER`` is refused before any
-    cyclic order is factored."""
+    """The group of a --group list.  |G| above ``groups.MAX_TABLE_ORDER``,
+    the bound of the form code and of moddata's |G| x |G| tables, is refused
+    before any cyclic order is factored."""
     check_table_order(math.prod(orders))
     return FinAbGroup.of(orders)
 

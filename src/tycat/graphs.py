@@ -72,23 +72,6 @@ class BipartiteGraph:
     def degree(self, v: str) -> int:
         return sum(1 for e, o in self.edges if v in (e, o))
 
-    def is_connected(self) -> bool:
-        if not self.even and not self.odd:
-            return True
-        adj: dict[str, set[str]] = {v: set() for v in self.even + self.odd}
-        for e, o in self.edges:
-            adj[e].add(o)
-            adj[o].add(e)
-        seen = {self.star}
-        frontier = [self.star]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == len(adj)
-
     def to_json(self) -> dict:
         return {
             "name": self.name,

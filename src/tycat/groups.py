@@ -4,20 +4,20 @@ Groups are stored canonically as a divisibility chain d_1 | d_2 | ... | d_r
 (each >= 2), so two isomorphic groups compare equal.  Elements are coordinate
 tuples reduced mod the factors.  The module also provides the positive-set
 split for odd groups, character groups with their canonical pairing,
-brute-force automorphism enumeration, and subgroup enumeration -- all at the
-desk scale (|G| up to a few hundred) this package targets -- and the cached
-integer tables (coordinates, index of g + h) the form code runs on.
+automorphisms found by backtracking over generator images, and subgroup
+enumeration -- all at the desk scale (|G| up to a few hundred) this package
+targets -- and the cached index tables (of g + e_j per generator, of g + h)
+the form code runs on.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product
-from operator import itemgetter
-
-import numpy as np
+from operator import itemgetter, mul
 
 from .cyclo import RootOfUnity, factorize
 from .errors import CapacityError, InvalidArgumentError, ModularityError
@@ -30,15 +30,17 @@ __all__ = [
     "positive_set",
     "character_group",
     "automorphisms",
-    "automorphism_perms",
     "span",
     "subgroups",
     "product_group",
 ]
 
-# largest group order with |G| x |G| integer tables (32 MB of int64 each)
+# largest group order the form code accepts; forms are proven on |G| x rank
+# tables, and the |G| x |G| tables (moddata's, and the full checks of a value
+# table that is not a form) stay below 2048^2 entries
 MAX_TABLE_ORDER = 2048
-# most candidate generator images the automorphism enumeration tries
+# most candidate generator images (the product of the pool sizes) the
+# automorphism search accepts
 MAX_AUT_CANDIDATES = 200_000
 
 
@@ -183,24 +185,25 @@ class GroupElement:
         return "(" + ",".join(map(str, self.coords)) + ")"
 
 
-# -- integer tables ------------------------------------------------------------
+# -- index tables ----------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def coords_array(group: FinAbGroup) -> np.ndarray:
-    """The (|G|, rank) int64 coordinates of the elements, in element order."""
-    c = np.array(list(product(*map(range, group.invariant_factors))), dtype=np.int64)
-    c = c.reshape(group.order, group.rank)
-    c.flags.writeable = False
-    return c
-
-
-def index_of_coords(group: FinAbGroup, coords) -> np.ndarray:
-    """Element indices of integer coordinate rows (last axis), reduced mod
-    the invariant factors."""
+def _strides(group: FinAbGroup) -> tuple[int, ...]:
+    """The place value of each coordinate in the element index."""
     facs = group.invariant_factors
-    strides = [math.prod(facs[j + 1:]) for j in range(len(facs))]
-    return np.asarray(coords) % np.array(facs, dtype=np.int64) @ np.array(strides, dtype=np.int64)
+    return tuple(math.prod(facs[j + 1:]) for j in range(len(facs)))
+
+
+@lru_cache(maxsize=None)
+def shift_table(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
+    """Row j holds the index of g + e_j for every g, in element order; its
+    entry 0 is the index of e_j."""
+    rows = []
+    for d, s in zip(group.invariant_factors, _strides(group)):
+        wrap = (d - 1) * s
+        rows.append(tuple(i - wrap if i // s % d == d - 1 else i + s for i in range(group.order)))
+    return tuple(rows)
 
 
 def check_table_order(order: int) -> None:
@@ -212,13 +215,21 @@ def check_table_order(order: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def add_table(group: FinAbGroup) -> np.ndarray:
-    """The (|G|, |G|) table of the index of g + h."""
+def add_table(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
+    """The (|G|, |G|) table of the index of g + h.  Coordinate j of g + h
+    adds ((g_j + h_j) mod d_j) s_j to the index, so row h joins one
+    rotation per coordinate, the first coordinate slowest."""
     check_table_order(group.order)
-    c = coords_array(group)
-    table = np.array([index_of_coords(group, c + row) for row in c])
-    table.flags.writeable = False
-    return table
+    facs, strides = group.invariant_factors, _strides(group)
+
+    def row(h: GroupElement) -> tuple[int, ...]:
+        out = [0]
+        for c, d, s in zip(h.coords, facs, strides):
+            rot = [(x + c) % d * s for x in range(d)]
+            out = [a + b for a in out for b in rot]
+        return tuple(out)
+
+    return tuple(map(row, group.elements()))
 
 
 # -- positive sets -----------------------------------------------------------
@@ -289,66 +300,83 @@ class GroupAut:
             out = out + img * c
         return out
 
-    def compose(self, other: "GroupAut") -> "GroupAut":
-        return GroupAut(self.group, tuple(self(img) for img in other.images))
-
-    def inverse(self) -> "GroupAut":
-        table = {self(g): g for g in self.group.elements()}
-        return GroupAut(self.group, tuple(table[g] for g in self.group.generators()))
-
-    def is_identity(self) -> bool:
-        return self.images == self.group.generators()
+    def indices(self) -> Iterator[int]:
+        """The index of phi(g) for each g in element order, computed as it
+        is read, so a caller that stops early pays for what it read.  Each
+        step of the element odometer adds the image y_j of every coordinate
+        j it moves: rolling g_j over from d_j - 1 to 0 adds y_j as well,
+        since d_j y_j = 0."""
+        facs = self.group.invariant_factors
+        strides = _strides(self.group)
+        images = [y.coords for y in self.images]
+        last = len(facs) - 1
+        acc = [0] * len(facs)  # the coordinates of phi(g)
+        g = [0] * len(facs)
+        for _ in range(self.group.order):
+            yield sum(map(mul, acc, strides))
+            j = last
+            while j >= 0:
+                acc = [(a + b) % d for a, b, d in zip(acc, images[j], facs)]
+                g[j] += 1
+                if g[j] < facs[j]:
+                    break
+                g[j] = 0
+                j -= 1
 
 
 @lru_cache(maxsize=None)
-def _automorphisms_cached(group: FinAbGroup):
-    """(automorphisms, their generator images as an (n, rank, rank) array)."""
+def automorphisms(group: FinAbGroup) -> tuple[GroupAut, ...]:
+    """All automorphisms of the group, by backtracking over generator images
+    of the right orders.  Raises CapacityError before searching when the
+    candidate images number more than ``MAX_AUT_CANDIDATES``."""
     if group.is_trivial():
-        return (GroupAut(group, ()),), np.zeros((1, 0, 0), dtype=np.int64)
+        return (GroupAut(group, ()),)
     facs = group.invariant_factors
-    c = coords_array(group)
-    pools = [np.flatnonzero(((c * d) % facs == 0).all(axis=1)) for d in facs]
-    sizes = [len(pool) for pool in pools]
-    n_candidates = math.prod(sizes)
+    # the candidate images of e_i: the y with d_i y = 0, in element order
+    pools = [
+        [y for y in group.elements() if all(d * c % f == 0 for c, f in zip(y.coords, facs))]
+        for d in facs
+    ]
+    n_candidates = math.prod(map(len, pools))
     if n_candidates > MAX_AUT_CANDIDATES:
         raise CapacityError(
             f"{n_candidates} candidate generator images exceed the bound {MAX_AUT_CANDIDATES}"
         )
-    # images define a homomorphism; keep it iff it is injective, i.e. only
-    # the zero element (index 0) maps to zero; candidates in product order
-    kept = []
-    chunk = max(1, (1 << 16) // (group.order * group.rank))
-    for start in range(0, n_candidates, chunk):
-        pos = np.unravel_index(np.arange(start, min(start + chunk, n_candidates)), sizes)
-        images = np.stack([c[pool[p]] for pool, p in zip(pools, pos)], axis=1)
-        mapped = index_of_coords(group, np.einsum("gi,nij->ngj", c, images))
-        kept.append(images[(mapped[:, 1:] != 0).all(axis=1)])
-    images = np.concatenate(kept)
-    images.flags.writeable = False
-    els = group.elements()  # shared, not one new element per image
-    auts = tuple(
-        GroupAut(group, tuple(els[i] for i in row))
-        for row in index_of_coords(group, images).tolist()
-    )
-    return auts, images
+    return tuple(_backtrack(group, pools))
 
 
-def automorphisms(group: FinAbGroup):
-    """All automorphisms of the group, by brute force over generator images
-    with order pruning.  Raises CapacityError past ``MAX_AUT_CANDIDATES``."""
-    return _automorphisms_cached(group)[0]
+def _backtrack(group: FinAbGroup, pools) -> list[GroupAut]:
+    """The automorphisms among the generator images in ``pools``, in the
+    product order of the pools (the first image varies slowest).
 
+    Images y_i with d_i y_i = 0 define a homomorphism; it is injective, so
+    bijective, iff each y_i meets the span S of the earlier images only in
+    0.  The intersection is a subgroup of the cyclic group <y_i>, so it is 0
+    iff it misses the subgroup of order p for every prime p | d_i, generated
+    by (d_i/p) y_i; as 0 is in S, the same test proves y_i has order d_i."""
+    facs = group.invariant_factors
+    last = len(facs) - 1
+    cofactors = [[d // p for p in factorize(d)] for d in facs]
+    found: list[GroupAut] = []
 
-def automorphism_perms(group: FinAbGroup):
-    """Yield (start, perms) over ``automorphisms(group)``: row i of
-    ``perms`` holds the index of phi(g) for every g, phi the automorphism
-    numbered start + i; blocks of about 2^16 coordinates."""
-    images = _automorphisms_cached(group)[1]
-    c = coords_array(group)
-    chunk = max(1, (1 << 16) // (group.order * max(group.rank, 1)))
-    for start in range(0, len(images), chunk):
-        mapped = np.einsum("gi,nij->ngj", c, images[start:start + chunk])
-        yield start, index_of_coords(group, mapped)
+    def scaled(c, k: int) -> tuple[int, ...]:
+        return tuple(x * k % f for x, f in zip(c, facs))
+
+    def extend(i: int, images: tuple[GroupElement, ...], span: set) -> None:
+        for y in pools[i]:
+            if any(scaled(y.coords, k) in span for k in cofactors[i]):
+                continue
+            if i == last:
+                found.append(GroupAut(group, images + (y,)))
+                continue
+            multiples = [scaled(y.coords, t) for t in range(facs[i])]
+            extend(i + 1, images + (y,), {
+                tuple((a + b) % f for a, b, f in zip(s, m, facs))
+                for s in span for m in multiples
+            })
+
+    extend(0, (), {(0,) * len(facs)})
+    return found
 
 
 # -- subgroups ---------------------------------------------------------------

@@ -20,8 +20,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import CapacityError, InvalidArgumentError, ModularityError
-from .groups import FinAbGroup, GroupAut, GroupElement, automorphism_perms, automorphisms
-from .groups import check_table_order, span
+from .groups import FinAbGroup, GroupAut, GroupElement, automorphisms, check_table_order, span
 from .intmat import (
     Matrix,
     as_matrix,
@@ -204,7 +203,7 @@ def discriminant_form(lattice: EvenLattice) -> DiscriminantForm:
     """
     n = lattice.rank
     factors, u_inv, adj, delta = _smith_adjugate(lattice)
-    check_table_order(delta)  # before factoring |G|; nondegeneracy needs the tables
+    check_table_order(delta)  # before factoring |G|, the bound of the form code
     keep = [i for i in range(n) if factors[i] > 1]
     group = FinAbGroup.of([factors[i] for i in keep])
     lifts = tuple(u_inv[i] for i in keep)
@@ -222,18 +221,23 @@ def discriminant_form(lattice: EvenLattice) -> DiscriminantForm:
 
     # canonicalize the generator choice
     # (the least value table q o phi; every table has q's modulus, so the
-    # integer exponents order the tables as their values do)
-    best = qform
+    # integer exponents order the tables as their values do); the first
+    # entry that differs from the least so far decides, and a tie keeps the
+    # earlier automorphism
+    a = qform.exps
+    best = a
     best_aut: GroupAut | None = None
-    auts = automorphisms(group)
-    for start, perms in automorphism_perms(group):
-        for i, cand in enumerate(map(tuple, qform.array[perms].tolist())):
-            if cand < best.exps:
-                best = QuadForm(group, modulus=qform.modulus, exps=cand)
-                best_aut = auts[start + i]
+    for phi in automorphisms(group):
+        for i, x in zip(phi.indices(), best):
+            if a[i] != x:
+                break
+        else:
+            continue
+        if a[i] < x:
+            best, best_aut = tuple(a[i] for i in phi.indices()), phi
     if best_aut is not None:
         lifts = tuple(_lift(best_aut(gen), lifts, n) for gen in group.generators())
-        qform = best
+        qform = QuadForm(group, modulus=qform.modulus, exps=best)
 
     disc = DiscriminantForm(lattice, group, qform, lifts)
     if lattice.determinant != group.order:

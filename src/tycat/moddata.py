@@ -82,7 +82,6 @@ from .modcheck import MatProver, _c_order, check_cells, distinct_values
 from .quadforms import (
     Bichar,
     MetricGroup,
-    _nondegenerate,
     classify_metric_groups,
     gauss_central_charge,
     metric_group,
@@ -318,8 +317,7 @@ def pointed_md(m: MetricGroup) -> ModularData:
     """
     group = m.group
     q = m.quad
-    dq = q.dq()
-    if not _nondegenerate(dq):
+    if not q.is_nondegenerate():
         raise InvalidArgumentError("the quadratic form must be nondegenerate")
     n = max(group.order, 1)
     conductor = _pointed_conductor(group)
@@ -330,7 +328,8 @@ def pointed_md(m: MetricGroup) -> ModularData:
     scale = sqrt_int(n).promoted(conductor) * Fraction(1, n)
     entry = cache(lambda e: zeta(conductor, e) * scale)
     labels = [Pointed(g) for g in group.elements()]
-    rows = [[entry(e) for e in row] for row in (dq * (conductor // q.modulus)).tolist()]
+    step = conductor // q.modulus
+    rows = [[entry(e * step) for e in row] for row in q.dq()]
     return ModularData(labels, rows, q.values, c, conductor)
 
 
@@ -347,9 +346,9 @@ def _ty_prep(group: FinAbGroup, b: Bichar, sign: int, rank: int):
     q = qform_from_bichar(b)
     a_form = q ** ((group.exponent + 1) // 2)
     mod = math.lcm(b.modulus, a_form.modulus)
-    bt = b.table() * (mod // b.modulus)
-    a = a_form.array * (mod // a_form.modulus)
-    add = add_table(group)
+    bt = np.array(b.table(), dtype=np.int64) * (mod // b.modulus)
+    a = np.array(a_form.exps, dtype=np.int64) * (mod // a_form.modulus)
+    add = np.array(add_table(group), dtype=np.int64)
     if (a != a[add.argmin(axis=1)]).any():  # argmin: the h with g + h = 0
         raise ModularityError("a(g) != a(-g)")
     if ((a[:, None] + a[None, :] - bt - a[add]) % mod).any():
@@ -438,7 +437,7 @@ def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
         raise ModularityError(f"metaplectic data of {group} has rank {len(labels)}")
 
     step = conductor // b.modulus
-    trace_b = zeta_sum(conductor, ((e * step, k) for e, k in Counter(b.diag().tolist()).items()))
+    trace_b = zeta_sum(conductor, ((e * step, k) for e, k in Counter(b.diag()).items()))
     omega0 = omega[0]
     scale = root_n * Fraction(1, 2 * n)  # 1/(2 sqrt(n))
     unit, pt_rho, pt_sigma = scale, root_n * scale, 2 * scale
@@ -447,7 +446,8 @@ def mp_md(group: FinAbGroup, b: Bichar, sign: int) -> ModularData:
 
     # sigma_h sigma_h': b(h', h)^-2 + b(h', h)^2, one value per exponent
     idx = [group.index_of(h) for h in pos.members]
-    bt = (b.table()[np.ix_(idx, idx)] * step).tolist()
+    table = b.table()
+    bt = [[table[i][j] * step for j in idx] for i in idx]
     sigma_sigma = cache(lambda e: zeta_sum(conductor, ((-2 * e, 1), (2 * e, 1))) * (2 * scale))
     m = len(idx)
     rows = [

@@ -9,9 +9,11 @@ symmetric bicharacter determine each other through
 where dq(g, h) = q(g) q(h) q(g+h)^{-1}.  Both store exact phases as
 integer exponents over one modulus M, the value at an exponent e being
 e^{2 pi i e/M}: forms keep a full table over the element enumeration (q is
-not multiplicative), bicharacters an integer generator matrix.  Every
-check runs on integer arrays (the dq and b tables are built from the
-group's cached index-addition table).
+not multiplicative), bicharacters an integer generator matrix.  A form is
+proven on |G| x rank tables, dq(g, e_j) and b(g, e_j) for the generators
+e_j, read through the group's cached shift tables (the index of g + e_j);
+a bicharacter is fixed by its values there.  Only a value table whose dq is
+not bimultiplicative is checked on the full |G| x |G| table.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-
-import numpy as np
+from operator import mul
 
 from .cyclo import CycNum, RootOfUnity, factorize, sqrt_int, zeta_sum
 from .errors import DegeneracyError, InvalidArgumentError, ModularityError, UnsupportedError
 from .groups import FinAbGroup, GroupAut, GroupElement, automorphisms, product_group, subgroups
-from .groups import add_table, automorphism_perms, check_table_order, coords_array, index_of_coords
-from .groups import primary_pieces
+from .groups import _strides, add_table, check_table_order, primary_pieces, shift_table
 
 __all__ = [
     "QuadForm",
@@ -48,11 +48,6 @@ __all__ = [
     "metric_double",
     "metric_group",
 ]
-
-
-def _int_array(values, modulus: int) -> np.ndarray:
-    # residue products fit int64 below 2^31; larger moduli use Python ints
-    return np.array(values, dtype=np.int64 if modulus < 2**31 else object)
 
 
 def _set_reduced(obj, group: FinAbGroup, modulus: int, rows) -> tuple:
@@ -100,13 +95,6 @@ class QuadForm:
         q.validate()
         return q
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The exponents as an integer array (read-only)."""
-        a = _int_array(self.exps, self.modulus)
-        a.flags.writeable = False
-        return a
-
     @property
     def values(self) -> tuple[RootOfUnity, ...]:
         return tuple(RootOfUnity(e, self.modulus) for e in self.exps)
@@ -114,10 +102,9 @@ class QuadForm:
     def __call__(self, g: GroupElement) -> RootOfUnity:
         return RootOfUnity(self.exps[self.group.index_of(g)], self.modulus)
 
-    def dq(self) -> np.ndarray:
+    def dq(self) -> tuple[tuple[int, ...], ...]:
         """The (|G|, |G|) exponent table of dq(g, h) = q(g) q(h) q(g+h)^{-1}."""
-        a = self.array
-        return (a[:, None] + a[None, :] - a[add_table(self.group)]) % self.modulus
+        return _dq_rows(self, add_table(self.group))
 
     def conj(self) -> "QuadForm":
         return self ** -1
@@ -125,37 +112,73 @@ class QuadForm:
     def __pow__(self, k: int) -> "QuadForm":
         return QuadForm(self.group, modulus=self.modulus, exps=[e * k for e in self.exps])
 
+    @cached_property
+    def _bimultiplicative(self) -> bool:
+        """Whether dq(g + e_h, e_k) = dq(g, e_k) dq(e_h, e_k) for every g and
+        generators e_h, e_k.  Then every dq(., e_k) is a character, and so is
+        every dq(g, .): a coboundary satisfies dq(g, h) dq(g+h, k) =
+        dq(g, h+k) dq(h, k), which at k = e_k reads dq(g, h + e_k) =
+        dq(g, h) dq(g, e_k).  At g = 0 it also forces q(0) = 1."""
+        a, m = self.exps, self.modulus
+        shifts = shift_table(self.group)
+        for sh in shifts:
+            for sk in shifts:
+                h, k = sh[0], sk[0]
+                c = a[sk[h]] - a[h] - a[k]  # -dq(h, k)
+                # dq(g + h, k) - dq(g, k) - dq(h, k), as exponents
+                if any((a[x] - a[sk[x]] - y + a[z] + c) % m for x, y, z in zip(sh, a, sk)):
+                    return False
+        return True
+
+    @cached_property
+    def _dq_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Row g holds the exponents of dq(g, h), for h over the generators
+        when dq is bimultiplicative, and over every element otherwise.  Both
+        are refused above ``MAX_TABLE_ORDER``."""
+        check_table_order(self.group.order)
+        shifts = shift_table(self.group) if self._bimultiplicative else add_table(self.group)
+        return _dq_rows(self, shifts)
+
     def validate(self) -> None:
-        group, m, a = self.group, self.modulus, self.array
+        """Check that q is a quadratic form: q(0) = 1, dq is bimultiplicative
+        (``_bimultiplicative``) and q(ng) = q(g)^{n^2} for every g and n.
+
+        Once dq is a bicharacter, n = 2 decides every n: q(2g) = q(g)^4
+        gives dq(g, g) = q(g)^2 / q(2g) = q(g)^{-2}, and then
+        q((n+1)g) = q(ng) q(g) dq(ng, g)^{-1} = q(ng) q(g)^{2n+1}, so
+        q(ng) = q(g)^{n^2} by induction.  So a g fails some n iff it fails
+        n = 2, the least n it can fail.  Otherwise every n < Exp(G) is
+        scanned.  Either way the message names the first failing g in
+        element order and its least failing n."""
+        group, m, a = self.group, self.modulus, self.exps
         if a[0] % m:  # the zero element has index 0
             raise InvalidArgumentError("q(0) != 1")
-        c = coords_array(group)
-        first = np.full(group.order, group.exponent)  # least n with a failure
-        for n in range(group.exponent):
-            bad = (a[index_of_coords(group, c * n)] - a * (n * n % m)) % m != 0
-            first = np.where(bad & (first == group.exponent), n, first)
-        failing = np.flatnonzero(first < group.exponent)
-        if len(failing):
-            g, n = group.elements()[failing[0]], int(first[failing[0]])
-            raise InvalidArgumentError(f"q({n}*{g}) != q({g})^{n * n}")
-        # the index of g + e_j for every g, per generator e_j (at g = 0: e_j)
-        shifts = [index_of_coords(group, c + u) for u in np.eye(group.rank, dtype=np.int64)]
-        gens = [int(s[0]) for s in shifts]
-        for h, sh in zip(gens, shifts):
-            for k, sk in zip(gens, shifts):
-                # dq(g+h, k) = dq(g, k) dq(h, k) for every g, as exponents
-                lhs = a[sh] + a[k] - a[sk[sh]]
-                rhs = a + a[k] - a[sk] + a[h] + a[k] - a[sk[h]]
-                if ((lhs - rhs) % m).any():
-                    raise InvalidArgumentError("dq is not bimultiplicative")
+        e = group.exponent
+        ns = range(2, min(3, e)) if self._bimultiplicative else range(e)
+        facs, strides = group.invariant_factors, _strides(group)
+        for i, g in enumerate(group.elements()):
+            at = [0] * len(ns)  # the index of n g, one coordinate at a time
+            for c, d, s in zip(g.coords, facs, strides):
+                at = [x + n * c % d * s for x, n in zip(at, ns)]
+            for n, j in zip(ns, at):
+                if (a[j] - a[i] * n * n) % m:
+                    raise InvalidArgumentError(f"q({n}*{g}) != q({g})^{n * n}")
+        if not self._bimultiplicative:
+            raise InvalidArgumentError("dq is not bimultiplicative")
 
     def is_nondegenerate(self) -> bool:
-        return _nondegenerate(self.dq())
+        """Whether no g != 0 has dq(g, h) = 1 for every h; holds for any
+        value table, a form or not."""
+        return all(map(any, self._dq_columns[1:]))
 
 
-def _nondegenerate(dq: np.ndarray) -> bool:
-    """Whether no g != 0 has dq(g, h) = 1 for every h, on a dq table."""
-    return not (dq[1:] == 0).all(axis=1).any()
+def _dq_rows(q: QuadForm, shifts) -> tuple[tuple[int, ...], ...]:
+    """Row g: the exponents of dq(g, h) for each h of ``shifts``, a table
+    whose row for h holds the index of g + h for every g (entry 0: h)."""
+    a, m = q.exps, q.modulus
+    return tuple(
+        tuple((x + a[sh[0]] - a[sh[g]]) % m for sh in shifts) for g, x in enumerate(a)
+    )
 
 
 @dataclass(frozen=True, init=False)
@@ -184,19 +207,28 @@ class Bichar:
         r = sum(gi * e * hj for gi, row in zip(g.coords, self.mat) for e, hj in zip(row, h.coords))
         return RootOfUnity(r, self.modulus)
 
-    def _gen_table(self) -> np.ndarray:
-        """The (|G|, rank) exponents of b(g, e_j)."""
-        mat = _int_array(self.mat, self.modulus).reshape(self.group.rank, self.group.rank)
-        return coords_array(self.group) @ mat % self.modulus
+    @cached_property
+    def _gen_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row g: the exponents of b(g, e_j) for the generators e_j."""
+        m = self.modulus
+        return tuple(
+            tuple(sum(map(mul, g.coords, col)) % m for col in zip(*self.mat))
+            for g in self.group.elements()
+        )
 
-    def table(self) -> np.ndarray:
+    def table(self) -> tuple[tuple[int, ...], ...]:
         """The (|G|, |G|) exponent table of b(g, h)."""
         check_table_order(self.group.order)
-        return self._gen_table() @ coords_array(self.group).T % self.modulus
+        els, m = self.group.elements(), self.modulus
+        return tuple(tuple(sum(map(mul, row, h.coords)) % m for h in els) for row in self._gen_table)
 
-    def diag(self) -> np.ndarray:
+    def diag(self) -> tuple[int, ...]:
         """The exponents of b(g, g)."""
-        return (self._gen_table() * coords_array(self.group)).sum(axis=1) % self.modulus
+        m = self.modulus
+        return tuple(
+            sum(map(mul, row, g.coords)) % m
+            for row, g in zip(self._gen_table, self.group.elements())
+        )
 
     def validate(self) -> None:
         facs = self.group.invariant_factors
@@ -214,7 +246,7 @@ class Bichar:
                     )
 
     def is_nondegenerate(self) -> bool:
-        return not (self._gen_table()[1:] == 0).all(axis=1).any()
+        return all(map(any, self._gen_table[1:]))
 
     def conj(self) -> "Bichar":
         return Bichar(self.group, modulus=self.modulus, mat=[[-e for e in row] for row in self.mat])
@@ -228,49 +260,51 @@ class MetricGroup:
 
     def __post_init__(self):
         if self.bichar is not None:
-            m = math.lcm(self.quad.modulus, self.bichar.modulus)
-            q = self.quad.array * (m // self.quad.modulus)
-            if ((q + self.bichar.diag() * (m // self.bichar.modulus)) % m).any():
+            qm, bm = self.quad.modulus, self.bichar.modulus
+            m = math.lcm(qm, bm)
+            pairs = zip(self.quad.exps, self.bichar.diag())
+            if any((x * (m // qm) + y * (m // bm)) % m for x, y in pairs):
                 raise InvalidArgumentError("q(g) * b(g,g) != 1")
 
 
 def metric_group(q: QuadForm) -> MetricGroup:
     """Package a nondegenerate form, deriving the bicharacter when |G| is odd;
-    one dq table serves both."""
-    dq = q.dq()
-    if not _nondegenerate(dq):
+    both read the form's dq columns."""
+    if not q.is_nondegenerate():
         raise DegeneracyError("quadratic form is degenerate")
-    b = _bichar_from_dq(q, dq) if q.group.order % 2 else None
+    b = _bichar(q) if q.group.order % 2 else None
     return MetricGroup(q.group, q, b)
 
 
 def bichar_from_qform(q: QuadForm) -> Bichar:
     """The symmetric bicharacter b = dq^{(Exp(G)+1)/2} with q(g) = b(g,g)^{-1}."""
-    group = q.group
-    if group.order % 2 == 0:
+    if q.group.order % 2 == 0:
         raise UnsupportedError("bicharacter extraction needs odd group order")
-    dq = q.dq()
-    if not _nondegenerate(dq):
+    if not q.is_nondegenerate():
         raise InvalidArgumentError("quadratic form is degenerate")
-    return _bichar_from_dq(q, dq)
+    return _bichar(q)
 
 
-def _bichar_from_dq(q: QuadForm, dq: np.ndarray) -> Bichar:
-    """``bichar_from_qform`` of a nondegenerate form of odd order, from its
-    dq table."""
-    group = q.group
-    m, mod = (group.exponent + 1) // 2, q.modulus
-    gens = index_of_coords(group, np.eye(group.rank, dtype=np.int64))
-    b = Bichar(group, modulus=mod, mat=dq[np.ix_(gens, gens)] * m)
+def _bichar(q: QuadForm) -> Bichar:
+    """``bichar_from_qform`` of a nondegenerate form of odd order, checked on
+    its dq columns: b^2 = dq there and b(g,g)^{-1} = q(g) at every g.  On
+    the generator columns b^2 = dq proves it everywhere, both sides being
+    bicharacters."""
+    group, mod, a = q.group, q.modulus, q.exps
+    half = (group.exponent + 1) // 2
+    shifts = shift_table(group)
+    b = Bichar(group, modulus=mod, mat=[
+        [(a[sh[0]] + a[sk[0]] - a[sk[sh[0]]]) * half for sk in shifts] for sh in shifts
+    ])
     b.validate()
-    bt = b.table() * (mod // b.modulus)  # b's modulus divides q's
-    diag_bad = (np.diagonal(bt) + q.array) % mod != 0
-    square_bad = ((2 * bt - dq) % mod != 0).any(axis=1)
-    failing = np.flatnonzero(diag_bad | square_bad)
-    if len(failing):
-        if diag_bad[failing[0]]:
+    scale = mod // b.modulus  # b's modulus divides q's
+    b_columns = b._gen_table if q._bimultiplicative else b.table()
+    rows = zip(a, b.diag(), b_columns, q._dq_columns)
+    for x, diag, b_row, dq_row in rows:
+        if (x + diag * scale) % mod:
             raise InvalidArgumentError("b(g,g)^-1 != q(g); form is inconsistent")
-        raise InvalidArgumentError("b^2 != dq; form is inconsistent")
+        if any((2 * y * scale - z) % mod for y, z in zip(b_row, dq_row)):
+            raise InvalidArgumentError("b^2 != dq; form is inconsistent")
     return b
 
 
@@ -282,7 +316,7 @@ def qform_from_bichar(b: Bichar) -> QuadForm:
     b.validate()
     if not b.is_nondegenerate():
         raise InvalidArgumentError("bicharacter is degenerate")
-    q = QuadForm(group, modulus=b.modulus, exps=-b.diag())
+    q = QuadForm(group, modulus=b.modulus, exps=[-e for e in b.diag()])
     q.validate()
     return q
 
@@ -339,11 +373,10 @@ def metric_equiv(m1: MetricGroup, m2: MetricGroup) -> GroupAut | None:
         return None
     if gauss_invariants(q1) != gauss_invariants(q2):
         return None
-    auts = automorphisms(m1.group)
-    for start, perms in automorphism_perms(m1.group):
-        hits = np.flatnonzero((q2.array[perms] == q1.array).all(axis=1))
-        if len(hits):
-            return auts[start + int(hits[0])]
+    a1, a2 = q1.exps, q2.exps
+    for phi in automorphisms(m1.group):
+        if all(a2[i] == x for i, x in zip(phi.indices(), a1)):
+            return phi
     return None
 
 
@@ -400,9 +433,8 @@ def standard_qform(G: FinAbGroup, minus=()) -> QuadForm:
         a = _least_nonresidue(p) if t in minus and t != last else 1
         weights[j] = (weights[j] + a * (m // t)) % m
         last = t
-    c = coords_array(G)
-    exps = (c * c % m) @ np.array(weights, dtype=np.int64) % m
-    q = QuadForm(G, modulus=m, exps=exps.tolist())
+    exps = [sum(w * c * c for w, c in zip(weights, g.coords)) % m for g in G.elements()]
+    q = QuadForm(G, modulus=m, exps=exps)
     q.validate()
     return q
 

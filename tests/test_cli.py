@@ -662,6 +662,18 @@ GOLDEN_STDOUT = {
         "1b8f682977c61f63217d4c150214efde0d10d3c7eea28e6d1cd4a01d06c5e46a",
     ("hypergroup", "--group", "5", "--table"):
         "4f3d86170fb36408ddfdc269999ef03b42a08b4444a2ffa89354975578e52dce",
+    # pinned while groups and quadforms ran on numpy tables, before the
+    # backtracking automorphism search and the generator-table proofs:
+    # disc's least table depends on the automorphism order, glue's output
+    # on the lifts it chose
+    ("disc", "--lattice", "A12+A12"):
+        "31b6d2d54918be494cc088e4ea4facdf6fef3f56d6ae5105ff5ddda4dc521386",
+    ("disc", "--lattice", "A2+A2+A2"):
+        "9c3aa5b6f27f13147c6777b1638f4cc78643ad94f1d290f393472e807bc010a5",
+    ("glue", "--lattice", "A4+A4", "--isotropic", "0,1"):
+        "9426f4fb1b9f70391876fb544c88298042bd0c3f9445ccb71d05c009ab54845f",
+    ("classify", "--group", "2047"):
+        "8575519649672642d4852049d763816926db3a6f87190ac3b152cc4a0252e501",
     # re-pinned when fp_dims became the float view of the exact dimensions:
     # only fp_dims digits changed, the ring and global_dim did not
     ("fusion", "--rules", "genmp", "--group", "9"):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from aut_oracle import brute_force_automorphisms, compose, inverse, is_identity
 from tycat import groups
 from tycat.cyclo import RootOfUnity
 from tycat.errors import CapacityError, InvalidArgumentError
@@ -133,8 +134,8 @@ def test_automorphism_bound_is_checked_before_enumerating(monkeypatch):
     def enumerate_images(*args):
         raise AssertionError("candidates were enumerated")
 
-    # 125^3 = 1,953,125 candidate images; enumerating them needs index_of_coords
-    monkeypatch.setattr(groups, "index_of_coords", enumerate_images)
+    # 125^3 = 1,953,125 candidate images; the search is _backtrack
+    monkeypatch.setattr(groups, "_backtrack", enumerate_images)
     bound = "^1953125 candidate generator images exceed the bound 200000$"
     with pytest.raises(CapacityError, match=bound):
         automorphisms(FinAbGroup.of(5, 5, 5))
@@ -144,13 +145,39 @@ def test_automorphism_group_structure():
     for facs in [(3,), (9,), (3, 3), (25,), (5, 5)]:
         g = FinAbGroup.of(facs)
         auts = automorphisms(g)
-        assert any(a.is_identity() for a in auts)
+        assert any(is_identity(a) for a in auts)
         keyed = {a.images for a in auts}
         rng = random.Random(3)
         for _ in range(10):
             a, b = rng.choice(auts), rng.choice(auts)
-            assert a.compose(b).images in keyed
-            assert a.inverse().compose(a).is_identity()
+            assert compose(a, b).images in keyed
+            assert is_identity(compose(inverse(a), a))
+
+
+@pytest.mark.parametrize("facs", [
+    (3,), (9,), (3, 3), (5, 5), (3, 3, 3), (3, 9), (13, 13), (2, 2, 2, 2),
+], ids=lambda facs: "x".join(map(str, facs)))
+def test_automorphisms_match_the_product_order_brute_force(facs):
+    # the same automorphisms in the same order: the disc canonical table
+    # keeps the first least image, so the order is part of the output
+    group = FinAbGroup.of(facs)
+    auts = automorphisms(group)
+    assert auts == brute_force_automorphisms(group)
+    els = group.elements()
+    for a in auts[:20] + auts[-20:]:
+        assert list(a.indices()) == [group.index_of(a(g)) for g in els]
+
+
+def test_the_backtracking_refuses_what_the_pools_allow():
+    # a pool member of the wrong order, or in the span of the earlier
+    # images, is skipped: on Z3 x 9 the pools hold 9 and 27 candidates
+    group = FinAbGroup.of(3, 9)
+    found = groups._backtrack(group, [[group.element([1, 0])], [group.element([1, 3])]])
+    assert found == []  # 3 (1, 3) = (0, 0): order 3, not 9
+    found = groups._backtrack(group, [[group.element([1, 0])], [group.element([1, 1])]])
+    assert [a.images for a in found] == [(group.element([1, 0]), group.element([1, 1]))]
+    found = groups._backtrack(group, [[group.element([0, 3])], [group.element([1, 1])]])
+    assert found == []  # 3 (1, 1) = (0, 3) is in the span of the first image
 
 
 def test_character_pairing():

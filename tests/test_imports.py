@@ -41,13 +41,13 @@ EXPORTS = {
 MODDATA_STACK = {"moddata", "modcheck", "fusionrings", "labels"}
 
 # runs the CLI on ARGV..., as `python -m tycat` does, then prints the exit
-# code and the tycat modules it loaded
+# code, the tycat modules it loaded and whether it loaded numpy
 _RUN = (
     "import json, sys\n"
     "from tycat.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "mods = sorted(m[6:] for m in sys.modules if m.startswith('tycat.'))\n"
-    "print(json.dumps([code, mods]), file=sys.stderr)\n"
+    "print(json.dumps([code, mods, 'numpy' in sys.modules]), file=sys.stderr)\n"
 )
 
 
@@ -58,11 +58,15 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _loaded_by(*argv: str) -> set[str]:
+def _run(*argv: str) -> tuple[set[str], bool]:
     proc = _python("-c", _RUN, *argv)
-    code, mods = json.loads(proc.stderr.splitlines()[-1])
+    code, mods, numpy = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
-    return set(mods)
+    return set(mods), numpy
+
+
+def _loaded_by(*argv: str) -> set[str]:
+    return _run(*argv)[0]
 
 
 def test_import_tycat_loads_no_submodule():
@@ -93,6 +97,23 @@ def test_rule_commands_load_no_modular_data(argv):
 
 def test_md_loads_the_modular_data_stack():
     assert MODDATA_STACK <= _loaded_by("md", "pointed", "--group", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--group", "45"),
+    ("disc", "--lattice", "A4+A4"),
+    ("glue", "--lattice", "A2+E6", "--isotropic", "0,1"),
+    ("graph", "lr-dual", "--group", "5"),
+], ids=" ".join)
+def test_form_and_lattice_commands_leave_numpy_out(argv):
+    # groups and quadforms are plain Python; numpy stays where bulk residue
+    # arithmetic runs (modcheck, moddata, fusionrings)
+    loaded, numpy = _run(*argv)
+    assert {"groups", "quadforms"} <= loaded and not numpy, loaded
+
+
+def test_md_still_loads_numpy():
+    assert _run("md", "pointed", "--group", "3")[1]
 
 
 def test_package_exports_the_same_names_from_their_homes():

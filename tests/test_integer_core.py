@@ -4,6 +4,7 @@ control for every check of the form code."""
 import cmath
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ import fraction_forms as ref
 from tycat import moddata, quadforms
 from tycat.cyclo import RootOfUnity
 from tycat.errors import DegeneracyError, InvalidArgumentError, ModularityError
-from tycat.groups import FinAbGroup, positive_set
+from tycat.groups import FinAbGroup, character_group, positive_set
 from tycat.moddata import pointed_md, ty_center_md
 from tycat.quadforms import (
     Bichar,
@@ -76,7 +77,7 @@ def test_forms_agree_with_the_fraction_reference(b):
     ]
     assert b.is_nondegenerate() == ref.bichar_is_nondegenerate(group, b_ref)
 
-    q = QuadForm(group, modulus=b.modulus, exps=-b.diag())
+    q = QuadForm(group, modulus=b.modulus, exps=[-e for e in b.diag()])
     vals = ref.exponents(q)
     assert vals == [-b_ref(g, g) % 1 for g in els]
     assert ref.validate_message(group, vals) is None
@@ -185,6 +186,85 @@ def test_validate_rejects_a_non_bimultiplicative_boundary():
     q = QuadForm(Z33, modulus=3, exps=[0, 0, 0, 0, 1, 0, 0, 0, 1])
     with pytest.raises(InvalidArgumentError, match="^dq is not bimultiplicative$"):
         q.validate()
+
+
+@pytest.mark.parametrize("facs", [(3,), (9,), (3, 3), (5, 15), (3, 3, 3)],
+                         ids=lambda facs: "x".join(map(str, facs)))
+def test_validate_rejects_a_form_times_a_character(facs):
+    # q chi has the boundary of q, so it passes the bimultiplicative check,
+    # and it fails q(2g) = q(g)^4 wherever chi(g)^2 != 1: only the n = 2
+    # check refuses it, with the message of the scan over every n
+    group = FinAbGroup(facs)
+    q = standard_qform(group)
+    _, pairing = character_group(group)
+    h = group.generators()[-1]
+    q_chi = QuadForm(group, [v * pairing(h, g) for v, g in zip(q.values, group.elements())])
+    assert _as_fraction_table(group, q_chi.dq(), q_chi.modulus) == _as_fraction_table(
+        group, q.dq(), q.modulus)
+    expected = ref.validate_message(group, ref.exponents(q_chi))
+    assert expected.startswith("q(2*")
+    with pytest.raises(InvalidArgumentError) as exc:
+        q_chi.validate()
+    assert str(exc.value) == expected
+
+
+def test_validate_scans_every_multiple_when_dq_is_not_bimultiplicative():
+    # this table fails both checks; its first failing multiple is n = 4, so
+    # checking n = 2 alone would name g = 2 instead
+    q = QuadForm(Z5, modulus=5, exps=[0, 0, 0, 0, 1])
+    expected = ref.validate_message(Z5, ref.exponents(q))
+    assert expected == "q(4*(1)) != q((1))^16"
+    with pytest.raises(InvalidArgumentError) as exc:
+        q.validate()
+    assert str(exc.value) == expected
+
+
+def _all_forms(group):
+    """Every quadratic form on an odd group, q(g) = b(g,g)^-1 for every
+    symmetric bicharacter b over Exp(G)."""
+    facs, m, r = group.invariant_factors, group.exponent, group.rank
+    slots = [(i, j) for i in range(r) for j in range(i, r)]
+    for entries in product(*(range(math.gcd(facs[i], facs[j])) for i, j in slots)):
+        mat = [[0] * r for _ in range(r)]
+        for (i, j), x in zip(slots, entries):
+            mat[i][j] = mat[j][i] = x * (m // math.gcd(facs[i], facs[j]))
+        b = Bichar(group, modulus=m, mat=mat)
+        yield QuadForm(group, modulus=b.modulus, exps=[-e for e in b.diag()])
+
+
+def test_nondegeneracy_on_generators_matches_the_full_table():
+    count = degenerate = 0
+    for facs in ODD_GROUPS:
+        group = FinAbGroup(facs)
+        for q in _all_forms(group):
+            q.validate()
+            full = all(any(row) for row in q.dq()[1:])  # dq(g, h) over every h
+            assert len(q._dq_columns[0]) == group.rank  # read on the generators
+            assert q.is_nondegenerate() == full, (facs, q.exps)
+            count += 1
+            degenerate += not full
+    # one form per symmetric bicharacter: prod over i <= j of gcd(d_i, d_j)
+    assert (count, degenerate) == (3448, 987)
+
+
+def test_extraction_rejects_b_squared_at_a_generator_pair(monkeypatch):
+    # a valid form gives b = dq^((Exp+1)/2), so b^2 = dq on the generators;
+    # bend b at the pair (e_0, e_1), symmetrically and within the generator
+    # order constraint, and the check on the generator columns refuses it
+    Z55 = FinAbGroup.of(5, 5)
+    q = standard_qform(Z55)
+    bichar = quadforms.Bichar
+
+    def bent(group, *, modulus, mat):
+        mat = [list(row) for row in mat]
+        mat[0][1] += modulus // 5
+        mat[1][0] += modulus // 5
+        return bichar(group, modulus=modulus, mat=mat)
+
+    monkeypatch.setattr(quadforms, "Bichar", bent)
+    with pytest.raises(InvalidArgumentError, match=r"^b\^2 != dq; form is inconsistent$"):
+        bichar_from_qform(q)
+    assert len(q._dq_columns[0]) == Z55.rank
 
 
 def test_extraction_rejects_b_g_g_against_q():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aut_oracle import is_identity
 from standard_form_oracle import crt_standard_qform
 from test_integer_core import ODD_GROUPS, _odd_chains
 from tycat import cyclo, quadforms
@@ -114,7 +115,7 @@ def test_gauss_degenerate_detection():
 def test_metric_equiv():
     m = metric_group(Q_A2)
     phi = metric_equiv(m, m)
-    assert phi is not None and phi.is_identity()
+    assert phi is not None and is_identity(phi)
 
     m1 = metric_group(qform_x2_over(Z5, 1, 5))
     m2 = metric_group(qform_x2_over(Z5, 4, 5))
@@ -338,19 +339,23 @@ def test_invariants_decide_isometry(pair):
 
 
 @pytest.mark.parametrize("orders", [(45,), (3, 9), (2,)], ids=["45", "3x9", "2"])
-def test_metric_group_builds_one_dq_table(monkeypatch, orders):
-    # the nondegeneracy check and the bicharacter read the same table
+def test_metric_group_builds_no_square_table(monkeypatch, orders):
+    # a validated form is proven on its |G| x rank generator columns: the
+    # nondegeneracy check and the bicharacter read the same dq columns, and
+    # no |G| x |G| table of dq, b or g + h is built
     group = FinAbGroup.of(*orders)
     if group.order % 2:
         q = standard_qform(group)
     else:  # the semion form i^(g^2)
         q = QuadForm.from_callable(group, lambda g: RootOfUnity(Fraction(g.coords[0] ** 2, 4)))
-    calls = []
-    dq = QuadForm.dq
-    monkeypatch.setattr(QuadForm, "dq", lambda self: calls.append(self) or dq(self))
+
+    def square(*args):
+        raise AssertionError("a |G| x |G| table was built")
+
+    monkeypatch.setattr(quadforms, "add_table", square)
+    monkeypatch.setattr(QuadForm, "dq", square)
+    monkeypatch.setattr(Bichar, "table", square)
     m = metric_group(q)
-    assert calls == [q]
+    assert [len(row) for row in q._dq_columns] == [group.rank] * group.order
     if group.order % 2:
-        calls.clear()
         assert bichar_from_qform(q) == m.bichar
-        assert calls == [q]

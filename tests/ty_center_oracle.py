@@ -37,8 +37,8 @@ def ty_center_oracle(group, b, sign):
 
     # b(g, h) as exponents over the conductor, the index of g + h and of -g
     c = conductor
-    bt = (b.table() * (c // b.modulus)).tolist()
-    add = add_table(group).tolist()
+    bt = [[e * (c // b.modulus) for e in row] for row in b.table()]
+    add = add_table(group)
     neg = [row.index(0) for row in add]
     w = [v.k * (c // v.n) for v in omega]
     scale = Fraction(1, 2 * n)
