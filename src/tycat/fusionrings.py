@@ -1,14 +1,11 @@
 """Fusion rings, hypergroups, and character tables from explicit rule tables.
 
-Rings store one read-only int64 array of channel rows (i, j, k, N_{ij}^k),
-the nonzero structure constants in C order, and exact dimensions: rule tables
-emit both, and the proven Verlinde channels are kept without a copy.  Hypergroups hold
-exact rational convex structure constants as one dense read-only int64
-array over a common denominator; the Tambara-Yamagami hypergroup and its
-dual come with the character table and Haar weights that make the rows
-exactly orthogonal.  The associativity check reads an r x r x r cube, so
-rule tables and hypergroups past ``MAX_RULE_CELLS`` cells (rank 256) raise
-``CapacityError`` before any product or weight is enumerated.
+Rings keep their nonzero structure constants as read-only int64 rows
+(i, j, k, N_ij^k) in C order, with exact dimensions; hypergroups keep rows
+(i, j, k, w) of weights w / den.  The checks compare such tensors by sorting
+their entries and join rows one label at a time.  Ranks past 256
+(``MAX_RULE_CELLS`` label triples) raise ``CapacityError`` before any product
+or weight is made.
 """
 
 from __future__ import annotations
@@ -44,49 +41,72 @@ __all__ = [
 ]
 
 
-# most label triples a rule table or hypergroup may have: the dense r x r x r
-# cube that ``_nonassociative`` reads, up to rank 256
+# most label triples of a rule table or hypergroup (rank 256), and most rows
+# of a join in its checks
 MAX_RULE_CELLS = 1 << 24
 
 
 def _check_rank(r: int, what: str) -> None:
-    """Refuse a rank whose cube exceeds ``MAX_RULE_CELLS``, before any
-    product or weight is enumerated."""
+    """Refuse a rank past ``MAX_RULE_CELLS`` label triples."""
     if r**3 > MAX_RULE_CELLS:
         raise CapacityError(f"{what} of rank {r} exceeds {MAX_RULE_CELLS} cells, "
                             "the size limit for rule tables and hypergroups")
+
+
+def _key(rows: np.ndarray, r: int) -> np.ndarray:
+    return (rows[:, 0] * r + rows[:, 1]) * r + rows[:, 2]
+
+
+def _cells(keys: np.ndarray, r: int) -> list[tuple]:
+    return [tuple(c) for c in np.column_stack(np.unravel_index(keys, (r, r, r))).tolist()]
+
+
+def _rows(arr, r: int, noun: str) -> np.ndarray:
+    """``arr`` as read-only int64 rows (i, j, k, x), a view of an int64
+    input: indices in [0, r), x > 0, strictly increasing in (i, j, k)."""
+    arr = np.asarray(arr, dtype=np.int64).view()
+    if arr.ndim != 2 or arr.shape[1] != 4:
+        raise InvalidArgumentError(f"{noun}s of shape {arr.shape}, not (nnz, 4)")
+    if ((arr[:, :3] < 0) | (arr[:, :3] >= r)).any():
+        raise InvalidArgumentError(f"{noun} indices outside [0, {r})")
+    if (arr[:, 3] <= 0).any():
+        raise InvalidArgumentError(f"{noun} coefficients must be positive")
+    if (np.diff(_key(arr, r)) <= 0).any():
+        raise InvalidArgumentError(f"{noun}s are not strictly increasing in (i, j, k)")
+    arr.flags.writeable = False
+    return arr
+
+
+def _product_rows(r: int, prod) -> np.ndarray:
+    """The rows (i, j, k, c), in C order, of a map (i, j) -> {k: c}."""
+    return np.array([(i, j, k, c) for i in range(r) for j in range(r)
+                     for k, c in sorted(prod(i, j).items()) if c], dtype=np.int64).reshape(-1, 4)
+
+
+def _dim_classes(dims) -> tuple[list, np.ndarray]:
+    """The distinct dimensions and each label's index among them."""
+    at: dict = {}
+    cls = np.array([at.setdefault(d.key_at(d.n), len(at)) for d in dims], dtype=np.int64)
+    return [dims[j] for j in np.unique(cls, return_index=True)[1]], cls
 
 
 @dataclass(frozen=True, eq=False)
 class FusionRing:
     """A fusion ring on ``labels`` with the unit at label 0.
 
-    ``channels`` has a row (i, j, k, N_ij^k) per nonzero N_ij^k, i and j
-    ordered, strictly increasing in (i, j, k): one read-only int64 (nnz, 4)
-    array, kept as a view of an int64 input, whose rows of a label or pair
-    are slices.  ``dims`` has each label's exact dimension, a ``CycNum``.
-    The package hands out checked rings only: the rule-table builders run
-    ``check_fusion_ring``, dimensions included, and a Verlinde ring is proven."""
+    ``channels`` has a row (i, j, k, N_ij^k) per nonzero N_ij^k, as ``_rows``
+    checks them, so the rows of a label or pair are slices; ``dims`` has each
+    label's exact dimension, a ``CycNum``.  The package hands out checked
+    rings only: rule tables pass ``check_fusion_ring``, Verlinde rings a proof."""
 
     labels: tuple
     channels: np.ndarray
     dims: tuple
 
     def __post_init__(self):
-        arr = np.asarray(self.channels, dtype=np.int64).view()
-        r = len(self.labels)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise InvalidArgumentError(f"channels of shape {arr.shape}, not (nnz, 4)")
-        if ((arr[:, :3] < 0) | (arr[:, :3] >= r)).any():
-            raise InvalidArgumentError(f"channel indices outside [0, {r})")
-        if (arr[:, 3] <= 0).any():
-            raise InvalidArgumentError("channel coefficients must be positive")
-        if (np.diff((arr[:, 0] * r + arr[:, 1]) * r + arr[:, 2]) <= 0).any():
-            raise InvalidArgumentError("channels are not strictly increasing in (i, j, k)")
-        if len(self.dims) != r:
-            raise InvalidArgumentError(f"{len(self.dims)} dimensions for {r} labels")
-        arr.flags.writeable = False
-        object.__setattr__(self, "channels", arr)
+        object.__setattr__(self, "channels", _rows(self.channels, len(self.labels), "channel"))
+        if len(self.dims) != len(self.labels):
+            raise InvalidArgumentError(f"{len(self.dims)} dimensions for {len(self.labels)} labels")
         object.__setattr__(self, "dims", tuple(self.dims))
 
     @property
@@ -140,56 +160,73 @@ class FusionRing:
 def _ring_from_products(labels, prod, dims) -> FusionRing:
     """The ring of a map (i, j) -> {k: coeff} and its dimensions, once
     ``_check_rank`` passes, checked by ``check_fusion_ring``."""
-    r = len(labels)
-    _check_rank(r, "fusion ring")
-    rows = [(i, j, k, c) for i in range(r) for j in range(r)
-            for k, c in sorted(prod(i, j).items()) if c]
-    ring = FusionRing(tuple(labels), np.array(rows, dtype=np.int64).reshape(-1, 4), dims)
+    _check_rank(len(labels), "fusion ring")
+    ring = FusionRing(tuple(labels), _product_rows(len(labels), prod), dims)
     violations = check_fusion_ring(ring)
     if violations:
         raise ModularityError(f"rule table fails its checks: {violations[:5]}")
     return ring
 
 
-def _nonassociative(arr: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """The (i, j, k, l), in C order, where sum_m N_ij^m N_mk^l differs from
-    sum_m N_jk^m N_im^l, for a nonnegative integer tensor.
+def _differ(keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The sorted keys whose ``vals`` do not sum to 0: for one int64 tensor's
+    entries and another's negated, where the two differ."""
+    if not len(keys):
+        return keys
+    order = keys.argsort()
+    keys, vals = keys[order], vals[order]
+    del order  # freed before the sums: this sort is the checks' peak memory
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[first[np.add.reduceat(vals, first) != 0]]
 
-    One row i at a time, lhs_i = N_i @ N.reshape(r, r*r) and
-    rhs_i = N.reshape(r*r, r) @ N_i as float64 BLAS products: O(r^3)
-    memory where the dense contraction needs r^4, and exact because every
-    partial sum stays below r nmax^2 < 2^53 (else ``CapacityError``).
-    """
-    r = arr.shape[0]
-    nmax = int(arr.max()) if arr.size else 0
-    if r * nmax * nmax >= 2**53:
+
+def _join(m: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position a of ``m`` meets each b in offsets[m[a]] : offsets[m[a] + 1]:
+    how many b each a meets, and every b met."""
+    lo, n = offsets[m], offsets[m + 1] - offsets[m]
+    total = int(n.sum())
+    if total > MAX_RULE_CELLS:
+        raise CapacityError(f"join of {total} rows exceeds {MAX_RULE_CELLS} cells, "
+                            "the size limit for rule tables and hypergroups")
+    return n, np.arange(total) + np.repeat(lo - np.cumsum(n) + n, n)
+
+
+def _nonassociative(rows: np.ndarray, r: int) -> list[tuple[int, int, int, int]]:
+    """The (i, j, k, l), in C order, where sum_m N_ij^m N_mk^l differs from
+    sum_m N_jk^m N_im^l: per label i, rows (i, j, m) join (m, k, l) and rows
+    (j, k, m) join (i, m, l).  Sums stay below r nmax^2 < 2^63 (else
+    ``CapacityError``), so int64 is exact; keys (j r + k) r + l are int32."""
+    nmax = int(rows[:, 3].max(initial=0))
+    if r * nmax * nmax >= 2**63:
         raise CapacityError(
             f"structure constants too large for exact associativity: {nmax} at rank {r}"
         )
-    f = arr.astype(np.float64)
-    right = f.reshape(r, r * r)
-    left = f.reshape(r * r, r)
+    i_off = np.searchsorted(rows[:, 0], np.arange(r + 1))
+    ijk, val = rows[:, :3].astype(np.int32), rows[:, 3]
+    jk = (ijk[:, 0] * r + ijk[:, 1]) * r
     out = []
     for i in range(r):
-        lhs = f[i] @ right
-        rhs = (left @ f[i]).reshape(r, r * r)
-        for j, kl in zip(*np.nonzero(lhs != rhs)):
-            out.append((i, int(j), int(kl) // r, int(kl) % r))
+        lo, hi = i_off[i], i_off[i + 1]
+        n, b = _join(ijk[lo:hi, 2], i_off)
+        n2, b2 = _join(ijk[:, 2], lo + np.searchsorted(ijk[lo:hi, 1], np.arange(r + 1)))
+        keys = np.concatenate([np.repeat(ijk[lo:hi, 1] * r * r, n) + ijk[b, 1] * r + ijk[b, 2],
+                               np.repeat(jk, n2) + ijk[b2, 2]])
+        vals = np.concatenate([np.repeat(val[lo:hi], n) * val[b], -np.repeat(val, n2) * val[b2]])
+        del b, b2
+        out += [(i, *cell) for cell in _cells(_differ(keys, vals), r)]
     return out
 
 
 def check_fusion_ring(ring: FusionRing) -> list[tuple[str, tuple]]:
     """Verify unit, duality, associativity, the Frobenius symmetries and the
-    dimensions on the cube of the channels: the (kind, index) of every violation."""
-    r = ring.rank
+    dimensions on the channel rows: the (kind, index) of every violation."""
+    r, ch = ring.rank, ring.channels
     _check_rank(r, "fusion ring")
-    arr = np.zeros((r, r, r), dtype=np.int64)
-    arr[tuple(ring.channels[:, :3].T)] = ring.channels[:, 3]
-    violations = []
-
-    eye = np.eye(r, dtype=np.int64)
-    for j, k in np.argwhere((arr[0] != eye) | (arr[:, 0] != eye)).tolist():
-        violations.append(("unit", (0, j, k)))
+    left, right = ch[ch[:, 0] == 0], ch[ch[:, 1] == 0][:, [1, 0, 2, 3]]
+    eye = np.arange(r) * (r + 1)  # the keys of N_0j^j = 1
+    unit = np.concatenate([_differ(np.r_[_key(t, r), eye], np.r_[t[:, 3], -np.ones_like(eye)])
+                           for t in (left, right)])
+    violations = [("unit", cell) for cell in _cells(_differ(unit, np.ones_like(unit)), r)]
     try:
         dual = [ring.dual(i) for i in range(r)]
         for i in range(r):
@@ -199,32 +236,38 @@ def check_fusion_ring(ring: FusionRing) -> list[tuple[str, tuple]]:
         violations.append(("dual", ()))
         dual = None
 
-    for idx in _nonassociative(arr):
-        violations.append(("associativity", idx))
+    violations += [("associativity", cell) for cell in _nonassociative(ch, r)]
 
     if dual is not None:
-        dual_arr = np.array(dual)
         # N_ij^k = N_{k j*}^i and N_ij^k = N_{j* i*}^{k*} hold in any fusion
-        # ring; N_ij^k = N_{i k*}^{j*} additionally needs commutativity
-        frob_a = arr[:, dual_arr, :].transpose(2, 1, 0)
-        frob_b = arr[np.ix_(dual_arr, dual_arr, dual_arr)].transpose(1, 0, 2)
-        bad = (arr != frob_a) | (arr != frob_b)
-        if bool(np.all(arr == arr.transpose(1, 0, 2))):
-            frob_c = arr[:, dual_arr, :][:, :, dual_arr].transpose(0, 2, 1)
-            bad |= arr != frob_c
-        for idx in np.argwhere(bad).tolist():
-            violations.append(("frobenius", tuple(idx)))
+        # ring; N_ij^k = N_{i k*}^{j*} additionally needs commutativity.  Row
+        # (k, j*, i) is N_{k j*}^i at (i, j, k) for each j of that dual
+        pre = np.argsort(dual, kind="stable")
+        pre_off = np.searchsorted(np.array(dual)[pre], np.arange(r + 1))
+
+        def differs(cols, order):
+            t = ch
+            for c in cols:
+                n, b = _join(t[:, c], pre_off)
+                t = np.repeat(t, n, axis=0)
+                t[:, c] = pre[b]
+            return _differ(np.r_[_key(ch, r), _key(t[:, order], r)], np.r_[ch[:, 3], -t[:, 3]])
+
+        laws = [([1], [2, 1, 0]), ([0, 1, 2], [1, 0, 2])]
+        if not len(differs([], [1, 0, 2])):
+            laws.append(([1, 2], [0, 2, 1]))
+        bad = np.concatenate([differs(*law) for law in laws])
+        violations += [("frobenius", cell) for cell in _cells(_differ(bad, np.ones_like(bad)), r)]
 
     # d = ring.dims is exact iff d_0 = 1, each d_j is real and positive, and
     # (M d)_j = (sum_i d_i) d_j for M[j, k] = sum_i N_ij^k: M is entrywise
     # positive (k lies in (k j*) j), so by Perron-Frobenius such a d is its
     # Perron vector, as the Frobenius-Perron dimensions are.  Each distinct
     # row (class of d_j, class counts of M[j, :]) is summed once in CycNum
-    keys = [d.key_at(d.n) for d in ring.dims]
-    at = {key: c for c, key in enumerate(dict.fromkeys(keys))}
-    values, cls = [ring.dims[keys.index(key)] for key in at], np.array([at[key] for key in keys])
+    values, cls = _dim_classes(ring.dims)
     total = sum(x * n for x, n in zip(values, np.bincount(cls).tolist()))
-    counts = arr.sum(axis=0) @ (cls[:, None] == np.arange(len(values)))
+    counts = np.zeros((r, len(values)), dtype=np.int64)
+    np.add.at(counts, (ch[:, 1], cls[ch[:, 2]]), ch[:, 3])
     rows, of_row = np.unique(np.column_stack([cls, counts]), axis=0, return_inverse=True)
     holds = [values[c] == values[c].conj() and _real_sign(values[c]) > 0
              and sum(values[k] * n for k, n in enumerate(row) if n) == total * values[c]
@@ -278,13 +321,9 @@ def gen_ty_fusion_ring(A: FinAbGroup) -> FusionRing:
     def prod(i, j):
         if i < 2 * n and j < 2 * n:
             return {idx[dih_mul(dih[i], dih[j])]: 1}
-        if i < 2 * n:  # group element times rho
-            swap = dih[i][1]
-            target = rp if (j == rp) == (not swap) else rm
-            return {target: 1}
-        if j < 2 * n:
-            swap = dih[j][1]
-            target = rp if (i == rp) == (not swap) else rm
+        if min(i, j) < 2 * n:  # a group element and rho, either way round
+            swap = dih[min(i, j)][1]
+            target = rp if (max(i, j) == rp) == (not swap) else rm
             return {target: 1}
         if i == j:  # rho_+- squared
             return {idx[(a, 0)]: 1 for a in els}
@@ -344,101 +383,83 @@ def gen_mp_fusion_ring(G: FinAbGroup) -> FusionRing:
 @dataclass(frozen=True, eq=False)
 class Hypergroup:
     """Finite hypergroup: convex multiplication table with involution and
-    the unit at element 0.
-
-    ``table[i, j, k] / den`` is the weight of e_k in e_i e_j: one read-only
-    int64 array over a common denominator, as ``_nonassociative`` reads it."""
+    the unit at element 0.  ``weights`` has a row (i, j, k, w), as ``_rows``
+    checks them, per nonzero weight w / den of e_k in e_i e_j."""
 
     elements: tuple
-    table: np.ndarray
+    weights: np.ndarray
     den: int
     star: tuple[int, ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.table, dtype=np.int64).view()
-        arr.flags.writeable = False
-        object.__setattr__(self, "table", arr)
+        object.__setattr__(self, "weights", _rows(self.weights, len(self.elements), "weight"))
 
     @property
     def rank(self) -> int:
         return len(self.elements)
 
     def coeff(self, i: int, j: int, k: int) -> Fraction:
-        return Fraction(int(self.table[i, j, k]), self.den)
+        w = self.weights
+        return Fraction(int(w[(w[:, :3] == (i, j, k)).all(axis=1), 3].sum()), self.den)
 
     def validate(self) -> None:
-        t, den, r = self.table, self.den, self.rank
-        if r * den >= 2**63:
-            raise CapacityError(f"hypergroup weights over {den} at rank {r} exceed int64")
-        cols = np.arange(r)
-        for what, bad in (
-            ("negative weight in {} * {}", (t < 0).any(axis=2)),
-            ("weights of {} * {} do not sum to 1", (t > den).any(axis=2) | (t.sum(axis=2) != den)),
-            ("antipode law fails at ({}, {})", (t[:, :, 0] > 0) != (cols == np.array(self.star)[:, None])),
+        w, den, r = self.weights, self.den, self.rank
+        i, j, k, x = w.T
+        bad = _nonassociative(w, r)  # first: its guard bounds the sums below
+        pair, unit_in = i * r + j, np.zeros(r * r, dtype=bool)
+        sums = np.zeros(r * r, dtype=np.int64)
+        np.add.at(sums, pair, x)
+        unit_in[pair[k == 0]] = True
+        for what, hits in (
+            ("weights of {} * {} do not sum to 1", np.flatnonzero(sums != den)),
+            ("antipode law fails at ({}, {})",
+             np.flatnonzero(unit_in != (np.arange(r) == np.array(self.star)[:, None]).ravel())),
         ):
-            hits = np.argwhere(bad)
             if len(hits):
-                raise InvalidArgumentError(what.format(*hits[0].tolist()))
-        if (t[0, cols, cols] != den).any() or (t[cols, 0, cols] != den).any():
+                raise InvalidArgumentError(what.format(*divmod(int(hits[0]), r)))
+        if np.count_nonzero(((i == 0) | (j == 0)) & (k == i + j) & (x == den)) != 2 * r - 1:
             raise InvalidArgumentError("unit is not a two-sided identity")
-        bad = _nonassociative(t)
         if bad:
             raise InvalidArgumentError(f"hypergroup is not associative at {bad[0]}")
 
     def to_json(self) -> dict:
-        nz = np.argwhere(self.table)  # C order: i, then j, then k
         return {
             "elements": [str(e) for e in self.elements],
             "unit": 0,
             "star": list(self.star),
-            "weights": [[i, j, k, str(Fraction(c, self.den))]
-                        for (i, j, k), c in zip(nz.tolist(), self.table[tuple(nz.T)].tolist())],
+            "weights": [[i, j, k, str(Fraction(w, self.den))]
+                        for i, j, k, w in self.weights.tolist()],
         }
 
 
-def _hypergroup(elements, weights: dict, star) -> Hypergroup:
-    """The hypergroup with weight ``weights[i, j, k]`` (a Fraction, 0 when
-    absent) of e_k in e_i e_j, over the least common denominator, checked."""
-    r = len(elements)
-    den = math.lcm(*(w.denominator for w in weights.values()))
-    table = np.zeros((r, r, r), dtype=np.int64)
-    for (i, j, k), w in weights.items():
-        table[i, j, k] = w.numerator * (den // w.denominator)
-    hg = Hypergroup(tuple(elements), table, den, tuple(star))
-    hg.validate()
-    return hg
-
-
 def ty_hypergroup(group: FinAbGroup) -> Hypergroup:
-    """K = G u {tau} with tau* = tau = g tau = tau g, tau^2 = (1/|G|) sum_g g."""
+    """K = G u {tau}, the normalized Tambara-Yamagami ring with rho named
+    tau: tau* = tau = g tau = tau g, tau^2 = (1/|G|) sum_g g."""
     _check_rank(group.order + 1, "hypergroup")
-    els = group.elements()
-    n = len(els)
-    labels = list(els) + ["tau"]
-    idx = {g: i for i, g in enumerate(els)}
-    one = Fraction(1)
-    weights = {}
-    for i, g in enumerate(els):
-        for j, h in enumerate(els):
-            weights[i, j, idx[g + h]] = one
-        weights[i, n, n] = weights[n, i, n] = one
-    for k in range(n):
-        weights[n, n, k] = Fraction(1, n)
-    return _hypergroup(labels, weights, [idx[-g] for g in els] + [n])
+    hg = hypergroup_from_fusion_ring(ty_fusion_ring(group))
+    return Hypergroup(hg.elements[:-1] + ("tau",), hg.weights, hg.den, hg.star)
 
 
 def hypergroup_from_fusion_ring(ring: FusionRing) -> Hypergroup:
     """Renormalize a fusion ring by its exact dimensions: on the basis
-    [x]/d(x) the structure constants become N_ij^k d_k / (d_i d_j)."""
+    [x]/d(x) the structure constants become N_ij^k d_k / (d_i d_j), computed
+    once per distinct (d_i, d_j, d_k, N_ij^k)."""
     _check_rank(ring.rank, "hypergroup")
-    inv = [d.inverse() for d in ring.dims]
-    weights = {}
-    for i, j, k, c in ring.channels.tolist():
-        val = ring.dims[k] * inv[i] * inv[j] * c
-        if not val.is_rational():
-            raise InvalidArgumentError("renormalized structure constants are not rational")
-        weights[i, j, k] = val.rational_value()
-    return _hypergroup(ring.labels, weights, [ring.dual(i) for i in range(ring.rank)])
+    values, cls = _dim_classes(ring.dims)
+    ch = ring.channels
+    combos, of_row = np.unique(np.column_stack([cls[ch[:, :3]], ch[:, 3]]), axis=0,
+                               return_inverse=True)
+    ratios = [values[e] * values[a].inverse() * values[b].inverse() * c
+              for a, b, e, c in combos.tolist()]
+    if not all(v.is_rational() for v in ratios):
+        raise InvalidArgumentError("renormalized structure constants are not rational")
+    ratios = [v.rational_value() for v in ratios]
+    den = math.lcm(*(v.denominator for v in ratios))
+    nums = np.array([v.numerator * (den // v.denominator) for v in ratios], dtype=np.int64)
+    hg = Hypergroup(ring.labels, np.column_stack([ch[:, :3], nums[of_row.ravel()]]), den,
+                    tuple(ring.dual(i) for i in range(ring.rank)))
+    hg.validate()
+    return hg
 
 
 @dataclass(frozen=True)
@@ -452,20 +473,13 @@ class CharTable:
     weights: tuple  # Fraction per column
 
     def validate(self) -> None:
-        rows = len(self.row_labels)
-        cols = len(self.col_labels)
-        for j in range(cols):
-            if self.entries[0][j] != 1:
-                raise InvalidArgumentError("first row of the character table is not 1")
-        for i in range(rows):
-            for j in range(i + 1, rows):
-                total = CycNum.zero()
-                for k in range(cols):
-                    total = total + self.entries[i][k] * self.entries[j][k].conj() * self.weights[k]
-                if not total.is_zero():
-                    raise InvalidArgumentError(
-                        f"rows {i} and {j} are not weighted-orthogonal"
-                    )
+        if any(e != 1 for e in self.entries[0]):
+            raise InvalidArgumentError("first row of the character table is not 1")
+        weighted = [[e.conj() * w for e, w in zip(row, self.weights)] for row in self.entries]
+        for i, row in enumerate(self.entries):
+            for j in range(i + 1, len(self.entries)):
+                if not sum((x * y for x, y in zip(row, weighted[j])), CycNum.zero()).is_zero():
+                    raise InvalidArgumentError(f"rows {i} and {j} are not weighted-orthogonal")
 
     def to_json(self) -> dict:
         return {
@@ -484,48 +498,27 @@ def ty_dual_hypergroup_and_table(group: FinAbGroup):
         raise UnsupportedError("the dual hypergroup computation needs |G| odd")
     _check_rank(group.order + 1, "hypergroup")
     dual, pairing = character_group(group)
+    n = group.order
     chis = [h for h in dual.elements() if not h.is_zero()]
-    labels = ["1", "eps"] + [("c", chi) for chi in chis]
-    r = len(labels)
+    labels = ("1", "eps") + tuple(("c", chi) for chi in chis)
     cidx = {chi: 2 + i for i, chi in enumerate(chis)}
-    weights = {}
+    den = 2 if chis else 1
 
-    def set_prod(i, j, prod):
-        for k, w in prod.items():
-            weights[i, j, k] = w
+    def prod(i, j):  # over den; 1 and eps form Z2 and fix each c_chi
+        if min(i, j) < 2:
+            return {i ^ j if max(i, j) < 2 else max(i, j): den}
+        chi = chis[i - 2] + chis[j - 2]
+        return {0: 1, 1: 1} if chi.is_zero() else {cidx[chi]: den}
 
-    for i in range(r):
-        set_prod(0, i, {i: Fraction(1)})
-        set_prod(i, 0, {i: Fraction(1)})
-    set_prod(1, 1, {0: Fraction(1)})
-    for chi in chis:
-        i = cidx[chi]
-        set_prod(1, i, {i: Fraction(1)})
-        set_prod(i, 1, {i: Fraction(1)})
-        for tchi in chis:
-            j = cidx[tchi]
-            if (chi + tchi).is_zero():
-                set_prod(i, j, {0: Fraction(1, 2), 1: Fraction(1, 2)})
-            else:
-                set_prod(i, j, {cidx[chi + tchi]: Fraction(1)})
-    hg = _hypergroup(labels, weights, [0, 1] + [cidx[-chi] for chi in chis])
+    hg = Hypergroup(labels, _product_rows(len(labels), prod), den,
+                    (0, 1) + tuple(cidx[-chi] for chi in chis))
+    hg.validate()
 
     # character table over columns G u {tau}
-    els = group.elements()
-    cols = list(els) + ["tau"]
-    one = CycNum.one()
-    zero = CycNum.zero()
-    entries = [[one] * (len(els) + 1)]
-    entries.append([one] * len(els) + [-one])
-    for chi in chis:
-        row = [pairing(chi, g).to_cyc() for g in els] + [zero]
-        entries.append(row)
-    weights = tuple([Fraction(1)] * len(els) + [Fraction(group.order)])
-    ct = CharTable(
-        tuple(labels),
-        tuple(cols),
-        tuple(tuple(row) for row in entries),
-        weights,
-    )
+    els, one = group.elements(), CycNum.one()
+    entries = [[one] * (n + 1), [one] * n + [-one]]
+    entries += [[pairing(chi, g).to_cyc() for g in els] + [CycNum.zero()] for chi in chis]
+    ct = CharTable(labels, tuple(els) + ("tau",), tuple(map(tuple, entries)),
+                   (Fraction(1),) * n + (Fraction(n),))
     ct.validate()
     return hg, ct

@@ -1,9 +1,13 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tycat import fusionrings
 from tycat.cyclo import CycNum, sqrt_int, zeta
@@ -23,7 +27,16 @@ from tycat.fusionrings import (
 from tycat.groups import FinAbGroup, positive_set
 from tycat.labels import MPAlpha, MPRho, MPSigma, label_from_json, label_to_json
 
-from fusion_oracle import channels_of, dense, eigen_dims
+from fusion_oracle import (
+    channels_of,
+    check_dense,
+    dense,
+    eigen_dims,
+    hypergroup_cube,
+    orthogonality_dense,
+    ty_hypergroup_table,
+    validate_dense,
+)
 
 Z3 = FinAbGroup.of(3)
 Z5 = FinAbGroup.of(5)
@@ -131,7 +144,9 @@ def test_unit_and_dual_involution_violations_are_reported():
     def violations(edit):
         bad = cube.copy()
         edit(bad)
-        return check_fusion_ring(FusionRing(ring.labels[:3], channels_of(bad), ring.dims[:3]))
+        bad = FusionRing(ring.labels[:3], channels_of(bad), ring.dims[:3])
+        assert check_fusion_ring(bad) == check_dense(bad)
+        return check_fusion_ring(bad)
 
     def extra_channel(bad):  # 0 x 1 = 1 + 1
         bad[0, 1, 1] += 1
@@ -140,7 +155,9 @@ def test_unit_and_dual_involution_violations_are_reported():
         bad[2, 1, 0], bad[2, 2, 0] = 0, 1
 
     assert ("unit", (0, 1, 1)) in violations(extra_channel)
+    # the Frobenius laws are then read through the dual's preimages
     assert ("dual-involution", (1,)) in violations(self_dual_2)
+    assert any(kind == "frobenius" for kind, _ in violations(self_dual_2))
 
 
 def test_channels_are_one_read_only_int64_array():
@@ -339,31 +356,45 @@ def test_ty_hypergroup():
 
 
 def test_normalized_ring_reproduces_hypergroup():
-    for facs in [(1,), (3,), (5,), (3, 3)]:
+    # ty_hypergroup is the normalization itself; the oracle writes the
+    # weights by hand
+    for facs in [(1,), (3,), (5,), (3, 3), (15,)]:
         g = FinAbGroup.of(facs)
         ring = ty_fusion_ring(g)
         assert ring.dims == (CycNum.one(),) * g.order + (sqrt_int(g.order),)
-        hg = hypergroup_from_fusion_ring(ring)
-        ref = ty_hypergroup(g)
-        assert np.array_equal(hg.table, ref.table) and hg.den == ref.den
-        assert hg.star == ref.star
+        table, den, star = ty_hypergroup_table(g)
+        for hg in (hypergroup_from_fusion_ring(ring), ty_hypergroup(g)):
+            assert np.array_equal(hg.weights, channels_of(table))
+            assert hg.den == den and hg.star == star
+        assert ty_hypergroup(g).elements == tuple(g.elements()) + ("tau",)
 
 
-def test_hypergroup_table_is_one_read_only_int64_array():
+def test_hypergroup_weights_are_one_read_only_int64_array():
     hg = ty_hypergroup(Z3)
-    assert hg.table.dtype == np.int64 and hg.den == 3
-    assert not hg.table.flags.writeable
+    assert hg.weights.dtype == np.int64 and hg.den == 3
+    assert not hg.weights.flags.writeable
     assert hg.coeff(3, 3, 1) == Fraction(1, 3) and hg.coeff(1, 3, 1) == 0
     assert hg.to_json()["weights"][-1] == [3, 3, 2, "1/3"]
+    assert hg.to_json()["weights"] == [[i, j, k, str(Fraction(w, 3))]
+                                       for i, j, k, w in hg.weights.tolist()]
+    # the same constructor check as a ring's channels
+    for edit, message in [
+        (lambda w: w[:, :3], r"^weights of shape \(\d+, 3\), not"),
+        (lambda w: w[::-1], "^weights are not strictly increasing"),
+        (lambda w: _edited(w, -1, [3, 3, 4, 1]), r"^weight indices outside \[0, 4\)$"),
+        (lambda w: _edited(w, 0, [0, 0, 0, 0]), "^weight coefficients must be positive$"),
+    ]:
+        with pytest.raises(InvalidArgumentError, match=message):
+            Hypergroup(hg.elements, edit(np.array(hg.weights)), hg.den, hg.star)
 
 
 def test_hypergroup_validate_refuses_each_broken_law():
     base = ty_hypergroup(Z3)  # elements 0, 1, 2 and tau = 3, den 3
 
     def broken(edit, star=base.star):
-        table = base.table.copy()
+        table = hypergroup_cube(base)
         edit(table)
-        return Hypergroup(base.elements, table, base.den, star)
+        return Hypergroup(base.elements, channels_of(table), base.den, star)
 
     def moved(i, j, k_from, k_to, amount=1):
         def edit(t):
@@ -371,8 +402,10 @@ def test_hypergroup_validate_refuses_each_broken_law():
             t[i, j, k_to] += amount
         return edit
 
+    # a negative weight is refused when the rows are built
+    with pytest.raises(InvalidArgumentError, match="^weight coefficients must be positive$"):
+        broken(moved(1, 1, 2, 0, 4))
     cases = [
-        (broken(moved(1, 1, 2, 0, 4)), r"negative weight in 1 \* 1"),
         (broken(lambda t: t.__setitem__((2, 3, 3), 4)), r"weights of 2 \* 3 do not sum to 1"),
         (broken(moved(1, 2, 0, 1, 3)), r"antipode law fails at \(1, 2\)"),
         (broken(lambda t: None, star=(0, 2, 1, 0)), r"antipode law fails at \(3, 0\)"),
@@ -421,3 +454,113 @@ def test_dual_table_sizes():
         assert hg.rank == g.order + 1
         assert len(table.row_labels) == g.order + 1
         table.validate()
+
+
+@lru_cache(maxsize=None)
+def _small_ring(builder, order):
+    return builder(FinAbGroup.of(order))
+
+
+# rule tables of rank at most 16: ty and genmp are commutative, genty is not
+SMALL_RINGS = [(ty_fusion_ring, n) for n in (1, 3, 5, 7, 9, 15)] + [
+    (gen_ty_fusion_ring, n) for n in (1, 3, 5, 7)] + [
+    (gen_mp_fusion_ring, n) for n in (3, 5, 9, 15, 25)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_perturbed_rings_report_what_the_dense_checks_report(data):
+    # up to three cells of a rule table set to 0..3 (0 drops the channel):
+    # the row checks return the dense oracle's violations, in its order
+    ring = _small_ring(*data.draw(st.sampled_from(SMALL_RINGS)))
+    cube, cell = dense(ring), st.integers(0, ring.rank - 1)
+    for i, j, k, n in data.draw(st.lists(st.tuples(cell, cell, cell, st.integers(0, 3)),
+                                         min_size=1, max_size=3)):
+        cube[i, j, k] = n
+    bad = FusionRing(ring.labels, channels_of(cube), ring.dims)
+    assert check_fusion_ring(bad) == check_dense(bad)
+
+
+def _first_message(validate):
+    try:
+        validate()
+    except InvalidArgumentError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_perturbed_hypergroups_fail_first_where_the_dense_check_does(data):
+    # weight moved within a product, or set, in up to three cells of the
+    # TY hypergroups of Z3 and Z5 and their duals; cells stay nonnegative
+    group = FinAbGroup.of(data.draw(st.sampled_from([3, 5])))
+    hg = data.draw(st.sampled_from([ty_hypergroup(group),
+                                    ty_dual_hypergroup_and_table(group)[0]]))
+    t, cell = hypergroup_cube(hg), st.integers(0, hg.rank - 1)
+    for i, j, k, l, n in data.draw(st.lists(
+            st.tuples(cell, cell, cell, cell, st.integers(0, 2 * hg.den)), min_size=1, max_size=3)):
+        if data.draw(st.booleans()):
+            n = min(n, int(t[i, j, k]))
+            t[i, j, k] -= n
+            t[i, j, l] += n
+        else:
+            t[i, j, k] = n
+    bad = Hypergroup(hg.elements, channels_of(t), hg.den, hg.star)
+    assert _first_message(bad.validate) == _first_message(lambda: validate_dense(t, hg.den, hg.star))
+
+
+def test_rule_table_check_makes_no_cube():
+    # the int64 cube of a rank-128 ring is 128^3 * 8 bytes = 16.8 MB
+    ring = ty_fusion_ring(FinAbGroup.of(127))
+    tracemalloc.start()
+    try:
+        assert check_fusion_ring(ring) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128**3 * 8 / 4, f"check_fusion_ring peaked at {peak / 2**20:.1f} MB"
+
+
+def _no_join(*args):
+    raise AssertionError("a join row was built")
+
+
+def test_huge_coefficients_are_refused_before_any_join(monkeypatch):
+    # r nmax^2 must stay below 2^63 for the int64 sums to be exact
+    ring, hg = ty_fusion_ring(Z3), ty_hypergroup(Z3)
+    monkeypatch.setattr(fusionrings, "_join", _no_join)
+    rows = np.array(ring.channels)
+    rows[-1, 3] = 2**31  # rho rho = ... + 2^31 (2): 4 * 2^62 >= 2^63
+    with pytest.raises(CapacityError, match=f"^structure constants too large for exact "
+                                            f"associativity: {2**31} at rank 4$"):
+        check_fusion_ring(FusionRing(ring.labels, rows, ring.dims))
+    # den 3 scaled to 3 * 2^30: 4 * 9 * 2^60 >= 2^63
+    weights = np.array(hg.weights)
+    weights[:, 3] *= 2**30
+    huge = Hypergroup(hg.elements, weights, hg.den * 2**30, hg.star)
+    with pytest.raises(CapacityError, match=f"^structure constants too large for exact "
+                                            f"associativity: {3 * 2**30} at rank 4$"):
+        huge.validate()
+
+
+def test_a_join_past_the_cell_bound_is_refused():
+    # every N_ij^k = 1 at rank 65: label 0 joins 65^2 rows with 65^2 each
+    r = 65
+    full = np.array([(i, j, k, 1) for i in range(r) for j in range(r) for k in range(r)])
+    ring = FusionRing(tuple(range(r)), full, [CycNum.one()] * r)
+    with pytest.raises(CapacityError, match=f"^join of {r**4} rows exceeds {MAX_RULE_CELLS} cells"):
+        check_fusion_ring(ring)
+
+
+@pytest.mark.parametrize("at", [(0, 1), (1, 3), (2, 1), (3, 0)])
+def test_character_table_refuses_as_the_pairwise_loop_does(at):
+    # one entry of the Z3 dual's table negated: the same first message
+    import dataclasses
+
+    _, table = ty_dual_hypergroup_and_table(Z3)
+    entries = [list(row) for row in table.entries]
+    entries[at[0]][at[1]] = -entries[at[0]][at[1]]
+    bad = dataclasses.replace(table, entries=tuple(map(tuple, entries)))
+    message = _first_message(bad.validate)
+    assert message is not None and message == _first_message(lambda: orthogonality_dense(bad))
